@@ -16,9 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 
-# Complete exponential sums are returned as plain complex numbers.
-ExpSumValue = complex
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -58,7 +55,7 @@ def _exp_angle_sum(angles_mod_c: np.ndarray, c: int) -> complex:
     return complex(np.sum(np.cos(phases)) + 1j * np.sum(np.sin(phases)))
 
 
-def kloosterman(m: int, n: int, c: int) -> ExpSumValue:
+def kloosterman(m: int, n: int, c: int) -> complex:
     """S(m,n;c) = sum over alpha in (Z/c)* of e((alpha*m + alpha^{-1}*n)/c)."""
     if c < 1:
         raise ValueError(f"modulus must be positive, got {c}")
@@ -69,7 +66,7 @@ def kloosterman(m: int, n: int, c: int) -> ExpSumValue:
     return _exp_angle_sum(angles, c)
 
 
-def vq_sum(q: int, m: int, n: int, c: int) -> ExpSumValue:
+def vq_sum(q: int, m: int, n: int, c: int) -> complex:
     """V_q(m,n;c): sum over alpha mod c with (alpha*(q-alpha), c) = 1 of
     e((alpha^{-1}*m + (q-alpha)^{-1}*n)/c).
 
@@ -111,14 +108,13 @@ def weil_ratio(m: int, n: int, c: int) -> float:
     return s / (divisor_count(c) * math.sqrt(g) * math.sqrt(c))
 
 
-def divisor_sigma(nu: complex, n: int) -> complex:
-    """sigma_nu(n) = sum over d | n of d^nu (nu may be complex)."""
+def divisor_sigma(nu, n: int):
+    """sigma_nu(n) = sum over d | n of d^nu, elementwise over an array of
+    complex exponents nu (a scalar nu gives a scalar)."""
     if n < 1:
         raise ValueError(f"argument must be positive, got {n}")
-    total = 0.0 + 0.0j
-    for d in divisors(n):
-        total += complex(d) ** nu
-    return total
+    log_d = np.log(np.array(divisors(n), dtype=float))
+    return np.exp(np.multiply.outer(np.asarray(nu, dtype=complex), log_d)).sum(axis=-1)
 
 
 @lru_cache(maxsize=65536)

@@ -19,109 +19,10 @@ import math
 
 import numpy as np
 
-from .quadrature import QuadratureResult, adaptive_quadrature
+from .quadrature import gauss_legendre_panels
 from .specfun import log_gamma
 
 _TAIL_EXP = 45.0  # exp(-45) ~ 3e-20, below every tolerance used here
-
-
-def _n_init(phase_var: float) -> int:
-    return max(6, min(256, int(phase_var / 6.0) + 6))
-
-
-def _kernel_contour(t: float, x: float, tol: float) -> QuadratureResult:
-    t = abs(float(t))
-    if x <= 0:
-        raise ValueError("x must be positive")
-    if t > 220.0:
-        raise ValueError("t too large for the double-precision contour path")
-    seg_tol = tol / 5.0
-    total = QuadratureResult(0.0 + 0.0j, 0.0, 0)
-
-    # A: vertical leg of the +2tr exponential
-    theta_a = math.pi / 2 if t == 0 else min(math.pi / 2, _TAIL_EXP / (2.0 * t))
-    res = adaptive_quadrature(
-        lambda th: np.exp(1j * x * np.cos(th) - 2.0 * t * th),
-        0.0,
-        theta_a,
-        seg_tol,
-        initial_panels=_n_init(x * (1.0 - math.cos(theta_a))),
-    )
-    total = total + res.scaled(1j)
-    total.err_estimate += (math.pi / 2 - theta_a) * math.exp(-2.0 * t * theta_a)
-
-    # B: horizontal leg of the +2tr exponential, weight exp(-pi t)
-    if math.pi * t <= _TAIL_EXP + 1:
-        u_b = math.asinh(_TAIL_EXP / x)
-        res = adaptive_quadrature(
-            lambda u: np.exp(-math.pi * t - x * np.sinh(u) + 2j * t * u),
-            0.0,
-            u_b,
-            seg_tol,
-            initial_panels=_n_init(2.0 * t * u_b),
-        )
-        total = total + res
-    else:
-        total.err_estimate += math.exp(-math.pi * t) * (1.0 + math.asinh(_TAIL_EXP / x))
-
-    # C: real-axis head of the -2tr exponential, through its stationary point
-    xsb = math.pi * t + max(x, 5.0)  # x * sinh(b)
-    b = math.asinh(xsb / x)
-    xcb = math.hypot(x, xsb)  # x * cosh(b)
-    res = adaptive_quadrature(
-        lambda r: np.exp(1j * (x * np.cosh(r) - 2.0 * t * r)),
-        0.0,
-        b,
-        seg_tol,
-        initial_panels=_n_init(x * (math.cosh(b) - 1.0) + 2.0 * t * b),
-    )
-    total = total + res
-
-    # D: vertical leg at r = b
-    def leg_d(th: np.ndarray) -> np.ndarray:
-        decay = xsb * np.sin(th) - 2.0 * t * th
-        return np.exp(1j * (xcb * np.cos(th) - 2.0 * t * b) - decay)
-
-    res = adaptive_quadrature(
-        leg_d, 0.0, math.pi / 2, seg_tol, initial_panels=_n_init(min(xcb, 4.0 * _TAIL_EXP))
-    )
-    total = total + res.scaled(1j)
-
-    # E: horizontal leg of the -2tr exponential
-    u_e = math.asinh((math.pi * t + _TAIL_EXP) / x)
-    if u_e > b:
-        res = adaptive_quadrature(
-            lambda u: np.exp((math.pi * t - x * np.sinh(u)) - 2j * t * u),
-            b,
-            u_e,
-            seg_tol,
-            initial_panels=_n_init(2.0 * t * (u_e - b)),
-        )
-        total = total + res
-    total.err_estimate += 2.0 * math.exp(-_TAIL_EXP)
-
-    return QuadratureResult(
-        complex(total.value.real, 0.0), total.err_estimate, total.evaluations, total.converged
-    )
-
-
-def kernel_b(t: float, x: float, tol: float = 1e-10) -> QuadratureResult:
-    """B(t, x) for any real t and x > 0 (value is real by symmetry)."""
-    return _kernel_contour(t, x, tol)
-
-
-def mehler_sonine_kernel(t: float, x: float, tol: float = 1e-10) -> QuadratureResult:
-    """B(t, x) with the contract x >= 1; smaller x flags the result.
-
-    The returned value is still correct for 0 < x < 1 (the contour route
-    has no truncation there), but callers in the Bessel-integral pipeline
-    are expected to switch to the small-argument decay path, so the result
-    carries converged=False as the flag.
-    """
-    res = kernel_b(t, x, tol)
-    if x < 1.0:
-        res.converged = False
-    return res
 
 
 def kernel_b_series_many(t: np.ndarray, x: float, nmax: int = 48) -> np.ndarray:
@@ -149,23 +50,9 @@ def kernel_b_series_many(t: np.ndarray, x: float, nmax: int = 48) -> np.ndarray:
     return -math.pi * total.imag / scale
 
 
-def kernel_b_series(t: float, x: float, nmax: int = 70) -> float:
-    """Scalar wrapper around the vectorized power-series route."""
-    return float(kernel_b_series_many(np.array([t]), x, nmax=nmax)[0])
-
-
 # ---------------------------------------------------------------------------
-# Block evaluation over many t at one x: the five contour legs share their
+# Contour evaluation over many t at one x: the five contour legs share their
 # panel sets, so each leg is one (t, node) matrix exponential per level.
-
-
-def _gl_panelized(edges: np.ndarray, order: int = 12):
-    x, w = np.polynomial.legendre.leggauss(order)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (np.broadcast_to(w[None, :], (half.size, order)) * half[:, None]).ravel()
-    return nodes, weights
 
 
 def _refine(edges: np.ndarray) -> np.ndarray:
@@ -190,7 +77,7 @@ def _block_eval(t: np.ndarray, x: float, edge_sets: list) -> np.ndarray:
     tm = t[:, None]
     total = np.zeros(t.size, dtype=complex)
     for kind, edges, aux in edge_sets:
-        nodes, weights = _gl_panelized(edges)
+        nodes, weights = gauss_legendre_panels(edges[:-1], edges[1:], 12)
         nd = nodes[None, :]
         if kind == "A":
             base = (weights * np.exp(1j * x * np.cos(nodes)))[None, :]
@@ -220,12 +107,13 @@ def _block_eval(t: np.ndarray, x: float, edge_sets: list) -> np.ndarray:
 
 def kernel_b_block(
     t: np.ndarray, x: float, tol: float = 1e-10, max_rounds: int = 6
-) -> tuple[np.ndarray, np.ndarray]:
-    """B(t, x) for an array of t >= 0 at one x > 0.
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """B(t, x) for an array of t at one x > 0 (B is even in t).
 
-    Returns (values, per-t error estimates from global panel doubling).
-    The contour legs are those of the scalar path, built for max(t) and
-    shared across the block.
+    Returns (values, per-t error estimates from global panel doubling,
+    converged). converged is False when max_rounds doublings ended with
+    the largest change still above tol. The contour legs are built for
+    max(t) and shared across the block.
     """
     t = np.abs(np.asarray(t, dtype=float))
     if x <= 0:
@@ -255,12 +143,14 @@ def kernel_b_block(
         edge_sets.append(("E", _graded_edges(b_pt, u_e, 2.0 * t_max * (u_e - b_pt), x), None))
 
     vals = _block_eval(t, x, edge_sets)
+    converged = False
     for _ in range(max_rounds):
         edge_sets = [(k, _refine(e), aux) for (k, e, aux) in edge_sets]
         new_vals = _block_eval(t, x, edge_sets)
         err = np.abs(new_vals - vals)
         vals = new_vals
         if float(np.max(err)) <= tol:
+            converged = True
             break
     err = err + (math.pi / 2 - theta_a) * np.exp(-2.0 * t * theta_a) + 2.0 * math.exp(-_TAIL_EXP)
-    return np.real(vals), err
+    return np.real(vals), err, converged

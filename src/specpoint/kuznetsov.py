@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import _unit_residues, divisor_count, divisors, kloosterman
+from .arith import _unit_residues, divisor_count, divisor_sigma, kloosterman
 from .besselintegral import (
     I_integral,
     R_CUT_FACTOR,
@@ -33,8 +33,14 @@ from .besselintegral import (
     weight_h_y,
 )
 from .quadrature import QuadratureResult, adaptive_quadrature, fixed_gauss
-from .sievebench import Sequence
-from .specfun import zeta_many
+from .sievebench import (
+    Sequence,
+    _eisenstein_linear_forms,
+    _hybrid_lhs_one_modulus,
+    _t_grid,
+    _twisted_linear_forms,
+)
+from .specfun import eisenstein_density
 from .spectraldata import MaassForm
 
 
@@ -88,12 +94,6 @@ def spectral_tail_bar(
     return float(abs(val)) * omega_cap * lam_cap
 
 
-def _sigma_power(nodes: np.ndarray, n: int, sign: float) -> np.ndarray:
-    """sigma_{sign * 2it}(n) on an array of t nodes."""
-    divs = np.array(divisors(n), dtype=float)
-    return np.sum(np.exp(sign * 2j * np.outer(nodes, np.log(divs))), axis=1)
-
-
 def eisenstein_side(
     m: int,
     n: int,
@@ -112,10 +112,10 @@ def eisenstein_side(
 
     def f(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        omega_t = 1.0 / np.abs(zeta_many(1.0 + 2j * t)) ** 2
         hy = weight_h(t, sw) * np.cos(2.0 * t * log_y)
         ratio = np.exp(1j * t * log_nm)
-        return omega_t * hy * ratio * _sigma_power(t, m, +1.0) * _sigma_power(t, n, -1.0)
+        sigmas = divisor_sigma(2j * t, m) * divisor_sigma(-2j * t, n)
+        return eisenstein_density(t) * hy * ratio * sigmas
 
     res = adaptive_quadrature(f, 1e-12, sw.t_upper, tol * math.pi / 2.0, initial_panels=24)
     value = 2.0 * res.value.real / math.pi
@@ -341,6 +341,16 @@ def _kloosterman_block(ns: np.ndarray, c: int) -> np.ndarray:
     return table[np.ix_(res, res)]
 
 
+def _stationary_offset(v: np.ndarray, w: np.ndarray, T: float) -> np.ndarray:
+    """Nearest |r| with +-T + v e^r - w e^{-r} = 0, elementwise (v > 0)."""
+    disc = np.sqrt(T**2 + 4.0 * v * w)
+    best = np.inf
+    for sgn in (+1.0, -1.0):
+        er = (-sgn * T + disc) / (2.0 * v)
+        best = np.minimum(best, np.abs(np.log(np.maximum(er, 1e-300))))
+    return best
+
+
 def decomposition(
     seq: Sequence,
     sw: SpectralWeight,
@@ -365,23 +375,15 @@ def decomposition(
     a = seq.values.real
     ns = seq.ns
     N = seq.N
-    log_ns = np.log(ns.astype(float))
 
     # spectral sum
-    s_val = 0.0
-    for f in forms:
-        lam = np.array([f.lam(int(n)) for n in ns])
-        inner = np.sum(a * lam * np.exp(1j * f.t * log_ns))
-        s_val += f.omega * weight_h(f.t, sw) * abs(inner) ** 2
+    sq = _twisted_linear_forms(seq, forms)
+    s_val = sum(f.omega * weight_h(f.t, sw) * sq[j] for j, f in enumerate(forms))
 
     # Eisenstein integral
     def eis_integrand(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        omega_t = 1.0 / np.abs(zeta_many(1.0 + 2j * t)) ** 2
-        sums = np.zeros(t.size, dtype=complex)
-        for i, n in enumerate(ns):
-            sums += a[i] * _sigma_power(t, int(n), +1.0)
-        return omega_t * weight_h(t, sw) * np.abs(sums) ** 2
+        return eisenstein_density(t) * weight_h(t, sw) * _eisenstein_linear_forms(seq, t)
 
     eis = adaptive_quadrature(
         eis_integrand, 1e-12, sw.t_upper, tol * math.pi / 2.0, initial_panels=32
@@ -404,24 +406,16 @@ def decomposition(
         res = bessel_H_direct(u / 2.0, 1.0, sw, tol=1e-12, allow_small_x=True)
         small_u_cap = max(small_u_cap, abs(res.value.real) + res.err_estimate)
 
-    def stationary_offset(v: float, w: float) -> float:
-        # nearest |r| with +-T + v e^r - w e^{-r} = 0
-        disc = math.sqrt(sw.T**2 + 4.0 * v * w)
-        best = math.inf
-        for sgn in (+1.0, -1.0):
-            er = (-sgn * sw.T + disc) / (2.0 * v)
-            if er > 0:
-                best = min(best, abs(math.log(er)))
-        return best
-
     c_eval = int(math.pi * 2.0 * N * math.exp(r0) / (0.8 * sw.T)) + 2
     c_far = int(16.0 * math.pi * N / u_floor) + 1
     abs_a = np.abs(a)
     envelope_scale = sw.M * sw.T * 2.0 * r0 * 1.5
+    vs = math.pi * ns.astype(float)
 
     for c in range(1, c_eval + 1):
         smat = _kloosterman_block(ns, c)
         pref = np.outer(a, a) * smat / c
+        r_stars = _stationary_offset(vs[:, None] / c, vs[None, :] / c, sw.T)
         for i in range(ns.size):
             for j in range(i, ns.size):
                 coeff = (1.0 if i == j else 2.0) * pref[i, j]
@@ -433,7 +427,7 @@ def decomposition(
                 if u <= u_floor:
                     skip_bar += abs(coeff) * small_u_cap * u / u_floor
                     continue
-                r_star = stationary_offset(v, w)
+                r_star = r_stars[i, j]
                 if r_star > r0 + resonance_margin / sw.M:
                     env = math.exp(-min((sw.M * r_star) ** 2, 700.0))
                     skip_bar += abs(coeff) * (envelope_scale * env + small_u_cap)
@@ -447,16 +441,11 @@ def decomposition(
     # envelope or small-u cap per pair, fully vectorized
     gcd_mn = np.gcd.outer(ns, ns)
     aa = np.outer(abs_a, abs_a)
-    vs = math.pi * ns.astype(float)
     for c in range(c_eval + 1, c_far + 1):
         v_arr = vs[:, None] / c
         w_arr = vs[None, :] / c
         u_arr = 4.0 * (v_arr + w_arr)
-        disc = np.sqrt(sw.T**2 + 4.0 * v_arr * w_arr)
-        best = np.full(u_arr.shape, np.inf)
-        for sgn in (+1.0, -1.0):
-            er = (-sgn * sw.T + disc) / (2.0 * v_arr)
-            best = np.minimum(best, np.abs(np.log(np.maximum(er, 1e-300))))
+        best = _stationary_offset(v_arr, w_arr, sw.T)
         env = np.exp(-np.minimum((sw.M * best) ** 2, 700.0))
         cap = np.where(
             u_arr <= u_floor,
@@ -519,26 +508,14 @@ def p_bound_rhs(
     N, T, M = seq.N, sw.T, sw.M
     q_hi = int(q_cap_const * N / T)
     total = 0.0
-    ns = seq.ns.astype(float)
     tau = R_CUT_FACTOR / M
     for q in range(1, q_hi + 1):
         c_hi = int(c_cap_const * N / (T * q))
         inner_q = 0.0
         for c in range(1, c_hi + 1):
+            # the (q, c) term is the unit-residue mean square at v = q (its
+            # alpha-sum runs over all units, so alpha or alpha^{-1} alike)
             order = int(2.0 * math.pi * N * tau / (c * q) / 1.5) + 48
-            nodes, weights = np.polynomial.legendre.leggauss(order)
-            nodes, weights = nodes * tau, weights * tau
-            osc = np.exp(2j * math.pi * np.outer(nodes / (c * q), ns))
-            twisted = osc * seq.values[None, :]
-            res_classes = seq.ns % c
-            block = np.zeros((nodes.size, c), dtype=complex)
-            for rho in range(c):
-                mask = res_classes == rho
-                if np.any(mask):
-                    block[:, rho] = twisted[:, mask].sum(axis=1)
-            alphas, invs = _unit_residues(c)
-            unit_rows = np.exp(2j * math.pi * np.outer(invs, np.arange(c)) / c)
-            inner = block @ unit_rows.T
-            inner_q += float(np.sum(weights * np.sum(np.abs(inner) ** 2, axis=1))) / c
+            inner_q += _hybrid_lhs_one_modulus(seq, 1.0, q, c, *_t_grid(tau, order, panels=1))
         total += inner_q / q
     return M * T * total

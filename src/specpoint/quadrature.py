@@ -52,17 +52,29 @@ class QuadratureResult:
 @lru_cache(maxsize=None)
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)
+    # every caller gets the same cached arrays
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
-def _panel_integrals(f: Integrand, left: np.ndarray, right: np.ndarray, order: int):
-    """Gauss-Legendre integral of f over each [left_j, right_j]."""
+def gauss_legendre_panels(
+    left: np.ndarray, right: np.ndarray, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the order-point Gauss-Legendre rule on each
+    panel [left_j, right_j], flattened panel by panel."""
     x, w = _gl_nodes(order)
     mid = 0.5 * (left + right)
     half = 0.5 * (right - left)
     nodes = mid[:, None] + half[:, None] * x[None, :]
-    vals = np.asarray(f(nodes.ravel()), dtype=complex).reshape(nodes.shape)
-    return (vals @ w) * half, nodes.size
+    weights = half[:, None] * w[None, :]
+    return nodes.ravel(), weights.ravel()
+
+
+def _panel_integrals(f: Integrand, left: np.ndarray, right: np.ndarray, order: int):
+    """Gauss-Legendre integral of f over each [left_j, right_j]."""
+    nodes, weights = gauss_legendre_panels(left, right, order)
+    vals = np.asarray(f(nodes), dtype=complex) * weights
+    return vals.reshape(left.size, order).sum(axis=1), nodes.size
 
 
 def adaptive_quadrature(

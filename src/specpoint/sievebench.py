@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import _unit_residues, divisors
+from .arith import _unit_residues, divisor_sigma
 from .besselintegral import SpectralWeight, weight_h
-from .specfun import zeta_many
+from .quadrature import gauss_legendre_panels
+from .specfun import eisenstein_density
 from .spectraldata import GL3Form, MaassForm
 
 
@@ -76,11 +77,7 @@ class SieveReport:
 
 def _t_grid(tau: float, order: int = 48, panels: int = 2):
     edges = np.linspace(-tau, tau, panels + 1)
-    x, w = np.polynomial.legendre.leggauss(order)
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (np.broadcast_to(w[None, :], (panels, order)) * half[:, None]).ravel()
-    return nodes, weights
+    return gauss_legendre_panels(edges[:-1], edges[1:], order)
 
 
 def _hybrid_lhs_one_modulus(
@@ -148,6 +145,12 @@ def _twisted_linear_forms(seq: Sequence, forms: list[MaassForm]) -> np.ndarray:
         inner = np.sum(seq.values * lam * np.exp(1j * f.t * log_ns))
         out[j] = abs(inner) ** 2
     return out
+
+
+def _eisenstein_linear_forms(seq: Sequence, t: np.ndarray) -> np.ndarray:
+    """|sum_n a_n sigma_{2it}(n)|^2 on an array of real t."""
+    sums = sum(a * divisor_sigma(2j * t, int(n)) for a, n in zip(seq.values, seq.ns))
+    return np.abs(sums) ** 2
 
 
 def corollary_ratio(seq: Sequence, sw: SpectralWeight, forms: list[MaassForm]) -> SieveReport:
@@ -224,26 +227,18 @@ def moment_demo(
     ns = np.arange(N + 1, 2 * N + 1)
     wvals = np.ones(ns.size) if weight is None else np.asarray(weight(ns / float(N)), dtype=float)
     coeffs = np.array([gl3.a(n1, int(n)) for n in ns])
-    a_block = coeffs * wvals / math.sqrt(N)
-    log_ns = np.log(ns.astype(float))
+    # the block carries n^{-it} and sigma_{-2it}(n); lambda_j is real, so the
+    # conjugate coefficients give the same moduli with n^{it} and sigma_{2it}(n)
+    block = Sequence(N=N, values=np.conj(coeffs * wvals / math.sqrt(N)))
 
-    s_val = 0.0
-    for f in forms:
-        lam = np.array([f.lam(int(n)) for n in ns])
-        inner = np.sum(a_block * lam * np.exp(-1j * f.t * log_ns))
-        s_val += f.omega * weight_h(f.t, sw) * abs(inner) ** 2
+    sq = _twisted_linear_forms(block, forms)
+    s_val = sum(f.omega * weight_h(f.t, sw) * sq[j] for j, f in enumerate(forms))
 
     nodes, weights = _t_grid(sw.t_upper, order=eis_order, panels=eis_panels)
     keep = nodes > 0
     nodes, weights = nodes[keep], 2.0 * weights[keep]
-    omega_t = 1.0 / np.abs(zeta_many(1.0 + 2j * nodes)) ** 2
-    h_t = weight_h(nodes, sw)
-    sums = np.zeros(nodes.size, dtype=complex)
-    for i, n in enumerate(ns):
-        divs = np.array(divisors(int(n)), dtype=float)
-        sigma = np.sum(np.exp(-2j * np.outer(nodes, np.log(divs))), axis=1)
-        sums += a_block[i] * sigma
-    t_val = float(np.sum(weights * omega_t * h_t * np.abs(sums) ** 2) / math.pi)
+    density = eisenstein_density(nodes) * weight_h(nodes, sw)
+    t_val = float(np.sum(weights * density * _eisenstein_linear_forms(block, nodes)) / math.pi)
 
     coeff_sq = float(np.sum(np.abs(coeffs) ** 2))
     majorant = (1.0 + M * T / N) * coeff_sq + (n1 + T / M**2) * N * n1

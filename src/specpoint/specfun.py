@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -129,9 +129,9 @@ def zeta_many(s: np.ndarray, n_terms: int | None = None, em_order: int = 12) -> 
     return out
 
 
-def zeta(s: complex) -> complex:
-    """zeta(s) for Re(s) >= 1 (s != 1); relative error ~1e-12 for |Im s| <= 1e4."""
-    return complex(zeta_many(np.array([s]))[0])
+def eisenstein_density(t: np.ndarray) -> np.ndarray:
+    """omega(t) = 1/|zeta(1 + 2it)|^2, the Eisenstein harmonic weight, on real t."""
+    return 1.0 / np.abs(zeta_many(1.0 + 2j * np.asarray(t, dtype=float))) ** 2
 
 
 @dataclass

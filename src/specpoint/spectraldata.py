@@ -18,7 +18,7 @@ entries completed through the Moebius-weighted Hecke relation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -305,48 +305,6 @@ def load_gl3_csv(path, langlands, self_dual: bool = True, label: str = "") -> GL
     return GL3Form(
         langlands=tuple(langlands), coeff=coeff, self_dual=self_dual, x_max=x_max, label=label
     )
-
-
-def sym_square_coeff_fn(gl2: MaassForm):
-    """On-demand A(n, d) for the lift, plus a divisor-style size bound.
-
-    Returns (coeff, bound): coeff(n, d) computes the entry whenever every
-    prime involved is inside the source table and returns None otherwise;
-    bound(n, d) is the count-of-divisors majorant valid under the
-    empirical |lambda(p)| <= 2 box, usable for the skipped terms.
-    """
-
-    def first_row(k: int) -> float:
-        total = 0.0
-        d = 1
-        while d * d <= k:
-            if k % (d * d) == 0:
-                m = k // (d * d)
-                total += gl2.lam_extended(m * m)
-            d += 1
-        return total
-
-    def coeff(n: int, d: int):
-        try:
-            val = 0.0
-            for e in divisors(math.gcd(n, d)):
-                mu = moebius(e)
-                if mu != 0:
-                    val += mu * first_row(n // e) * first_row(d // e)
-            return complex(val)
-        except CoefficientRangeError:
-            return None
-
-    def bound(n: int, d: int) -> float:
-        def d3(k: int) -> int:
-            out = 1
-            for _, a in factorize(k):
-                out *= (a + 1) * (a + 2) // 2
-            return out
-
-        return float(sum(d3(n // e) * d3(d // e) for e in divisors(math.gcd(n, d))))
-
-    return coeff, bound
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from specpoint.besselkernel import kernel_b, kernel_b_series, mehler_sonine_kernel
+from specpoint.besselkernel import kernel_b_block, kernel_b_series_many
 
 # -pi * Im J_{2it}(x) / sinh(pi t)  (and -pi Y_0(x) at t = 0), mpmath dps=40
 B_TABLE = [
@@ -56,21 +56,21 @@ def y0_series(x: float, nmax: int = 40) -> float:
 
 @pytest.mark.parametrize("t,x,want", B_TABLE)
 def test_frozen_oracle(t, x, want):
-    res = kernel_b(t, x, tol=1e-10)
-    assert res.value.imag == 0.0
-    assert res.value.real == pytest.approx(want, abs=2e-9 + 1e-9 * abs(want))
+    vals, _, converged = kernel_b_block(np.array([t]), x, tol=1e-10)
+    assert converged
+    assert np.isrealobj(vals)
+    assert vals[0] == pytest.approx(want, abs=2e-9 + 1e-9 * abs(want))
 
 
 def test_t_zero_matches_y0_series():
     for x in (0.8, 3.0, 9.0):
-        assert kernel_b(0.0, x, tol=1e-11).value.real == pytest.approx(
-            -math.pi * y0_series(x), abs=1e-9
-        )
+        vals, _, _ = kernel_b_block(np.array([0.0]), x, tol=1e-11)
+        assert vals[0] == pytest.approx(-math.pi * y0_series(x), abs=1e-9)
 
 
 def test_even_in_t():
     for (t, x) in [(3.2, 7.0), (41.0, 2.0)]:
-        assert kernel_b(-t, x).value == kernel_b(t, x).value
+        assert kernel_b_block(np.array([-t]), x)[0] == kernel_b_block(np.array([t]), x)[0]
 
 
 def test_contour_vs_series_crossover():
@@ -79,27 +79,20 @@ def test_contour_vs_series_crossover():
     for _ in range(25):
         t = float(rng.uniform(0.01, 60.0))
         x = float(rng.uniform(0.05, 7.0))
-        a = kernel_b(t, x, tol=1e-11).value.real
-        b = kernel_b_series(t, x)
+        a = kernel_b_block(np.array([t]), x, tol=1e-11)[0][0]
+        b = kernel_b_series_many(np.array([t]), x, nmax=70)[0]
         assert a == pytest.approx(b, abs=5e-10 + 1e-10 * abs(b))
 
 
 def test_refinement_consistency():
     for (t, x) in [(14.0, 30.0), (50.0, 400.0)]:
-        coarse = kernel_b(t, x, tol=1e-6)
-        fine = kernel_b(t, x, tol=1e-12)
-        assert abs(coarse.value - fine.value) <= max(coarse.err_estimate, 1e-12)
-
-
-def test_small_x_is_flagged():
-    res = mehler_sonine_kernel(10.0, 0.5)
-    assert res.flagged
-    ok = mehler_sonine_kernel(10.0, 1.5)
-    assert not ok.flagged
+        coarse, coarse_err, _ = kernel_b_block(np.array([t]), x, tol=1e-6)
+        fine, _, _ = kernel_b_block(np.array([t]), x, tol=1e-12)
+        assert abs(coarse[0] - fine[0]) <= max(coarse_err[0], 1e-12)
 
 
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
-        kernel_b(5.0, 0.0)
+        kernel_b_block(np.array([5.0]), 0.0)
     with pytest.raises(ValueError):
-        kernel_b_series(0.0, 1.0)
+        kernel_b_series_many(np.array([0.0]), 1.0)

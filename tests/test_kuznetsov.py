@@ -1,9 +1,10 @@
-"""Structural properties of the trace-identity assembly.
+"""The trace-identity assembly: structural properties and a data-free closure.
 
-The identity itself only balances for genuine spectral data (covered by
-the acceptance suite against the shipped spectrum); everything here is
-dataset-independent: symmetries, closed forms, monotonicities, and the
-degenerate cases.
+With spectral data the identity only balances for genuine spectra, so the
+tests that take forms are dataset-independent: symmetries, closed forms,
+monotonicities, and the degenerate cases. The identity itself is checked
+end to end in TestDataFreeClosure, at a window low enough that the
+cuspidal side is negligible and no spectral data is needed.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from specpoint.besselintegral import SpectralWeight
+from specpoint.besselintegral import R_CUT_FACTOR, SpectralWeight
 from specpoint.kuznetsov import (
     decomposition,
     diagonal_closed_form,
@@ -110,6 +111,25 @@ class TestKloostermanSide:
         assert abs(b.value - a.value) <= a.tail_estimate + b.quadrature_err + a.quadrature_err
 
 
+class TestDataFreeClosure:
+    """Eis = Diag + Kloos at T = 3, M = 1 with the cuspidal side dropped.
+
+    SL2(Z) has no cusp form with t < t_1 ~ 9.5337 (Booker, Strombergsson
+    and Venkatesh, IMRN 2006), so the cuspidal side is below
+    exp(-((t_1 - T)/M)^2) ~ 3e-19. For (1, 1) the terms c = 1, 2 have
+    x = 4 pi/c > 5 and go through the contour route of B(t, x).
+    """
+
+    SW = SpectralWeight(T=3.0, M=1.0)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 3)])
+    def test_identity_closes(self, m, n):
+        eis = eisenstein_side(m, n, self.SW, tol=1e-8).value.real
+        diag = diagonal_term(m, n, self.SW, tol=1e-8).value.real
+        kloos = kloosterman_side(m, n, self.SW, 64, tol=1e-8).value
+        assert abs(eis - diag - kloos) < 1e-4
+
+
 class TestTraceReport:
     def test_exchange_symmetry(self, forms):
         a = trace_residual(2, 3, SW, forms, C_max=6, tol=1e-7)
@@ -185,3 +205,35 @@ class TestPBound:
         small = p_bound_rhs(seq, SW, q_cap_const=2.0, c_cap_const=2.0)
         big = p_bound_rhs(seq, SW, q_cap_const=4.0, c_cap_const=4.0)
         assert big >= small - 1e-12
+
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_matches_exact_lag_sum(self, N):
+        seq = Sequence.random(N=N, seed=N, real=True)
+        sw = SpectralWeight(T=3.0, M=1.5)
+        want = p_bound_lag_sum(seq.values.real, sw)
+        assert p_bound_rhs(seq, sw) == pytest.approx(want, rel=1e-8)
+
+
+def ramanujan_sum(c: int, k: np.ndarray) -> np.ndarray:
+    """c_c(k) = sum over units alpha mod c of cos(2 pi alpha k / c)."""
+    units = np.array([a for a in range(c) if math.gcd(a, c) == 1])
+    return np.cos(2.0 * math.pi * (np.outer(units, k) % c) / c).sum(axis=0)
+
+
+def p_bound_lag_sum(a: np.ndarray, sw: SpectralWeight) -> float:
+    """p_bound_rhs with its default caps, with no quadrature.
+
+    Expanding |sum_n a_n e(alpha n/c) e(n t/(c q))|^2, the unit sum of
+    e(alpha (m - n)/c) is a Ramanujan sum and the t-integral over
+    |t| <= tau of e((m - n) t/(c q)) is 2 tau sinc(2 tau (m - n)/(c q)).
+    """
+    N = a.size
+    tau = R_CUT_FACTOR / sw.M
+    lag = np.subtract.outer(np.arange(N), np.arange(N))
+    total = 0.0
+    for q in range(1, int(4.0 * N / sw.T) + 1):
+        for c in range(1, int(4.0 * N / (sw.T * q)) + 1):
+            kernel = ramanujan_sum(c, lag.ravel()).reshape(lag.shape)
+            kernel *= 2.0 * tau * np.sinc(2.0 * tau * lag / (c * q))
+            total += float(a @ kernel @ a) / (c * q)
+    return sw.M * sw.T * total
