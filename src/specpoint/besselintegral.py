@@ -87,7 +87,6 @@ def rho_pm(r):
 
 
 def _h_integrand_factory(x: float, y: float, sw: SpectralWeight, inner_tol: float):
-    log_y = math.log(y)
     pref = 4.0 / math.pi**2
 
     def f(t: np.ndarray) -> np.ndarray:
@@ -100,14 +99,7 @@ def _h_integrand_factory(x: float, y: float, sw: SpectralWeight, inner_tol: floa
                 for i in range(0, t.size, 512)
             ]
             b_vals = np.concatenate(chunks)
-        return (
-            pref
-            * t
-            * weight_h(t, sw)
-            * np.cos(2.0 * t * log_y)
-            * np.tanh(math.pi * t)
-            * b_vals
-        )
+        return pref * t * weight_h_y(t, y, sw) * np.tanh(math.pi * t) * b_vals
 
     return f
 
@@ -180,15 +172,6 @@ class BesselCompareReport:
     rel_residual: float
     quadrature_err: float
 
-    CSV_HEADER = "x,y,T,M,H_direct,H_asym,abs_res,rel_res,quad_err"
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.x!r},{self.y!r},{self.T!r},{self.M!r},{self.H_direct!r},"
-            f"{self.H_asymptotic!r},{self.abs_residual!r},{self.rel_residual!r},"
-            f"{self.quadrature_err!r}"
-        )
-
 
 def compare_H_asymptotic(
     x: float, y: float, sw: SpectralWeight, tol: float = 1e-8
@@ -221,19 +204,26 @@ def smallx_decay_scan(
     y_samples=(1.0, 2.0, 4.0, 8.0),
     tol: float = 1e-12,
 ) -> list[dict]:
-    """Max |H(x, y)| over (x, y) with x(y + 1/y) = u, for each u in the grid."""
+    """Max |H(x, y)| over (x, y) with x(y + 1/y) = u, for each u in the grid.
+
+    A row's converged is the AND over the quadratures behind it.
+    """
     rows = []
     for u in u_grid:
         if u < 0:
             raise ValueError("u must be non-negative")
         worst = 0.0
         worst_y = None
+        converged = True
         for y in y_samples:
             x = u / (y + 1.0 / y)
             if x <= 0:
                 continue
             h = bessel_H_direct(x, y, sw, tol=tol, allow_small_x=True)
+            converged = converged and h.converged
             if abs(h.value.real) > worst:
                 worst, worst_y = abs(h.value.real), y
-        rows.append({"u": float(u), "max_abs_H": worst, "argmax_y": worst_y})
+        rows.append(
+            {"u": float(u), "max_abs_H": worst, "argmax_y": worst_y, "converged": converged}
+        )
     return rows

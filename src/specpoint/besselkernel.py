@@ -23,6 +23,7 @@ from .quadrature import gauss_legendre_panels
 from .specfun import log_gamma
 
 _TAIL_EXP = 45.0  # exp(-45) ~ 3e-20, below every tolerance used here
+_MAX_ROUNDS = 6  # panel doublings kernel_b_block tries before giving up
 
 
 def kernel_b_series_many(t: np.ndarray, x: float, nmax: int = 48) -> np.ndarray:
@@ -106,12 +107,12 @@ def _block_eval(t: np.ndarray, x: float, edge_sets: list) -> np.ndarray:
 
 
 def kernel_b_block(
-    t: np.ndarray, x: float, tol: float = 1e-10, max_rounds: int = 6
+    t: np.ndarray, x: float, tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """B(t, x) for an array of t at one x > 0 (B is even in t).
 
     Returns (values, per-t error estimates from global panel doubling,
-    converged). converged is False when max_rounds doublings ended with
+    converged). converged is False when _MAX_ROUNDS doublings ended with
     the largest change still above tol. The contour legs are built for
     max(t) and shared across the block.
     """
@@ -144,7 +145,7 @@ def kernel_b_block(
 
     vals = _block_eval(t, x, edge_sets)
     converged = False
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         edge_sets = [(k, _refine(e), aux) for (k, e, aux) in edge_sets]
         new_vals = _block_eval(t, x, edge_sets)
         err = np.abs(new_vals - vals)

@@ -49,18 +49,17 @@ def spectral_side(
     n: int,
     sw: SpectralWeight,
     forms: list[MaassForm],
-    y_twist: float | None = None,
 ) -> float:
-    """sum_j omega_j h(t_j; y) lambda_j(m) lambda_j(n).
+    """sum_j omega_j h(t_j; y) lambda_j(m) lambda_j(n) at y = sqrt(m/n).
 
-    y_twist defaults to sqrt(m/n). A dataset that stops short of the
-    weight's effective support (T + 6M) triggers a warning; the matching
-    quantitative bar comes from spectral_tail_bar.
+    A dataset that stops short of the weight's effective support (T + 6M)
+    triggers a warning; the matching quantitative bar comes from
+    spectral_tail_bar.
     """
     if not forms:
         warnings.warn("empty form list: spectral side is 0 with full tail uncovered")
         return 0.0
-    y = math.sqrt(m / n) if y_twist is None else y_twist
+    y = math.sqrt(m / n)
     t_cov = max(f.t for f in forms)
     if t_cov < sw.T + 6.0 * sw.M:
         warnings.warn(
@@ -99,20 +98,19 @@ def eisenstein_side(
     n: int,
     sw: SpectralWeight,
     tol: float = 1e-10,
-    y_twist: float | None = None,
 ) -> QuadratureResult:
-    """(1/pi) int omega(t) h(t; y) (n/m)^{it} sigma_{2it}(m) sigma_{-2it}(n) dt.
+    """(1/pi) int omega(t) h(t; y) (n/m)^{it} sigma_{2it}(m) sigma_{-2it}(n) dt
+    at y = sqrt(m/n).
 
     The integrand is Hermitian in t, so the value is real and computed as
     twice the real part over t > 0.
     """
-    y = math.sqrt(m / n) if y_twist is None else y_twist
+    y = math.sqrt(m / n)
     log_nm = math.log(n / m)
-    log_y = math.log(y)
 
     def f(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        hy = weight_h(t, sw) * np.cos(2.0 * t * log_y)
+        hy = weight_h_y(t, y, sw)
         ratio = np.exp(1j * t * log_nm)
         sigmas = divisor_sigma(2j * t, m) * divisor_sigma(-2j * t, n)
         return eisenstein_density(t) * hy * ratio * sigmas
@@ -146,17 +144,22 @@ def diagonal_term(m: int, n: int, sw: SpectralWeight, tol: float = 1e-10) -> Qua
 
 
 def _h_value(
-    x: float, v: float, w: float, y: float, sw: SpectralWeight, tol: float, route: str
-) -> tuple[float, float]:
-    """One Bessel-weight value H(x, y) and its error bar, by route."""
-    if route == "direct" or (route == "auto" and x <= 5.0):
-        res = bessel_H_direct(x, y, sw, tol=tol, allow_small_x=True)
-        return float(res.value.real), res.err_estimate
+    x: float, v: float, w: float, y: float, sw: SpectralWeight, tol: float
+) -> QuadratureResult:
+    """One Bessel-weight value H(x, y) with its error bar: the kernel route
+    for x <= 5, the reduced integral I(v, w) beyond."""
+    if x <= 5.0:
+        return bessel_H_direct(x, y, sw, tol=tol, allow_small_x=True)
     reduced = I_integral(v, w, sw, tol=tol)
     phase = np.exp(2j * math.pi * ((v + w) / math.pi % 1.0))
     # the reduction itself is exact up to O(exp(-(T/M)^2)) relative terms
     analytic = 3.0 * math.exp(-((sw.T / sw.M) ** 2)) * (1.0 + abs(reduced.value))
-    return float((phase * reduced.value).real), reduced.err_estimate + analytic
+    return QuadratureResult(
+        complex((phase * reduced.value).real, 0.0),
+        reduced.err_estimate + analytic,
+        reduced.evaluations,
+        reduced.converged,
+    )
 
 
 @dataclass
@@ -166,6 +169,10 @@ class KloostermanSideReport:
     quadrature_err: float
     c_used: int
     first_omitted: float
+    converged: bool
+
+
+_TAIL_PROBE = 8  # omitted terms the c-tail bar evaluates directly
 
 
 def kloosterman_side(
@@ -174,51 +181,36 @@ def kloosterman_side(
     sw: SpectralWeight,
     C_max: int,
     tol: float = 1e-8,
-    y_twist: float | None = None,
-    route: str = "direct",
-    tail_probe: int = 8,
 ) -> KloostermanSideReport:
-    """sum_{c <= C_max} S(m,n;c)/c * H(4 pi sqrt(mn)/c, y).
+    """sum_{c <= C_max} S(m,n;c)/c * H(4 pi sqrt(mn)/c, y) at y = sqrt(m/n),
+    every H by bessel_H_direct.
 
-    The tail bar evaluates the next tail_probe omitted terms directly and
-    adds a 10x allowance for the remainder (the terms decay in u = x(y+1/y)
-    once u < 1).
+    The tail bar evaluates the next _TAIL_PROBE = 8 omitted terms directly
+    and adds a 10x allowance, taken at the ninth, for the remainder (the
+    terms decay in u = x(y+1/y) once u < 1). converged is the AND over
+    every quadrature run, tail probes included.
     """
     if C_max < 0:
         raise ValueError("C_max must be non-negative")
-    y = math.sqrt(m / n) if y_twist is None else y_twist
+    y = math.sqrt(m / n)
     sqrt_mn = math.sqrt(m * n)
 
-    def term(c: int) -> tuple[float, float]:
-        x = 4.0 * math.pi * sqrt_mn / c
+    def term(c: int) -> tuple[float, float, bool]:
         s_val = kloosterman(m, n, c).real
         if s_val == 0.0:
-            return 0.0, 0.0
-        h, err = _h_value(x, math.pi * m / c, math.pi * n / c, y, sw, tol, route)
-        return s_val / c * h, abs(s_val) / c * err
+            return 0.0, 0.0, True
+        res = bessel_H_direct(4.0 * math.pi * sqrt_mn / c, y, sw, tol=tol, allow_small_x=True)
+        return s_val / c * res.value.real, abs(s_val) / c * res.err_estimate, res.converged
 
-    value = 0.0
-    qerr = 0.0
-    for c in range(1, C_max + 1):
-        v, e = term(c)
-        value += v
-        qerr += e
-    tail = 0.0
-    first_omitted = 0.0
-    for c in range(C_max + 1, C_max + 1 + tail_probe):
-        v, e = term(c)
-        if c == C_max + 1:
-            first_omitted = abs(v)
-        tail += abs(v) + e
-    tail += 10.0 * abs(
-        term(C_max + tail_probe + 1)[0] if C_max + tail_probe >= 1 else 0.0
-    )
+    kept = [term(c) for c in range(1, C_max + 1)]
+    probes = [term(c) for c in range(C_max + 1, C_max + _TAIL_PROBE + 2)]
     return KloostermanSideReport(
-        value=value,
-        tail_estimate=tail,
-        quadrature_err=qerr,
+        value=float(sum(v for v, _, _ in kept)),
+        tail_estimate=sum(abs(v) + e for v, e, _ in probes[:-1]) + 10.0 * abs(probes[-1][0]),
+        quadrature_err=float(sum(e for _, e, _ in kept)),
         c_used=C_max,
-        first_omitted=first_omitted,
+        first_omitted=abs(probes[0][0]),
+        converged=all(ok for _, _, ok in kept + probes),
     )
 
 
@@ -238,27 +230,6 @@ class TraceReport:
     quadrature_err: float
     truncation: dict = field(default_factory=dict)
 
-    CSV_HEADER = (
-        "m,n,spectral,eisenstein,diagonal,kloosterman,residual,rel_residual,"
-        "spectral_tail,c_tail,quad_err"
-    )
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.m},{self.n},{self.spectral!r},{self.eisenstein!r},{self.diagonal!r},"
-            f"{self.kloosterman!r},{self.residual!r},{self.rel_residual!r},"
-            f"{self.spectral_tail!r},{self.c_tail!r},{self.quadrature_err!r}"
-        )
-
-    def summary(self) -> str:
-        return (
-            f"(m,n)=({self.m},{self.n}): spec={self.spectral:+.6e} eis={self.eisenstein:+.6e} "
-            f"diag={self.diagonal:+.6e} kloos={self.kloosterman:+.6e} -> "
-            f"residual={self.residual:.3e} ({100*self.rel_residual:.3f}% of dominant) "
-            f"bars: spectral {self.spectral_tail:.2e}, c-tail {self.c_tail:.2e}, "
-            f"quadrature {self.quadrature_err:.2e}"
-        )
-
 
 def trace_residual(
     m: int,
@@ -267,13 +238,12 @@ def trace_residual(
     forms: list[MaassForm],
     C_max: int = 32,
     tol: float = 1e-8,
-    route: str = "direct",
 ) -> TraceReport:
     """Assemble all four terms at y = sqrt(m/n) and report the imbalance."""
     spec = spectral_side(m, n, sw, forms)
     eis = eisenstein_side(m, n, sw, tol=tol)
     diag = diagonal_term(m, n, sw, tol=tol)
-    kloos = kloosterman_side(m, n, sw, C_max, tol=tol, route=route)
+    kloos = kloosterman_side(m, n, sw, C_max, tol=tol)
     residual = abs(spec + eis.value.real - diag.value.real - kloos.value)
     dominant = max(
         abs(spec), abs(eis.value.real), abs(diag.value.real), abs(kloos.value), 1e-300
@@ -311,34 +281,22 @@ class DecompositionReport:
     spectral_tail: float
     quadrature_err: float
     diagonal_closed_form: float
+    converged: bool
     params: dict = field(default_factory=dict)
-
-    CSV_HEADER = "S,T_eis,D,P,residual,rel_residual,skip_bar,spectral_tail,quad_err"
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.S!r},{self.T_eis!r},{self.D!r},{self.P!r},{self.residual!r},"
-            f"{self.rel_residual!r},{self.skip_bar!r},{self.spectral_tail!r},"
-            f"{self.quadrature_err!r}"
-        )
 
 
 def _kloosterman_block(ns: np.ndarray, c: int) -> np.ndarray:
-    """S(m, n; c) for all m, n in the block, via the residue-pair table.
+    """S(m, n; c) for all m, n in the block, as Re(L^T R).
 
-    acc[v, r1] = sum of e(alpha r1/c) over units with alpha^{-1} = v; the
-    inverse DFT along v then yields S(r1, r2) for every r2 at once.
+    L[alpha, m] = e(alpha m/c) and R[alpha, n] = e(alpha^{-1} n/c) over the
+    phi(c) units alpha, so the product sums e((alpha m + alpha^{-1} n)/c)
+    in O(phi(c) N) memory. c = 1 has the single unit 0 and gives all ones.
     """
-    if c == 1:
-        return np.ones((ns.size, ns.size))
     alphas, invs = _unit_residues(c)
-    phases = np.exp(2j * math.pi * np.arange(c) / c)
-    z = phases[(np.outer(alphas, np.arange(c)) % c)]  # (units, r1)
-    acc = np.zeros((c, c), dtype=complex)
-    np.add.at(acc, invs, z)
-    table = np.real(np.fft.ifft(acc, axis=0) * c)  # (r2, r1); symmetric anyway
     res = ns % c
-    return table[np.ix_(res, res)]
+    left = np.exp(2j * math.pi * (np.outer(alphas, res) % c) / c)
+    right = np.exp(2j * math.pi * (np.outer(invs, res) % c) / c)
+    return (left.T @ right).real
 
 
 def _stationary_offset(v: np.ndarray, w: np.ndarray, T: float) -> np.ndarray:
@@ -351,21 +309,30 @@ def _stationary_offset(v: np.ndarray, w: np.ndarray, T: float) -> np.ndarray:
     return best
 
 
+_RESONANCE_MARGIN = 3.0  # evaluate up to r0 + _RESONANCE_MARGIN / M
+_U_FLOOR = 1.0  # where u = 4(v + w) <= _U_FLOOR, |H| <= small_u_cap * u / _U_FLOOR
+
+
 def decomposition(
     seq: Sequence,
     sw: SpectralWeight,
     forms: list[MaassForm],
     tol: float = 1e-6,
-    resonance_margin: float = 3.0,
-    u_floor: float = 1.0,
 ) -> DecompositionReport:
     """S + T on the spectral side against D + P for a real block sequence.
 
-    The c-sum keeps every (m, n, c) whose reduced-integral phase can be
-    stationary inside the Gaussian window (plus a margin of
-    resonance_margin / M); everything skipped is bounded by the weight
-    envelope at its would-be stationary point plus a measured small-u cap,
-    and reported as skip_bar.
+    The c-sum runs over the pairs n_i <= n_j of the block, one modulus at
+    a time, with the Kloosterman sums of c <= c_eval from _kloosterman_block.
+    Each pair and modulus has one cap on |H|: small_u_cap * u / _U_FLOOR
+    when u <= _U_FLOOR, otherwise the weight envelope at its would-be
+    stationary point plus small_u_cap, where small_u_cap is measured at
+    this weight. Up to c_eval, a pair whose reduced phase can be stationary
+    within r0 + _RESONANCE_MARGIN / M (r0 = 6.1/M) is evaluated by _h_value
+    and every other term is bounded by |coeff| * cap. For c_eval < c <= c_far
+    the Weil bound |S| <= tau(c) sqrt(c gcd(m, n, c)) replaces S. Beyond
+    max(c_eval, c_far), u <= _U_FLOOR for every pair and an integral
+    comparison bounds the rest. All bounds add up to skip_bar. converged
+    is the AND over every quadrature run.
     """
     if not seq.is_real:
         raise ValueError(
@@ -393,77 +360,61 @@ def decomposition(
     h0 = diagonal_H0(sw, tol=tol)
     d_val = h0.value.real * seq.norm_sq
 
-    # off-diagonal c-sum in three zones: evaluate where the reduced phase
-    # can be stationary, envelope-bar where it cannot, analytic bar beyond
-    r0 = R_CUT_FACTOR / sw.M
-    p_val = 0.0
-    skip_bar = 0.0
     qerr = 2.0 * eis.err_estimate / math.pi + h0.err_estimate * seq.norm_sq
+    converged = eis.converged and h0.converged
 
     # measured cap for |H| in the small-u region at this weight
     small_u_cap = 0.0
     for u in (0.25, 0.5, 0.75, 1.0):
         res = bessel_H_direct(u / 2.0, 1.0, sw, tol=1e-12, allow_small_x=True)
         small_u_cap = max(small_u_cap, abs(res.value.real) + res.err_estimate)
+        converged = converged and res.converged
 
+    r0 = R_CUT_FACTOR / sw.M
     c_eval = int(math.pi * 2.0 * N * math.exp(r0) / (0.8 * sw.T)) + 2
-    c_far = int(16.0 * math.pi * N / u_floor) + 1
-    abs_a = np.abs(a)
+    c_far = int(16.0 * math.pi * N / _U_FLOOR) + 1
+    c_last = max(c_eval, c_far)
     envelope_scale = sw.M * sw.T * 2.0 * r0 * 1.5
-    vs = math.pi * ns.astype(float)
 
-    for c in range(1, c_eval + 1):
-        smat = _kloosterman_block(ns, c)
-        pref = np.outer(a, a) * smat / c
-        r_stars = _stationary_offset(vs[:, None] / c, vs[None, :] / c, sw.T)
-        for i in range(ns.size):
-            for j in range(i, ns.size):
-                coeff = (1.0 if i == j else 2.0) * pref[i, j]
-                if coeff == 0.0:
-                    continue
-                v = math.pi * ns[i] / c
-                w = math.pi * ns[j] / c
-                u = 4.0 * math.pi * (ns[i] + ns[j]) / c
-                if u <= u_floor:
-                    skip_bar += abs(coeff) * small_u_cap * u / u_floor
-                    continue
-                r_star = r_stars[i, j]
-                if r_star > r0 + resonance_margin / sw.M:
-                    env = math.exp(-min((sw.M * r_star) ** 2, 700.0))
-                    skip_bar += abs(coeff) * (envelope_scale * env + small_u_cap)
-                    continue
-                x = 4.0 * math.pi * math.sqrt(float(ns[i]) * float(ns[j])) / c
-                h, err = _h_value(x, v, w, math.sqrt(ns[i] / ns[j]), sw, tol, "auto")
-                p_val += coeff * h
-                qerr += abs(coeff) * err
-
-    # bar zone: Weil bound |S| <= tau(c) sqrt(c gcd(m,n,c)), stationary
-    # envelope or small-u cap per pair, fully vectorized
-    gcd_mn = np.gcd.outer(ns, ns)
-    aa = np.outer(abs_a, abs_a)
-    for c in range(c_eval + 1, c_far + 1):
-        v_arr = vs[:, None] / c
-        w_arr = vs[None, :] / c
-        u_arr = 4.0 * (v_arr + w_arr)
-        best = _stationary_offset(v_arr, w_arr, sw.T)
-        env = np.exp(-np.minimum((sw.M * best) ** 2, 700.0))
+    # the pairs i <= j; an off-diagonal pair stands for both orders
+    iu, ju = np.triu_indices(N)
+    n_i, n_j = ns[iu], ns[ju]
+    aa = np.where(iu == ju, 1.0, 2.0) * a[iu] * a[ju]
+    gcd_ij = np.gcd(n_i, n_j)
+    p_val = 0.0
+    skip_bar = 0.0
+    for c in range(1, c_last + 1):
+        v = math.pi * n_i / c
+        w = math.pi * n_j / c
+        u = 4.0 * (v + w)
+        r_star = _stationary_offset(v, w, sw.T)
+        env = np.exp(-np.minimum((sw.M * r_star) ** 2, 700.0))
         cap = np.where(
-            u_arr <= u_floor,
-            small_u_cap * u_arr / u_floor,
-            envelope_scale * env + small_u_cap,
+            u <= _U_FLOOR, small_u_cap * u / _U_FLOOR, envelope_scale * env + small_u_cap
         )
-        g3 = np.gcd(gcd_mn, c).astype(float)
-        weil = divisor_count(c) * math.sqrt(c) * np.sqrt(g3)
-        skip_bar += float(np.sum(aa * weil * cap)) / c
+        if c > c_eval:
+            weil = divisor_count(c) * math.sqrt(c) * np.sqrt(np.gcd(gcd_ij, c))
+            skip_bar += float(np.sum(np.abs(aa) * weil * cap)) / c
+            continue
+        coeff = aa * _kloosterman_block(ns, c)[iu, ju] / c
+        evaluate = (coeff != 0.0) & (u > _U_FLOOR) & (r_star <= r0 + _RESONANCE_MARGIN / sw.M)
+        skip_bar += float(np.sum(np.abs(coeff[~evaluate]) * cap[~evaluate]))
+        for k in np.flatnonzero(evaluate):
+            x = 4.0 * math.pi * math.sqrt(float(n_i[k]) * float(n_j[k])) / c
+            h = _h_value(x, v[k], w[k], math.sqrt(n_i[k] / n_j[k]), sw, tol)
+            p_val += coeff[k] * h.value.real
+            qerr += abs(coeff[k]) * h.err_estimate
+            converged = converged and h.converged
 
-    # far zone c > c_far: u <= u_floor everywhere, |H| <= cap * u / u_floor,
+    # c > c_last: u <= _U_FLOOR everywhere, |H| <= small_u_cap * u / _U_FLOOR,
     # sum_c tau(c) c^{-3/2} bounded by an integral comparison
+    abs_a = np.abs(a)
     sum_a = float(np.sum(abs_a))
     sum_na = float(np.sum(ns * abs_a))
-    tau_tail = 2.0 * (math.log(c_far) + 2.0) * 2.0 / math.sqrt(c_far)
+    tau_tail = 2.0 * (math.log(c_last) + 2.0) * 2.0 / math.sqrt(c_last)
     skip_bar += (
         small_u_cap
-        / u_floor
+        / _U_FLOOR
         * 4.0
         * math.pi
         * 2.0
@@ -486,6 +437,7 @@ def decomposition(
         spectral_tail=spectral_tail_bar(1, 1, sw, forms) * seq.norm_sq * seq.N,
         quadrature_err=qerr,
         diagonal_closed_form=diagonal_closed_form(sw) * seq.norm_sq,
+        converged=converged,
         params={"N": N, "T": sw.T, "M": sw.M, "c_eval": c_eval, "c_far": c_far, "tol": tol},
     )
 

@@ -18,6 +18,9 @@ import numpy as np
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 
+_PANEL_ORDER = 16  # Gauss-Legendre points per adaptive panel
+_MAX_WAVES = 28  # refinement waves before a result is flagged unconverged
+
 
 @dataclass
 class QuadratureResult:
@@ -82,10 +85,8 @@ def adaptive_quadrature(
     a: float,
     b: float,
     tol: float,
-    order: int = 16,
     initial_panels: int = 8,
     max_evals: int = 4_000_000,
-    max_waves: int = 28,
 ) -> QuadratureResult:
     """Integrate f over [a, b] to absolute tolerance tol.
 
@@ -101,20 +102,20 @@ def adaptive_quadrature(
 
     edges = np.linspace(a, b, initial_panels + 1)
     left, right = edges[:-1], edges[1:]
-    parent_vals, n_eval = _panel_integrals(f, left, right, order)
+    parent_vals, n_eval = _panel_integrals(f, left, right, _PANEL_ORDER)
     evaluations = n_eval
 
     accepted: list[tuple[float, complex, float]] = []
     converged = True
     span = b - a
 
-    for _ in range(max_waves):
+    for _ in range(_MAX_WAVES):
         if left.size == 0:
             break
         mid = 0.5 * (left + right)
         child_left = np.concatenate([left, mid])
         child_right = np.concatenate([mid, right])
-        child_vals, n_eval = _panel_integrals(f, child_left, child_right, order)
+        child_vals, n_eval = _panel_integrals(f, child_left, child_right, _PANEL_ORDER)
         evaluations += n_eval
         refined = child_vals[: left.size] + child_vals[left.size :]
         err = np.abs(parent_vals - refined)
@@ -159,7 +160,6 @@ def oscillatory_integral(
     amplitude: Callable[[np.ndarray], np.ndarray],
     interval: tuple[float, float],
     tol: float,
-    **kwargs,
 ) -> QuadratureResult:
     """Integral of amplitude(x) * exp(2*pi*i*phase(x)) over the interval.
 
@@ -173,4 +173,4 @@ def oscillatory_integral(
         ph = 2.0 * math.pi * np.asarray(phase(x), dtype=float)
         return np.asarray(amplitude(x), dtype=complex) * np.exp(1j * ph)
 
-    return adaptive_quadrature(integrand, a, b, tol, **kwargs)
+    return adaptive_quadrature(integrand, a, b, tol)

@@ -211,8 +211,6 @@ def moment_demo(
     N: int,
     n1: int = 1,
     weight=None,
-    eis_order: int = 64,
-    eis_panels: int = 20,
 ) -> dict:
     """Desk-scale second-moment block at one dyadic length.
 
@@ -234,7 +232,7 @@ def moment_demo(
     sq = _twisted_linear_forms(block, forms)
     s_val = sum(f.omega * weight_h(f.t, sw) * sq[j] for j, f in enumerate(forms))
 
-    nodes, weights = _t_grid(sw.t_upper, order=eis_order, panels=eis_panels)
+    nodes, weights = _t_grid(sw.t_upper, order=64, panels=20)
     keep = nodes > 0
     nodes, weights = nodes[keep], 2.0 * weights[keep]
     density = eisenstein_density(nodes) * weight_h(nodes, sw)

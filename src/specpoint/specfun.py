@@ -102,7 +102,7 @@ _BERNOULLI = [
 ]
 
 
-def zeta_many(s: np.ndarray, n_terms: int | None = None, em_order: int = 12) -> np.ndarray:
+def zeta_many(s: np.ndarray, em_order: int = 12) -> np.ndarray:
     """Euler-Maclaurin zeta on an array of points right of the critical strip.
 
     The truncation N adapts to the largest |Im s| present; em_order is the
@@ -113,7 +113,7 @@ def zeta_many(s: np.ndarray, n_terms: int | None = None, em_order: int = 12) -> 
     if np.any(s == 1.0):
         raise ValueError("zeta pole at s = 1")
     tmax = float(np.max(np.abs(s.imag)))
-    N = n_terms if n_terms is not None else max(24, int(math.ceil(0.8 * tmax)) + 8)
+    N = max(24, int(math.ceil(0.8 * tmax)) + 8)
     n = np.arange(1, N, dtype=float)
     out = np.sum(n[None, :] ** (-s[:, None]), axis=1)
     out += N ** (1.0 - s) / (s - 1.0) + 0.5 * N ** (-s)

@@ -133,8 +133,11 @@ class TestBesselHDirect:
         assert abs(a.value - b.value) <= 10.0 * max(a.err_estimate, 1e-7)
 
     def test_small_u_regime(self):
-        res = bessel_H_direct(0.05, 1.0, SW, tol=1e-12, allow_small_x=True)
-        assert abs(res.value.real) <= 1e-8
+        # H is ~1e-13 here from terms of size ~10: an absolute tol of 1e-12
+        # is out of reach in double precision, 1e-10 converges
+        res = bessel_H_direct(0.05, 1.0, SW, tol=1e-10, allow_small_x=True)
+        assert res.converged
+        assert abs(res.value.real) + res.err_estimate <= 1e-8
 
 
 class TestDualRoute:
@@ -154,10 +157,11 @@ class TestDualRoute:
         # u <= 0.3: both routes are below 1e-8 in size
         y = 1.0
         x = 0.15
-        direct = bessel_H_direct(x, y, SW, tol=1e-12, allow_small_x=True)
+        direct = bessel_H_direct(x, y, SW, tol=1e-10, allow_small_x=True)
         reduced = I_integral(x * y / 4, x / (4 * y), SW, tol=1e-12)
-        assert abs(direct.value) <= 1e-8
-        assert abs(reduced.value) <= 1e-8
+        assert direct.converged and reduced.converged
+        assert abs(direct.value) + direct.err_estimate <= 1e-8
+        assert abs(reduced.value) + reduced.err_estimate <= 1e-8
 
     def test_report_symmetry_under_y_inversion(self):
         y, x = 1.5, 350.0
@@ -168,6 +172,7 @@ class TestDualRoute:
 
 
 def test_smallx_scan_rows():
-    rows = smallx_decay_scan(SW, [0.0, 0.1], y_samples=(1.0, 2.0), tol=1e-12)
+    rows = smallx_decay_scan(SW, [0.0, 0.1], y_samples=(1.0, 2.0), tol=1e-10)
     assert rows[0]["max_abs_H"] == 0.0
     assert rows[1]["max_abs_H"] <= 1e-8
+    assert all(row["converged"] for row in rows)

@@ -8,12 +8,15 @@ cuspidal side is negligible and no spectral data is needed.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from specpoint.arith import kloosterman
 from specpoint.besselintegral import R_CUT_FACTOR, SpectralWeight
 from specpoint.kuznetsov import (
+    _kloosterman_block,
     decomposition,
     diagonal_closed_form,
     diagonal_H0,
@@ -126,8 +129,9 @@ class TestDataFreeClosure:
     def test_identity_closes(self, m, n):
         eis = eisenstein_side(m, n, self.SW, tol=1e-8).value.real
         diag = diagonal_term(m, n, self.SW, tol=1e-8).value.real
-        kloos = kloosterman_side(m, n, self.SW, 64, tol=1e-8).value
-        assert abs(eis - diag - kloos) < 1e-4
+        kloos = kloosterman_side(m, n, self.SW, 64, tol=1e-8)
+        assert kloos.converged
+        assert abs(eis - diag - kloos.value) < 1e-4
 
 
 class TestTraceReport:
@@ -147,7 +151,26 @@ class TestTraceReport:
         )
         assert rep.dominant >= abs(rep.spectral)
         assert "C_max" in rep.truncation
-        assert rep.csv_row().count(",") == rep.CSV_HEADER.count(",")
+
+
+class TestKloostermanBlock:
+    @pytest.mark.parametrize("N", [4, 8])
+    def test_matches_scalar_sums(self, N):
+        ns = np.arange(N + 1, 2 * N + 1)
+        for c in range(1, 201):
+            want = np.array([[kloosterman(int(m), int(n), c).real for n in ns] for m in ns])
+            assert np.max(np.abs(_kloosterman_block(ns, c) - want)) <= 1e-12 * c
+
+    def test_memory_is_linear_in_units(self):
+        # a c x c complex table at c = 1021 alone would take 16.7 MB
+        ns = np.arange(9, 17)
+        tracemalloc.start()
+        try:
+            _kloosterman_block(ns, 1021)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestDecomposition:
@@ -167,11 +190,21 @@ class TestDecomposition:
         vals[n - 9] = 0.7  # a_10 on the block (8, 16]
         seq = Sequence(N=8, values=vals)
         rep = decomposition(seq, SW, forms, tol=1e-7)
-        spec = spectral_side(n, n, SW, forms, y_twist=1.0) * 0.49
+        spec = spectral_side(n, n, SW, forms) * 0.49
         eis = eisenstein_side(n, n, SW, tol=1e-9).value.real * 0.49
         assert rep.S == pytest.approx(spec, rel=1e-10)
         assert rep.T_eis == pytest.approx(eis, rel=1e-6)
         assert rep.D == pytest.approx(diagonal_H0(SW).value.real * 0.49, rel=1e-9)
+
+    def test_bars_cover_residual(self):
+        # the decompose input of bench/workloads.py at seed 1; c_eval = 613
+        # exceeds c_far = 202, so the far-zone tail starts at c_eval
+        seq = Sequence(N=4, values=np.random.default_rng(1).uniform(-1.0, 1.0, size=4))
+        rep = decomposition(seq, SpectralWeight(T=3.0, M=1.5), [], tol=1e-6)
+        assert (rep.params["c_eval"], rep.params["c_far"]) == (613, 202)
+        assert rep.converged
+        assert rep.residual <= rep.skip_bar + rep.quadrature_err
+        assert rep.skip_bar == pytest.approx(7.960191800019314, rel=1e-6)
 
     def test_nonnegativity_and_positivity(self, forms):
         seq = Sequence.random(N=8, seed=5, real=True)
