@@ -7,8 +7,11 @@ twisted form h(t; y) = h(t) cos(2t log y) drive two evaluation routes for
 
 a direct one through the cosine kernel B, and the reduced oscillatory
 integral I(v, w) over |r| <= 6.1/M with the explicit weight g(r), valid
-for x >> 1. Their agreement, the small-argument decay of H, and the decay
-of I below the resonance threshold are the verification targets.
+for x >> 1. On the direct route, x <= SERIES_X_MAX takes the power series
+of B, batched over every x that shares y (bessel_H_series_many); larger x
+take the contour evaluation of B one x at a time. The routes' agreement,
+the small-argument decay of H, and the decay of I below the resonance
+threshold are the verification targets.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .quadrature import QuadratureResult, adaptive_quadrature
 TWO_OVER_PI_SQRT_PI = 2.0 / (math.pi * math.sqrt(math.pi))
 R_CUT_FACTOR = 6.1  # exp(-6.1^2) ~ 7e-17: the Gaussian r-truncation
 T_CUT_FACTOR = 6.5  # exp(-6.5^2) ~ 4e-19: the Gaussian t-truncation
-_SERIES_X_MAX = 5.0
+SERIES_X_MAX = 5.0  # largest x whose H integrand uses the power-series kernel
+_H_PREF = 4.0 / math.pi**2
 
 
 @dataclass(frozen=True)
@@ -86,22 +90,68 @@ def rho_pm(r):
     return plus, minus
 
 
-def _h_integrand_factory(x: float, y: float, sw: SpectralWeight, inner_tol: float):
-    pref = 4.0 / math.pi**2
+def _series_integrand(xs: np.ndarray, y: float, sw: SpectralWeight):
+    """The H integrand at every x in xs by the series kernel: shape (t, xs.size)."""
 
     def f(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if x <= _SERIES_X_MAX:
-            b_vals = kernel_b_series_many(np.maximum(t, 1e-9), x)
-        else:
-            chunks = [
-                kernel_b_block(t[i : i + 512], x, tol=inner_tol)[0]
-                for i in range(0, t.size, 512)
-            ]
-            b_vals = np.concatenate(chunks)
-        return pref * t * weight_h_y(t, y, sw) * np.tanh(math.pi * t) * b_vals
+        weight = _H_PREF * t * weight_h_y(t, y, sw) * np.tanh(math.pi * t)
+        return weight[:, None] * kernel_b_series_many(np.maximum(t, 1e-9), xs)
 
     return f
+
+
+def _contour_integrand(x: float, y: float, sw: SpectralWeight, inner_tol: float):
+    """The H integrand at one x > SERIES_X_MAX by the contour kernel, and
+    the list of kernel_b_block's converged flags, one per chunk of every call."""
+    flags: list[bool] = []
+
+    def f(t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        chunks = []
+        for i in range(0, t.size, 512):
+            b_vals, _, ok = kernel_b_block(t[i : i + 512], x, tol=inner_tol)
+            chunks.append(b_vals)
+            flags.append(ok)
+        return _H_PREF * t * weight_h_y(t, y, sw) * np.tanh(math.pi * t) * np.concatenate(chunks)
+
+    return f, flags
+
+
+def _initial_panels(x: float, y: float, t_hi: float) -> int:
+    # oscillation rate in t: the y-twist plus the kernel's own phase
+    rate = 2.0 * abs(math.log(y)) + 2.0 * math.asinh(2.0 * t_hi / x)
+    return max(8, min(512, int(rate * t_hi / 6.0) + 8))
+
+
+def bessel_H_series_many(xs, y: float, sw: SpectralWeight, tol: float = 1e-8) -> QuadratureResult:
+    """H(x, y) for every x in xs (0 < x <= SERIES_X_MAX) at one twist y,
+    as one vector-valued quadrature over the power-series kernel.
+
+    The x share one t-grid, one log Gamma per t-node and one
+    (t, k) x (k, x) series product per block of t-nodes. The grid starts
+    from the panel count of the smallest x, and a panel is accepted only
+    once every x fits its budget. value and err_estimate are real arrays
+    in the order of xs; converged covers them all.
+    """
+    if y <= 0:
+        raise ValueError("y must be positive")
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1 or xs.size == 0:
+        raise ValueError("xs must be a non-empty 1-d array")
+    if not (np.all(xs > 0) and np.all(xs <= SERIES_X_MAX)):
+        raise ValueError(f"the series route needs 0 < x <= {SERIES_X_MAX}")
+    t_hi = sw.t_upper
+    res = adaptive_quadrature(
+        _series_integrand(xs, y, sw),
+        0.0,
+        t_hi,
+        tol,
+        initial_panels=_initial_panels(float(np.min(xs)), y, t_hi),
+    )
+    return QuadratureResult(
+        res.value.real, res.err_estimate + 1e-16 * sw.M * sw.T, res.evaluations, res.converged
+    )
 
 
 def bessel_H_direct(
@@ -113,28 +163,31 @@ def bessel_H_direct(
 ) -> QuadratureResult:
     """H(x, y) by integrating the cosine kernel against the twisted weight.
 
-    The t-range is cut where the Gaussian is below 4e-19. For x < 1 the
-    kernel route is still exact but the caller is expected to use the
-    small-argument decay bound instead, so that regime must be opted into.
+    For x <= SERIES_X_MAX this is the one-column case of
+    bessel_H_series_many; beyond, the kernel comes from the contour route
+    and converged also covers every kernel_b_block call. The t-range is
+    cut where the Gaussian is below 4e-19. For x < 1 the kernel route is
+    still exact but the caller is expected to use the small-argument decay
+    bound instead, so that regime must be opted into.
     """
     if y <= 0:
         raise ValueError("y must be positive")
     if x < 1.0 and not allow_small_x:
         raise ValueError("x < 1 is the small-argument regime; pass allow_small_x=True")
+    if x <= SERIES_X_MAX:
+        res = bessel_H_series_many(np.array([x]), y, sw, tol=tol)
+        return QuadratureResult(
+            complex(res.value[0], 0.0), float(res.err_estimate[0]), res.evaluations, res.converged
+        )
     t_hi = sw.t_upper
     inner_tol = max(tol / (4.0 * t_hi), 1e-12)
-    f = _h_integrand_factory(x, y, sw, inner_tol)
-    # oscillation rate in t: the y-twist plus the kernel's own phase
-    rate = 2.0 * abs(math.log(y)) + 2.0 * math.asinh(2.0 * t_hi / x)
-    res = adaptive_quadrature(
-        f, 0.0, t_hi, tol, initial_panels=max(8, min(512, int(rate * t_hi / 6.0) + 8))
-    )
-    extra = 0.0 if x <= _SERIES_X_MAX else 0.75 * tol
+    f, kernel_flags = _contour_integrand(x, y, sw, inner_tol)
+    res = adaptive_quadrature(f, 0.0, t_hi, tol, initial_panels=_initial_panels(x, y, t_hi))
     return QuadratureResult(
         complex(res.value.real, 0.0),
-        res.err_estimate + extra + 1e-16 * sw.M * sw.T,
+        res.err_estimate + 0.75 * tol + 1e-16 * sw.M * sw.T,
         res.evaluations,
-        res.converged,
+        res.converged and all(kernel_flags),
     )
 
 

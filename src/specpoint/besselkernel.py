@@ -9,8 +9,9 @@ plus a horizontal ray where the integrand decays like exp(-x sinh u). The
 (sinh b chosen with x sinh b >= pi t + max(x, 5)) and rotates the tail the
 same way; every leg then has a bounded, non-cancelling integrand.
 
-All values are double precision with explicit error accumulation; the
-power-series route (valid for small x) is kept as an independent check.
+All values are double precision with explicit error accumulation. The
+power-series route (valid for small x, vectorised over both t and x) is
+the H(x, y) integrand for x <= 5 and an independent check of the contour.
 """
 
 from __future__ import annotations
@@ -26,29 +27,48 @@ _TAIL_EXP = 45.0  # exp(-45) ~ 3e-20, below every tolerance used here
 _MAX_ROUNDS = 6  # panel doublings kernel_b_block tries before giving up
 
 
-def kernel_b_series_many(t: np.ndarray, x: float, nmax: int = 48) -> np.ndarray:
-    """Power-series route, vectorized over t: -pi Im J_{2it}(x) / sinh(pi t).
+def kernel_b_series_many(t: np.ndarray, x, nmax: int = 48) -> np.ndarray:
+    """Power-series route, vectorized over t and x: -pi Im J_{2it}(x) / sinh(pi t).
 
-    Stable for x <= ~8 (the alternating series never grows before it
-    decays) and for any t in (0, 220]; everything is carried at unit scale
-    through exp(-pi t) factors. Only the leading term needs a log-gamma;
-    the rest follow from term_{k} = -term_{k-1} (x/2)^2 / (k (2it+k)).
-    Independent of the contour path.
+    x is one positive number (the result has the shape of t) or a 1-d
+    array of them (the result has shape t.shape + (x.size,)). Stable for
+    x <= ~8 (the alternating series never grows before it decays) and for
+    any t in (0, 220]; everything is carried at unit scale through
+    exp(-pi t) factors. With nu = 2it the k-th term is
+
+        (x/2)^nu exp(-log Gamma(1 + nu) - pi t) * c_k(t) * (-x^2/4)^k,
+        c_0 = 1,  c_k = c_{k-1} / (k (nu + k)),
+
+    so log Gamma is taken once per t, whatever the number of x, and the
+    k-sum is one (t, k) x (k, x) matrix product. Independent of the
+    contour path.
     """
-    if x <= 0:
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs <= 0):
         raise ValueError("x must be positive")
     t = np.abs(np.asarray(t, dtype=float))
     if np.any(t < 1e-9):
         raise ValueError("series route needs t >= 1e-9; use a Y_0 series at t = 0")
+    shape = t.shape
+    t = t.ravel()
     nu = 2j * t
-    term = np.exp(nu * math.log(x / 2.0) - log_gamma(nu + 1.0) - math.pi * t)
-    total = term.copy()
-    q = -((x / 2.0) ** 2)
+    coef = np.empty((t.size, nmax), dtype=complex)
+    coef[:, 0] = np.exp(-log_gamma(nu + 1.0) - math.pi * t)
     for k in range(1, nmax):
-        term = term * (q / k) / (nu + k)
-        total += term
+        coef[:, k] = coef[:, k - 1] / (k * (nu + k))
+    half_x = xs.ravel() / 2.0
+    powers = (-(half_x**2))[None, :] ** np.arange(nmax)[:, None]
+    # Im((x/2)^nu (re + i im)) = sin(theta) re + cos(theta) im, theta = 2t log(x/2),
+    # in real (t, x) tables updated in place
+    re = coef.real @ powers
+    im = coef.imag @ powers
+    theta = np.multiply.outer(2.0 * t, np.log(half_x))
+    im *= np.cos(theta)
+    re *= np.sin(theta, out=theta)
+    im += re
     scale = -np.expm1(-2.0 * math.pi * t) / 2.0  # sinh(pi t) * exp(-pi t)
-    return -math.pi * total.imag / scale
+    im *= (-math.pi / scale)[:, None]
+    return im.reshape(shape + xs.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,76 @@
+"""The specpoint console script: reports as JSON lines.
+
+    specpoint closure --pairs 1,1 2,3 --T 3 --M 1 --C-max 512 --tol 1e-8
+    specpoint decompose --N 4 --T 3 --M 1.5 --seed 1
+
+closure runs the data-free trace identity Eis = Diag + Kloos for each pair,
+with no spectral data: for T <= 3 and M <= 1 the cuspidal side is below
+3e-19 (SL2(Z) has no cusp form with t < 9.53), so spectral_side warns and
+counts it as 0. decompose runs S + T = D + P for a real sequence on
+(N, 2N] drawn uniformly from [-1, 1] with the seed, again with no forms.
+
+Every report is printed as one line: dataclasses.asdict of it plus
+"wall_s", the seconds it took.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import time
+
+from .besselintegral import SpectralWeight
+from .kuznetsov import decomposition, trace_residual
+from .sievebench import Sequence
+
+
+def _pair(text: str) -> tuple[int, int]:
+    m, n = text.split(",")
+    return int(m), int(n)
+
+
+def _emit(report, wall_s: float) -> None:
+    print(json.dumps({**dataclasses.asdict(report), "wall_s": wall_s}), flush=True)
+
+
+def _closure(args) -> None:
+    sw = SpectralWeight(args.T, args.M)
+    for m, n in args.pairs:
+        start = time.perf_counter()
+        report = trace_residual(m, n, sw, [], C_max=args.C_max, tol=args.tol)
+        _emit(report, time.perf_counter() - start)
+
+
+def _decompose(args) -> None:
+    seq = Sequence.random(N=args.N, seed=args.seed, real=True)
+    start = time.perf_counter()
+    report = decomposition(seq, SpectralWeight(args.T, args.M), [])
+    _emit(report, time.perf_counter() - start)
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(prog="specpoint", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    closure = sub.add_parser("closure", help="data-free trace identity, one line per pair")
+    closure.add_argument("--pairs", type=_pair, nargs="+", default=[(1, 1)], metavar="M,N")
+    closure.add_argument("--T", type=float, default=3.0)
+    closure.add_argument("--M", type=float, default=1.0)
+    closure.add_argument("--C-max", dest="C_max", type=int, default=512)
+    closure.add_argument("--tol", type=float, default=1e-8)
+    closure.set_defaults(run=_closure)
+
+    decompose = sub.add_parser("decompose", help="averaged decomposition S + T = D + P")
+    decompose.add_argument("--N", type=int, default=4)
+    decompose.add_argument("--T", type=float, default=3.0)
+    decompose.add_argument("--M", type=float, default=1.5)
+    decompose.add_argument("--seed", type=int, default=1)
+    decompose.set_defaults(run=_decompose)
+
+    args = parser.parse_args(argv)
+    args.run(args)
+
+
+if __name__ == "__main__":
+    main()

@@ -27,8 +27,10 @@ from .arith import _unit_residues, divisor_count, divisor_sigma, kloosterman
 from .besselintegral import (
     I_integral,
     R_CUT_FACTOR,
+    SERIES_X_MAX,
     SpectralWeight,
     bessel_H_direct,
+    bessel_H_series_many,
     weight_h,
     weight_h_y,
 )
@@ -146,10 +148,11 @@ def diagonal_term(m: int, n: int, sw: SpectralWeight, tol: float = 1e-10) -> Qua
 def _h_value(
     x: float, v: float, w: float, y: float, sw: SpectralWeight, tol: float
 ) -> QuadratureResult:
-    """One Bessel-weight value H(x, y) with its error bar: the kernel route
-    for x <= 5, the reduced integral I(v, w) beyond."""
-    if x <= 5.0:
-        return bessel_H_direct(x, y, sw, tol=tol, allow_small_x=True)
+    """One Bessel-weight value H(x, y) for x > SERIES_X_MAX, with its error
+    bar, by the reduced integral I(v, w); smaller x take the series route
+    in bessel_H_series_many."""
+    if x <= SERIES_X_MAX:
+        raise ValueError(f"the reduced integral is used for x > {SERIES_X_MAX} only")
     reduced = I_integral(v, w, sw, tol=tol)
     phase = np.exp(2j * math.pi * ((v + w) / math.pi % 1.0))
     # the reduction itself is exact up to O(exp(-(T/M)^2)) relative terms
@@ -182,35 +185,45 @@ def kloosterman_side(
     C_max: int,
     tol: float = 1e-8,
 ) -> KloostermanSideReport:
-    """sum_{c <= C_max} S(m,n;c)/c * H(4 pi sqrt(mn)/c, y) at y = sqrt(m/n),
-    every H by bessel_H_direct.
+    """sum_{c <= C_max} S(m,n;c)/c * H(4 pi sqrt(mn)/c, y) at y = sqrt(m/n).
 
-    The tail bar evaluates the next _TAIL_PROBE = 8 omitted terms directly
-    and adds a 10x allowance, taken at the ninth, for the remainder (the
-    terms decay in u = x(y+1/y) once u < 1). converged is the AND over
-    every quadrature run, tail probes included.
+    Every modulus with S != 0 and x = 4 pi sqrt(mn)/c <= SERIES_X_MAX,
+    tail probes included, goes through one bessel_H_series_many call
+    (all share y); the few with larger x take bessel_H_direct one at a
+    time. The tail bar evaluates the next _TAIL_PROBE = 8 omitted terms
+    directly and adds a 10x allowance, taken at the ninth, for the
+    remainder (the terms decay in u = x(y+1/y) once u < 1). converged is
+    the AND over every quadrature run, tail probes included.
     """
     if C_max < 0:
         raise ValueError("C_max must be non-negative")
     y = math.sqrt(m / n)
-    sqrt_mn = math.sqrt(m * n)
-
-    def term(c: int) -> tuple[float, float, bool]:
-        s_val = kloosterman(m, n, c).real
-        if s_val == 0.0:
-            return 0.0, 0.0, True
-        res = bessel_H_direct(4.0 * math.pi * sqrt_mn / c, y, sw, tol=tol, allow_small_x=True)
-        return s_val / c * res.value.real, abs(s_val) / c * res.err_estimate, res.converged
-
-    kept = [term(c) for c in range(1, C_max + 1)]
-    probes = [term(c) for c in range(C_max + 1, C_max + _TAIL_PROBE + 2)]
+    cs = np.arange(1, C_max + _TAIL_PROBE + 2)
+    s_vals = np.array([kloosterman(m, n, int(c)).real for c in cs])
+    xs = 4.0 * math.pi * math.sqrt(m * n) / cs
+    h_vals = np.zeros(cs.size)
+    h_errs = np.zeros(cs.size)
+    converged = True
+    series = (s_vals != 0.0) & (xs <= SERIES_X_MAX)
+    if np.any(series):
+        batch = bessel_H_series_many(xs[series], y, sw, tol=tol)
+        h_vals[series] = batch.value
+        h_errs[series] = batch.err_estimate
+        converged = batch.converged
+    for k in np.flatnonzero((s_vals != 0.0) & ~series):
+        res = bessel_H_direct(xs[k], y, sw, tol=tol)
+        h_vals[k], h_errs[k] = res.value.real, res.err_estimate
+        converged = converged and res.converged
+    values = (s_vals / cs * h_vals).tolist()
+    errs = (np.abs(s_vals) / cs * h_errs).tolist()
+    probed = sum(abs(v) + e for v, e in zip(values[C_max:-1], errs[C_max:-1]))
     return KloostermanSideReport(
-        value=float(sum(v for v, _, _ in kept)),
-        tail_estimate=sum(abs(v) + e for v, e, _ in probes[:-1]) + 10.0 * abs(probes[-1][0]),
-        quadrature_err=float(sum(e for _, e, _ in kept)),
+        value=float(sum(values[:C_max])),
+        tail_estimate=probed + 10.0 * abs(values[-1]),
+        quadrature_err=float(sum(errs[:C_max])),
         c_used=C_max,
-        first_omitted=abs(probes[0][0]),
-        converged=all(ok for _, _, ok in kept + probes),
+        first_omitted=abs(values[C_max]),
+        converged=converged,
     )
 
 
@@ -228,6 +241,7 @@ class TraceReport:
     spectral_tail: float
     c_tail: float
     quadrature_err: float
+    converged: bool
     truncation: dict = field(default_factory=dict)
 
 
@@ -239,7 +253,10 @@ def trace_residual(
     C_max: int = 32,
     tol: float = 1e-8,
 ) -> TraceReport:
-    """Assemble all four terms at y = sqrt(m/n) and report the imbalance."""
+    """Assemble all four terms at y = sqrt(m/n) and report the imbalance.
+
+    converged is the AND of the Eisenstein, diagonal and Kloosterman
+    results."""
     spec = spectral_side(m, n, sw, forms)
     eis = eisenstein_side(m, n, sw, tol=tol)
     diag = diagonal_term(m, n, sw, tol=tol)
@@ -261,6 +278,7 @@ def trace_residual(
         spectral_tail=spectral_tail_bar(m, n, sw, forms),
         c_tail=kloos.tail_estimate,
         quadrature_err=eis.err_estimate + diag.err_estimate + kloos.quadrature_err,
+        converged=eis.converged and diag.converged and kloos.converged,
         truncation={"n_forms": len(forms), "C_max": C_max, "tol": tol},
     )
 
@@ -311,6 +329,9 @@ def _stationary_offset(v: np.ndarray, w: np.ndarray, T: float) -> np.ndarray:
 
 _RESONANCE_MARGIN = 3.0  # evaluate up to r0 + _RESONANCE_MARGIN / M
 _U_FLOOR = 1.0  # where u = 4(v + w) <= _U_FLOOR, |H| <= small_u_cap * u / _U_FLOOR
+# |S| at or below this counts as a vanishing Kloosterman sum: the product
+# form of _kloosterman_block leaves rounding residue where S is exactly 0
+_S_VANISH = 1e-9
 
 
 def decomposition(
@@ -327,12 +348,17 @@ def decomposition(
     when u <= _U_FLOOR, otherwise the weight envelope at its would-be
     stationary point plus small_u_cap, where small_u_cap is measured at
     this weight. Up to c_eval, a pair whose reduced phase can be stationary
-    within r0 + _RESONANCE_MARGIN / M (r0 = 6.1/M) is evaluated by _h_value
-    and every other term is bounded by |coeff| * cap. For c_eval < c <= c_far
-    the Weil bound |S| <= tau(c) sqrt(c gcd(m, n, c)) replaces S. Beyond
+    within r0 + _RESONANCE_MARGIN / M (r0 = 6.1/M) and whose |S| exceeds
+    _S_VANISH is evaluated, and every other term is bounded by
+    |coeff| * cap. Evaluated terms with x > SERIES_X_MAX take _h_value at
+    once; those with smaller x are collected per pair, whose y = sqrt(n_i/n_j)
+    is fixed, and evaluated by one bessel_H_series_many call per pair after
+    the modulus loop. For c_eval < c <= c_far the Weil bound
+    |S| <= tau(c) sqrt(c gcd(m, n, c)) replaces S. Beyond
     max(c_eval, c_far), u <= _U_FLOOR for every pair and an integral
     comparison bounds the rest. All bounds add up to skip_bar. converged
-    is the AND over every quadrature run.
+    is the AND over every quadrature run; params["evaluated"] counts the
+    evaluated terms.
     """
     if not seq.is_real:
         raise ValueError(
@@ -383,6 +409,8 @@ def decomposition(
     gcd_ij = np.gcd(n_i, n_j)
     p_val = 0.0
     skip_bar = 0.0
+    evaluated = 0
+    series: list[list[tuple[float, float]]] = [[] for _ in range(iu.size)]
     for c in range(1, c_last + 1):
         v = math.pi * n_i / c
         w = math.pi * n_j / c
@@ -396,15 +424,34 @@ def decomposition(
             weil = divisor_count(c) * math.sqrt(c) * np.sqrt(np.gcd(gcd_ij, c))
             skip_bar += float(np.sum(np.abs(aa) * weil * cap)) / c
             continue
-        coeff = aa * _kloosterman_block(ns, c)[iu, ju] / c
-        evaluate = (coeff != 0.0) & (u > _U_FLOOR) & (r_star <= r0 + _RESONANCE_MARGIN / sw.M)
+        s_vals = _kloosterman_block(ns, c)[iu, ju]
+        coeff = aa * s_vals / c
+        evaluate = (
+            (np.abs(s_vals) > _S_VANISH)
+            & (u > _U_FLOOR)
+            & (r_star <= r0 + _RESONANCE_MARGIN / sw.M)
+        )
         skip_bar += float(np.sum(np.abs(coeff[~evaluate]) * cap[~evaluate]))
         for k in np.flatnonzero(evaluate):
+            evaluated += 1
             x = 4.0 * math.pi * math.sqrt(float(n_i[k]) * float(n_j[k])) / c
+            if x <= SERIES_X_MAX:
+                series[k].append((x, coeff[k]))
+                continue
             h = _h_value(x, v[k], w[k], math.sqrt(n_i[k] / n_j[k]), sw, tol)
             p_val += coeff[k] * h.value.real
             qerr += abs(coeff[k]) * h.err_estimate
             converged = converged and h.converged
+
+    # the x <= SERIES_X_MAX terms of a pair share y = sqrt(n_i / n_j)
+    for k, terms in enumerate(series):
+        if not terms:
+            continue
+        xs, coeffs = np.array(terms).T
+        batch = bessel_H_series_many(xs, math.sqrt(n_i[k] / n_j[k]), sw, tol=tol)
+        p_val += float(np.sum(coeffs * batch.value))
+        qerr += float(np.sum(np.abs(coeffs) * batch.err_estimate))
+        converged = converged and batch.converged
 
     # c > c_last: u <= _U_FLOOR everywhere, |H| <= small_u_cap * u / _U_FLOOR,
     # sum_c tau(c) c^{-3/2} bounded by an integral comparison
@@ -438,7 +485,15 @@ def decomposition(
         quadrature_err=qerr,
         diagonal_closed_form=diagonal_closed_form(sw) * seq.norm_sq,
         converged=converged,
-        params={"N": N, "T": sw.T, "M": sw.M, "c_eval": c_eval, "c_far": c_far, "tol": tol},
+        params={
+            "N": N,
+            "T": sw.T,
+            "M": sw.M,
+            "c_eval": c_eval,
+            "c_far": c_far,
+            "tol": tol,
+            "evaluated": evaluated,
+        },
     )
 
 

@@ -5,6 +5,10 @@ panels of a wave are evaluated in one vectorized call, and a panel is
 accepted once the parent/children discrepancy fits its share of the error
 budget. Summation order is fixed (left to right in position), so results
 are bit-reproducible for a given tolerance.
+
+An integrand may also return K values per node, shape (nodes, K): the K
+integrals then share every panel, and a panel is accepted only once all
+K columns fit its budget.
 """
 
 from __future__ import annotations
@@ -20,14 +24,19 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 
 _PANEL_ORDER = 16  # Gauss-Legendre points per adaptive panel
 _MAX_WAVES = 28  # refinement waves before a result is flagged unconverged
+_BLOCK_NODES = 256  # nodes per call of a K-column integrand: bounds its values to 256 x K
 
 
 @dataclass
 class QuadratureResult:
-    """A numerically computed integral with an error bar and cost counter."""
+    """A numerically computed integral with an error bar and cost counter.
 
-    value: complex
-    err_estimate: float
+    For a K-column integrand, value and err_estimate are length-K arrays
+    and evaluations counts nodes, not node-column pairs.
+    """
+
+    value: complex | np.ndarray
+    err_estimate: float | np.ndarray
     evaluations: int
     converged: bool = True
 
@@ -74,10 +83,30 @@ def gauss_legendre_panels(
 
 
 def _panel_integrals(f: Integrand, left: np.ndarray, right: np.ndarray, order: int):
-    """Gauss-Legendre integral of f over each [left_j, right_j]."""
+    """Gauss-Legendre integral of f over each [left_j, right_j]: shape
+    (panels,) for a scalar integrand, (panels, K) for a K-column one.
+
+    f first sees the nodes of _BLOCK_NODES // order panels. A K-column
+    integrand gets every later block of that size too, so its values never
+    span more than _BLOCK_NODES rows; a scalar one gets all remaining nodes
+    in one call, because per-call overhead dominates small scalar blocks.
+    """
     nodes, weights = gauss_legendre_panels(left, right, order)
-    vals = np.asarray(f(nodes), dtype=complex) * weights
-    return vals.reshape(left.size, order).sum(axis=1), nodes.size
+    step = max(1, _BLOCK_NODES // order) * order
+    sums: list[np.ndarray] = []
+    start = 0
+    while start < nodes.size:
+        stop = nodes.size if sums and sums[0].ndim == 1 else start + step
+        vals = np.asarray(f(nodes[start:stop]))
+        w = weights[start:stop]
+        if vals.ndim == 1:
+            sums.append((vals.astype(complex) * w).reshape(-1, order).sum(axis=1))
+        else:
+            # one (1, order) @ (order, K) product per panel
+            per_panel = vals.reshape(-1, order, vals.shape[1])
+            sums.append(np.matmul(w.reshape(-1, 1, order), per_panel)[:, 0, :])
+        start = stop
+    return np.concatenate(sums).astype(complex, copy=False), nodes.size
 
 
 def adaptive_quadrature(
@@ -90,8 +119,9 @@ def adaptive_quadrature(
 ) -> QuadratureResult:
     """Integrate f over [a, b] to absolute tolerance tol.
 
-    f must accept a 1-d numpy array and return values of the same shape.
-    A panel whose refinement changes it by less than tol * panel/(b-a)
+    f must accept a 1-d numpy array of nodes and return values of the same
+    shape, or of shape (nodes, K) for K integrals at once. A panel whose
+    refinement changes it (every column of it) by less than tol * panel/(b-a)
     is frozen; otherwise both halves go into the next wave. Failure to
     converge within the budget flags the result instead of raising.
     """
@@ -120,7 +150,7 @@ def adaptive_quadrature(
         refined = child_vals[: left.size] + child_vals[left.size :]
         err = np.abs(parent_vals - refined)
         budget = tol * (right - left) / span
-        done = err <= budget
+        done = np.all(err.reshape(left.size, -1) <= budget[:, None], axis=1)
         for j in np.nonzero(done)[0]:
             accepted.append((left[j], refined[j], err[j]))
         keep = ~done
@@ -143,8 +173,11 @@ def adaptive_quadrature(
         converged = False
 
     accepted.sort(key=lambda rec: rec[0])
-    value = complex(sum(v for _, v, _ in accepted))
-    err_estimate = float(sum(e for _, _, e in accepted))
+    # a column is summed in the same left-to-right order as a scalar
+    value = sum(v for _, v, _ in accepted)
+    err_estimate = sum(e for _, _, e in accepted)
+    if parent_vals.ndim == 1:
+        return QuadratureResult(complex(value), float(err_estimate), evaluations, converged)
     return QuadratureResult(value, err_estimate, evaluations, converged)
 
 

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from specpoint import besselintegral
 from specpoint.besselintegral import (
     I_integral,
     SpectralWeight,
     bessel_H_direct,
+    bessel_H_series_many,
     compare_H_asymptotic,
     g_weight,
     rho_pm,
@@ -138,6 +140,21 @@ class TestBesselHDirect:
         res = bessel_H_direct(0.05, 1.0, SW, tol=1e-10, allow_small_x=True)
         assert res.converged
         assert abs(res.value.real) + res.err_estimate <= 1e-8
+
+
+    def test_contour_flag_reaches_result(self, monkeypatch):
+        kernel = besselintegral.kernel_b_block
+
+        def unconverged(t, x, tol):
+            values, err, _ = kernel(t, x, tol=tol)
+            return values, err, False
+
+        monkeypatch.setattr(besselintegral, "kernel_b_block", unconverged)
+        assert not bessel_H_direct(10.0, 1.0, SW).converged
+
+    def test_series_route_rejects_large_x(self):
+        with pytest.raises(ValueError):
+            bessel_H_series_many(np.array([2.0, 6.0]), 1.0, SW)
 
 
 class TestDualRoute:

@@ -1,5 +1,6 @@
 """Contour evaluation of B(t,x) against frozen high-precision values,
-the independent power-series route, and a Y_0 series at t = 0."""
+the independent power-series route (batched over x, against its per-x
+recursion), and a Y_0 series at t = 0."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from specpoint.besselkernel import kernel_b_block, kernel_b_series_many
+from specpoint.specfun import log_gamma
 
 # -pi * Im J_{2it}(x) / sinh(pi t)  (and -pi Y_0(x) at t = 0), mpmath dps=40
 B_TABLE = [
@@ -54,6 +56,18 @@ def y0_series(x: float, nmax: int = 40) -> float:
     return (2.0 / math.pi) * ((math.log(x / 2.0) + euler) * j0 + s)
 
 
+def series_per_x(t: np.ndarray, x: float, nmax: int) -> np.ndarray:
+    """The series route as a recursion over k at one x:
+    term_k = term_{k-1} (-(x/2)^2) / (k (2it + k)); test-local reference."""
+    nu = 2j * t
+    term = np.exp(nu * math.log(x / 2.0) - log_gamma(nu + 1.0) - math.pi * t)
+    total = term.copy()
+    for k in range(1, nmax):
+        term = term * (-((x / 2.0) ** 2) / k) / (nu + k)
+        total += term
+    return -math.pi * total.imag / (-np.expm1(-2.0 * math.pi * t) / 2.0)
+
+
 @pytest.mark.parametrize("t,x,want", B_TABLE)
 def test_frozen_oracle(t, x, want):
     vals, _, converged = kernel_b_block(np.array([t]), x, tol=1e-10)
@@ -82,6 +96,18 @@ def test_contour_vs_series_crossover():
         a = kernel_b_block(np.array([t]), x, tol=1e-11)[0][0]
         b = kernel_b_series_many(np.array([t]), x, nmax=70)[0]
         assert a == pytest.approx(b, abs=5e-10 + 1e-10 * abs(b))
+
+
+@pytest.mark.parametrize("nmax", [48, 70])
+def test_series_batch_matches_per_x(nmax):
+    t = np.linspace(0.01, 12.0, 300)
+    xs = np.array([0.001, 0.02, 0.3, 1.0, 2.5, 4.0, 4.96, 5.0])
+    batch = kernel_b_series_many(t, xs, nmax=nmax)
+    assert batch.shape == (t.size, xs.size)
+    for j, x in enumerate(xs):
+        assert np.max(np.abs(batch[:, j] - kernel_b_series_many(t, x, nmax=nmax))) <= 1e-14
+        ref = series_per_x(t, x, nmax)
+        assert np.max(np.abs(batch[:, j] - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-14
 
 
 def test_refinement_consistency():

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from specpoint.arith import kloosterman
-from specpoint.besselintegral import R_CUT_FACTOR, SpectralWeight
+from specpoint import kuznetsov
+from specpoint.besselintegral import R_CUT_FACTOR, SpectralWeight, bessel_H_direct
 from specpoint.kuznetsov import (
     _kloosterman_block,
     decomposition,
@@ -113,6 +114,35 @@ class TestKloostermanSide:
         b = kloosterman_side(2, 3, SW, 24, tol=1e-8)
         assert abs(b.value - a.value) <= a.tail_estimate + b.quadrature_err + a.quadrature_err
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 4)])
+    def test_batch_matches_per_modulus_terms(self, m, n):
+        # the batched series route against one bessel_H_direct per modulus
+        sw, C = SpectralWeight(T=3.0, M=1.0), 64
+        values, errs = [], []
+        for c in range(1, C + 10):
+            s = kloosterman(m, n, c).real
+            h = bessel_H_direct(4 * math.pi * math.sqrt(m * n) / c, math.sqrt(m / n), sw, allow_small_x=True)
+            values.append(s / c * h.value.real)
+            errs.append(abs(s) / c * h.err_estimate)
+        rep = kloosterman_side(m, n, sw, C)
+        assert rep.converged
+        assert rep.value == pytest.approx(sum(values[:C]), abs=1e-12)
+        assert rep.first_omitted == pytest.approx(abs(values[C]), abs=1e-12)
+        tail = sum(abs(v) + e for v, e in zip(values[C:-1], errs[C:-1])) + 10 * abs(values[-1])
+        assert rep.tail_estimate == pytest.approx(tail, abs=1e-12)
+        assert rep.quadrature_err == pytest.approx(sum(errs[:C]), rel=1e-3)
+
+    def test_batch_memory_is_bounded(self):
+        # one t-block of 256 nodes times ~500 moduli at a time, never all nodes
+        sw = SpectralWeight(T=3.0, M=1.0)
+        tracemalloc.start()
+        try:
+            kloosterman_side(4, 4, sw, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
+
 
 class TestDataFreeClosure:
     """Eis = Diag + Kloos at T = 3, M = 1 with the cuspidal side dropped.
@@ -151,6 +181,18 @@ class TestTraceReport:
         )
         assert rep.dominant >= abs(rep.spectral)
         assert "C_max" in rep.truncation
+        assert rep.converged is True
+
+    def test_converged_is_and_of_parts(self, forms, monkeypatch):
+        side = kuznetsov.kloosterman_side
+
+        def unconverged(*args, **kwargs):
+            rep = side(*args, **kwargs)
+            rep.converged = False
+            return rep
+
+        monkeypatch.setattr(kuznetsov, "kloosterman_side", unconverged)
+        assert not trace_residual(1, 2, SW, forms, C_max=4, tol=1e-7).converged
 
 
 class TestKloostermanBlock:
@@ -196,15 +238,25 @@ class TestDecomposition:
         assert rep.T_eis == pytest.approx(eis, rel=1e-6)
         assert rep.D == pytest.approx(diagonal_H0(SW).value.real * 0.49, rel=1e-9)
 
-    def test_bars_cover_residual(self):
-        # the decompose input of bench/workloads.py at seed 1; c_eval = 613
-        # exceeds c_far = 202, so the far-zone tail starts at c_eval
+    @pytest.fixture(scope="class")
+    def seed1(self):
+        # the decompose input of bench/workloads.py at seed 1
         seq = Sequence(N=4, values=np.random.default_rng(1).uniform(-1.0, 1.0, size=4))
-        rep = decomposition(seq, SpectralWeight(T=3.0, M=1.5), [], tol=1e-6)
+        return decomposition(seq, SpectralWeight(T=3.0, M=1.5), [], tol=1e-6)
+
+    def test_bars_cover_residual(self, seed1):
+        # c_eval = 613 exceeds c_far = 202, so the far-zone tail starts at c_eval
+        rep = seed1
         assert (rep.params["c_eval"], rep.params["c_far"]) == (613, 202)
         assert rep.converged
         assert rep.residual <= rep.skip_bar + rep.quadrature_err
         assert rep.skip_bar == pytest.approx(7.960191800019314, rel=1e-6)
+
+    def test_vanishing_sums_are_not_evaluated(self, seed1):
+        # 329 of the 1,616 resonant terms have |S| <= 1e-9 (rounding residue
+        # of a vanishing sum) and add ~1e-15 to P: they go to the skip bar
+        assert seed1.params["evaluated"] == 1287
+        assert seed1.P == pytest.approx(0.3802715444329583, rel=1e-12)
 
     def test_nonnegativity_and_positivity(self, forms):
         seq = Sequence.random(N=8, seed=5, real=True)
