@@ -96,7 +96,9 @@ def _series_integrand(xs: np.ndarray, y: float, sw: SpectralWeight):
     def f(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         weight = _H_PREF * t * weight_h_y(t, y, sw) * np.tanh(math.pi * t)
-        return weight[:, None] * kernel_b_series_many(np.maximum(t, 1e-9), xs)
+        b_vals = kernel_b_series_many(np.maximum(t, 1e-9), xs)
+        b_vals *= weight[:, None]
+        return b_vals
 
     return f
 

@@ -58,13 +58,14 @@ def kernel_b_series_many(t: np.ndarray, x, nmax: int = 48) -> np.ndarray:
         coef[:, k] = coef[:, k - 1] / (k * (nu + k))
     half_x = xs.ravel() / 2.0
     powers = (-(half_x**2))[None, :] ** np.arange(nmax)[:, None]
-    # Im((x/2)^nu (re + i im)) = sin(theta) re + cos(theta) im, theta = 2t log(x/2),
-    # in real (t, x) tables updated in place
-    re = coef.real @ powers
+    log_half_x = np.log(half_x)
+    # Im((x/2)^nu (re + i im)) = cos(theta) im + sin(theta) re, theta = 2t log(x/2),
+    # updated in place so that at most three real (t, x) tables are live
     im = coef.imag @ powers
-    theta = np.multiply.outer(2.0 * t, np.log(half_x))
-    im *= np.cos(theta)
-    re *= np.sin(theta, out=theta)
+    theta = np.multiply.outer(2.0 * t, log_half_x)
+    im *= np.cos(theta, out=theta)
+    re = coef.real @ powers
+    re *= np.sin(np.multiply.outer(2.0 * t, log_half_x, out=theta), out=theta)
     im += re
     scale = -np.expm1(-2.0 * math.pi * t) / 2.0  # sinh(pi t) * exp(-pi t)
     im *= (-math.pi / scale)[:, None]

@@ -82,6 +82,15 @@ def gauss_legendre_panels(
     return nodes.ravel(), weights.ravel()
 
 
+def _weighted_panel_sums(vals: np.ndarray, weights: np.ndarray, order: int) -> np.ndarray:
+    """Sum of weights * vals over each run of order nodes, per column."""
+    if vals.ndim == 1:
+        return (vals.astype(complex) * weights).reshape(-1, order).sum(axis=1)
+    # one (1, order) @ (order, K) product per panel
+    per_panel = vals.reshape(-1, order, vals.shape[1])
+    return np.matmul(weights.reshape(-1, 1, order), per_panel)[:, 0, :]
+
+
 def _panel_integrals(f: Integrand, left: np.ndarray, right: np.ndarray, order: int):
     """Gauss-Legendre integral of f over each [left_j, right_j]: shape
     (panels,) for a scalar integrand, (panels, K) for a K-column one.
@@ -97,14 +106,10 @@ def _panel_integrals(f: Integrand, left: np.ndarray, right: np.ndarray, order: i
     start = 0
     while start < nodes.size:
         stop = nodes.size if sums and sums[0].ndim == 1 else start + step
+        # no name keeps a block's values alive while f computes the next
         vals = np.asarray(f(nodes[start:stop]))
-        w = weights[start:stop]
-        if vals.ndim == 1:
-            sums.append((vals.astype(complex) * w).reshape(-1, order).sum(axis=1))
-        else:
-            # one (1, order) @ (order, K) product per panel
-            per_panel = vals.reshape(-1, order, vals.shape[1])
-            sums.append(np.matmul(w.reshape(-1, 1, order), per_panel)[:, 0, :])
+        sums.append(_weighted_panel_sums(vals, weights[start:stop], order))
+        del vals
         start = stop
     return np.concatenate(sums).astype(complex, copy=False), nodes.size
 
@@ -135,7 +140,10 @@ def adaptive_quadrature(
     parent_vals, n_eval = _panel_integrals(f, left, right, _PANEL_ORDER)
     evaluations = n_eval
 
-    accepted: list[tuple[float, complex, float]] = []
+    # accepted panels, wave by wave: left edges, values and error estimates
+    acc_left: list[np.ndarray] = []
+    acc_vals: list[np.ndarray] = []
+    acc_err: list[np.ndarray] = []
     converged = True
     span = b - a
 
@@ -151,8 +159,9 @@ def adaptive_quadrature(
         err = np.abs(parent_vals - refined)
         budget = tol * (right - left) / span
         done = np.all(err.reshape(left.size, -1) <= budget[:, None], axis=1)
-        for j in np.nonzero(done)[0]:
-            accepted.append((left[j], refined[j], err[j]))
+        acc_left.append(left[done])
+        acc_vals.append(refined[done])
+        acc_err.append(err[done])
         keep = ~done
         left0, right0, mid0 = left[keep], right[keep], mid[keep]
         left = np.concatenate([left0, mid0])
@@ -167,15 +176,17 @@ def adaptive_quadrature(
         converged = False
 
     # whatever is still pending goes in at its current refinement level
-    for j in range(left.size):
-        accepted.append((left[j], parent_vals[j], abs(parent_vals[j]) * 0.5 + tol))
+    acc_left.append(left)
+    acc_vals.append(parent_vals)
+    acc_err.append(np.abs(parent_vals) * 0.5 + tol)
     if left.size > 0 and converged:
         converged = False
 
-    accepted.sort(key=lambda rec: rec[0])
-    # a column is summed in the same left-to-right order as a scalar
-    value = sum(v for _, v, _ in accepted)
-    err_estimate = sum(e for _, _, e in accepted)
+    # summed left to right in position, one panel after another (cumsum is
+    # sequential), so every column is summed in the same order as a scalar
+    order = np.argsort(np.concatenate(acc_left), kind="stable")
+    value = np.cumsum(np.concatenate(acc_vals)[order], axis=0)[-1]
+    err_estimate = np.cumsum(np.concatenate(acc_err)[order], axis=0)[-1]
     if parent_vals.ndim == 1:
         return QuadratureResult(complex(value), float(err_estimate), evaluations, converged)
     return QuadratureResult(value, err_estimate, evaluations, converged)
