@@ -7,8 +7,9 @@ budget. Summation order is fixed (left to right in position), so results
 are bit-reproducible for a given tolerance.
 
 An integrand may also return K values per node, shape (nodes, K): the K
-integrals then share every panel, and a panel is accepted only once all
-K columns fit its budget.
+integrals then share every panel, a panel is accepted only once all K
+columns fit its budget, and each wave is evaluated _BLOCK_NODES nodes at
+a time.
 """
 
 from __future__ import annotations
@@ -106,10 +107,9 @@ def _panel_integrals(f: Integrand, left: np.ndarray, right: np.ndarray, order: i
     start = 0
     while start < nodes.size:
         stop = nodes.size if sums and sums[0].ndim == 1 else start + step
-        # no name keeps a block's values alive while f computes the next
         vals = np.asarray(f(nodes[start:stop]))
         sums.append(_weighted_panel_sums(vals, weights[start:stop], order))
-        del vals
+        del vals  # not alive while f computes the next block
         start = stop
     return np.concatenate(sums).astype(complex, copy=False), nodes.size
 
