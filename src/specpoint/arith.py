@@ -40,13 +40,26 @@ def mod_inverse(a: int, c: int) -> int:
 
 @lru_cache(maxsize=4096)
 def _unit_residues(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, alpha^{-1}) arrays over the units modulo c. c = 1 gives ([0],[0])."""
+    """(alpha, alpha^{-1}) arrays over the units modulo c, alpha ascending.
+    c = 1 gives ([0],[0]).
+
+    alpha^{-1} = alpha^{phi(c) - 1} mod c (Euler), by square-and-multiply on
+    the whole int64 array; products stay below c^2 < 2^63 for any modulus
+    whose unit array fits in memory.
+    """
     if c == 1:
         zero = np.zeros(1, dtype=np.int64)
         return zero, zero
     alphas = np.arange(1, c, dtype=np.int64)
     alphas = alphas[np.gcd(alphas, c) == 1]
-    inv = np.array([pow(int(a), -1, c) for a in alphas], dtype=np.int64)
+    inv = np.ones_like(alphas)
+    power = alphas.copy()
+    exponent = alphas.size - 1
+    while exponent:
+        if exponent & 1:
+            inv = inv * power % c
+        power = power * power % c
+        exponent >>= 1
     return alphas, inv
 
 
@@ -76,14 +89,13 @@ def vq_sum(q: int, m: int, n: int, c: int) -> complex:
         raise ValueError(f"modulus must be positive, got {c}")
     if c == 1:
         return 1.0 + 0.0j
-    alphas = np.arange(c, dtype=np.int64)
-    beta = (q - alphas) % c
-    keep = (np.gcd(alphas, c) == 1) & (np.gcd(beta, c) == 1)
-    alphas, beta = alphas[keep], beta[keep]
-    if alphas.size == 0:
+    units, inv = _unit_residues(c)
+    beta = (q - units) % c
+    keep = np.gcd(beta, c) == 1
+    if not np.any(keep):
         return 0.0 + 0.0j
-    inv_a = np.array([pow(int(a), -1, c) for a in alphas], dtype=np.int64)
-    inv_b = np.array([pow(int(b), -1, c) for b in beta], dtype=np.int64)
+    inv_a = inv[keep]
+    inv_b = inv[np.searchsorted(units, beta[keep])]
     angles = (inv_a * (m % c) + inv_b * (n % c)) % c
     return _exp_angle_sum(angles, c)
 

@@ -44,9 +44,6 @@ class SpectralWeight:
         if not 1.0 <= self.M <= self.T:
             raise ValueError("M must lie in [1, T]")
 
-    def in_asymptotic_regime(self) -> bool:
-        return self.T**0.05 <= self.M <= self.T**0.95
-
     @property
     def t_upper(self) -> float:
         return self.T + T_CUT_FACTOR * self.M
@@ -161,21 +158,17 @@ def bessel_H_direct(
     y: float,
     sw: SpectralWeight,
     tol: float = 1e-8,
-    allow_small_x: bool = False,
 ) -> QuadratureResult:
     """H(x, y) by integrating the cosine kernel against the twisted weight.
 
     For x <= SERIES_X_MAX this is the one-column case of
     bessel_H_series_many; beyond, the kernel comes from the contour route
     and converged also covers every kernel_b_block call. The t-range is
-    cut where the Gaussian is below 4e-19. For x < 1 the kernel route is
-    still exact but the caller is expected to use the small-argument decay
-    bound instead, so that regime must be opted into.
+    cut where the Gaussian is below 4e-19. The series route is exact for
+    small x too, x < 1 included.
     """
     if y <= 0:
         raise ValueError("y must be positive")
-    if x < 1.0 and not allow_small_x:
-        raise ValueError("x < 1 is the small-argument regime; pass allow_small_x=True")
     if x <= SERIES_X_MAX:
         res = bessel_H_series_many(np.array([x]), y, sw, tol=tol)
         return QuadratureResult(
@@ -274,7 +267,7 @@ def smallx_decay_scan(
             x = u / (y + 1.0 / y)
             if x <= 0:
                 continue
-            h = bessel_H_direct(x, y, sw, tol=tol, allow_small_x=True)
+            h = bessel_H_direct(x, y, sw, tol=tol)
             converged = converged and h.converged
             if abs(h.value.real) > worst:
                 worst, worst_y = abs(h.value.real), y

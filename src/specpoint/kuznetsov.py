@@ -39,7 +39,6 @@ from .sievebench import (
     Sequence,
     _eisenstein_linear_forms,
     _hybrid_lhs_one_modulus,
-    _t_grid,
     _twisted_linear_forms,
 )
 from .specfun import eisenstein_density
@@ -73,25 +72,30 @@ def spectral_side(
     )
 
 
+# No Maass cusp form of SL2(Z) has spectral parameter below t_1 = 9.5336952613...
+# (Hejhal; Booker-Strombergsson-Venkatesh, Effective computation of Maass
+# cusp forms, IMRN 2006), so the uncovered spectrum starts there at the earliest.
+FIRST_CUSP_FORM_T = 9.53369526
+
+
 def spectral_tail_bar(
     m: int, n: int, sw: SpectralWeight, forms: list[MaassForm]
 ) -> float:
-    """Bound for the uncovered spectral tail: eigenvalue density t/6 times
-    the Gaussian weight, coefficients bounded by tau(m) tau(n), harmonic
-    weights by the dataset maximum."""
+    """Bound for the uncovered spectral tail t > max(t_cov, FIRST_CUSP_FORM_T):
+    eigenvalue density t/6 times the Gaussian weight, coefficients bounded by
+    tau(m) tau(n), harmonic weights by the dataset maximum (1 with no data)."""
     if not forms:
         t_cov = 0.0
         omega_cap = 1.0
     else:
         t_cov = max(f.t for f in forms)
         omega_cap = max(f.omega for f in forms)
+    lo = max(t_cov, FIRST_CUSP_FORM_T)
     hi = sw.t_upper + 2.0 * sw.M
-    if t_cov >= hi:
+    if lo >= hi:
         return 0.0
     lam_cap = divisor_count(m) * divisor_count(n)
-    val = fixed_gauss(
-        lambda t: (t / 6.0) * weight_h(t, sw), max(t_cov, 1e-9), hi, order=32, panels=4
-    )
+    val = fixed_gauss(lambda t: (t / 6.0) * weight_h(t, sw), lo, hi, order=32, panels=4)
     return float(abs(val)) * omega_cap * lam_cap
 
 
@@ -392,7 +396,7 @@ def decomposition(
     # measured cap for |H| in the small-u region at this weight
     small_u_cap = 0.0
     for u in (0.25, 0.5, 0.75, 1.0):
-        res = bessel_H_direct(u / 2.0, 1.0, sw, tol=1e-12, allow_small_x=True)
+        res = bessel_H_direct(u / 2.0, 1.0, sw, tol=1e-12)
         small_u_cap = max(small_u_cap, abs(res.value.real) + res.err_estimate)
         converged = converged and res.converged
 
@@ -507,8 +511,8 @@ def p_bound_rhs(
     (q, c, alpha) mean square of the doubly-twisted block sums over
     |t| <= 6.1/M (empty ranges give 0).
 
-    The t-integrand is a trigonometric polynomial of bandwidth 2 pi N/(c q),
-    so the Gauss order is scaled with it and the rule is effectively exact.
+    Each (q, c) term is the closed-form unit-residue mean square of
+    _hybrid_lhs_one_modulus at v = q, so no quadrature grid is involved.
     """
     if not seq.is_real:
         raise ValueError("the decomposition majorant applies to real sequences")
@@ -518,11 +522,8 @@ def p_bound_rhs(
     tau = R_CUT_FACTOR / M
     for q in range(1, q_hi + 1):
         c_hi = int(c_cap_const * N / (T * q))
-        inner_q = 0.0
-        for c in range(1, c_hi + 1):
-            # the (q, c) term is the unit-residue mean square at v = q (its
-            # alpha-sum runs over all units, so alpha or alpha^{-1} alike)
-            order = int(2.0 * math.pi * N * tau / (c * q) / 1.5) + 48
-            inner_q += _hybrid_lhs_one_modulus(seq, 1.0, q, c, *_t_grid(tau, order, panels=1))
+        # the (q, c) term is the unit-residue mean square at v = q (its
+        # alpha-sum runs over all units, so alpha or alpha^{-1} alike)
+        inner_q = sum(_hybrid_lhs_one_modulus(seq, 1.0, q, c, tau) for c in range(1, c_hi + 1))
         total += inner_q / q
     return M * T * total

@@ -45,14 +45,6 @@ class QuadratureResult:
     def flagged(self) -> bool:
         return not self.converged
 
-    def __add__(self, other: "QuadratureResult") -> "QuadratureResult":
-        return QuadratureResult(
-            self.value + other.value,
-            self.err_estimate + other.err_estimate,
-            self.evaluations + other.evaluations,
-            self.converged and other.converged,
-        )
-
     def scaled(self, factor: complex) -> "QuadratureResult":
         return QuadratureResult(
             self.value * factor,

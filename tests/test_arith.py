@@ -55,6 +55,13 @@ class TestModInverse:
         assert 0 <= x < c
         assert (a * x) % c == 1 % c
 
+    def test_unit_table_inverses(self):
+        for c in [*range(2, 301), 4096, 4099]:
+            alphas, inv = arith._unit_residues(c)
+            assert alphas.tolist() == [a for a in range(1, c) if math.gcd(a, c) == 1]
+            assert np.all((0 <= inv) & (inv < c))
+            assert np.all(alphas * inv % c == 1), c
+
 
 class TestKloosterman:
     def test_zero_frequencies_give_totient(self):

@@ -120,10 +120,6 @@ class TestIIntegral:
 
 
 class TestBesselHDirect:
-    def test_small_x_needs_opt_in(self):
-        with pytest.raises(ValueError):
-            bessel_H_direct(0.5, 1.0, SW)
-
     def test_y_reciprocity(self):
         a = bessel_H_direct(300.0, 1.4, SW, tol=1e-8)
         b = bessel_H_direct(300.0, 1.0 / 1.4, SW, tol=1e-8)
@@ -137,7 +133,7 @@ class TestBesselHDirect:
     def test_small_u_regime(self):
         # H is ~1e-13 here from terms of size ~10: an absolute tol of 1e-12
         # is out of reach in double precision, 1e-10 converges
-        res = bessel_H_direct(0.05, 1.0, SW, tol=1e-10, allow_small_x=True)
+        res = bessel_H_direct(0.05, 1.0, SW, tol=1e-10)
         assert res.converged
         assert abs(res.value.real) + res.err_estimate <= 1e-8
 
@@ -174,7 +170,7 @@ class TestDualRoute:
         # u <= 0.3: both routes are below 1e-8 in size
         y = 1.0
         x = 0.15
-        direct = bessel_H_direct(x, y, SW, tol=1e-10, allow_small_x=True)
+        direct = bessel_H_direct(x, y, SW, tol=1e-10)
         reduced = I_integral(x * y / 4, x / (4 * y), SW, tol=1e-12)
         assert direct.converged and reduced.converged
         assert abs(direct.value) + direct.err_estimate <= 1e-8

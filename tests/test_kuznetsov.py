@@ -58,6 +58,11 @@ class TestSpectralSide:
             spectral_side(1, 2, SW, short)
         assert spectral_tail_bar(1, 2, SW, short) > 0
 
+    def test_no_tail_below_first_cusp_form(self):
+        # with no data the uncovered range starts at t_1 ~ 9.53, where the
+        # weight around T = 3 is ~3e-19, not at t = 0
+        assert spectral_tail_bar(1, 1, SpectralWeight(3.0, 1.0), []) < 1e-18
+
     def test_reordering_oracle(self, forms):
         from specpoint.besselintegral import weight_h_y
 
@@ -121,7 +126,7 @@ class TestKloostermanSide:
         values, errs = [], []
         for c in range(1, C + 10):
             s = kloosterman(m, n, c).real
-            h = bessel_H_direct(4 * math.pi * math.sqrt(m * n) / c, math.sqrt(m / n), sw, allow_small_x=True)
+            h = bessel_H_direct(4 * math.pi * math.sqrt(m * n) / c, math.sqrt(m / n), sw)
             values.append(s / c * h.value.real)
             errs.append(abs(s) / c * h.err_estimate)
         rep = kloosterman_side(m, n, sw, C)

@@ -41,6 +41,23 @@ def young_lhs_bruteforce(seq, gamma, tau, v, C, grid=20001):
     return float(np.trapezoid(total, ts))
 
 
+def young_lhs_gauss(seq, gamma, tau, v, C, order=400):
+    """One order-point Gauss-Legendre rule on [-tau, tau] over the direct
+    alpha-sum; at these sizes the rule is exact to rounding."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    ts, ws = tau * x, tau * w
+    ns = seq.ns.astype(float)
+    total = 0.0
+    for c in range(1, C + 1):
+        for alpha in range(c):
+            if math.gcd(alpha, c) != 1:
+                continue
+            phase = np.outer(ts, ns**gamma) / (c * v) + alpha * seq.ns / c
+            inner = np.exp(2j * math.pi * phase) @ seq.values
+            total += float(np.sum(ws * np.abs(inner) ** 2)) / c
+    return total
+
+
 class TestSequence:
     def test_support_and_norm(self):
         seq = Sequence.random(N=16, seed=0)
@@ -76,6 +93,13 @@ class TestYoungLS:
         got = young_ls_lhs(seq, gamma, 0.3, 2.0, 5)
         want = young_lhs_bruteforce(seq, gamma, 0.3, 2.0, 5)
         assert got == pytest.approx(want, rel=1e-5)
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    def test_closed_form_matches_gauss_oracle(self, gamma):
+        seq = Sequence.random(N=16, seed=17)
+        got = young_ls_lhs(seq, gamma, 1.0, 1.0, 6)
+        want = young_lhs_gauss(seq, gamma, 1.0, 1.0, 6)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_parseval_sanity(self):
         # gamma=1, v=1, tau=pi: int |sum a_n e(n t / (2 pi))|... at C=1 the
