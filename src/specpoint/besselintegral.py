@@ -5,13 +5,15 @@ twisted form h(t; y) = h(t) cos(2t log y) drive two evaluation routes for
 
     H(x, y) = (4/pi^2) int_0^inf t h(t; y) tanh(pi t) B(t, x) dt:
 
-a direct one through the cosine kernel B, and the reduced oscillatory
-integral I(v, w) over |r| <= 6.1/M with the explicit weight g(r), valid
-for x >> 1. On the direct route, x <= SERIES_X_MAX takes the power series
-of B, batched over every x that shares y (bessel_H_series_many); larger x
-take the contour evaluation of B one x at a time. The routes' agreement,
-the small-argument decay of H, and the decay of I below the resonance
-threshold are the verification targets.
+a direct one, and the reduced oscillatory integral I(v, w) over
+|r| <= 6.1/M with the explicit weight g(r), valid for x >> 1. On the
+direct route, x <= SERIES_X_MAX takes the power series of the cosine
+kernel B, batched over every x that shares y (bessel_H_series_many).
+Larger x swap the two integrals, H = int_R cos(x cosh r) k_y(r) dr with
+the per-y kernel k_y(r) = (4/pi^2) int_0^inf t h(t; y) tanh(pi t)
+cos(2tr) dt, and take the r-integral along a rotated contour, one x at a
+time. The routes' agreement, the small-argument decay of H, and the decay
+of I below the resonance threshold are the verification targets.
 """
 
 from __future__ import annotations
@@ -21,14 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besselkernel import kernel_b_block, kernel_b_series_many
-from .quadrature import QuadratureResult, adaptive_quadrature
+from .besselkernel import kernel_b_series_many
+from .quadrature import _BLOCK_NODES, QuadratureResult, adaptive_quadrature, gauss_legendre_panels
 
 TWO_OVER_PI_SQRT_PI = 2.0 / (math.pi * math.sqrt(math.pi))
 R_CUT_FACTOR = 6.1  # exp(-6.1^2) ~ 7e-17: the Gaussian r-truncation
 T_CUT_FACTOR = 6.5  # exp(-6.5^2) ~ 4e-19: the Gaussian t-truncation
 SERIES_X_MAX = 5.0  # largest x whose H integrand uses the power-series kernel
 _H_PREF = 4.0 / math.pi**2
+_TAIL_EXP = 45.0  # exp(-45) ~ 3e-20: where the contour's ray is cut
+_KERNEL_ORDER = 16  # Gauss-Legendre points per panel of the swapped route
+_KERNEL_PHASE = 12.0  # radians of phase per panel on the first grid
+_KERNEL_ROUNDS = 4  # grid doublings _bessel_H_kernel tries before flagging
 
 
 @dataclass(frozen=True)
@@ -100,23 +106,6 @@ def _series_integrand(xs: np.ndarray, y: float, sw: SpectralWeight):
     return f
 
 
-def _contour_integrand(x: float, y: float, sw: SpectralWeight, inner_tol: float):
-    """The H integrand at one x > SERIES_X_MAX by the contour kernel, and
-    the list of kernel_b_block's converged flags, one per chunk of every call."""
-    flags: list[bool] = []
-
-    def f(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        chunks = []
-        for i in range(0, t.size, 512):
-            b_vals, _, ok = kernel_b_block(t[i : i + 512], x, tol=inner_tol)
-            chunks.append(b_vals)
-            flags.append(ok)
-        return _H_PREF * t * weight_h_y(t, y, sw) * np.tanh(math.pi * t) * np.concatenate(chunks)
-
-    return f, flags
-
-
 def _initial_panels(x: float, y: float, t_hi: float) -> int:
     # oscillation rate in t: the y-twist plus the kernel's own phase
     rate = 2.0 * abs(math.log(y)) + 2.0 * math.asinh(2.0 * t_hi / x)
@@ -153,19 +142,119 @@ def bessel_H_series_many(xs, y: float, sw: SpectralWeight, tol: float = 1e-8) ->
     )
 
 
+def _gauss_grid(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    edges = np.linspace(a, b, panels + 1)
+    return gauss_legendre_panels(edges[:-1], edges[1:], _KERNEL_ORDER)
+
+
+def _panel_count(phase: float) -> int:
+    return max(2, math.ceil(phase / _KERNEL_PHASE))
+
+
+def _kernel_on_leg(
+    s: np.ndarray, fixed: float, horizontal: bool, t: np.ndarray, f: np.ndarray
+) -> np.ndarray:
+    """k_y at r = s + i fixed (a horizontal leg) or r = fixed + i s (a
+    vertical one), from the t-nodes and their weights f = w (4/pi^2) t h tanh.
+
+    cos(2t(a + ib)) = cos(2ta) cosh(2tb) - i sin(2ta) sinh(2tb), and the
+    leg's fixed coordinate goes into the two weight vectors. So each block
+    of at most _BLOCK_NODES nodes is one real (nodes, t) phase table,
+    turned into the two function tables in turn.
+    """
+    if horizontal:
+        even, odd = np.cos, np.sin
+        w_even, w_odd = f * np.cosh(2.0 * fixed * t), f * np.sinh(2.0 * fixed * t)
+    else:
+        even, odd = np.cosh, np.sinh
+        w_even, w_odd = f * np.cos(2.0 * fixed * t), f * np.sin(2.0 * fixed * t)
+    out = np.empty(s.size, dtype=complex)
+    for i in range(0, s.size, _BLOCK_NODES):
+        block = slice(i, i + _BLOCK_NODES)
+        phase = np.multiply.outer(2.0 * s[block], t)
+        out.real[block] = even(phase) @ w_even
+        out.imag[block] = -(odd(phase, out=phase) @ w_odd)
+    return out
+
+
+def _bessel_H_kernel(x: float, y: float, sw: SpectralWeight, tol: float) -> QuadratureResult:
+    """H(x, y) with the integrals swapped: 2 Re int_Gamma e^{ix cosh r} k_y(r) dr.
+
+    k_y is entire, so the r-integral over [0, inf) may leave the real axis.
+    Gamma runs along it to a, up to a + i theta, then right to R + i theta.
+    Off the axis, |e^{ix cosh r} cos(2tr)| <= exp(2t Im r - x sinh(Re r)
+    sin(Im r)), and rising at a, past every stationary point
+    (x sinh(a) sin(theta) = 2 t_upper theta), keeps that below 1 for every
+    t. Rising at 0 instead gives legs about e^{2T theta} times larger than
+    H, which cancel: ~7e3 each against H ~ 5e-12 at T=50, M=8, x=10, y=1,
+    leaving ~1e-11 of rounding. theta = min(pi/2, 4/T) caps cosh(2t theta)
+    at e^60, as t_upper <= 7.5 T; H itself does not depend on it. R lies 45
+    e-folds of decay beyond a. Every leg and the t-range [0, t_upper] carry
+    Gauss panels sized by their phase; k_y at a leg's nodes is one
+    (nodes, t) product against the t-weights, and H is one weighted sum
+    over the nodes.
+
+    All four panel counts double until H changes by at most tol, for at
+    most _KERNEL_ROUNDS rounds; converged is False when they run out.
+    err_estimate is the last change; evaluations counts (r, t) node pairs.
+    """
+    t_hi = sw.t_upper
+    theta = min(math.pi / 2, 4.0 / sw.T)
+    decay = x * math.sin(theta)
+    sinh_a = 2.0 * t_hi * theta / decay
+    a = math.asinh(sinh_a)
+    R = math.asinh(sinh_a + _TAIL_EXP / decay)
+    cosh_a = math.cosh(a)
+    # (start, end, fixed coordinate, horizontal) of each leg
+    legs = ((0.0, a, 0.0, True), (0.0, theta, a, False), (a, R, theta, True))
+    counts = [
+        _panel_count(x * (cosh_a - 1.0) + 2.0 * sw.T * a),
+        _panel_count(x * cosh_a * (1.0 - math.cos(theta)) + 2.0 * sw.T * theta),
+        _panel_count(x * (math.cosh(R) - cosh_a) * math.cos(theta) + 2.0 * sw.T * (R - a)),
+        max(
+            _panel_count(2.0 * (math.hypot(R, theta) + abs(math.log(y))) * t_hi),
+            math.ceil(t_hi / sw.M),
+        ),
+    ]
+
+    def evaluate(counts: list[int]) -> tuple[float, int]:
+        t, wt = _gauss_grid(0.0, t_hi, counts[-1])
+        f = wt * _H_PREF * t * weight_h_y(t, y, sw) * np.tanh(math.pi * t)
+        total = 0.0
+        nodes = 0
+        for (lo, hi, fixed, horizontal), n in zip(legs, counts):
+            s, ws = _gauss_grid(lo, hi, n)
+            r, dr = (s + 1j * fixed, ws) if horizontal else (fixed + 1j * s, 1j * ws)
+            k = _kernel_on_leg(s, fixed, horizontal, t, f)
+            total += np.dot(dr * np.exp(1j * x * np.cosh(r)), k).real
+            nodes += s.size
+        return 2.0 * total, nodes * t.size
+
+    value, evaluations = evaluate(counts)
+    err, converged = abs(value), False
+    for _ in range(_KERNEL_ROUNDS):
+        counts = [2 * n for n in counts]
+        new, n_eval = evaluate(counts)
+        evaluations += n_eval
+        err, value = abs(new - value), new
+        if err <= tol:
+            converged = True
+            break
+    return QuadratureResult(complex(value, 0.0), err + 1e-16 * sw.M * sw.T, evaluations, converged)
+
+
 def bessel_H_direct(
     x: float,
     y: float,
     sw: SpectralWeight,
     tol: float = 1e-8,
 ) -> QuadratureResult:
-    """H(x, y) by integrating the cosine kernel against the twisted weight.
+    """H(x, y) from the cosine kernel and the twisted weight.
 
     For x <= SERIES_X_MAX this is the one-column case of
-    bessel_H_series_many; beyond, the kernel comes from the contour route
-    and converged also covers every kernel_b_block call. The t-range is
-    cut where the Gaussian is below 4e-19. The series route is exact for
-    small x too, x < 1 included.
+    bessel_H_series_many, which is exact for small x too, x < 1 included.
+    Beyond, the t- and r-integrals are swapped (_bessel_H_kernel). Both
+    cut the t-range where the Gaussian is below 4e-19.
     """
     if y <= 0:
         raise ValueError("y must be positive")
@@ -174,16 +263,7 @@ def bessel_H_direct(
         return QuadratureResult(
             complex(res.value[0], 0.0), float(res.err_estimate[0]), res.evaluations, res.converged
         )
-    t_hi = sw.t_upper
-    inner_tol = max(tol / (4.0 * t_hi), 1e-12)
-    f, kernel_flags = _contour_integrand(x, y, sw, inner_tol)
-    res = adaptive_quadrature(f, 0.0, t_hi, tol, initial_panels=_initial_panels(x, y, t_hi))
-    return QuadratureResult(
-        complex(res.value.real, 0.0),
-        res.err_estimate + 0.75 * tol + 1e-16 * sw.M * sw.T,
-        res.evaluations,
-        res.converged and all(kernel_flags),
-    )
+    return _bessel_H_kernel(x, y, sw, tol)
 
 
 def I_integral(v: float, w: float, sw: SpectralWeight, tol: float = 1e-8) -> QuadratureResult:

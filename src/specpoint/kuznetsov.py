@@ -171,15 +171,24 @@ def _h_value(
 
 @dataclass
 class KloostermanSideReport:
+    """The c-sum, its bars, and how many moduli (tail probes included)
+    each H route evaluated: the batched series and the x > 5 kernel."""
+
     value: float
     tail_estimate: float
     quadrature_err: float
     c_used: int
     first_omitted: float
     converged: bool
+    series_moduli: int
+    kernel_moduli: int
 
 
 _TAIL_PROBE = 8  # omitted terms the c-tail bar evaluates directly
+# |S| at or below this counts as a vanishing Kloosterman sum: neither
+# arith.kloosterman nor the product form of _kloosterman_block rounds a
+# vanishing sum to exactly 0
+_S_VANISH = 1e-9
 
 
 def kloosterman_side(
@@ -191,13 +200,14 @@ def kloosterman_side(
 ) -> KloostermanSideReport:
     """sum_{c <= C_max} S(m,n;c)/c * H(4 pi sqrt(mn)/c, y) at y = sqrt(m/n).
 
-    Every modulus with S != 0 and x = 4 pi sqrt(mn)/c <= SERIES_X_MAX,
-    tail probes included, goes through one bessel_H_series_many call
-    (all share y); the few with larger x take bessel_H_direct one at a
-    time. The tail bar evaluates the next _TAIL_PROBE = 8 omitted terms
-    directly and adds a 10x allowance, taken at the ninth, for the
-    remainder (the terms decay in u = x(y+1/y) once u < 1). converged is
-    the AND over every quadrature run, tail probes included.
+    Every modulus with |S| > _S_VANISH and x = 4 pi sqrt(mn)/c <=
+    SERIES_X_MAX, tail probes included, goes through one
+    bessel_H_series_many call (all share y); the few with larger x take
+    bessel_H_direct one at a time; vanishing sums take neither. The tail
+    bar evaluates the next _TAIL_PROBE = 8 omitted terms directly and adds
+    a 10x allowance, taken at the ninth, for the remainder (the terms
+    decay in u = x(y+1/y) once u < 1). converged is the AND over every
+    quadrature run, tail probes included.
     """
     if C_max < 0:
         raise ValueError("C_max must be non-negative")
@@ -208,13 +218,15 @@ def kloosterman_side(
     h_vals = np.zeros(cs.size)
     h_errs = np.zeros(cs.size)
     converged = True
-    series = (s_vals != 0.0) & (xs <= SERIES_X_MAX)
+    nonzero = np.abs(s_vals) > _S_VANISH
+    series = nonzero & (xs <= SERIES_X_MAX)
+    kernel = nonzero & ~series
     if np.any(series):
         batch = bessel_H_series_many(xs[series], y, sw, tol=tol)
         h_vals[series] = batch.value
         h_errs[series] = batch.err_estimate
         converged = batch.converged
-    for k in np.flatnonzero((s_vals != 0.0) & ~series):
+    for k in np.flatnonzero(kernel):
         res = bessel_H_direct(xs[k], y, sw, tol=tol)
         h_vals[k], h_errs[k] = res.value.real, res.err_estimate
         converged = converged and res.converged
@@ -228,6 +240,8 @@ def kloosterman_side(
         c_used=C_max,
         first_omitted=abs(values[C_max]),
         converged=converged,
+        series_moduli=int(np.count_nonzero(series)),
+        kernel_moduli=int(np.count_nonzero(kernel)),
     )
 
 
@@ -283,7 +297,13 @@ def trace_residual(
         c_tail=kloos.tail_estimate,
         quadrature_err=eis.err_estimate + diag.err_estimate + kloos.quadrature_err,
         converged=eis.converged and diag.converged and kloos.converged,
-        truncation={"n_forms": len(forms), "C_max": C_max, "tol": tol},
+        truncation={
+            "n_forms": len(forms),
+            "C_max": C_max,
+            "tol": tol,
+            "series_moduli": kloos.series_moduli,
+            "kernel_moduli": kloos.kernel_moduli,
+        },
     )
 
 
@@ -333,9 +353,6 @@ def _stationary_offset(v: np.ndarray, w: np.ndarray, T: float) -> np.ndarray:
 
 _RESONANCE_MARGIN = 3.0  # evaluate up to r0 + _RESONANCE_MARGIN / M
 _U_FLOOR = 1.0  # where u = 4(v + w) <= _U_FLOOR, |H| <= small_u_cap * u / _U_FLOOR
-# |S| at or below this counts as a vanishing Kloosterman sum: the product
-# form of _kloosterman_block leaves rounding residue where S is exactly 0
-_S_VANISH = 1e-9
 
 
 def decomposition(

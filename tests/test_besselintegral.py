@@ -1,6 +1,7 @@
 """Spectral weights, the reduced integral, and dual-route H agreement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from specpoint import besselintegral
 from specpoint.besselintegral import (
     I_integral,
+    SERIES_X_MAX,
     SpectralWeight,
     bessel_H_direct,
     bessel_H_series_many,
@@ -18,6 +20,8 @@ from specpoint.besselintegral import (
     weight_h,
     weight_h_y,
 )
+from specpoint.besselkernel import kernel_b_block
+from specpoint.quadrature import adaptive_quadrature
 
 SW = SpectralWeight(T=50.0, M=8.0)
 
@@ -138,19 +142,61 @@ class TestBesselHDirect:
         assert abs(res.value.real) + res.err_estimate <= 1e-8
 
 
-    def test_contour_flag_reaches_result(self, monkeypatch):
-        kernel = besselintegral.kernel_b_block
-
-        def unconverged(t, x, tol):
-            values, err, _ = kernel(t, x, tol=tol)
-            return values, err, False
-
-        monkeypatch.setattr(besselintegral, "kernel_b_block", unconverged)
+    def test_kernel_flag_reaches_result(self, monkeypatch):
+        # no doubling round allowed: the x > 5 route cannot confirm its grid
+        assert bessel_H_direct(10.0, 1.0, SW).converged
+        monkeypatch.setattr(besselintegral, "_KERNEL_ROUNDS", 0)
         assert not bessel_H_direct(10.0, 1.0, SW).converged
 
     def test_series_route_rejects_large_x(self):
         with pytest.raises(ValueError):
             bessel_H_series_many(np.array([2.0, 6.0]), 1.0, SW)
+
+
+def contour_oracle_H(x: float, y: float, sw: SpectralWeight, tol: float) -> float:
+    """H(x, y) the unswapped way: the t-quadrature of t h(t; y) tanh(pi t)
+    B(t, x), with B from kernel_b_block's contour; test-local oracle."""
+    flags = []
+
+    def f(t):
+        b_vals, _, ok = kernel_b_block(t, x, tol=1e-12)
+        flags.append(ok)
+        return (4.0 / math.pi**2) * t * weight_h_y(t, y, sw) * np.tanh(math.pi * t) * b_vals
+
+    # panels of ~6 radians of the twist's and the kernel's phase in t
+    rate = 2.0 * abs(math.log(y)) + 2.0 * math.asinh(2.0 * sw.t_upper / x)
+    panels = max(8, int(rate * sw.t_upper / 6.0) + 8)
+    res = adaptive_quadrature(f, 0.0, sw.t_upper, tol, initial_panels=panels)
+    assert res.converged and all(flags)
+    return res.value.real
+
+
+class TestSwappedKernelRoute:
+    """x > SERIES_X_MAX: H with the integrals swapped, against the contour oracle."""
+
+    @pytest.mark.parametrize(
+        "T,M,x,y",
+        [(3.0, 1.0, x, y) for x in (5.5, 20.0, 50.3) for y in (1.0, 0.5, 1.0 / math.sqrt(3.0))]
+        + [(50.0, 8.0, 10.0, 1.0), (50.0, 8.0, 200.0, 2.0), (50.0, 8.0, 300.0, 1.4)],
+    )
+    def test_matches_contour_oracle(self, T, M, x, y):
+        sw, tol = SpectralWeight(T, M), 1e-11
+        assert x > SERIES_X_MAX
+        res = bessel_H_direct(x, y, sw, tol=tol)
+        assert res.converged
+        assert res.err_estimate <= tol
+        assert abs(res.value.real - contour_oracle_H(x, y, sw, tol)) <= res.err_estimate + 1e-10
+
+    def test_memory_is_bounded(self):
+        # the doubled grid here is ~1,900 r-nodes by ~1,100 t-nodes, ~34 MB
+        # as one pair of real tables; blocks of 256 rows keep it below 10 MB
+        tracemalloc.start()
+        try:
+            bessel_H_direct(300.0, 1.4, SpectralWeight(50.0, 8.0), tol=1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
 
 
 class TestDualRoute:

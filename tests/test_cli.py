@@ -14,7 +14,13 @@ def test_closure_line(capsys):
     assert len(lines) == 1
     rec = json.loads(lines[0])
     assert (rec["m"], rec["n"]) == (1, 1)
-    assert rec["truncation"] == {"n_forms": 0, "C_max": 16, "tol": 1e-8}
+    assert rec["truncation"] == {
+        "n_forms": 0,
+        "C_max": 16,
+        "tol": 1e-8,
+        "series_moduli": 21,
+        "kernel_moduli": 2,
+    }
     assert rec["converged"] is True
     assert rec["residual"] < 1e-3
     assert rec["wall_s"] > 0

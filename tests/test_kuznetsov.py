@@ -137,6 +137,19 @@ class TestKloostermanSide:
         assert rep.tail_estimate == pytest.approx(tail, abs=1e-12)
         assert rep.quadrature_err == pytest.approx(sum(errs[:C]), rel=1e-3)
 
+    @pytest.mark.parametrize("m,n,series,kernel", [(1, 1, 478, 2), (4, 4, 501, 10)])
+    def test_route_counts(self, m, n, series, kernel):
+        # moduli c <= 521 (tail probes included); x > 5 for c < 4 pi sqrt(mn)/5.
+        # Vanishing sums take no route: for (1, 1), 520 sums are nonzero as
+        # computed, but only 480 exceed _S_VANISH.
+        rep = kloosterman_side(m, n, SpectralWeight(T=3.0, M=1.0), 512)
+        assert (rep.series_moduli, rep.kernel_moduli) == (series, kernel)
+        assert rep.kernel_moduli == sum(
+            abs(kloosterman(m, n, c).real) > 1e-9
+            for c in range(1, 522)
+            if 4 * math.pi * math.sqrt(m * n) / c > 5.0
+        )
+
     def test_batch_memory_is_bounded(self):
         # one t-block of 256 nodes times ~500 moduli at a time, never all nodes
         sw = SpectralWeight(T=3.0, M=1.0)
@@ -155,7 +168,7 @@ class TestDataFreeClosure:
     SL2(Z) has no cusp form with t < t_1 ~ 9.5337 (Booker, Strombergsson
     and Venkatesh, IMRN 2006), so the cuspidal side is below
     exp(-((t_1 - T)/M)^2) ~ 3e-19. For (1, 1) the terms c = 1, 2 have
-    x = 4 pi/c > 5 and go through the contour route of B(t, x).
+    x = 4 pi/c > 5 and go through the swapped kernel route of H.
     """
 
     SW = SpectralWeight(T=3.0, M=1.0)
