@@ -1,19 +1,24 @@
 """Gaussian-weighted Bessel integrals on the spectral side.
 
 The weight pair h(t) = exp(-((t-T)/M)^2) + exp(-((t+T)/M)^2) and its
-twisted form h(t; y) = h(t) cos(2t log y) drive two evaluation routes for
+twisted form h(t; y) = h(t) cos(2t log y) define
 
-    H(x, y) = (4/pi^2) int_0^inf t h(t; y) tanh(pi t) B(t, x) dt:
+    H(x, y) = (4/pi^2) int_0^inf t h(t; y) tanh(pi t) B(t, x) dt,
 
-a direct one, and the reduced oscillatory integral I(v, w) over
-|r| <= 6.1/M with the explicit weight g(r), valid for x >> 1. On the
-direct route, x <= SERIES_X_MAX takes the power series of the cosine
-kernel B, batched over every x that shares y (bessel_H_series_many).
-Larger x swap the two integrals, H = int_R cos(x cosh r) k_y(r) dr with
-the per-y kernel k_y(r) = (4/pi^2) int_0^inf t h(t; y) tanh(pi t)
-cos(2tr) dt, and take the r-integral along a rotated contour, one x at a
-time. The routes' agreement, the small-argument decay of H, and the decay
-of I below the resonance threshold are the verification targets.
+evaluated exactly by bessel_H_many for every x that shares one twist y
+(bessel_H_direct is its one-column case). x <= SERIES_X_MAX take the power
+series of the cosine kernel B, in one vector-valued quadrature
+(bessel_H_series_many). Larger x swap the two integrals,
+H = int_R cos(x cosh r) k_y(r) dr with the per-y kernel
+k_y(r) = (4/pi^2) int_0^inf t h(t; y) tanh(pi t) cos(2tr) dt, and take the
+r-integral along a rotated contour shared by the x of one octave.
+
+The reduced oscillatory integral I(v, w) over |r| <= 6.1/M with the
+explicit weight g(r) is the paper's stationary-phase asymptotic for H at
+x >> 1. I_integral and compare_H_asymptotic check it against the exact
+route; no sum evaluates H through it. The routes' agreement, the
+small-argument decay of H, and the decay of I below the resonance
+threshold are the verification targets.
 """
 
 from __future__ import annotations
@@ -177,8 +182,12 @@ def _kernel_on_leg(
     return out
 
 
-def _bessel_H_kernel(x: float, y: float, sw: SpectralWeight, tol: float) -> QuadratureResult:
-    """H(x, y) with the integrals swapped: 2 Re int_Gamma e^{ix cosh r} k_y(r) dr.
+def _bessel_H_kernel(
+    xs: np.ndarray, y: float, sw: SpectralWeight, tol: float
+) -> QuadratureResult:
+    """H(x, y) for every x in xs (x > 0) with the integrals swapped:
+    2 Re int_Gamma e^{ix cosh r} k_y(r) dr, through one contour and one
+    k_y table for all of xs.
 
     k_y is entire, so the r-integral over [0, inf) may leave the real axis.
     Gamma runs along it to a, up to a + i theta, then right to R + i theta.
@@ -189,18 +198,21 @@ def _bessel_H_kernel(x: float, y: float, sw: SpectralWeight, tol: float) -> Quad
     H, which cancel: ~7e3 each against H ~ 5e-12 at T=50, M=8, x=10, y=1,
     leaving ~1e-11 of rounding. theta = min(pi/2, 4/T) caps cosh(2t theta)
     at e^60, as t_upper <= 7.5 T; H itself does not depend on it. R lies 45
-    e-folds of decay beyond a. Every leg and the t-range [0, t_upper] carry
-    Gauss panels sized by their phase; k_y at a leg's nodes is one
-    (nodes, t) product against the t-weights, and H is one weighted sum
-    over the nodes.
+    e-folds of decay beyond a. a and R are those of the smallest x, so
+    they lie beyond the stationary points and the cut of every larger x.
+    Every leg and the t-range [0, t_upper] carry Gauss panels sized by the
+    phase of the largest x; k_y at a leg's nodes is one (nodes, t) product
+    against the t-weights, and H is one weighted sum over the nodes per x.
 
-    All four panel counts double until H changes by at most tol, for at
-    most _KERNEL_ROUNDS rounds; converged is False when they run out.
-    err_estimate is the last change; evaluations counts (r, t) node pairs.
+    All four panel counts double until no H changes by more than tol, for
+    at most _KERNEL_ROUNDS rounds; converged is False when they run out.
+    err_estimate is each x's last change; evaluations counts (r, t) node
+    pairs.
     """
     t_hi = sw.t_upper
     theta = min(math.pi / 2, 4.0 / sw.T)
-    decay = x * math.sin(theta)
+    x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
+    decay = x_lo * math.sin(theta)
     sinh_a = 2.0 * t_hi * theta / decay
     a = math.asinh(sinh_a)
     R = math.asinh(sinh_a + _TAIL_EXP / decay)
@@ -208,39 +220,79 @@ def _bessel_H_kernel(x: float, y: float, sw: SpectralWeight, tol: float) -> Quad
     # (start, end, fixed coordinate, horizontal) of each leg
     legs = ((0.0, a, 0.0, True), (0.0, theta, a, False), (a, R, theta, True))
     counts = [
-        _panel_count(x * (cosh_a - 1.0) + 2.0 * sw.T * a),
-        _panel_count(x * cosh_a * (1.0 - math.cos(theta)) + 2.0 * sw.T * theta),
-        _panel_count(x * (math.cosh(R) - cosh_a) * math.cos(theta) + 2.0 * sw.T * (R - a)),
+        _panel_count(x_hi * (cosh_a - 1.0) + 2.0 * sw.T * a),
+        _panel_count(x_hi * cosh_a * (1.0 - math.cos(theta)) + 2.0 * sw.T * theta),
+        _panel_count(x_hi * (math.cosh(R) - cosh_a) * math.cos(theta) + 2.0 * sw.T * (R - a)),
         max(
             _panel_count(2.0 * (math.hypot(R, theta) + abs(math.log(y))) * t_hi),
             math.ceil(t_hi / sw.M),
         ),
     ]
 
-    def evaluate(counts: list[int]) -> tuple[float, int]:
+    def evaluate(counts: list[int]) -> tuple[np.ndarray, int]:
         t, wt = _gauss_grid(0.0, t_hi, counts[-1])
         f = wt * _H_PREF * t * weight_h_y(t, y, sw) * np.tanh(math.pi * t)
-        total = 0.0
+        total = np.zeros(xs.size)
         nodes = 0
         for (lo, hi, fixed, horizontal), n in zip(legs, counts):
             s, ws = _gauss_grid(lo, hi, n)
             r, dr = (s + 1j * fixed, ws) if horizontal else (fixed + 1j * s, 1j * ws)
-            k = _kernel_on_leg(s, fixed, horizontal, t, f)
-            total += np.dot(dr * np.exp(1j * x * np.cosh(r)), k).real
+            k = dr * _kernel_on_leg(s, fixed, horizontal, t, f)
+            for i in range(0, s.size, _BLOCK_NODES):
+                block = slice(i, i + _BLOCK_NODES)
+                total += (np.exp(1j * np.multiply.outer(xs, np.cosh(r[block]))) @ k[block]).real
             nodes += s.size
         return 2.0 * total, nodes * t.size
 
     value, evaluations = evaluate(counts)
-    err, converged = abs(value), False
+    err, converged = np.abs(value), False
     for _ in range(_KERNEL_ROUNDS):
         counts = [2 * n for n in counts]
         new, n_eval = evaluate(counts)
         evaluations += n_eval
-        err, value = abs(new - value), new
-        if err <= tol:
+        err, value = np.abs(new - value), new
+        if np.all(err <= tol):
             converged = True
             break
-    return QuadratureResult(complex(value, 0.0), err + 1e-16 * sw.M * sw.T, evaluations, converged)
+    return QuadratureResult(value, err + 1e-16 * sw.M * sw.T, evaluations, converged)
+
+
+def bessel_H_many(
+    xs, y: float, sw: SpectralWeight, tol: float = 1e-8
+) -> tuple[QuadratureResult, int]:
+    """H(x, y) for every x > 0 in xs at one twist y, and how many of them
+    took the series route.
+
+    x <= SERIES_X_MAX go through one bessel_H_series_many call, which is
+    exact for small x too, x < 1 included; larger x through one
+    _bessel_H_kernel call per octave, with the t- and r-integrals swapped.
+    Both cut the t-range where the Gaussian is below 4e-19. value and
+    err_estimate are real arrays in the order of xs (empty for an empty
+    xs); converged covers them all and evaluations adds up every call's.
+    """
+    if y <= 0:
+        raise ValueError("y must be positive")
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1 or not np.all(xs > 0):
+        raise ValueError("xs must be a 1-d array of positive x")
+    value = np.zeros(xs.size)
+    err = np.zeros(xs.size)
+    evaluations = 0
+    converged = True
+    series = xs <= SERIES_X_MAX
+    # one kernel contour per octave [2^j, 2^{j+1}) of x: a wider batch stays
+    # exact, but pays the phase of its largest x along the smallest x's contour
+    octave = np.floor(np.log2(xs))
+    batches = [(bessel_H_series_many, series)] + [
+        (_bessel_H_kernel, ~series & (octave == j)) for j in np.unique(octave[~series])
+    ]
+    for route, mask in batches:
+        if np.any(mask):
+            res = route(xs[mask], y, sw, tol)
+            value[mask], err[mask] = res.value, res.err_estimate
+            evaluations += res.evaluations
+            converged = converged and res.converged
+    return QuadratureResult(value, err, evaluations, converged), int(np.count_nonzero(series))
 
 
 def bessel_H_direct(
@@ -249,21 +301,12 @@ def bessel_H_direct(
     sw: SpectralWeight,
     tol: float = 1e-8,
 ) -> QuadratureResult:
-    """H(x, y) from the cosine kernel and the twisted weight.
-
-    For x <= SERIES_X_MAX this is the one-column case of
-    bessel_H_series_many, which is exact for small x too, x < 1 included.
-    Beyond, the t- and r-integrals are swapped (_bessel_H_kernel). Both
-    cut the t-range where the Gaussian is below 4e-19.
-    """
-    if y <= 0:
-        raise ValueError("y must be positive")
-    if x <= SERIES_X_MAX:
-        res = bessel_H_series_many(np.array([x]), y, sw, tol=tol)
-        return QuadratureResult(
-            complex(res.value[0], 0.0), float(res.err_estimate[0]), res.evaluations, res.converged
-        )
-    return _bessel_H_kernel(x, y, sw, tol)
+    """H(x, y) from the cosine kernel and the twisted weight: the
+    one-column case of bessel_H_many."""
+    res, _ = bessel_H_many(np.array([x], dtype=float), y, sw, tol)
+    return QuadratureResult(
+        complex(res.value[0], 0.0), float(res.err_estimate[0]), res.evaluations, res.converged
+    )
 
 
 def I_integral(v: float, w: float, sw: SpectralWeight, tol: float = 1e-8) -> QuadratureResult:

@@ -63,16 +63,16 @@ def kernel_b_series_many(t: np.ndarray, x, nmax: int = 48) -> np.ndarray:
     powers = (-(half_x**2))[None, :] ** np.arange(nmax)[:, None]
     log_half_x = np.log(half_x)
     # Im((x/2)^nu (re + i im)) = cos(theta) im + sin(theta) re, theta = 2t log(x/2),
-    # updated in place so that at most three real (t, x) tables are live
-    im = coef.imag @ powers
-    theta = np.multiply.outer(2.0 * t, log_half_x)
-    im *= np.cos(theta, out=theta)
-    re = coef.real @ powers
-    re *= np.sin(np.multiply.outer(2.0 * t, log_half_x, out=theta), out=theta)
-    im += re
+    # nmax rows at a time, so that beside the result no table outgrows powers
+    out = coef.imag @ powers
+    for i in range(0, t.size, nmax):
+        rows = slice(i, i + nmax)
+        theta = np.multiply.outer(2.0 * t[rows], log_half_x)
+        out[rows] *= np.cos(theta)
+        out[rows] += np.sin(theta, out=theta) * (coef.real[rows] @ powers)
     scale = -np.expm1(-2.0 * math.pi * t) / 2.0  # sinh(pi t) * exp(-pi t)
-    im *= (-math.pi / scale)[:, None]
-    return im.reshape(shape + xs.shape)
+    out *= (-math.pi / scale)[:, None]
+    return out.reshape(shape + xs.shape)
 
 
 # ---------------------------------------------------------------------------

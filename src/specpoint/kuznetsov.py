@@ -25,12 +25,9 @@ import numpy as np
 
 from .arith import _unit_residues, divisor_count, divisor_sigma, kloosterman
 from .besselintegral import (
-    I_integral,
     R_CUT_FACTOR,
-    SERIES_X_MAX,
     SpectralWeight,
-    bessel_H_direct,
-    bessel_H_series_many,
+    bessel_H_many,
     weight_h,
     weight_h_y,
 )
@@ -149,26 +146,6 @@ def diagonal_term(m: int, n: int, sw: SpectralWeight, tol: float = 1e-10) -> Qua
     return diagonal_H0(sw, tol)
 
 
-def _h_value(
-    x: float, v: float, w: float, y: float, sw: SpectralWeight, tol: float
-) -> QuadratureResult:
-    """One Bessel-weight value H(x, y) for x > SERIES_X_MAX, with its error
-    bar, by the reduced integral I(v, w); smaller x take the series route
-    in bessel_H_series_many."""
-    if x <= SERIES_X_MAX:
-        raise ValueError(f"the reduced integral is used for x > {SERIES_X_MAX} only")
-    reduced = I_integral(v, w, sw, tol=tol)
-    phase = np.exp(2j * math.pi * ((v + w) / math.pi % 1.0))
-    # the reduction itself is exact up to O(exp(-(T/M)^2)) relative terms
-    analytic = 3.0 * math.exp(-((sw.T / sw.M) ** 2)) * (1.0 + abs(reduced.value))
-    return QuadratureResult(
-        complex((phase * reduced.value).real, 0.0),
-        reduced.err_estimate + analytic,
-        reduced.evaluations,
-        reduced.converged,
-    )
-
-
 @dataclass
 class KloostermanSideReport:
     """The c-sum, its bars, and how many moduli (tail probes included)
@@ -191,6 +168,26 @@ _TAIL_PROBE = 8  # omitted terms the c-tail bar evaluates directly
 _S_VANISH = 1e-9
 
 
+def _h_value(
+    xs: np.ndarray, s_vals: np.ndarray, y: float, sw: SpectralWeight, tol: float
+) -> tuple[QuadratureResult, int, int]:
+    """H(x, y) for the c-sum terms of one twist y, with arguments xs and
+    Kloosterman sums s_vals, and how many terms each route evaluated.
+
+    A term with |S| <= _S_VANISH vanishes: its value and bar are 0 and no
+    route evaluates it. The rest go through one bessel_H_many call. The
+    result holds per-term values and bars in the order of xs; the two
+    counts are (series, kernel).
+    """
+    live = np.abs(s_vals) > _S_VANISH
+    res, series = bessel_H_many(xs[live], y, sw, tol)
+    value = np.zeros(xs.size)
+    err = np.zeros(xs.size)
+    value[live], err[live] = res.value, res.err_estimate
+    out = QuadratureResult(value, err, res.evaluations, res.converged)
+    return out, series, int(np.count_nonzero(live)) - series
+
+
 def kloosterman_side(
     m: int,
     n: int,
@@ -200,10 +197,8 @@ def kloosterman_side(
 ) -> KloostermanSideReport:
     """sum_{c <= C_max} S(m,n;c)/c * H(4 pi sqrt(mn)/c, y) at y = sqrt(m/n).
 
-    Every modulus with |S| > _S_VANISH and x = 4 pi sqrt(mn)/c <=
-    SERIES_X_MAX, tail probes included, goes through one
-    bessel_H_series_many call (all share y); the few with larger x take
-    bessel_H_direct one at a time; vanishing sums take neither. The tail
+    Every modulus, tail probes included, shares y, so all terms go through
+    one _h_value call; vanishing sums are 0 and take no route. The tail
     bar evaluates the next _TAIL_PROBE = 8 omitted terms directly and adds
     a 10x allowance, taken at the ninth, for the remainder (the terms
     decay in u = x(y+1/y) once u < 1). converged is the AND over every
@@ -211,27 +206,12 @@ def kloosterman_side(
     """
     if C_max < 0:
         raise ValueError("C_max must be non-negative")
-    y = math.sqrt(m / n)
     cs = np.arange(1, C_max + _TAIL_PROBE + 2)
     s_vals = np.array([kloosterman(m, n, int(c)).real for c in cs])
     xs = 4.0 * math.pi * math.sqrt(m * n) / cs
-    h_vals = np.zeros(cs.size)
-    h_errs = np.zeros(cs.size)
-    converged = True
-    nonzero = np.abs(s_vals) > _S_VANISH
-    series = nonzero & (xs <= SERIES_X_MAX)
-    kernel = nonzero & ~series
-    if np.any(series):
-        batch = bessel_H_series_many(xs[series], y, sw, tol=tol)
-        h_vals[series] = batch.value
-        h_errs[series] = batch.err_estimate
-        converged = batch.converged
-    for k in np.flatnonzero(kernel):
-        res = bessel_H_direct(xs[k], y, sw, tol=tol)
-        h_vals[k], h_errs[k] = res.value.real, res.err_estimate
-        converged = converged and res.converged
-    values = (s_vals / cs * h_vals).tolist()
-    errs = (np.abs(s_vals) / cs * h_errs).tolist()
+    h, series, kernel = _h_value(xs, s_vals, math.sqrt(m / n), sw, tol)
+    values = (s_vals / cs * h.value).tolist()
+    errs = (np.abs(s_vals) / cs * h.err_estimate).tolist()
     probed = sum(abs(v) + e for v, e in zip(values[C_max:-1], errs[C_max:-1]))
     return KloostermanSideReport(
         value=float(sum(values[:C_max])),
@@ -239,9 +219,9 @@ def kloosterman_side(
         quadrature_err=float(sum(errs[:C_max])),
         c_used=C_max,
         first_omitted=abs(values[C_max]),
-        converged=converged,
-        series_moduli=int(np.count_nonzero(series)),
-        kernel_moduli=int(np.count_nonzero(kernel)),
+        converged=h.converged,
+        series_moduli=series,
+        kernel_moduli=kernel,
     )
 
 
@@ -369,17 +349,16 @@ def decomposition(
     when u <= _U_FLOOR, otherwise the weight envelope at its would-be
     stationary point plus small_u_cap, where small_u_cap is measured at
     this weight. Up to c_eval, a pair whose reduced phase can be stationary
-    within r0 + _RESONANCE_MARGIN / M (r0 = 6.1/M) and whose |S| exceeds
-    _S_VANISH is evaluated, and every other term is bounded by
-    |coeff| * cap. Evaluated terms with x > SERIES_X_MAX take _h_value at
-    once; those with smaller x are collected per pair, whose y = sqrt(n_i/n_j)
-    is fixed, and evaluated by one bessel_H_series_many call per pair after
-    the modulus loop. For c_eval < c <= c_far the Weil bound
-    |S| <= tau(c) sqrt(c gcd(m, n, c)) replaces S. Beyond
-    max(c_eval, c_far), u <= _U_FLOOR for every pair and an integral
-    comparison bounds the rest. All bounds add up to skip_bar. converged
-    is the AND over every quadrature run; params["evaluated"] counts the
-    evaluated terms.
+    within r0 + _RESONANCE_MARGIN / M (r0 = 6.1/M) is resonant, and every
+    other term is bounded by |coeff| * cap. The resonant terms are
+    collected by twist y = sqrt(n_i/n_j) and evaluated after the modulus
+    loop, one _h_value call per twist; _h_value skips vanishing sums. For
+    c_eval < c <= c_far the Weil bound |S| <= tau(c) sqrt(c gcd(m, n, c))
+    replaces S. Beyond max(c_eval, c_far), u <= _U_FLOOR for every pair and
+    an integral comparison bounds the rest. All bounds add up to skip_bar.
+    converged is the AND over every quadrature run. params["evaluated"]
+    counts the evaluated terms, and params["series_terms"] and
+    params["kernel_terms"] split them by the route of H.
     """
     if not seq.is_real:
         raise ValueError(
@@ -410,12 +389,10 @@ def decomposition(
     qerr = 2.0 * eis.err_estimate / math.pi + h0.err_estimate * seq.norm_sq
     converged = eis.converged and h0.converged
 
-    # measured cap for |H| in the small-u region at this weight
-    small_u_cap = 0.0
-    for u in (0.25, 0.5, 0.75, 1.0):
-        res = bessel_H_direct(u / 2.0, 1.0, sw, tol=1e-12)
-        small_u_cap = max(small_u_cap, abs(res.value.real) + res.err_estimate)
-        converged = converged and res.converged
+    # measured cap for |H| in the small-u region at this weight (u = 2x at y = 1)
+    probe, _ = bessel_H_many(np.array([0.25, 0.5, 0.75, 1.0]) / 2.0, 1.0, sw, tol=1e-12)
+    small_u_cap = float(np.max(np.abs(probe.value) + probe.err_estimate))
+    converged = converged and probe.converged
 
     r0 = R_CUT_FACTOR / sw.M
     c_eval = int(math.pi * 2.0 * N * math.exp(r0) / (0.8 * sw.T)) + 2
@@ -428,10 +405,13 @@ def decomposition(
     n_i, n_j = ns[iu], ns[ju]
     aa = np.where(iu == ju, 1.0, 2.0) * a[iu] * a[ju]
     gcd_ij = np.gcd(n_i, n_j)
+    # the twist y = sqrt(n_i / n_j) of each pair: equal ratios divide to
+    # equal floats, and the diagonal pairs all have y = 1
+    ratios, pair_twist = np.unique(n_i / n_j, return_inverse=True)
     p_val = 0.0
     skip_bar = 0.0
-    evaluated = 0
-    series: list[list[tuple[float, float]]] = [[] for _ in range(iu.size)]
+    # the resonant terms of each modulus: twist index, x, S and coefficient
+    terms = []
     for c in range(1, c_last + 1):
         v = math.pi * n_i / c
         w = math.pi * n_j / c
@@ -447,32 +427,22 @@ def decomposition(
             continue
         s_vals = _kloosterman_block(ns, c)[iu, ju]
         coeff = aa * s_vals / c
-        evaluate = (
-            (np.abs(s_vals) > _S_VANISH)
-            & (u > _U_FLOOR)
-            & (r_star <= r0 + _RESONANCE_MARGIN / sw.M)
-        )
-        skip_bar += float(np.sum(np.abs(coeff[~evaluate]) * cap[~evaluate]))
-        for k in np.flatnonzero(evaluate):
-            evaluated += 1
-            x = 4.0 * math.pi * math.sqrt(float(n_i[k]) * float(n_j[k])) / c
-            if x <= SERIES_X_MAX:
-                series[k].append((x, coeff[k]))
-                continue
-            h = _h_value(x, v[k], w[k], math.sqrt(n_i[k] / n_j[k]), sw, tol)
-            p_val += coeff[k] * h.value.real
-            qerr += abs(coeff[k]) * h.err_estimate
-            converged = converged and h.converged
+        resonant = (u > _U_FLOOR) & (r_star <= r0 + _RESONANCE_MARGIN / sw.M)
+        skip_bar += float(np.sum(np.abs(coeff[~resonant]) * cap[~resonant]))
+        k = np.flatnonzero(resonant)
+        x = 4.0 * math.pi * np.sqrt(n_i[k] * n_j[k]) / c
+        terms.append((pair_twist[k], x, s_vals[k], coeff[k]))
 
-    # the x <= SERIES_X_MAX terms of a pair share y = sqrt(n_i / n_j)
-    for k, terms in enumerate(series):
-        if not terms:
-            continue
-        xs, coeffs = np.array(terms).T
-        batch = bessel_H_series_many(xs, math.sqrt(n_i[k] / n_j[k]), sw, tol=tol)
-        p_val += float(np.sum(coeffs * batch.value))
-        qerr += float(np.sum(np.abs(coeffs) * batch.err_estimate))
-        converged = converged and batch.converged
+    twist, xs, s_res, coeffs = (np.concatenate(col) for col in zip(*terms))
+    series_terms = kernel_terms = 0
+    for j, ratio in enumerate(ratios):
+        sel = twist == j
+        h, series, kernel = _h_value(xs[sel], s_res[sel], math.sqrt(ratio), sw, tol)
+        p_val += float(np.sum(coeffs[sel] * h.value))
+        qerr += float(np.sum(np.abs(coeffs[sel]) * h.err_estimate))
+        converged = converged and h.converged
+        series_terms += series
+        kernel_terms += kernel
 
     # c > c_last: u <= _U_FLOOR everywhere, |H| <= small_u_cap * u / _U_FLOOR,
     # sum_c tau(c) c^{-3/2} bounded by an integral comparison
@@ -513,7 +483,9 @@ def decomposition(
             "c_eval": c_eval,
             "c_far": c_far,
             "tol": tol,
-            "evaluated": evaluated,
+            "evaluated": series_terms + kernel_terms,
+            "series_terms": series_terms,
+            "kernel_terms": kernel_terms,
         },
     )
 

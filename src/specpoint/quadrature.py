@@ -14,7 +14,6 @@ a time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -189,24 +188,3 @@ def fixed_gauss(f: Integrand, a: float, b: float, order: int = 24, panels: int =
     edges = np.linspace(a, b, panels + 1)
     vals, _ = _panel_integrals(f, edges[:-1], edges[1:], order)
     return complex(np.sum(vals))
-
-
-def oscillatory_integral(
-    phase: Callable[[np.ndarray], np.ndarray],
-    amplitude: Callable[[np.ndarray], np.ndarray],
-    interval: tuple[float, float],
-    tol: float,
-) -> QuadratureResult:
-    """Integral of amplitude(x) * exp(2*pi*i*phase(x)) over the interval.
-
-    phase is real-valued; amplitude may be complex. Convergence failure
-    inside the evaluation budget is reported through the flag, never as a
-    silently wrong value.
-    """
-    a, b = interval
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        ph = 2.0 * math.pi * np.asarray(phase(x), dtype=float)
-        return np.asarray(amplitude(x), dtype=complex) * np.exp(1j * ph)
-
-    return adaptive_quadrature(integrand, a, b, tol)

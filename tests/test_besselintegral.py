@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from specpoint.besselintegral import (
     SERIES_X_MAX,
     SpectralWeight,
     bessel_H_direct,
+    bessel_H_many,
     bessel_H_series_many,
     compare_H_asymptotic,
     g_weight,
@@ -143,10 +145,35 @@ class TestBesselHDirect:
 
 
     def test_kernel_flag_reaches_result(self, monkeypatch):
-        # no doubling round allowed: the x > 5 route cannot confirm its grid
+        # no doubling round allowed: the x > 5 route cannot confirm its grid,
+        # for one x or a batch over three octaves
+        xs, sw = np.array([5.5, 9.0, 20.0]), SpectralWeight(3.0, 1.0)
         assert bessel_H_direct(10.0, 1.0, SW).converged
+        assert bessel_H_many(xs, 1.0, sw)[0].converged
         monkeypatch.setattr(besselintegral, "_KERNEL_ROUNDS", 0)
         assert not bessel_H_direct(10.0, 1.0, SW).converged
+        assert not bessel_H_many(xs, 1.0, sw)[0].converged
+
+    @pytest.mark.parametrize(
+        "x,y", [(0.05, 1.0), (0.5, math.sqrt(2.0)), (3.0, 1.0 / math.sqrt(3.0)), (10.0, 0.5)]
+    )
+    def test_matches_mpmath_bessel_integral(self, x, y):
+        # independent of kernel_b_block and of either route: B(t, x) =
+        # -pi Im J_{2it}(x) / sinh(pi t), from mpmath's Bessel J of complex
+        # order, and tanh(pi t) / sinh(pi t) = 1 / cosh(pi t)
+        sw = SpectralWeight(3.0, 1.0)
+        res = bessel_H_direct(x, y, sw, tol=1e-12)
+        with mp.workdps(20):
+            T, M, log_y = mp.mpf(sw.T), mp.mpf(sw.M), mp.log(mp.mpf(y))
+
+            def f(t):
+                h = mp.exp(-(((t - T) / M) ** 2)) + mp.exp(-(((t + T) / M) ** 2))
+                b_tanh = -mp.pi * mp.im(mp.besselj(2j * t, x)) / mp.cosh(mp.pi * t)
+                return t * h * mp.cos(2 * t * log_y) * b_tanh
+
+            want = float(4 / mp.pi**2 * mp.quad(f, mp.linspace(0, sw.t_upper, 11)))
+        assert res.converged
+        assert abs(res.value.real - want) <= res.err_estimate
 
     def test_series_route_rejects_large_x(self):
         with pytest.raises(ValueError):
@@ -186,6 +213,16 @@ class TestSwappedKernelRoute:
         assert res.converged
         assert res.err_estimate <= tol
         assert abs(res.value.real - contour_oracle_H(x, y, sw, tol)) <= res.err_estimate + 1e-10
+
+    def test_batch_matches_per_x_calls(self):
+        # x over four octaves share one contour per octave in bessel_H_many
+        sw, y, tol = SpectralWeight(3.0, 1.0), 1.0 / math.sqrt(3.0), 1e-10
+        xs = np.array([5.5, 7.0, 9.0, 13.0, 20.0, 27.0, 41.0, 60.0])
+        batch, series = bessel_H_many(xs, y, sw, tol=tol)
+        assert batch.converged and series == 0
+        assert np.all(batch.err_estimate <= tol)
+        for x, value in zip(xs, batch.value):
+            assert value == pytest.approx(bessel_H_direct(x, y, sw, tol=tol).value.real, abs=1e-12)
 
     def test_memory_is_bounded(self):
         # the doubled grid here is ~1,900 r-nodes by ~1,100 t-nodes, ~34 MB

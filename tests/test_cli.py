@@ -29,6 +29,8 @@ def test_closure_line(capsys):
 def test_decompose_line(capsys):
     main(["decompose", "--N", "2", "--seed", "3"])
     rec = json.loads(capsys.readouterr().out)
-    assert rec["params"]["N"] == 2
+    params = rec["params"]
+    assert params["N"] == 2
+    assert params["series_terms"] + params["kernel_terms"] == params["evaluated"]
     assert rec["converged"] is True
     assert rec["residual"] <= rec["skip_bar"] + rec["quadrature_err"]

@@ -5,17 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from specpoint.quadrature import adaptive_quadrature, fixed_gauss, oscillatory_integral
+from specpoint.quadrature import adaptive_quadrature, fixed_gauss
 
 
 def test_constant():
-    res = oscillatory_integral(lambda x: 0 * x, lambda x: np.ones_like(x), (0.0, 1.0), 1e-12)
+    res = adaptive_quadrature(np.ones_like, 0.0, 1.0, 1e-12)
     assert res.converged
     assert res.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_full_periods_cancel():
-    res = oscillatory_integral(lambda x: 10 * x, lambda x: np.ones_like(x), (0.0, 1.0), 1e-12)
+    res = adaptive_quadrature(lambda x: np.exp(20j * math.pi * x), 0.0, 1.0, 1e-12)
     assert res.converged
     assert abs(res.value) <= 1e-12
 

@@ -100,117 +100,3 @@ class TestZeta:
         a = specfun.zeta_many(s, em_order=8)
         b = specfun.zeta_many(s, em_order=12)
         assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-10
-
-
-class TestStationaryPhaseBound:
-    def test_zeroth_power(self):
-        p = specfun.PhaseBoundParams(2.0, 3.0, 4.0, 5.0, 6.0, 0, (1.0, 3.5))
-        assert specfun.stationary_phase_bound(p) == pytest.approx(2.5 * 5.0)
-
-    def test_unit_parameters(self):
-        p = specfun.PhaseBoundParams(1, 1, 1, 1, 1, 2, (0.0, 1.0))
-        assert specfun.stationary_phase_bound(p) == pytest.approx(9.0)
-
-    def test_monotone_in_r(self):
-        vals = []
-        for R in [1.0, 10.0, 1e3, 1e6]:
-            p = specfun.PhaseBoundParams(1, 1, R, 1, 1, 2, (0.0, 1.0))
-            vals.append(specfun.stationary_phase_bound(p))
-        assert all(x > y for x, y in zip(vals, vals[1:]))
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            specfun.PhaseBoundParams(0, 1, 1, 1, 1, 1, (0, 1))
-        with pytest.raises(ValueError):
-            specfun.PhaseBoundParams(1, 1, 1, 1, 1, -1, (0, 1))
-        with pytest.raises(ValueError):
-            specfun.PhaseBoundParams(1, 1, 1, 1, 1, 1, (2, 1))
-
-
-class TestInertness:
-    def test_constant_function(self):
-        prof = specfun.inertness_profile(lambda x: np.ones_like(x), 1.0, (1.0, 2.0), 4)
-        assert prof.ratios[0] == pytest.approx(1.0)
-        assert all(r <= 1e-6 for r in prof.ratios[1:])
-
-    def test_unit_oscillation_is_not_one_inert(self):
-        # f(x) = e(x): |x^i f^(i)| = (2 pi x)^i, so sup on [1,2] is (4 pi)^i
-        f = lambda x: np.exp(2j * math.pi * x)
-        prof = specfun.inertness_profile(f, 1.0, (1.0, 2.0), 3)
-        for i in range(1, 4):
-            assert prof.ratios[i] == pytest.approx((4 * math.pi) ** i, rel=5e-2)
-        assert prof.max_ratio > 10
-
-    def test_power_weight_is_logt_inert(self):
-        # x^(-1/2 - v) times a bump, with X = log T for T = 1e6
-        X = math.log(1e6)
-        w = specfun.bump(1.0, 2.0)
-        f = lambda x: x ** (-0.5 - 0.3) * w(x)
-        prof = specfun.inertness_profile(f, X, (1.001, 1.999), 3)
-        assert all(r <= 1.0 for r in prof.ratios)
-
-    def test_inert_scale_of_slow_function(self):
-        assert specfun.inert_scale(lambda x: 1.0 / x, (1.0, 2.0)) <= 2.5
-
-
-class TestModelIntegrals:
-    def test_zero_weight(self):
-        res = specfun.igamma_model_integral(+1, 3.0, 100.0, 1.0, lambda x: np.zeros_like(x))
-        assert res.value == 0
-        assert specfun.vgamma_extract(3.0, 100.0, lambda x: np.zeros_like(x)) == 0
-
-    def test_plus_sign_decay_rate(self):
-        # Calibrate the constant at lambda = 100, then check the decay law at
-        # larger lambda. A C^3 window keeps the integral above the quadrature
-        # noise floor (an infinitely smooth bump decays below it immediately).
-        gamma_exp, rho = 3.0, 1.0
-
-        def w(x):
-            x = np.asarray(x, dtype=float)
-            u = np.clip((x - rho) / rho, 0.0, 1.0)
-            return np.sin(math.pi * u) ** 4
-
-        X = specfun.inert_scale(w, (rho + 1e-9, 2 * rho - 1e-9))
-        denom = lambda lam: lam * (rho + rho ** (1.0 / gamma_exp))
-        base = abs(specfun.igamma_model_integral(+1, gamma_exp, 100.0, rho, w, tol=1e-13).value)
-        assert base > 1e-13  # measurable, not pure quadrature noise
-        for A in (1, 2, 3):
-            c_fit = base / (rho * (X / denom(100.0)) ** A)
-            for lam in (200.0, 400.0, 1000.0):
-                res = specfun.igamma_model_integral(+1, gamma_exp, lam, rho, w, tol=1e-13)
-                bound = 1.05 * c_fit * rho * (X / denom(lam)) ** A
-                assert abs(res.value) <= bound + 10.0 * res.err_estimate + 1e-14
-
-    def test_minus_sign_sqrt_lambda_band(self):
-        # stationary point x0 = 1 inside the support for rho = 0.75
-        gamma_exp, rho = 3.0, 0.75
-        w = specfun.bump(rho, 2 * rho)
-        vals = [
-            abs(specfun.vgamma_extract(gamma_exp, lam, w, rho=rho))
-            for lam in (100.0, 300.0, 1000.0, 3000.0, 10000.0)
-        ]
-        assert max(vals) <= 2.0 * min(vals)
-        assert min(vals) > 0
-
-    def test_minus_sign_offset_support_still_bounded(self):
-        # support [sqrt2, 2 sqrt2] avoids the stationary point; the scaled
-        # integral must stay bounded over the lambda sweep
-        gamma_exp, rho = 3.0, math.sqrt(2.0)
-        w = specfun.bump(rho, 2 * rho)
-        ref = abs(specfun.igamma_model_integral(-1, gamma_exp, 100.0, rho, w).value) * 10.0
-        for lam in (100.0, 1000.0, 10000.0):
-            res = specfun.igamma_model_integral(-1, gamma_exp, lam, rho, w)
-            assert abs(res.value) * math.sqrt(lam) <= max(1.0, ref * math.sqrt(100.0))
-
-    def test_lambda_derivative_inertness(self):
-        # lambda * dv/dlambda stays comparable to the inert scale of the weight
-        gamma_exp, rho = 3.0, 0.75
-        w = specfun.bump(rho, 2 * rho)
-        X = specfun.inert_scale(w, (rho + 1e-9, 2 * rho - 1e-9))
-        lam = 400.0
-        h = 0.5
-        vp = specfun.vgamma_extract(gamma_exp, lam + h, w, rho=rho)
-        vm = specfun.vgamma_extract(gamma_exp, lam - h, w, rho=rho)
-        v0 = specfun.vgamma_extract(gamma_exp, lam, w, rho=rho)
-        scaled = abs(lam * (vp - vm) / (2 * h))
-        assert scaled <= 5.0 * X * max(abs(v0), 1e-3)
