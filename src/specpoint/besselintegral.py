@@ -12,6 +12,8 @@ series of the cosine kernel B, in one vector-valued quadrature
 H = int_R cos(x cosh r) k_y(r) dr with the per-y kernel
 k_y(r) = (4/pi^2) int_0^inf t h(t; y) tanh(pi t) cos(2tr) dt, and take the
 r-integral along a rotated contour shared by the x of one octave.
+residue_expansion bounds E_K in H = sum_{k<K} r_k(y) J_{2k+1}(x) + E_K,
+which is asymptotic in small x and turns c-tails into Petersson sums.
 
 The reduced oscillatory integral I(v, w) over |r| <= 6.1/M with the
 explicit weight g(r) is the paper's stationary-phase asymptotic for H at
@@ -25,11 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .besselkernel import kernel_b_series_many
 from .quadrature import _BLOCK_NODES, QuadratureResult, adaptive_quadrature, gauss_legendre_panels
+from .specfun import log_gamma
 
 TWO_OVER_PI_SQRT_PI = 2.0 / (math.pi * math.sqrt(math.pi))
 R_CUT_FACTOR = 6.1  # exp(-6.1^2) ~ 7e-17: the Gaussian r-truncation
@@ -40,6 +44,10 @@ _TAIL_EXP = 45.0  # exp(-45) ~ 3e-20: where the contour's ray is cut
 _KERNEL_ORDER = 16  # Gauss-Legendre points per panel of the swapped route
 _KERNEL_PHASE = 12.0  # radians of phase per panel on the first grid
 _KERNEL_ROUNDS = 4  # grid doublings _bessel_H_kernel tries before flagging
+# S_k(SL2(Z)) = 0 for k = 2, 4, ..., 10 (Iwaniec, Topics in Classical
+# Automorphic Forms, Thm 3.6), so the Kloosterman c-sums of J_1, J_3, ...,
+# J_9 have closed forms: the residue expansion stops at K = _K_MAX
+_K_MAX = 5
 
 
 @dataclass(frozen=True)
@@ -307,6 +315,36 @@ def bessel_H_direct(
     return QuadratureResult(
         complex(res.value[0], 0.0), float(res.err_estimate[0]), res.evaluations, res.converged
     )
+
+
+@lru_cache(maxsize=None)
+def residue_expansion(y: float, sw: SpectralWeight) -> tuple[np.ndarray, np.ndarray]:
+    """(r, B): H(x, y) = sum_{k<K} r[k] J_{2k+1}(x) + E_K(x, y) with
+    |E_K(x, y)| <= B[K-1] (x/2)^{2K} I_0(x), for K = 1, ..., _K_MAX.
+
+    H = (2i/pi) int_R t h(t; y) J_{2it}(x) / cosh(pi t) dt. Moving the line
+    to Im t = -K passes the poles t = -i(k + 1/2), with residues from
+    h(-ia) = 2 exp((a^2 - T^2)/M^2) cos(2aT/M^2). On t = s - iK,
+    |cosh(pi t)| = cosh(pi s) and |J_{2K+2is}(x)| <= (x/2)^{2K} I_0(x) /
+    |Gamma(1 + 2K + 2is)|, as |(nu + 1)_j| >= j! for Re nu >= 0; B is the
+    integral of absolute values there, even in s.
+    """
+    a = np.arange(_K_MAX) + 0.5
+    h = 2.0 * np.exp((a**2 - sw.T**2) / sw.M**2) * np.cos(2.0 * a * sw.T / sw.M**2)
+    r = 4.0 / math.pi * (-1.0) ** np.arange(_K_MAX) * a * h * np.cosh(2.0 * a * math.log(y))
+    hi = sw.t_upper + 2.0 * sw.M
+    s, weights = _gauss_grid(0.0, hi, 2 * math.ceil(hi / sw.M))
+    K = np.arange(1, _K_MAX + 1)[:, None]
+    t = s - 1j * K
+    h_t = np.exp(-(((t - sw.T) / sw.M) ** 2)) + np.exp(-(((t + sw.T) / sw.M) ** 2))
+    # log of cosh(pi s) |Gamma(1 + 2K + 2is)|
+    log_den = math.pi * s + np.log1p(np.exp(-2.0 * math.pi * s)) - math.log(2.0)
+    log_den = log_den + log_gamma(1.0 + 2.0 * K + 2j * s).real
+    integrand = np.abs(t * h_t * np.cos(2.0 * t * math.log(y))) * np.exp(-log_den)
+    B = 4.0 / math.pi * (integrand @ weights)
+    # every caller gets the same cached arrays
+    r.flags.writeable = B.flags.writeable = False
+    return r, B
 
 
 def I_integral(v: float, w: float, sw: SpectralWeight, tol: float = 1e-8) -> QuadratureResult:

@@ -11,8 +11,10 @@ against
 
 with the twist fixed at y = sqrt(m/n), which turns (m/n)^{i t_j} into the
 even factor cos(2 t log y). Averaging against a real sequence supported on
-(N, 2N] gives the quadratic decomposition S + T = D + P. Every truncation
-(spectral height, c-range, quadrature) carries an explicit reported bar.
+(N, 2N] gives the quadratic decomposition S + T = D + P. Both c-sums take
+the terms c <= C exactly less the residue expansion G_K of H, whose whole
+c-sum is a Petersson closed form, leaving a c > C tail with a provable bar.
+Every truncation (spectral height, c-range, quadrature) carries a bar.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ import numpy as np
 
 from .arith import _unit_residues, divisor_count, divisor_sigma, kloosterman
 from .besselintegral import (
+    _K_MAX,
     R_CUT_FACTOR,
     SpectralWeight,
     bessel_H_many,
+    residue_expansion,
     weight_h,
     weight_h_y,
 )
@@ -38,7 +42,7 @@ from .sievebench import (
     _hybrid_lhs_one_modulus,
     _twisted_linear_forms,
 )
-from .specfun import eisenstein_density
+from .specfun import bessel_j, eisenstein_density
 from .spectraldata import MaassForm
 
 
@@ -148,20 +152,19 @@ def diagonal_term(m: int, n: int, sw: SpectralWeight, tol: float = 1e-10) -> Qua
 
 @dataclass
 class KloostermanSideReport:
-    """The c-sum, its bars, and how many moduli (tail probes included)
-    each H route evaluated: the batched series and the x > 5 kernel."""
+    """The c-sum, its bars, the K of its Petersson subtraction, and how many
+    terms each H route evaluated: the batched series and the x > 5 kernel."""
 
     value: float
     tail_estimate: float
     quadrature_err: float
     c_used: int
-    first_omitted: float
+    petersson_K: int
     converged: bool
     series_moduli: int
     kernel_moduli: int
 
 
-_TAIL_PROBE = 8  # omitted terms the c-tail bar evaluates directly
 # |S| at or below this counts as a vanishing Kloosterman sum: neither
 # arith.kloosterman nor the product form of _kloosterman_block rounds a
 # vanishing sum to exactly 0
@@ -188,41 +191,93 @@ def _h_value(
     return out, series, int(np.count_nonzero(live)) - series
 
 
-def kloosterman_side(
-    m: int,
-    n: int,
-    sw: SpectralWeight,
-    C_max: int,
-    tol: float = 1e-8,
-) -> KloostermanSideReport:
-    """sum_{c <= C_max} S(m,n;c)/c * H(4 pi sqrt(mn)/c, y) at y = sqrt(m/n).
+def _tail_bars(mn: np.ndarray, weights: np.ndarray, C: int, sw: SpectralWeight) -> np.ndarray:
+    """For K = 1, ..., _K_MAX, a bound for sum_p |w_p| sum_{c > C}
+    |S(m_p, n_p; c)/c E_K(x_pc, y)| over the pairs p of one twist y, C >= 1.
 
-    Every modulus, tail probes included, shares y, so all terms go through
-    one _h_value call; vanishing sums are 0 and take no route. The tail
-    bar evaluates the next _TAIL_PROBE = 8 omitted terms directly and adds
-    a 10x allowance, taken at the ninth, for the remainder (the terms
-    decay in u = x(y+1/y) once u < 1). converged is the AND over every
-    quadrature run, tail probes included.
+    For L >= K, E_K = sum_{K <= k < L} r_k J_{2k+1} + E_L with
+    |J_nu(x)| <= (x/2)^nu I_0(x)/nu!; each K takes its best L. Weil's
+    |S| <= tau(c) sqrt(gcd(m, n) c) and x_pc = X_p/c <= X_p/(C+1) leave
+    sum_{c > C} tau(c) c^{-s} at s = nu + 1/2 per order nu. Partial summation
+    with C log C - C <= sum_{c <= C} tau(c) <= C log C + C bounds it by
+    C^{1-s} (u log C + 2 + 2u + u^2), u = 1/(s - 1).
     """
-    if C_max < 0:
-        raise ValueError("C_max must be non-negative")
-    cs = np.arange(1, C_max + _TAIL_PROBE + 2)
-    s_vals = np.array([kloosterman(m, n, int(c)).real for c in cs])
-    xs = 4.0 * math.pi * math.sqrt(m * n) / cs
-    h, series, kernel = _h_value(xs, s_vals, math.sqrt(m / n), sw, tol)
-    values = (s_vals / cs * h.value).tolist()
-    errs = (np.abs(s_vals) / cs * h.err_estimate).tolist()
-    probed = sum(abs(v) + e for v, e in zip(values[C_max:-1], errs[C_max:-1]))
+    m, n = mn[:, 0], mn[:, 1]
+    X = 4.0 * math.pi * np.sqrt(m * n)
+    pair = np.sqrt(np.gcd(m, n)) * np.abs(weights) * np.i0(X / (C + 1))
+    nu = np.arange(2 * _K_MAX + 1)
+    u = 1.0 / (nu - 0.5)
+    # order[nu >= 2] bounds sum_p |w_p| sum_{c > C} |S/c| (x_pc/2)^nu I_0(x_pc)
+    order = math.sqrt(C) * (u * math.log(C) + 2.0 + 2.0 * u + u * u)
+    order *= (X / (2.0 * C)) ** nu[:, None] @ pair
+    r, B = residue_expansion(math.sqrt(m[0] / n[0]), sw)
+    term = [abs(r[k]) / math.factorial(2 * k + 1) * order[2 * k + 1] for k in range(_K_MAX)]
+    bars = np.empty(_K_MAX)
+    for K in range(1, _K_MAX + 1):
+        bars[K - 1] = min(sum(term[K:L]) + B[L - 1] * order[2 * L] for L in range(K, _K_MAX + 1))
+    return bars
+
+
+def _petersson_c_sum(
+    mn: np.ndarray, weights: np.ndarray, s_vals: np.ndarray, sw: SpectralWeight, tol: float
+) -> KloostermanSideReport:
+    """sum_p w_p sum_{c >= 1} S(m_p, n_p; c)/c H(4 pi sqrt(m_p n_p)/c, y) for
+    the pairs p of one twist y = sqrt(m_p/n_p), from s_vals[p, c-1], c <= C.
+
+    Each term c <= C is taken exactly (_h_value) less G_K = sum_{k<K}
+    r_k J_{2k+1}. Petersson sums J_{2k+1} over all c to -delta_{m,n}
+    i^{2k+2}/(2pi), so adding delta_{m,n}/(2pi) sum_{k<K} (-1)^k r_k(1)
+    leaves E_K over c > C. The bar is _tail_bars plus 8 eps times what was
+    subtracted: |r_k J_{2k+1}(x)|, or |r_k| where x >= 2k+1 (bessel_j's
+    nodes are of size 1 there). K minimises it: r_k grows like
+    e^{(k+1/2)^2/M^2}, so a larger K trades tail for rounding.
+    """
+    m, n = mn[:, 0], mn[:, 1]
+    y = math.sqrt(m[0] / n[0])
+    cs = np.arange(1, s_vals.shape[1] + 1)
+    xs = (4.0 * math.pi * np.sqrt(m * n)[:, None] / cs).ravel()
+    s_vals = np.where(np.abs(s_vals) > _S_VANISH, s_vals, 0.0)
+    coeff = (weights[:, None] * s_vals / cs).ravel()
+    h, series, kernel = _h_value(xs, s_vals.ravel(), y, sw, tol)
+
+    r = residue_expansion(y, sw)[0]
+    orders = 2 * np.arange(_K_MAX) + 1
+    jn = np.array([bessel_j(int(k), xs) for k in orders])
+    size = np.abs(r)[:, None] * np.where(xs >= orders[:, None], 1.0, np.abs(jn))
+    g = np.cumsum(r[:, None] * jn, axis=0)  # G_K in row K - 1
+    diag = float(np.sum(weights[m == n])) / (2.0 * math.pi)
+    closed = diag * np.cumsum((-1.0) ** np.arange(_K_MAX) * r)
+    rounding = np.cumsum(size, axis=0) @ np.abs(coeff) + abs(diag) * np.cumsum(np.abs(r))
+    bars = _tail_bars(mn, weights, cs.size, sw) + 8.0 * np.finfo(float).eps * rounding
+    K = int(np.argmin(bars)) + 1
     return KloostermanSideReport(
-        value=float(sum(values[:C_max])),
-        tail_estimate=probed + 10.0 * abs(values[-1]),
-        quadrature_err=float(sum(errs[:C_max])),
-        c_used=C_max,
-        first_omitted=abs(values[C_max]),
+        value=float(coeff @ (h.value - g[K - 1]) + closed[K - 1]),
+        tail_estimate=float(bars[K - 1]),
+        quadrature_err=float(np.abs(coeff) @ h.err_estimate),
+        c_used=int(cs.size),
+        petersson_K=K,
         converged=h.converged,
         series_moduli=series,
         kernel_moduli=kernel,
     )
+
+
+def kloosterman_side(
+    m: int, n: int, sw: SpectralWeight, C_max: int, tol: float = 1e-8
+) -> KloostermanSideReport:
+    """sum_c S(m,n;c)/c * H(4 pi sqrt(mn)/c, y) at y = sqrt(m/n), from the
+    Kloosterman sums of c <= C_max and the Petersson closed form of the
+    rest (_petersson_c_sum). tail_estimate bounds what that leaves out.
+
+    C_max = 0 evaluates no modulus: the value is the empty sum 0, and no
+    finite bar covers its tail.
+    """
+    if C_max < 0:
+        raise ValueError("C_max must be non-negative")
+    if C_max == 0:
+        return KloostermanSideReport(0.0, math.inf, 0.0, 0, 0, True, 0, 0)
+    s_vals = np.array([[kloosterman(m, n, c).real for c in range(1, C_max + 1)]])
+    return _petersson_c_sum(np.array([[m, n]]), np.ones(1), s_vals, sw, tol)
 
 
 @dataclass
@@ -283,6 +338,7 @@ def trace_residual(
             "tol": tol,
             "series_moduli": kloos.series_moduli,
             "kernel_moduli": kloos.kernel_moduli,
+            "petersson_K": kloos.petersson_K,
         },
     )
 
@@ -321,53 +377,27 @@ def _kloosterman_block(ns: np.ndarray, c: int) -> np.ndarray:
     return (left.T @ right).real
 
 
-def _stationary_offset(v: np.ndarray, w: np.ndarray, T: float) -> np.ndarray:
-    """Nearest |r| with +-T + v e^r - w e^{-r} = 0, elementwise (v > 0)."""
-    disc = np.sqrt(T**2 + 4.0 * v * w)
-    best = np.inf
-    for sgn in (+1.0, -1.0):
-        er = (-sgn * T + disc) / (2.0 * v)
-        best = np.minimum(best, np.abs(np.log(np.maximum(er, 1e-300))))
-    return best
-
-
-_RESONANCE_MARGIN = 3.0  # evaluate up to r0 + _RESONANCE_MARGIN / M
-_U_FLOOR = 1.0  # where u = 4(v + w) <= _U_FLOOR, |H| <= small_u_cap * u / _U_FLOOR
-
-
 def decomposition(
-    seq: Sequence,
-    sw: SpectralWeight,
-    forms: list[MaassForm],
-    tol: float = 1e-6,
+    seq: Sequence, sw: SpectralWeight, forms: list[MaassForm], tol: float = 1e-6
 ) -> DecompositionReport:
     """S + T on the spectral side against D + P for a real block sequence.
 
-    The c-sum runs over the pairs n_i <= n_j of the block, one modulus at
-    a time, with the Kloosterman sums of c <= c_eval from _kloosterman_block.
-    Each pair and modulus has one cap on |H|: small_u_cap * u / _U_FLOOR
-    when u <= _U_FLOOR, otherwise the weight envelope at its would-be
-    stationary point plus small_u_cap, where small_u_cap is measured at
-    this weight. Up to c_eval, a pair whose reduced phase can be stationary
-    within r0 + _RESONANCE_MARGIN / M (r0 = 6.1/M) is resonant, and every
-    other term is bounded by |coeff| * cap. The resonant terms are
-    collected by twist y = sqrt(n_i/n_j) and evaluated after the modulus
-    loop, one _h_value call per twist; _h_value skips vanishing sums. For
-    c_eval < c <= c_far the Weil bound |S| <= tau(c) sqrt(c gcd(m, n, c))
-    replaces S. Beyond max(c_eval, c_far), u <= _U_FLOOR for every pair and
-    an integral comparison bounds the rest. All bounds add up to skip_bar.
-    converged is the AND over every quadrature run. params["evaluated"]
-    counts the evaluated terms, and params["series_terms"] and
-    params["kernel_terms"] split them by the route of H.
+    P is the c-sum over the pairs n_i <= n_j, one _petersson_c_sum call per
+    twist y = sqrt(n_i/n_j), with the Kloosterman sums of every c <= C from
+    _kloosterman_block. C is the smallest modulus whose c > C tail bars,
+    each twist at its best K, add up to at most tol; skip_bar adds up the
+    bars the calls report, tail and rounding. spectral_tail bounds the
+    forms beyond the data through |sum_n a_n lambda_j(n)| <= sum_n |a_n|
+    tau(n). converged is the AND over every quadrature run. params holds C
+    (as "c_eval" and "c_far"), the K of each twist by ascending n_i/n_j,
+    and the evaluated terms split by the route of H.
     """
     if not seq.is_real:
         raise ValueError(
             "sequence must be real-valued: the averaged identity needs an even "
             "spectral weight, and cos(2 t log sqrt(m/n)) only arises for real a_n"
         )
-    a = seq.values.real
-    ns = seq.ns
-    N = seq.N
+    a, ns, N = seq.values.real, seq.ns, seq.N
 
     # spectral sum
     sq = _twisted_linear_forms(seq, forms)
@@ -389,79 +419,41 @@ def decomposition(
     qerr = 2.0 * eis.err_estimate / math.pi + h0.err_estimate * seq.norm_sq
     converged = eis.converged and h0.converged
 
-    # measured cap for |H| in the small-u region at this weight (u = 2x at y = 1)
-    probe, _ = bessel_H_many(np.array([0.25, 0.5, 0.75, 1.0]) / 2.0, 1.0, sw, tol=1e-12)
-    small_u_cap = float(np.max(np.abs(probe.value) + probe.err_estimate))
-    converged = converged and probe.converged
-
-    r0 = R_CUT_FACTOR / sw.M
-    c_eval = int(math.pi * 2.0 * N * math.exp(r0) / (0.8 * sw.T)) + 2
-    c_far = int(16.0 * math.pi * N / _U_FLOOR) + 1
-    c_last = max(c_eval, c_far)
-    envelope_scale = sw.M * sw.T * 2.0 * r0 * 1.5
-
-    # the pairs i <= j; an off-diagonal pair stands for both orders
+    # the pairs i <= j, an off-diagonal pair standing for both orders, grouped
+    # by twist: equal ratios n_i / n_j divide to equal floats
     iu, ju = np.triu_indices(N)
-    n_i, n_j = ns[iu], ns[ju]
+    mn = np.stack([ns[iu], ns[ju]], axis=1)
     aa = np.where(iu == ju, 1.0, 2.0) * a[iu] * a[ju]
-    gcd_ij = np.gcd(n_i, n_j)
-    # the twist y = sqrt(n_i / n_j) of each pair: equal ratios divide to
-    # equal floats, and the diagonal pairs all have y = 1
-    ratios, pair_twist = np.unique(n_i / n_j, return_inverse=True)
-    p_val = 0.0
-    skip_bar = 0.0
-    # the resonant terms of each modulus: twist index, x, S and coefficient
-    terms = []
-    for c in range(1, c_last + 1):
-        v = math.pi * n_i / c
-        w = math.pi * n_j / c
-        u = 4.0 * (v + w)
-        r_star = _stationary_offset(v, w, sw.T)
-        env = np.exp(-np.minimum((sw.M * r_star) ** 2, 700.0))
-        cap = np.where(
-            u <= _U_FLOOR, small_u_cap * u / _U_FLOOR, envelope_scale * env + small_u_cap
-        )
-        if c > c_eval:
-            weil = divisor_count(c) * math.sqrt(c) * np.sqrt(np.gcd(gcd_ij, c))
-            skip_bar += float(np.sum(np.abs(aa) * weil * cap)) / c
-            continue
-        s_vals = _kloosterman_block(ns, c)[iu, ju]
-        coeff = aa * s_vals / c
-        resonant = (u > _U_FLOOR) & (r_star <= r0 + _RESONANCE_MARGIN / sw.M)
-        skip_bar += float(np.sum(np.abs(coeff[~resonant]) * cap[~resonant]))
-        k = np.flatnonzero(resonant)
-        x = 4.0 * math.pi * np.sqrt(n_i[k] * n_j[k]) / c
-        terms.append((pair_twist[k], x, s_vals[k], coeff[k]))
+    _, pair_twist = np.unique(ns[iu] / ns[ju], return_inverse=True)
+    twists = [pair_twist == j for j in range(pair_twist.max() + 1)]
 
-    twist, xs, s_res, coeffs = (np.concatenate(col) for col in zip(*terms))
+    def tail_bar(C: int) -> float:
+        return min(sum(_tail_bars(mn[p], aa[p], C, sw) for p in twists))
+
+    # the tail bar falls with C: double, then bisect
+    C = 1
+    while tail_bar(C) > tol:
+        C *= 2
+    lo = C // 2
+    while C - lo > 1:
+        mid = (lo + C) // 2
+        lo, C = (mid, C) if tail_bar(mid) > tol else (lo, mid)
+
+    s_table = np.stack([_kloosterman_block(ns, c)[iu, ju] for c in range(1, C + 1)], axis=1)
+    p_val = skip_bar = 0.0
     series_terms = kernel_terms = 0
-    for j, ratio in enumerate(ratios):
-        sel = twist == j
-        h, series, kernel = _h_value(xs[sel], s_res[sel], math.sqrt(ratio), sw, tol)
-        p_val += float(np.sum(coeffs[sel] * h.value))
-        qerr += float(np.sum(np.abs(coeffs[sel]) * h.err_estimate))
-        converged = converged and h.converged
-        series_terms += series
-        kernel_terms += kernel
+    ks = []
+    for p in twists:
+        part = _petersson_c_sum(mn[p], aa[p], s_table[p], sw, tol)
+        p_val += part.value
+        skip_bar += part.tail_estimate
+        qerr += part.quadrature_err
+        converged = converged and part.converged
+        series_terms += part.series_moduli
+        kernel_terms += part.kernel_moduli
+        ks.append(part.petersson_K)
 
-    # c > c_last: u <= _U_FLOOR everywhere, |H| <= small_u_cap * u / _U_FLOOR,
-    # sum_c tau(c) c^{-3/2} bounded by an integral comparison
-    abs_a = np.abs(a)
-    sum_a = float(np.sum(abs_a))
-    sum_na = float(np.sum(ns * abs_a))
-    tau_tail = 2.0 * (math.log(c_last) + 2.0) * 2.0 / math.sqrt(c_last)
-    skip_bar += (
-        small_u_cap
-        / _U_FLOOR
-        * 4.0
-        * math.pi
-        * 2.0
-        * sum_a
-        * sum_na
-        * math.sqrt(2.0 * N)
-        * tau_tail
-    )
-
+    lam_cap = sum(abs(x) * divisor_count(int(n)) for x, n in zip(a, ns))
     residual = abs(s_val + t_val - d_val - p_val)
     denom = max(abs(s_val + t_val), abs(d_val + p_val), 1e-300)
     return DecompositionReport(
@@ -472,7 +464,7 @@ def decomposition(
         residual=residual,
         rel_residual=residual / denom,
         skip_bar=skip_bar,
-        spectral_tail=spectral_tail_bar(1, 1, sw, forms) * seq.norm_sq * seq.N,
+        spectral_tail=spectral_tail_bar(1, 1, sw, forms) * float(lam_cap) ** 2,
         quadrature_err=qerr,
         diagonal_closed_form=diagonal_closed_form(sw) * seq.norm_sq,
         converged=converged,
@@ -480,8 +472,9 @@ def decomposition(
             "N": N,
             "T": sw.T,
             "M": sw.M,
-            "c_eval": c_eval,
-            "c_far": c_far,
+            "c_eval": C,
+            "c_far": C,
+            "petersson_K": ks,
             "tol": tol,
             "evaluated": series_terms + kernel_terms,
             "series_terms": series_terms,

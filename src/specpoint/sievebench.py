@@ -166,30 +166,6 @@ def dirichlet_poly_ratio(seq: Sequence, T: float) -> SieveReport:
     return SieveReport.make(lhs, rhs, T=T, N=seq.N)
 
 
-def di_luo_comparison(seq: Sequence, sw: SpectralWeight, forms: list[MaassForm]) -> dict:
-    """Long-range twisted sum over t_j <= T against the two classical majorants.
-
-    The hybrid majorant (T^2 + T^{3/2} N^{1/2} + N^{5/4}) undercuts the
-    quadratic one (T^2 + N^2) once N > T.
-    """
-    T, N = sw.T, seq.N
-    sq = _twisted_linear_forms(seq, forms)
-    lhs = float(sum(f.omega * sq[j] for j, f in enumerate(forms) if f.t <= T))
-    norm = seq.norm_sq if seq.norm_sq > 0 else 1e-300
-    maj1 = (T**2 + N**2) * norm
-    maj2 = (T**2 + T**1.5 * N**0.5 + N**1.25) * norm
-    return {
-        "lhs": lhs,
-        "majorant_quadratic": maj1,
-        "majorant_hybrid": maj2,
-        "ratio_quadratic": lhs / maj1,
-        "ratio_hybrid": lhs / maj2,
-        "hybrid_smaller": maj2 < maj1,
-        "T": T,
-        "N": N,
-    }
-
-
 def moment_demo(
     gl3: GL3Form,
     forms: list[MaassForm],

@@ -269,44 +269,6 @@ def rankin_selberg_ratio(gl3: GL3Form, X: int) -> float:
     return total / X
 
 
-def rankin_selberg_rect(gl3: GL3Form, X: int, Y: int) -> float:
-    """(sum over m <= X, n <= Y of |A(m,n)|^2) / (X Y)."""
-    total = 0.0
-    for m in range(1, X + 1):
-        for n in range(1, Y + 1):
-            total += abs(gl3.a(m, n)) ** 2
-    return total / (X * Y)
-
-
-def export_gl3_csv(gl3: GL3Form, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("m,n,re,im\n")
-        for (m, n) in sorted(gl3.coeff):
-            v = gl3.coeff[(m, n)]
-            fh.write(f"{m},{n},{v.real!r},{v.imag!r}\n")
-
-
-def load_gl3_csv(path, langlands, self_dual: bool = True, label: str = "") -> GL3Form:
-    coeff = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "m,n,re,im":
-            raise SpectrumError(f"bad GL3 table header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                ms, ns, re, im = line.split(",")
-                coeff[(int(ms), int(ns))] = complex(float(re), float(im))
-            except ValueError as exc:
-                raise SpectrumError(f"line {lineno}: {exc}") from exc
-    x_max = max((m * m * n for (m, n) in coeff), default=1)
-    return GL3Form(
-        langlands=tuple(langlands), coeff=coeff, self_dual=self_dual, x_max=x_max, label=label
-    )
-
-
 # ---------------------------------------------------------------------------
 # Synthetic fixtures (Hecke-exact mock data; not automorphic)
 

@@ -18,8 +18,9 @@ def test_closure_line(capsys):
         "n_forms": 0,
         "C_max": 16,
         "tol": 1e-8,
-        "series_moduli": 21,
+        "series_moduli": 13,
         "kernel_moduli": 2,
+        "petersson_K": 3,
     }
     assert rec["converged"] is True
     assert rec["residual"] < 1e-3

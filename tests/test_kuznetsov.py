@@ -4,7 +4,10 @@ With spectral data the identity only balances for genuine spectra, so the
 tests that take forms are dataset-independent: symmetries, closed forms,
 monotonicities, and the degenerate cases. The identity itself is checked
 end to end in TestDataFreeClosure, at a window low enough that the
-cuspidal side is negligible and no spectral data is needed.
+cuspidal side is negligible and no spectral data is needed: there every
+residual must lie within the reported bars, and the Petersson-subtracted
+c-sum is checked against per-modulus terms. TestPetersson checks the
+closed forms of the weight-4 and weight-6 c-sums it rests on.
 """
 
 import math
@@ -30,6 +33,7 @@ from specpoint.kuznetsov import (
     trace_residual,
 )
 from specpoint.sievebench import Sequence
+from specpoint.specfun import bessel_j
 from specpoint.spectraldata import synthetic_spectrum
 
 SW = SpectralWeight(T=14.0, M=4.0)
@@ -121,32 +125,39 @@ class TestKloostermanSide:
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 4)])
     def test_batch_matches_per_modulus_terms(self, m, n):
-        # the batched series route against one bessel_H_direct per modulus
+        # the batched c-sum against one bessel_H_direct per modulus, less
+        # G_K = sum_{k<K} r_k J_{2k+1}, plus the Petersson closed form
         sw, C = SpectralWeight(T=3.0, M=1.0), 64
-        values, errs = [], []
-        for c in range(1, C + 10):
-            s = kloosterman(m, n, c).real
-            h = bessel_H_direct(4 * math.pi * math.sqrt(m * n) / c, math.sqrt(m / n), sw)
-            values.append(s / c * h.value.real)
-            errs.append(abs(s) / c * h.err_estimate)
         rep = kloosterman_side(m, n, sw, C)
+        y = math.sqrt(m / n)
+        r = residues(rep.petersson_K, y, sw)
+        value = 0.0 if m != n else sum((-1) ** k * rk for k, rk in enumerate(r)) / (2 * math.pi)
+        err = size = 0.0
+        for c in range(1, C + 1):
+            s = kloosterman(m, n, c).real
+            if abs(s) <= 1e-9:
+                continue
+            x = 4 * math.pi * math.sqrt(m * n) / c
+            h = bessel_H_direct(x, y, sw)
+            g = [rk * float(bessel_j(2 * k + 1, x)) for k, rk in enumerate(r)]
+            value += s / c * (h.value.real - sum(g))
+            err += abs(s) / c * h.err_estimate
+            size += abs(s) / c * sum(map(abs, g))
         assert rep.converged
-        assert rep.value == pytest.approx(sum(values[:C]), abs=1e-12)
-        assert rep.first_omitted == pytest.approx(abs(values[C]), abs=1e-12)
-        tail = sum(abs(v) + e for v, e in zip(values[C:-1], errs[C:-1])) + 10 * abs(values[-1])
-        assert rep.tail_estimate == pytest.approx(tail, abs=1e-12)
-        assert rep.quadrature_err == pytest.approx(sum(errs[:C]), rel=1e-3)
+        assert 1 <= rep.petersson_K <= 5
+        # the two sums round terms of size |S/c r_k J_{2k+1}| in different orders
+        assert rep.value == pytest.approx(value, abs=1e-12 + 16 * np.finfo(float).eps * size)
+        assert rep.quadrature_err == pytest.approx(err, rel=1e-3)
 
-    @pytest.mark.parametrize("m,n,series,kernel", [(1, 1, 478, 2), (4, 4, 501, 10)])
+    @pytest.mark.parametrize("m,n,series,kernel", [(1, 1, 470, 2), (4, 4, 492, 10)])
     def test_route_counts(self, m, n, series, kernel):
-        # moduli c <= 521 (tail probes included); x > 5 for c < 4 pi sqrt(mn)/5.
-        # Vanishing sums take no route: for (1, 1), 520 sums are nonzero as
-        # computed, but only 480 exceed _S_VANISH.
+        # moduli c <= 512; x > 5 for c < 4 pi sqrt(mn)/5. Vanishing sums take
+        # no route: for (1, 1), only 472 of the 512 sums exceed _S_VANISH.
         rep = kloosterman_side(m, n, SpectralWeight(T=3.0, M=1.0), 512)
         assert (rep.series_moduli, rep.kernel_moduli) == (series, kernel)
         assert rep.kernel_moduli == sum(
             abs(kloosterman(m, n, c).real) > 1e-9
-            for c in range(1, 522)
+            for c in range(1, 513)
             if 4 * math.pi * math.sqrt(m * n) / c > 5.0
         )
 
@@ -181,6 +192,73 @@ class TestDataFreeClosure:
         assert kloos.converged
         assert abs(eis - diag - kloos.value) < 1e-4
 
+    def closure(self, m, n, C):
+        eis = eisenstein_side(m, n, self.SW, tol=1e-8)
+        diag = diagonal_term(m, n, self.SW, tol=1e-8)
+        kloos = kloosterman_side(m, n, self.SW, C, tol=1e-8)
+        residual = abs(eis.value.real - diag.value.real - kloos.value)
+        bar = kloos.tail_estimate + kloos.quadrature_err + eis.err_estimate + diag.err_estimate
+        return residual, bar, kloos
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(m, 5)])
+    def test_bars_hold_at_512(self, m, n):
+        # the plain c-sum left 1.9e-7 to 7.9e-7 here, (1, 1) above its bar
+        residual, bar, kloos = self.closure(m, n, 512)
+        assert kloos.converged
+        assert residual <= bar
+        assert residual <= 1e-9
+
+    @pytest.mark.parametrize("C", [16, 64])
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (4, 4)])
+    def test_bars_hold_at_small_c(self, m, n, C):
+        # G_K is asymptotic: at C = 16, K = 5 would take (4, 4) from 0.11 to
+        # 4.6, and the bar must not pick it
+        residual, bar, kloos = self.closure(m, n, C)
+        assert residual <= bar
+        if C == 16:
+            assert kloos.petersson_K < 5
+
+    def test_large_residue_does_not_win(self):
+        # r_4(1/2) ~ -6.6e7: K = 5 leaves a rounding floor of ~2e-8 at (1, 4)
+        _, _, kloos = self.closure(1, 4, 512)
+        assert kloos.petersson_K < 5
+        assert residues(5, 0.5, self.SW)[4] == pytest.approx(-6.6e7, rel=0.01)
+
+
+def residues(K: int, y: float, sw: SpectralWeight) -> list[float]:
+    """r_k(y) = (4/pi) (-1)^k (k + 1/2) h(-i(k + 1/2)) cosh((2k + 1) log y), k < K."""
+    out = []
+    for k in range(K):
+        a = k + 0.5
+        h = 2 * math.exp((a * a - sw.T**2) / sw.M**2) * math.cos(2 * a * sw.T / sw.M**2)
+        out.append(4 / math.pi * (-1) ** k * a * h * math.cosh(2 * a * math.log(y)))
+    return out
+
+
+class TestPetersson:
+    """S_k(SL2(Z)) = 0 for k = 4, 6 (Iwaniec, Topics in Classical Automorphic
+    Forms, Thm 3.6), so sum_c S(m,n;c)/c J_{k-1}(4 pi sqrt(mn)/c) is
+    -delta_{m,n} i^k/(2 pi). The partial sum over c <= C is off by at most
+    sum_{c > C} 2 sqrt(gcd(m, n)) (x_c/2)^{k-1} I_0(x_c)/(k-1)!, from
+    Weil's bound with tau(c) <= 2 sqrt(c) and |J_nu(x)| <= (x/2)^nu I_0(x)/nu!."""
+
+    C = 1024
+
+    @pytest.mark.parametrize("k", [4, 6])
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
+    def test_partial_sum_matches_closed_form(self, m, n, k):
+        cs = np.arange(1, self.C + 1)
+        s_vals = np.array([kloosterman(m, n, int(c)).real for c in cs])
+        X = 4 * math.pi * math.sqrt(m * n)
+        partial = float(np.sum(s_vals / cs * bessel_j(k - 1, X / cs)))
+        want = -(1 if m == n else 0) * (1j**k).real / (2 * math.pi)
+        nu, c1 = k - 1, self.C + 1
+        # sum_{c > C} c^{-nu} <= (C+1)^{-nu} + (C+1)^{1-nu}/(nu - 1)
+        c_sum = c1**-nu + c1 ** (1 - nu) / (nu - 1)
+        tail = 2 * math.sqrt(math.gcd(m, n)) * (X / 2) ** nu / math.factorial(nu)
+        tail *= float(np.i0(X / c1)) * c_sum
+        assert abs(partial - want) <= tail
+
 
 class TestTraceReport:
     def test_exchange_symmetry(self, forms):
@@ -199,6 +277,7 @@ class TestTraceReport:
         )
         assert rep.dominant >= abs(rep.spectral)
         assert "C_max" in rep.truncation
+        assert 1 <= rep.truncation["petersson_K"] <= 5
         assert rep.converged is True
 
     def test_converged_is_and_of_parts(self, forms, monkeypatch):
@@ -263,21 +342,44 @@ class TestDecomposition:
         return decomposition(seq, SpectralWeight(T=3.0, M=1.5), [], tol=1e-6)
 
     def test_bars_cover_residual(self, seed1):
-        # c_eval = 613 exceeds c_far = 202, so the far-zone tail starts at c_eval
+        # P converges to 0.39727341 (every c <= 250 exact leaves a residual of
+        # 1.2e-8, the size of the first cusp form's term, h(t_1) ~ 5.8e-9,
+        # which no form in the empty list carries and spectral_tail covers)
         rep = seed1
-        assert (rep.params["c_eval"], rep.params["c_far"]) == (613, 202)
         assert rep.converged
-        assert rep.residual <= rep.skip_bar + rep.quadrature_err
-        assert rep.skip_bar == pytest.approx(7.960191800019314, rel=1e-6)
+        assert rep.params["c_eval"] == rep.params["c_far"]
+        assert all(1 <= k <= 5 for k in rep.params["petersson_K"])
+        assert rep.P == pytest.approx(0.39727341, abs=1e-8)
+        assert rep.residual <= 1e-7
+        assert rep.skip_bar <= 1e-6
+        assert rep.residual <= rep.skip_bar + rep.quadrature_err + rep.spectral_tail
 
     def test_vanishing_sums_are_not_evaluated(self, seed1):
-        # 329 of the 1,616 resonant terms have |S| <= 1e-9 (rounding residue
-        # of a vanishing sum) and would add ~1e-15 to P: _h_value drops them.
-        # P is the exact H route's; one kernel contour per x > 5 term instead
-        # of one per twist and octave gives 0.383452671583675
-        assert seed1.params["evaluated"] == 1287
-        assert seed1.P == pytest.approx(0.38345267158367147, rel=1e-12)
+        # a vanishing S rounds to |S| <= 1e-9 and would add ~1e-15 to P:
+        # _h_value drops it, so every evaluated term has a live sum
+        C = seed1.params["c_eval"]
+        ns = range(5, 9)
+        live = sum(
+            abs(kloosterman(m, n, c).real) > 1e-9
+            for m in ns
+            for n in ns
+            if m <= n
+            for c in range(1, C + 1)
+        )
+        assert seed1.params["evaluated"] == live
+        assert seed1.P == pytest.approx(0.39727341, abs=1e-8)
         assert seed1.quadrature_err < 1e-8
+
+    def test_spectral_tail_caps_coefficients_by_divisors(self):
+        # a_10 = 0.7 alone: |a_10 lambda_j(10)|^2 <= 0.49 tau(10)^2, as for
+        # the pair (10, 10) of the trace identity
+        vals = np.zeros(8)
+        vals[1] = 0.7
+        sw = SpectralWeight(T=3.0, M=1.5)
+        rep = decomposition(Sequence(N=8, values=vals), sw, [], tol=1e-6)
+        want = 0.49 * spectral_tail_bar(10, 10, sw, [])
+        assert want > 0
+        assert rep.spectral_tail == pytest.approx(want, rel=1e-12)
 
     def test_nonnegativity_and_positivity(self, forms):
         seq = Sequence.random(N=8, seed=5, real=True)

@@ -9,7 +9,6 @@ from specpoint.besselintegral import SpectralWeight
 from specpoint.sievebench import (
     Sequence,
     corollary_ratio,
-    di_luo_comparison,
     dirichlet_poly_ratio,
     moment_demo,
     young_ls_lhs,
@@ -179,26 +178,6 @@ class TestDirichletPolynomial:
             seq = Sequence.random(N=32, seed=seed)
             worst = max(worst, dirichlet_poly_ratio(seq, 20.0).ratio)
         assert worst <= 2 * math.pi + 1.0
-
-
-class TestDiLuo:
-    def test_zero_sequence(self, forms):
-        seq = Sequence(N=8, values=np.zeros(8))
-        out = di_luo_comparison(seq, SW, forms)
-        assert out["lhs"] == 0.0
-
-    def test_hybrid_majorant_wins_for_large_n(self, forms):
-        seq = Sequence.random(N=64, seed=3)  # N = 64 > T = 14
-        out = di_luo_comparison(seq, SW, forms)
-        assert out["hybrid_smaller"]
-        assert out["ratio_hybrid"] >= out["ratio_quadratic"]
-
-    def test_seed_stability(self, forms):
-        seq1 = Sequence.random(N=16, seed=77)
-        seq2 = Sequence.random(N=16, seed=77)
-        a = di_luo_comparison(seq1, SW, forms)
-        b = di_luo_comparison(seq2, SW, forms)
-        assert a["lhs"] == b["lhs"]
 
 
 class TestMomentDemo:

@@ -79,6 +79,20 @@ class TestLogGamma:
             assert vec[i] == pytest.approx(specfun.log_gamma(complex(z)), abs=1e-13)
 
 
+class TestBesselJ:
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+    def test_matches_mpmath(self, n):
+        # relative to J_n itself: at x = 1e-3, J_9 ~ 2.7e-36
+        xs = np.array([1e-3, 0.05, 0.5, 5.0, 25.0, 60.0])
+        got = specfun.bessel_j(n, xs)
+        want = np.array([float(mp.besselj(n, x)) for x in xs])
+        assert np.all(np.abs(got - want) <= 5e-14 * np.abs(want))
+
+    def test_rejects_nonpositive_x(self):
+        with pytest.raises(ValueError):
+            specfun.bessel_j(1, np.array([0.0, 1.0]))
+
+
 class TestZeta:
     def test_classical_values(self):
         assert specfun.zeta_many(2.0)[0] == pytest.approx(math.pi**2 / 6, rel=1e-12)

@@ -10,12 +10,9 @@ from specpoint.spectraldata import (
     GL3Form,
     MaassForm,
     SpectrumError,
-    export_gl3_csv,
     hecke_consistency,
-    load_gl3_csv,
     load_spectrum,
     rankin_selberg_ratio,
-    rankin_selberg_rect,
     save_spectrum,
     sym_square_lift,
     synthetic_form,
@@ -177,21 +174,6 @@ class TestRankinSelberg:
         assert all(r <= 10.0 for r in ratios)
         for r1, r2 in zip(ratios, ratios[1:]):
             assert r2 <= 4.0 * r1 and r1 <= 4.0 * r2
-
-    def test_rect_scan(self, spectrum):
-        gl3 = sym_square_lift(spectrum[1], 100)
-        vals = [rankin_selberg_rect(gl3, X, Y) for (X, Y) in [(2, 8), (3, 8), (2, 16)]]
-        assert all(np.isfinite(vals))
-
-
-class TestGL3IO:
-    def test_csv_round_trip(self, tmp_path, spectrum):
-        gl3 = sym_square_lift(spectrum[0], 50)
-        path = tmp_path / "table.csv"
-        export_gl3_csv(gl3, path)
-        back = load_gl3_csv(path, gl3.langlands, label="reload")
-        for key, val in gl3.coeff.items():
-            assert back.coeff[key] == pytest.approx(val, abs=1e-12)
 
 
 def test_omega_decay_floor(spectrum):
