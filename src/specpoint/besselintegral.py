@@ -7,11 +7,14 @@ twisted form h(t; y) = h(t) cos(2t log y) define
 
 evaluated exactly by bessel_H_many for every x that shares one twist y
 (bessel_H_direct is its one-column case). x <= SERIES_X_MAX take the power
-series of the cosine kernel B, in one vector-valued quadrature
-(bessel_H_series_many). Larger x swap the two integrals,
-H = int_R cos(x cosh r) k_y(r) dr with the per-y kernel
-k_y(r) = (4/pi^2) int_0^inf t h(t; y) tanh(pi t) cos(2tr) dt, and take the
-r-integral along a rotated contour shared by the x of one octave.
+series of the cosine kernel B on one shared t-grid (bessel_H_series_many).
+Larger x swap the two integrals, H = int_R cos(x cosh r) k_y(r) dr with the
+per-y kernel k_y(r) = (4/pi^2) int_0^inf t h(t; y) tanh(pi t) cos(2tr) dt,
+and take the r-integral along a rotated contour shared by the x of one
+octave. Both routes put Gauss panels on [0, t_upper] with the same
+t-weights (_t_weights) and double every panel count until no x moves by
+more than tol (_doubled). The kernel route is exact at small x too, but
+took 4-25 times as long there as the series at T = 3-20.
 residue_expansion bounds E_K in H = sum_{k<K} r_k(y) J_{2k+1}(x) + E_K,
 which is asymptotic in small x and turns c-tails into Petersson sums.
 
@@ -32,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .besselkernel import kernel_b_series_many
-from .quadrature import _BLOCK_NODES, QuadratureResult, adaptive_quadrature, gauss_legendre_panels
+from .quadrature import QuadratureResult, adaptive_quadrature, gauss_legendre_panels
 from .specfun import log_gamma
 
 TWO_OVER_PI_SQRT_PI = 2.0 / (math.pi * math.sqrt(math.pi))
@@ -41,9 +44,10 @@ T_CUT_FACTOR = 6.5  # exp(-6.5^2) ~ 4e-19: the Gaussian t-truncation
 SERIES_X_MAX = 5.0  # largest x whose H integrand uses the power-series kernel
 _H_PREF = 4.0 / math.pi**2
 _TAIL_EXP = 45.0  # exp(-45) ~ 3e-20: where the contour's ray is cut
-_KERNEL_ORDER = 16  # Gauss-Legendre points per panel of the swapped route
-_KERNEL_PHASE = 12.0  # radians of phase per panel on the first grid
-_KERNEL_ROUNDS = 4  # grid doublings _bessel_H_kernel tries before flagging
+_GAUSS_ORDER = 16  # Gauss-Legendre points per panel of either H route
+_PANEL_PHASE = 12.0  # radians of phase per panel on the first grid
+_ROUNDS = 4  # grid doublings either H route tries before flagging
+_BLOCK_NODES = 256  # rows per block of a node table: 256 x (t-nodes or x) at most
 # S_k(SL2(Z)) = 0 for k = 2, 4, ..., 10 (Iwaniec, Topics in Classical
 # Automorphic Forms, Thm 3.6), so the Kloosterman c-sums of J_1, J_3, ...,
 # J_9 have closed forms: the residue expansion stops at K = _K_MAX
@@ -106,34 +110,56 @@ def rho_pm(r):
     return plus, minus
 
 
-def _series_integrand(xs: np.ndarray, y: float, sw: SpectralWeight):
-    """The H integrand at every x in xs by the series kernel: shape (t, xs.size)."""
-
-    def f(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        weight = _H_PREF * t * weight_h_y(t, y, sw) * np.tanh(math.pi * t)
-        b_vals = kernel_b_series_many(np.maximum(t, 1e-9), xs)
-        b_vals *= weight[:, None]
-        return b_vals
-
-    return f
+def _gauss_grid(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    edges = np.linspace(a, b, panels + 1)
+    return gauss_legendre_panels(edges[:-1], edges[1:], _GAUSS_ORDER)
 
 
-def _initial_panels(x: float, y: float, t_hi: float) -> int:
-    # oscillation rate in t: the y-twist plus the kernel's own phase
-    rate = 2.0 * abs(math.log(y)) + 2.0 * math.asinh(2.0 * t_hi / x)
-    return max(8, min(512, int(rate * t_hi / 6.0) + 8))
+def _panel_count(phase: float) -> int:
+    return max(2, math.ceil(phase / _PANEL_PHASE))
+
+
+def _t_weights(
+    y: float, sw: SpectralWeight, rate: float, level: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The t-nodes on [0, t_upper] and their weights f = w (4/pi^2) t h(t; y)
+    tanh(pi t): Gauss panels for rate radians of phase per unit t, at least
+    one per M, doubled level times. No node lies at t = 0."""
+    t_hi = sw.t_upper
+    panels = max(_panel_count(rate * t_hi), math.ceil(t_hi / sw.M)) << level
+    t, wt = _gauss_grid(0.0, t_hi, panels)
+    return t, wt * _H_PREF * t * weight_h_y(t, y, sw) * np.tanh(math.pi * t)
+
+
+def _doubled(evaluate, sw: SpectralWeight, tol: float) -> QuadratureResult:
+    """H on grids doubled until no value moves by more than tol.
+
+    evaluate(level) returns the values with every panel count doubled level
+    times, and its count of evaluations. converged is False when _ROUNDS
+    doublings run out. err_estimate is each value's last change plus a
+    1e-16 M T rounding floor.
+    """
+    value, evaluations = evaluate(0)
+    err, converged = np.abs(value), False
+    for level in range(1, _ROUNDS + 1):
+        new, n_eval = evaluate(level)
+        evaluations += n_eval
+        err, value = np.abs(new - value), new
+        if np.all(err <= tol):
+            converged = True
+            break
+    return QuadratureResult(value, err + 1e-16 * sw.M * sw.T, evaluations, converged)
 
 
 def bessel_H_series_many(xs, y: float, sw: SpectralWeight, tol: float = 1e-8) -> QuadratureResult:
     """H(x, y) for every x in xs (0 < x <= SERIES_X_MAX) at one twist y,
-    as one vector-valued quadrature over the power-series kernel.
+    through the power-series kernel on one t-grid.
 
-    The x share one t-grid, one log Gamma per t-node and one
-    (t, k) x (k, x) series product per block of t-nodes. The grid starts
-    from the panel count of the smallest x, and a panel is accepted only
-    once every x fits its budget. value and err_estimate are real arrays
-    in the order of xs; converged covers them all.
+    The x share every t-node, its log Gamma and one (t, k) x (k, x) series
+    product per block of _BLOCK_NODES t-nodes. The panels follow the phase
+    of the twist and of the smallest x's kernel, and double until no x
+    moves by more than tol. value and err_estimate are real arrays in the
+    order of xs; converged covers them all, and evaluations counts t-nodes.
     """
     if y <= 0:
         raise ValueError("y must be positive")
@@ -142,26 +168,18 @@ def bessel_H_series_many(xs, y: float, sw: SpectralWeight, tol: float = 1e-8) ->
         raise ValueError("xs must be a non-empty 1-d array")
     if not (np.all(xs > 0) and np.all(xs <= SERIES_X_MAX)):
         raise ValueError(f"the series route needs 0 < x <= {SERIES_X_MAX}")
-    t_hi = sw.t_upper
-    res = adaptive_quadrature(
-        _series_integrand(xs, y, sw),
-        0.0,
-        t_hi,
-        tol,
-        initial_panels=_initial_panels(float(np.min(xs)), y, t_hi),
-    )
-    return QuadratureResult(
-        res.value.real, res.err_estimate + 1e-16 * sw.M * sw.T, res.evaluations, res.converged
-    )
+    # B(t, x) turns at rate 2 asinh(2t/x) in t, fastest at the smallest x
+    rate = 2.0 * abs(math.log(y)) + 2.0 * math.asinh(2.0 * sw.t_upper / float(np.min(xs)))
 
+    def evaluate(level: int) -> tuple[np.ndarray, int]:
+        t, f = _t_weights(y, sw, rate, level)
+        total = np.zeros(xs.size)
+        for i in range(0, t.size, _BLOCK_NODES):
+            block = slice(i, i + _BLOCK_NODES)
+            total += f[block] @ kernel_b_series_many(t[block], xs)
+        return total, t.size
 
-def _gauss_grid(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    edges = np.linspace(a, b, panels + 1)
-    return gauss_legendre_panels(edges[:-1], edges[1:], _KERNEL_ORDER)
-
-
-def _panel_count(phase: float) -> int:
-    return max(2, math.ceil(phase / _KERNEL_PHASE))
+    return _doubled(evaluate, sw, tol)
 
 
 def _kernel_on_leg(
@@ -212,38 +230,32 @@ def _bessel_H_kernel(
     phase of the largest x; k_y at a leg's nodes is one (nodes, t) product
     against the t-weights, and H is one weighted sum over the nodes per x.
 
-    All four panel counts double until no H changes by more than tol, for
-    at most _KERNEL_ROUNDS rounds; converged is False when they run out.
-    err_estimate is each x's last change; evaluations counts (r, t) node
-    pairs.
+    The three leg panel counts and the t-panel count double together until
+    no H changes by more than tol (_doubled). evaluations counts (r, t)
+    node pairs.
     """
-    t_hi = sw.t_upper
     theta = min(math.pi / 2, 4.0 / sw.T)
     x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
     decay = x_lo * math.sin(theta)
-    sinh_a = 2.0 * t_hi * theta / decay
+    sinh_a = 2.0 * sw.t_upper * theta / decay
     a = math.asinh(sinh_a)
     R = math.asinh(sinh_a + _TAIL_EXP / decay)
     cosh_a = math.cosh(a)
-    # (start, end, fixed coordinate, horizontal) of each leg
+    # (start, end, fixed coordinate, horizontal) of each leg, and its first panel count
     legs = ((0.0, a, 0.0, True), (0.0, theta, a, False), (a, R, theta, True))
-    counts = [
+    counts = (
         _panel_count(x_hi * (cosh_a - 1.0) + 2.0 * sw.T * a),
         _panel_count(x_hi * cosh_a * (1.0 - math.cos(theta)) + 2.0 * sw.T * theta),
         _panel_count(x_hi * (math.cosh(R) - cosh_a) * math.cos(theta) + 2.0 * sw.T * (R - a)),
-        max(
-            _panel_count(2.0 * (math.hypot(R, theta) + abs(math.log(y))) * t_hi),
-            math.ceil(t_hi / sw.M),
-        ),
-    ]
+    )
+    t_rate = 2.0 * (math.hypot(R, theta) + abs(math.log(y)))
 
-    def evaluate(counts: list[int]) -> tuple[np.ndarray, int]:
-        t, wt = _gauss_grid(0.0, t_hi, counts[-1])
-        f = wt * _H_PREF * t * weight_h_y(t, y, sw) * np.tanh(math.pi * t)
+    def evaluate(level: int) -> tuple[np.ndarray, int]:
+        t, f = _t_weights(y, sw, t_rate, level)
         total = np.zeros(xs.size)
         nodes = 0
         for (lo, hi, fixed, horizontal), n in zip(legs, counts):
-            s, ws = _gauss_grid(lo, hi, n)
+            s, ws = _gauss_grid(lo, hi, n << level)
             r, dr = (s + 1j * fixed, ws) if horizontal else (fixed + 1j * s, 1j * ws)
             k = dr * _kernel_on_leg(s, fixed, horizontal, t, f)
             for i in range(0, s.size, _BLOCK_NODES):
@@ -252,17 +264,7 @@ def _bessel_H_kernel(
             nodes += s.size
         return 2.0 * total, nodes * t.size
 
-    value, evaluations = evaluate(counts)
-    err, converged = np.abs(value), False
-    for _ in range(_KERNEL_ROUNDS):
-        counts = [2 * n for n in counts]
-        new, n_eval = evaluate(counts)
-        evaluations += n_eval
-        err, value = np.abs(new - value), new
-        if np.all(err <= tol):
-            converged = True
-            break
-    return QuadratureResult(value, err + 1e-16 * sw.M * sw.T, evaluations, converged)
+    return _doubled(evaluate, sw, tol)
 
 
 def bessel_H_many(
@@ -274,9 +276,10 @@ def bessel_H_many(
     x <= SERIES_X_MAX go through one bessel_H_series_many call, which is
     exact for small x too, x < 1 included; larger x through one
     _bessel_H_kernel call per octave, with the t- and r-integrals swapped.
-    Both cut the t-range where the Gaussian is below 4e-19. value and
-    err_estimate are real arrays in the order of xs (empty for an empty
-    xs); converged covers them all and evaluations adds up every call's.
+    Both cut the t-range where the Gaussian is below 4e-19, and both double
+    their grids until no x moves by more than tol. value and err_estimate
+    are real arrays in the order of xs (empty for an empty xs); converged
+    covers them all and evaluations adds up every call's.
     """
     if y <= 0:
         raise ValueError("y must be positive")

@@ -11,7 +11,8 @@ same way; every leg then has a bounded, non-cancelling integrand.
 
 All values are double precision with explicit error accumulation. The
 power-series route (valid for small x, vectorised over both t and x) is
-the H(x, y) integrand for x <= 5 and an independent check of the contour.
+the kernel of H(x, y) for x <= 5, summed on besselintegral's doubling
+t-grid, and an independent check of the contour.
 H at larger x no longer goes through B (besselintegral swaps the t- and
 r-integrals there), so kernel_b_block, checked against frozen
 high-precision values, is the independent check of B and of that route.

@@ -30,6 +30,14 @@ def _pair(text: str) -> tuple[int, int]:
     return int(m), int(n)
 
 
+def _c_max(text: str) -> int:
+    c_max = int(text)
+    if c_max < 1:
+        # no modulus would be summed, and the c-tail bar would be infinite
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {c_max}")
+    return c_max
+
+
 def _emit(report, wall_s: float) -> None:
     print(json.dumps({**dataclasses.asdict(report), "wall_s": wall_s}), flush=True)
 
@@ -57,7 +65,7 @@ def main(argv: list[str] | None = None) -> None:
     closure.add_argument("--pairs", type=_pair, nargs="+", default=[(1, 1)], metavar="M,N")
     closure.add_argument("--T", type=float, default=3.0)
     closure.add_argument("--M", type=float, default=1.0)
-    closure.add_argument("--C-max", dest="C_max", type=int, default=512)
+    closure.add_argument("--C-max", dest="C_max", type=_c_max, default=512)
     closure.add_argument("--tol", type=float, default=1e-8)
     closure.set_defaults(run=_closure)
 

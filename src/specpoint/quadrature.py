@@ -5,11 +5,6 @@ panels of a wave are evaluated in one vectorized call, and a panel is
 accepted once the parent/children discrepancy fits its share of the error
 budget. Summation order is fixed (left to right in position), so results
 are bit-reproducible for a given tolerance.
-
-An integrand may also return K values per node, shape (nodes, K): the K
-integrals then share every panel, a panel is accepted only once all K
-columns fit its budget, and each wave is evaluated _BLOCK_NODES nodes at
-a time.
 """
 
 from __future__ import annotations
@@ -24,15 +19,14 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 
 _PANEL_ORDER = 16  # Gauss-Legendre points per adaptive panel
 _MAX_WAVES = 28  # refinement waves before a result is flagged unconverged
-_BLOCK_NODES = 256  # nodes per call of a K-column integrand: bounds its values to 256 x K
 
 
 @dataclass
 class QuadratureResult:
     """A numerically computed integral with an error bar and cost counter.
 
-    For a K-column integrand, value and err_estimate are length-K arrays
-    and evaluations counts nodes, not node-column pairs.
+    For a batch of H values (besselintegral.bessel_H_many), value and
+    err_estimate are real arrays with one entry per x.
     """
 
     value: complex | np.ndarray
@@ -74,35 +68,12 @@ def gauss_legendre_panels(
     return nodes.ravel(), weights.ravel()
 
 
-def _weighted_panel_sums(vals: np.ndarray, weights: np.ndarray, order: int) -> np.ndarray:
-    """Sum of weights * vals over each run of order nodes, per column."""
-    if vals.ndim == 1:
-        return (vals.astype(complex) * weights).reshape(-1, order).sum(axis=1)
-    # one (1, order) @ (order, K) product per panel
-    per_panel = vals.reshape(-1, order, vals.shape[1])
-    return np.matmul(weights.reshape(-1, 1, order), per_panel)[:, 0, :]
-
-
 def _panel_integrals(f: Integrand, left: np.ndarray, right: np.ndarray, order: int):
-    """Gauss-Legendre integral of f over each [left_j, right_j]: shape
-    (panels,) for a scalar integrand, (panels, K) for a K-column one.
-
-    f first sees the nodes of _BLOCK_NODES // order panels. A K-column
-    integrand gets every later block of that size too, so its values never
-    span more than _BLOCK_NODES rows; a scalar one gets all remaining nodes
-    in one call, because per-call overhead dominates small scalar blocks.
-    """
+    """Gauss-Legendre integral of f over each [left_j, right_j], from one
+    call of f on every node, and the number of nodes."""
     nodes, weights = gauss_legendre_panels(left, right, order)
-    step = max(1, _BLOCK_NODES // order) * order
-    sums: list[np.ndarray] = []
-    start = 0
-    while start < nodes.size:
-        stop = nodes.size if sums and sums[0].ndim == 1 else start + step
-        vals = np.asarray(f(nodes[start:stop]))
-        sums.append(_weighted_panel_sums(vals, weights[start:stop], order))
-        del vals  # not alive while f computes the next block
-        start = stop
-    return np.concatenate(sums).astype(complex, copy=False), nodes.size
+    vals = np.asarray(f(nodes)).astype(complex) * weights
+    return vals.reshape(-1, order).sum(axis=1), nodes.size
 
 
 def adaptive_quadrature(
@@ -116,10 +87,10 @@ def adaptive_quadrature(
     """Integrate f over [a, b] to absolute tolerance tol.
 
     f must accept a 1-d numpy array of nodes and return values of the same
-    shape, or of shape (nodes, K) for K integrals at once. A panel whose
-    refinement changes it (every column of it) by less than tol * panel/(b-a)
-    is frozen; otherwise both halves go into the next wave. Failure to
-    converge within the budget flags the result instead of raising.
+    shape. A panel whose refinement changes it by less than
+    tol * panel/(b-a) is frozen; otherwise both halves go into the next
+    wave. Failure to converge within the budget flags the result instead
+    of raising.
     """
     if not (b > a):
         return QuadratureResult(0.0 + 0.0j, 0.0, 0)
@@ -149,7 +120,7 @@ def adaptive_quadrature(
         refined = child_vals[: left.size] + child_vals[left.size :]
         err = np.abs(parent_vals - refined)
         budget = tol * (right - left) / span
-        done = np.all(err.reshape(left.size, -1) <= budget[:, None], axis=1)
+        done = err <= budget
         acc_left.append(left[done])
         acc_vals.append(refined[done])
         acc_err.append(err[done])
@@ -174,13 +145,11 @@ def adaptive_quadrature(
         converged = False
 
     # summed left to right in position, one panel after another (cumsum is
-    # sequential), so every column is summed in the same order as a scalar
+    # sequential)
     order = np.argsort(np.concatenate(acc_left), kind="stable")
-    value = np.cumsum(np.concatenate(acc_vals)[order], axis=0)[-1]
-    err_estimate = np.cumsum(np.concatenate(acc_err)[order], axis=0)[-1]
-    if parent_vals.ndim == 1:
-        return QuadratureResult(complex(value), float(err_estimate), evaluations, converged)
-    return QuadratureResult(value, err_estimate, evaluations, converged)
+    value = np.cumsum(np.concatenate(acc_vals)[order])[-1]
+    err_estimate = np.cumsum(np.concatenate(acc_err)[order])[-1]
+    return QuadratureResult(complex(value), float(err_estimate), evaluations, converged)
 
 
 def fixed_gauss(f: Integrand, a: float, b: float, order: int = 24, panels: int = 1) -> complex:

@@ -17,6 +17,7 @@ from specpoint.besselintegral import (
     bessel_H_series_many,
     compare_H_asymptotic,
     g_weight,
+    residue_expansion,
     rho_pm,
     smallx_decay_scan,
     weight_h,
@@ -145,14 +146,42 @@ class TestBesselHDirect:
 
 
     def test_kernel_flag_reaches_result(self, monkeypatch):
-        # no doubling round allowed: the x > 5 route cannot confirm its grid,
-        # for one x or a batch over three octaves
+        # no doubling round allowed: neither route can confirm its grid, for
+        # one x, a kernel batch over three octaves or a series-only batch
         xs, sw = np.array([5.5, 9.0, 20.0]), SpectralWeight(3.0, 1.0)
+        small = np.array([0.5, 2.0])
         assert bessel_H_direct(10.0, 1.0, SW).converged
         assert bessel_H_many(xs, 1.0, sw)[0].converged
-        monkeypatch.setattr(besselintegral, "_KERNEL_ROUNDS", 0)
+        assert bessel_H_many(small, 1.0, sw)[0].converged
+        monkeypatch.setattr(besselintegral, "_ROUNDS", 0)
         assert not bessel_H_direct(10.0, 1.0, SW).converged
         assert not bessel_H_many(xs, 1.0, sw)[0].converged
+        assert not bessel_H_many(small, 1.0, sw)[0].converged
+
+    @pytest.mark.parametrize("y", [1.0, 1.0 / math.sqrt(3.0)])
+    def test_series_route_reaches_tight_tol(self, y):
+        # a per-panel budget of tol * width / span would lie below rounding
+        # here; doubling the whole grid confirms every x
+        res, series = bessel_H_many([0.02, 0.1, 0.5, 1.0], y, SpectralWeight(14.0, 4.0), 1e-13)
+        assert series == 4
+        assert res.converged
+        assert np.all(res.err_estimate <= 1e-13)
+
+    @pytest.mark.parametrize("M", [1.0, 1.5])
+    @pytest.mark.parametrize("y", [1.0, 1.0 / math.sqrt(3.0)])
+    def test_routes_agree_below_series_max(self, M, y):
+        # the kernel route is exact for every x > 0, one contour per octave
+        sw, tol = SpectralWeight(3.0, M), 1e-12
+        xs = np.array([0.02, 0.05, 0.2, 0.5, 1.0, 2.0, 3.5, SERIES_X_MAX])
+        series = bessel_H_series_many(xs, y, sw, tol)
+        assert series.converged
+        octave = np.floor(np.log2(xs))
+        for j in np.unique(octave):
+            mask = octave == j
+            kernel = besselintegral._bessel_H_kernel(xs[mask], y, sw, tol)
+            assert kernel.converged
+            gap = np.abs(series.value[mask] - kernel.value)
+            assert np.all(gap <= series.err_estimate[mask] + kernel.err_estimate + 1e-13)
 
     @pytest.mark.parametrize(
         "x,y", [(0.05, 1.0), (0.5, math.sqrt(2.0)), (3.0, 1.0 / math.sqrt(3.0)), (10.0, 0.5)]
@@ -186,8 +215,12 @@ def contour_oracle_H(x: float, y: float, sw: SpectralWeight, tol: float) -> floa
     flags = []
 
     def f(t):
-        b_vals, _, ok = kernel_b_block(t, x, tol=1e-12)
-        flags.append(ok)
+        # kernel_b_block fits its legs to a block's smallest and largest t:
+        # blocks of 256 keep the legs that t near 0 need off the other t
+        b_vals = np.empty(t.size)
+        for i in range(0, t.size, 256):
+            b_vals[i : i + 256], _, ok = kernel_b_block(t[i : i + 256], x, tol=1e-12)
+            flags.append(ok)
         return (4.0 / math.pi**2) * t * weight_h_y(t, y, sw) * np.tanh(math.pi * t) * b_vals
 
     # panels of ~6 radians of the twist's and the kernel's phase in t
@@ -272,3 +305,41 @@ def test_smallx_scan_rows():
     assert rows[0]["max_abs_H"] == 0.0
     assert rows[1]["max_abs_H"] <= 1e-8
     assert all(row["converged"] for row in rows)
+
+
+class TestResidueExpansion:
+    """H = sum_{k<K} r_k J_{2k+1}(x) + E_K, |E_K| <= B_K (x/2)^{2K} I_0(x)."""
+
+    @pytest.mark.parametrize("T,M", [(3.0, 1.0), (3.0, 1.5), (14.0, 4.0)])
+    @pytest.mark.parametrize("y", [1.0, 0.5, 1.0 / math.sqrt(3.0)])
+    def test_bound_holds_against_exact_H(self, T, M, y):
+        sw = SpectralWeight(T, M)
+        xs = np.array([0.02, 0.1, 0.5, 1.0])
+        H, _ = bessel_H_many(xs, y, sw, 1e-13)
+        assert H.converged
+        r, B = residue_expansion(y, sw)
+        for i, x in enumerate(xs):
+            # J_{2k+1} and I_0 from mpmath, independent of specfun.bessel_j
+            jn = [float(mp.besselj(2 * k + 1, x)) for k in range(r.size)]
+            bound = B * (x / 2.0) ** (2.0 * np.arange(1, r.size + 1)) * float(mp.besseli(0, x))
+            for K in range(1, r.size + 1):
+                gap = abs(H.value[i] - np.dot(r[:K], jn[:K]))
+                assert gap <= bound[K - 1] + H.err_estimate[i]
+
+    def test_bound_matches_mpmath_line_integral(self):
+        # B_K = (4/pi) int_0^inf |t h(t; y)| / (cosh(pi s) |Gamma(1 + 2K + 2is)|) ds
+        # on t = s - iK, the line the residue expansion moves H to
+        sw, y = SpectralWeight(3.0, 1.5), 1.0 / math.sqrt(3.0)
+        B = residue_expansion(y, sw)[1]
+        with mp.workdps(20):
+            T, M, log_y = mp.mpf(sw.T), mp.mpf(sw.M), mp.log(mp.mpf(y))
+            for K in range(1, B.size + 1):
+
+                def f(s):
+                    t = s - 1j * K
+                    h = mp.exp(-(((t - T) / M) ** 2)) + mp.exp(-(((t + T) / M) ** 2))
+                    num = abs(t * h * mp.cos(2 * t * log_y))
+                    return num / (mp.cosh(mp.pi * s) * abs(mp.gamma(1 + 2 * K + 2j * s)))
+
+                want = float(4 / mp.pi * mp.quad(f, mp.linspace(0, T + 12 * M, 13)))
+                assert B[K - 1] == pytest.approx(want, rel=1e-8)

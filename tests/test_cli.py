@@ -35,3 +35,12 @@ def test_decompose_line(capsys):
     assert params["series_terms"] + params["kernel_terms"] == params["evaluated"]
     assert rec["converged"] is True
     assert rec["residual"] <= rec["skip_bar"] + rec["quadrature_err"]
+
+
+def test_closure_rejects_empty_c_range(capsys):
+    # C_max < 1 sums no modulus and leaves an infinite c-tail bar, which is
+    # not a JSON number
+    with pytest.raises(SystemExit) as exit_info:
+        main(["closure", "--C-max", "0"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().out == ""

@@ -113,6 +113,12 @@ class TestKloostermanSide:
         rep = kloosterman_side(1, 1, SW, 0)
         assert rep.value == 0.0
 
+    def test_tight_tol_converges(self):
+        # tol 1e-11 at T=50, M=8 needs the series terms confirmed near rounding
+        rep = kloosterman_side(1, 1, SpectralWeight(50.0, 8.0), 64, tol=1e-11)
+        assert rep.converged
+        assert rep.quadrature_err <= 1e-11
+
     def test_small_mn_large_t(self):
         sw = SpectralWeight(T=60.0, M=6.0)
         rep = kloosterman_side(1, 2, sw, 8, tol=1e-10)

@@ -74,27 +74,3 @@ def test_evaluation_counter():
     assert res.evaluations > 0
     assert res.value.real == pytest.approx(1 / 3, abs=1e-13)
 
-
-def test_columns_share_panels():
-    # int exp(-t^2) cos(a t) dt = sqrt(pi) exp(-a^2/4); the columns differ in
-    # difficulty, so a panel may only be accepted once the hardest one fits
-    freqs = (0.0, 5.0, 30.0)
-
-    def column(a):
-        return lambda t: np.exp(-(t**2)) * np.cos(a * t)
-
-    def f(t):
-        return np.stack([column(a)(t) for a in freqs], axis=1)
-
-    tol = 1e-11
-    res = adaptive_quadrature(f, -7.5, 7.5, tol)
-    assert res.converged
-    assert res.value.shape == res.err_estimate.shape == (3,)
-    for k, a in enumerate(freqs):
-        scalar = adaptive_quadrature(column(a), -7.5, 7.5, tol)
-        assert isinstance(scalar.value, complex) and isinstance(scalar.err_estimate, float)
-        assert abs(res.value[k] - scalar.value) <= tol
-        assert res.err_estimate[k] <= tol
-        assert res.value[k].real == pytest.approx(math.sqrt(math.pi) * math.exp(-(a**2) / 4), abs=tol)
-    # each column keeps its own error estimate
-    assert len(set(res.err_estimate.tolist())) == 3
