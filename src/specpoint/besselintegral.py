@@ -13,8 +13,9 @@ per-y kernel k_y(r) = (4/pi^2) int_0^inf t h(t; y) tanh(pi t) cos(2tr) dt,
 and take the r-integral along a rotated contour shared by the x of one
 octave. Both routes put Gauss panels on [0, t_upper] with the same
 t-weights (_t_weights) and double every panel count until no x moves by
-more than tol (_doubled). The kernel route is exact at small x too, but
-took 4-25 times as long there as the series at T = 3-20.
+more than tol (quadrature.doubled, for at most _ROUNDS rounds); each error
+estimate adds a 1e-16 M T rounding floor. The kernel route is exact at
+small x too, but took 4-25 times as long there as the series at T = 3-20.
 residue_expansion bounds E_K in H = sum_{k<K} r_k(y) J_{2k+1}(x) + E_K,
 which is asymptotic in small x and turns c-tails into Petersson sums.
 
@@ -35,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .besselkernel import kernel_b_series_many
-from .quadrature import QuadratureResult, adaptive_quadrature, gauss_legendre_panels
+from .quadrature import QuadratureResult, adaptive_quadrature, doubled, gauss_grid
 from .specfun import log_gamma
 
 TWO_OVER_PI_SQRT_PI = 2.0 / (math.pi * math.sqrt(math.pi))
@@ -44,9 +45,9 @@ T_CUT_FACTOR = 6.5  # exp(-6.5^2) ~ 4e-19: the Gaussian t-truncation
 SERIES_X_MAX = 5.0  # largest x whose H integrand uses the power-series kernel
 _H_PREF = 4.0 / math.pi**2
 _TAIL_EXP = 45.0  # exp(-45) ~ 3e-20: where the contour's ray is cut
-_GAUSS_ORDER = 16  # Gauss-Legendre points per panel of either H route
 _PANEL_PHASE = 12.0  # radians of phase per panel on the first grid
 _ROUNDS = 4  # grid doublings either H route tries before flagging
+_ROUNDING_FLOOR = 1e-16  # times M T: a guessed floor added to every H error estimate
 _BLOCK_NODES = 256  # rows per block of a node table: 256 x (t-nodes or x) at most
 # S_k(SL2(Z)) = 0 for k = 2, 4, ..., 10 (Iwaniec, Topics in Classical
 # Automorphic Forms, Thm 3.6), so the Kloosterman c-sums of J_1, J_3, ...,
@@ -110,11 +111,6 @@ def rho_pm(r):
     return plus, minus
 
 
-def _gauss_grid(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    edges = np.linspace(a, b, panels + 1)
-    return gauss_legendre_panels(edges[:-1], edges[1:], _GAUSS_ORDER)
-
-
 def _panel_count(phase: float) -> int:
     return max(2, math.ceil(phase / _PANEL_PHASE))
 
@@ -127,28 +123,8 @@ def _t_weights(
     one per M, doubled level times. No node lies at t = 0."""
     t_hi = sw.t_upper
     panels = max(_panel_count(rate * t_hi), math.ceil(t_hi / sw.M)) << level
-    t, wt = _gauss_grid(0.0, t_hi, panels)
+    t, wt = gauss_grid(0.0, t_hi, panels)
     return t, wt * _H_PREF * t * weight_h_y(t, y, sw) * np.tanh(math.pi * t)
-
-
-def _doubled(evaluate, sw: SpectralWeight, tol: float) -> QuadratureResult:
-    """H on grids doubled until no value moves by more than tol.
-
-    evaluate(level) returns the values with every panel count doubled level
-    times, and its count of evaluations. converged is False when _ROUNDS
-    doublings run out. err_estimate is each value's last change plus a
-    1e-16 M T rounding floor.
-    """
-    value, evaluations = evaluate(0)
-    err, converged = np.abs(value), False
-    for level in range(1, _ROUNDS + 1):
-        new, n_eval = evaluate(level)
-        evaluations += n_eval
-        err, value = np.abs(new - value), new
-        if np.all(err <= tol):
-            converged = True
-            break
-    return QuadratureResult(value, err + 1e-16 * sw.M * sw.T, evaluations, converged)
 
 
 def bessel_H_series_many(xs, y: float, sw: SpectralWeight, tol: float = 1e-8) -> QuadratureResult:
@@ -159,7 +135,8 @@ def bessel_H_series_many(xs, y: float, sw: SpectralWeight, tol: float = 1e-8) ->
     product per block of _BLOCK_NODES t-nodes. The panels follow the phase
     of the twist and of the smallest x's kernel, and double until no x
     moves by more than tol. value and err_estimate are real arrays in the
-    order of xs; converged covers them all, and evaluations counts t-nodes.
+    order of xs; converged covers them all. evaluations counts kernel-table
+    entries, t-nodes times x.
     """
     if y <= 0:
         raise ValueError("y must be positive")
@@ -177,9 +154,11 @@ def bessel_H_series_many(xs, y: float, sw: SpectralWeight, tol: float = 1e-8) ->
         for i in range(0, t.size, _BLOCK_NODES):
             block = slice(i, i + _BLOCK_NODES)
             total += f[block] @ kernel_b_series_many(t[block], xs)
-        return total, t.size
+        return total, t.size * xs.size
 
-    return _doubled(evaluate, sw, tol)
+    res = doubled(evaluate, tol, _ROUNDS)
+    res.err_estimate += _ROUNDING_FLOOR * sw.M * sw.T
+    return res
 
 
 def _kernel_on_leg(
@@ -231,8 +210,9 @@ def _bessel_H_kernel(
     against the t-weights, and H is one weighted sum over the nodes per x.
 
     The three leg panel counts and the t-panel count double together until
-    no H changes by more than tol (_doubled). evaluations counts (r, t)
-    node pairs.
+    no H changes by more than tol (quadrature.doubled). evaluations counts
+    kernel-table entries, r-nodes times t-nodes, as the k_y table is shared
+    by every x.
     """
     theta = min(math.pi / 2, 4.0 / sw.T)
     x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
@@ -255,7 +235,7 @@ def _bessel_H_kernel(
         total = np.zeros(xs.size)
         nodes = 0
         for (lo, hi, fixed, horizontal), n in zip(legs, counts):
-            s, ws = _gauss_grid(lo, hi, n << level)
+            s, ws = gauss_grid(lo, hi, n << level)
             r, dr = (s + 1j * fixed, ws) if horizontal else (fixed + 1j * s, 1j * ws)
             k = dr * _kernel_on_leg(s, fixed, horizontal, t, f)
             for i in range(0, s.size, _BLOCK_NODES):
@@ -264,7 +244,9 @@ def _bessel_H_kernel(
             nodes += s.size
         return 2.0 * total, nodes * t.size
 
-    return _doubled(evaluate, sw, tol)
+    res = doubled(evaluate, tol, _ROUNDS)
+    res.err_estimate += _ROUNDING_FLOOR * sw.M * sw.T
+    return res
 
 
 def bessel_H_many(
@@ -279,7 +261,8 @@ def bessel_H_many(
     Both cut the t-range where the Gaussian is below 4e-19, and both double
     their grids until no x moves by more than tol. value and err_estimate
     are real arrays in the order of xs (empty for an empty xs); converged
-    covers them all and evaluations adds up every call's.
+    covers them all and evaluations adds up every call's kernel-table
+    entries.
     """
     if y <= 0:
         raise ValueError("y must be positive")
@@ -336,7 +319,7 @@ def residue_expansion(y: float, sw: SpectralWeight) -> tuple[np.ndarray, np.ndar
     h = 2.0 * np.exp((a**2 - sw.T**2) / sw.M**2) * np.cos(2.0 * a * sw.T / sw.M**2)
     r = 4.0 / math.pi * (-1.0) ** np.arange(_K_MAX) * a * h * np.cosh(2.0 * a * math.log(y))
     hi = sw.t_upper + 2.0 * sw.M
-    s, weights = _gauss_grid(0.0, hi, 2 * math.ceil(hi / sw.M))
+    s, weights = gauss_grid(0.0, hi, 2 * math.ceil(hi / sw.M))
     K = np.arange(1, _K_MAX + 1)[:, None]
     t = s - 1j * K
     h_t = np.exp(-(((t - sw.T) / sw.M) ** 2)) + np.exp(-(((t + sw.T) / sw.M) ** 2))

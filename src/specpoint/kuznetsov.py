@@ -35,7 +35,7 @@ from .besselintegral import (
     weight_h,
     weight_h_y,
 )
-from .quadrature import QuadratureResult, adaptive_quadrature, fixed_gauss
+from .quadrature import QuadratureResult, adaptive_quadrature, gauss_grid
 from .sievebench import (
     Sequence,
     _eisenstein_linear_forms,
@@ -96,8 +96,8 @@ def spectral_tail_bar(
     if lo >= hi:
         return 0.0
     lam_cap = divisor_count(m) * divisor_count(n)
-    val = fixed_gauss(lambda t: (t / 6.0) * weight_h(t, sw), lo, hi, order=32, panels=4)
-    return float(abs(val)) * omega_cap * lam_cap
+    t, w = gauss_grid(lo, hi, 4, order=32)
+    return float(abs(w @ ((t / 6.0) * weight_h(t, sw)))) * omega_cap * lam_cap
 
 
 def eisenstein_side(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .arith import _unit_residues, divisor_sigma
 from .besselintegral import SpectralWeight, weight_h
-from .quadrature import gauss_legendre_panels
+from .quadrature import gauss_grid
 from .specfun import eisenstein_density
 from .spectraldata import GL3Form, MaassForm
 
@@ -77,8 +77,7 @@ class SieveReport:
 
 
 def _t_grid(tau: float, order: int, panels: int):
-    edges = np.linspace(-tau, tau, panels + 1)
-    return gauss_legendre_panels(edges[:-1], edges[1:], order)
+    return gauss_grid(-tau, tau, panels, order)
 
 
 def _sinc_kernel(lams: np.ndarray, tau: float) -> np.ndarray:

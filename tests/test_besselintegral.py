@@ -204,6 +204,14 @@ class TestBesselHDirect:
         assert res.converged
         assert abs(res.value.real - want) <= res.err_estimate
 
+    def test_evaluations_count_kernel_table_entries(self):
+        # both routes count kernel-table entries: a batch of three equal x
+        # fills three times the series table of one
+        sw = SpectralWeight(3.0, 1.0)
+        one, _ = bessel_H_many([0.5], 1.0, sw)
+        three, _ = bessel_H_many([0.5, 0.5, 0.5], 1.0, sw)
+        assert three.evaluations == 3 * one.evaluations
+
     def test_series_route_rejects_large_x(self):
         with pytest.raises(ValueError):
             bessel_H_series_many(np.array([2.0, 6.0]), 1.0, SW)

@@ -90,6 +90,11 @@ class TestEisenstein:
         b = eisenstein_side(3, 2, SW)
         assert a.value.real == pytest.approx(b.value.real, abs=1e-10)
 
+    def test_tight_tol_converges(self):
+        res = eisenstein_side(2, 4, SW, tol=1e-14)
+        assert res.converged
+        assert res.err_estimate <= 1e-14
+
 
 class TestDiagonal:
     def test_off_diagonal_is_zero(self):

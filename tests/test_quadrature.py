@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from specpoint.quadrature import adaptive_quadrature, fixed_gauss
+from specpoint.quadrature import adaptive_quadrature, gauss_grid
 
 
 def test_constant():
@@ -20,9 +20,21 @@ def test_full_periods_cancel():
     assert abs(res.value) <= 1e-12
 
 
-def test_fixed_gauss_sine():
-    val = fixed_gauss(np.sin, 0.0, math.pi, order=24, panels=2)
-    assert val == pytest.approx(2.0, abs=1e-14)
+def test_gauss_grid_sine():
+    t, w = gauss_grid(0.0, math.pi, 2, order=24)
+    assert w @ np.sin(t) == pytest.approx(2.0, abs=1e-14)
+
+
+def test_tight_tol_converges():
+    # tol is 7e-16 of the value: shared out among panels it would fall
+    # below their rounding, so the whole grid's change must meet it
+    def f(t):
+        return 10.0 * np.exp(-(((t - 50.0) / 8.0) ** 2))
+
+    res = adaptive_quadrature(f, 0.0, 100.0, 1e-13, initial_panels=24, max_evals=200_000)
+    assert res.converged
+    assert res.err_estimate <= 1e-13
+    assert abs(res.value - 80.0 * math.sqrt(math.pi) * math.erf(6.25)) <= 1e-13
 
 
 @pytest.mark.parametrize(
