@@ -2,12 +2,16 @@
 
     specpoint closure --pairs 1,1 2,3 --T 3 --M 1 --C-max 512 --tol 1e-8
     specpoint decompose --N 4 --T 3 --M 1.5 --seed 1
+    specpoint sieve --N 256 --C 256 --gamma 1 --tau 1 --v 1 --seed 1
 
 closure runs the data-free trace identity Eis = Diag + Kloos for each pair,
 with no spectral data: for T <= 3 and M <= 1 the cuspidal side is below
 3e-19 (SL2(Z) has no cusp form with t < 9.53), so spectral_side warns and
 counts it as 0. decompose runs S + T = D + P for a real sequence on
 (N, 2N] drawn uniformly from [-1, 1] with the seed, again with no forms.
+sieve runs the hybrid large-sieve ratio young_ls_ratio over moduli c <= C
+and |t| <= tau for Sequence.random(N, seed), uniform on the complex unit
+disk.
 
 Every report is printed as one line: dataclasses.asdict of it plus
 "wall_s", the seconds it took.
@@ -22,7 +26,7 @@ import time
 
 from .besselintegral import SpectralWeight
 from .kuznetsov import decomposition, trace_residual
-from .sievebench import Sequence
+from .sievebench import Sequence, young_ls_ratio
 
 
 def _pair(text: str) -> tuple[int, int]:
@@ -33,7 +37,7 @@ def _pair(text: str) -> tuple[int, int]:
 def _c_max(text: str) -> int:
     c_max = int(text)
     if c_max < 1:
-        # no modulus would be summed, and the c-tail bar would be infinite
+        # no modulus would be summed, and closure's c-tail bar would be infinite
         raise argparse.ArgumentTypeError(f"must be at least 1, got {c_max}")
     return c_max
 
@@ -57,6 +61,13 @@ def _decompose(args) -> None:
     _emit(report, time.perf_counter() - start)
 
 
+def _sieve(args) -> None:
+    seq = Sequence.random(N=args.N, seed=args.seed)
+    start = time.perf_counter()
+    report = young_ls_ratio(seq, args.gamma, args.tau, args.v, args.C)
+    _emit(report, time.perf_counter() - start)
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(prog="specpoint", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -75,6 +86,15 @@ def main(argv: list[str] | None = None) -> None:
     decompose.add_argument("--M", type=float, default=1.5)
     decompose.add_argument("--seed", type=int, default=1)
     decompose.set_defaults(run=_decompose)
+
+    sieve = sub.add_parser("sieve", help="hybrid large-sieve ratio over c <= C and |t| <= tau")
+    sieve.add_argument("--N", type=int, default=256)
+    sieve.add_argument("--C", type=_c_max, default=256)
+    sieve.add_argument("--gamma", type=float, default=1.0)
+    sieve.add_argument("--tau", type=float, default=1.0)
+    sieve.add_argument("--v", type=float, default=1.0)
+    sieve.add_argument("--seed", type=int, default=1)
+    sieve.set_defaults(run=_sieve)
 
     args = parser.parse_args(argv)
     args.run(args)

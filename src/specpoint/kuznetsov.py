@@ -40,6 +40,7 @@ from .sievebench import (
     Sequence,
     _eisenstein_linear_forms,
     _hybrid_lhs_one_modulus,
+    _pair_groups,
     _twisted_linear_forms,
 )
 from .specfun import bessel_j, eisenstein_density
@@ -495,6 +496,9 @@ def p_bound_rhs(
 
     Each (q, c) term is the closed-form unit-residue mean square of
     _hybrid_lhs_one_modulus at v = q, so no quadrature grid is involved.
+    The block's pairs are grouped by lag once (_pair_groups at lam_n = n,
+    N groups), and every (q, c) term reuses them at O(N) plus the
+    O(c log c) Ramanujan DFT.
     """
     if not seq.is_real:
         raise ValueError("the decomposition majorant applies to real sequences")
@@ -502,10 +506,11 @@ def p_bound_rhs(
     q_hi = int(q_cap_const * N / T)
     total = 0.0
     tau = R_CUT_FACTOR / M
+    groups = _pair_groups(seq, seq.ns.astype(float))
     for q in range(1, q_hi + 1):
         c_hi = int(c_cap_const * N / (T * q))
         # the (q, c) term is the unit-residue mean square at v = q (its
         # alpha-sum runs over all units, so alpha or alpha^{-1} alike)
-        inner_q = sum(_hybrid_lhs_one_modulus(seq, 1.0, q, c, tau) for c in range(1, c_hi + 1))
+        inner_q = sum(_hybrid_lhs_one_modulus(groups, q, c, tau) for c in range(1, c_hi + 1))
         total += inner_q / q
     return M * T * total

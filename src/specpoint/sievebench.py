@@ -1,11 +1,18 @@
 """Empirical large-sieve harness.
 
 Left-hand sides are computed exactly: finite sums, or t-integrals of
-trigonometric polynomials taken in closed form as quadratic forms in the
-pairwise sinc kernel (no quadrature grid). Right-hand sides are the
-literature majorants with every unspecified epsilon-factor set to 1. Only
-ratios are reported: the suites check boundedness, monotonicity, and
-scaling invariance, never a sharp constant.
+trigonometric polynomials taken in closed form (no quadrature grid).
+Expanding int_{-tau}^{tau} |sum_n a_n e(alpha n/c) e(lam_n t)|^2 dt over
+the units alpha gives, for each pair m <= n of the block, the Ramanujan
+sum c_c(n - m) times int_{-tau}^{tau} e((lam_n - lam_m) t) dt, a sinc.
+The pair enters only through its lag n - m and its gap lam_n - lam_m, so
+_pair_groups adds up Re(conj(a_m) a_n) once per sequence over the pairs
+with equal (lag, gap), and each modulus then costs O(#groups) plus an
+O(c log c) DFT for c_c. At lam_n = n (gamma = 1) every gap is its lag,
+which leaves N groups where the dense form has N^2 kernel entries.
+Right-hand sides are the literature majorants with every unspecified
+epsilon-factor set to 1. Only ratios are reported: the suites check
+boundedness, monotonicity, and scaling invariance, never a sharp constant.
 """
 
 from __future__ import annotations
@@ -80,29 +87,53 @@ def _t_grid(tau: float, order: int, panels: int):
     return gauss_grid(-tau, tau, panels, order)
 
 
-def _sinc_kernel(lams: np.ndarray, tau: float) -> np.ndarray:
-    """K[m, n] = int_{-tau}^{tau} e^{i (lam_m - lam_n) t} dt
-    = 2 sin(tau (lam_m - lam_n)) / (lam_m - lam_n), and 2 tau on the diagonal,
-    so that int_{-tau}^{tau} |sum_n b_n e^{i lam_n t}|^2 dt = b^H K b."""
-    diff = lams[:, None] - lams[None, :]
-    return 2.0 * tau * np.sinc(tau * diff / math.pi)
-
-
-def _hybrid_lhs_one_modulus(seq: Sequence, gamma: float, v: float, c: int, tau: float) -> float:
-    """(1/c) sum*_alpha int_{-tau}^{tau} |sum_n a_n e(alpha n/c) e(n^gamma t/(c v))|^2 dt.
-
-    The alpha-sum of e(alpha (m - n)/c) over the units is the Ramanujan sum
-    c_c(m - n), an integer, so the value is (1/c) a^H (K o c_c(m - n)) a
-    with K the sinc kernel at lam_n = 2 pi n^gamma / (c v).
+def _pair_groups(seq: Sequence, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lags, gaps, weights) of the pairs m <= n of the block grouped by
+    the exact key (n - m, lam_n - lam_m): each weight is the sum of
+    Re(conj(a_m) a_n) over its group, an off-diagonal pair counted twice
+    for both orders. For a real kernel K(m, n) = K(n, m) that depends on
+    the pair only through its key, sum_{m,n} conj(a_m) a_n K = weights @ K.
     """
-    ns = seq.ns
-    alphas, _ = _unit_residues(c)
-    lags = np.arange(seq.N)  # |m - n| < N on the block, and c_c(k) is even in k
-    ramanujan = np.rint(np.cos(2.0 * math.pi * (np.outer(alphas, lags) % c) / c).sum(axis=0))
-    lams = 2.0 * math.pi * ns.astype(float) ** gamma / (c * v)
-    kernel = _sinc_kernel(lams, tau) * ramanujan[np.abs(ns[:, None] - ns[None, :])]
+    i, j = np.triu_indices(seq.N)
     a = seq.values
-    return float(np.real(a.conj() @ kernel @ a)) / c
+    pair_weights = np.where(i == j, 1.0, 2.0) * np.real(a[i].conj() * a[j])
+    # one complex key lag + i gap: complex values compare exactly, part by part
+    keys, group = np.unique((j - i) + 1j * (lams[j] - lams[i]), return_inverse=True)
+    return keys.real.astype(np.int64), keys.imag, np.bincount(group, weights=pair_weights)
+
+
+def _sinc_integral(freqs: np.ndarray, tau: float) -> np.ndarray:
+    """int_{-tau}^{tau} e(f t) dt = 2 tau sinc(2 tau f) at each frequency f."""
+    return 2.0 * tau * np.sinc(2.0 * tau * freqs)
+
+
+def _ramanujan_sums(c: int, ks: np.ndarray) -> np.ndarray:
+    """c_c(k) = sum over units alpha mod c of e(alpha k/c), at each k >= 0.
+
+    The real DFT of the unit indicator, rounded to the integers it equals,
+    in O(c log c); c_c(k) is even and c-periodic in k, so k is folded into
+    [0, c/2].
+    """
+    units = np.zeros(c)
+    units[_unit_residues(c)[0]] = 1.0
+    sums = np.rint(np.fft.rfft(units).real)
+    ks = ks % c
+    return sums[np.minimum(ks, c - ks)]
+
+
+def _hybrid_lhs_one_modulus(groups: tuple, v: float, c: int, tau: float) -> float:
+    """(1/c) sum*_alpha int_{-tau}^{tau} |sum_n a_n e(alpha n/c) e(lam_n t/(c v))|^2 dt
+    for the pair groups of a at lam_n (n^gamma in the hybrid sieve).
+
+    The alpha-sum of e(alpha (n - m)/c) over the units is the Ramanujan sum
+    c_c(lag) and the t-integral of e(gap t/(c v)) is 2 tau sinc(2 tau gap/(c v)),
+    so the value is (1/c) sum_g W_g c_c(lag_g) 2 tau sinc(2 tau gap_g/(c v)):
+    O(#groups) per modulus (N groups at gamma = 1) plus the O(c log c)
+    Ramanujan DFT, with no N x N or phi(c) x N table.
+    """
+    lags, gaps, weights = groups
+    kernel = _ramanujan_sums(c, lags) * _sinc_integral(gaps / (c * v), tau)
+    return float(weights @ kernel) / c
 
 
 def young_ls_lhs(seq: Sequence, gamma: float, tau: float, v: float, C: int) -> float:
@@ -112,7 +143,8 @@ def young_ls_lhs(seq: Sequence, gamma: float, tau: float, v: float, C: int) -> f
         raise ValueError("gamma must be nonzero")
     if tau <= 0 or v <= 0 or C < 1:
         raise ValueError("tau, v must be positive and C >= 1")
-    return sum(_hybrid_lhs_one_modulus(seq, gamma, v, c, tau) for c in range(1, C + 1))
+    groups = _pair_groups(seq, seq.ns.astype(float) ** gamma)
+    return sum(_hybrid_lhs_one_modulus(groups, v, c, tau) for c in range(1, C + 1))
 
 
 def young_ls_ratio(seq: Sequence, gamma: float, tau: float, v: float, C: int) -> SieveReport:
@@ -154,13 +186,13 @@ def corollary_ratio(seq: Sequence, sw: SpectralWeight, forms: list[MaassForm]) -
 def dirichlet_poly_ratio(seq: Sequence, T: float) -> SieveReport:
     """int_{-T}^{T} |sum a_n n^{it}|^2 dt against (2T + N) ||a||^2.
 
-    The integral is the quadratic form of the sinc kernel at lam_n = log n,
-    2 sin(T log(m/n)) / log(m/n).
+    The integral is the grouped quadratic form at lam_n = log n with no
+    Ramanujan factor: the sum over pairs of W 2 sin(T log(n/m)) / log(n/m).
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    kernel = _sinc_kernel(np.log(seq.ns.astype(float)), T)
-    lhs = float(np.real(seq.values.conj() @ kernel @ seq.values))
+    _, gaps, weights = _pair_groups(seq, np.log(seq.ns.astype(float)))
+    lhs = float(weights @ _sinc_integral(gaps / (2.0 * math.pi), T))
     rhs = (2.0 * T + seq.N) * seq.norm_sq
     return SieveReport.make(lhs, rhs, T=T, N=seq.N)
 

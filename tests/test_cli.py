@@ -5,6 +5,7 @@ import json
 import pytest
 
 from specpoint.cli import main
+from specpoint.sievebench import Sequence, young_ls_lhs
 
 
 def test_closure_line(capsys):
@@ -35,6 +36,16 @@ def test_decompose_line(capsys):
     assert params["series_terms"] + params["kernel_terms"] == params["evaluated"]
     assert rec["converged"] is True
     assert rec["residual"] <= rec["skip_bar"] + rec["quadrature_err"]
+
+
+def test_sieve_line(capsys):
+    main("sieve --N 12 --C 8 --gamma 0.5 --tau 0.7 --v 2 --seed 4".split())
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["params"] == {"gamma": 0.5, "tau": 0.7, "v": 2.0, "C": 8, "N": 12}
+    want = young_ls_lhs(Sequence.random(N=12, seed=4), 0.5, 0.7, 2.0, 8)
+    assert rec["lhs"] == pytest.approx(want, rel=1e-15)
+    assert rec["ratio"] == pytest.approx(rec["lhs"] / rec["rhs_majorant"], rel=1e-15)
+    assert rec["wall_s"] > 0
 
 
 def test_closure_rejects_empty_c_range(capsys):

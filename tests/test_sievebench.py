@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from specpoint.arith import _unit_residues, divisors, moebius
 from specpoint.besselintegral import SpectralWeight
 from specpoint.sievebench import (
     Sequence,
+    _hybrid_lhs_one_modulus,
+    _pair_groups,
+    _ramanujan_sums,
     corollary_ratio,
     dirichlet_poly_ratio,
     moment_demo,
@@ -40,11 +44,14 @@ def young_lhs_bruteforce(seq, gamma, tau, v, C, grid=20001):
     return float(np.trapezoid(total, ts))
 
 
-def young_lhs_gauss(seq, gamma, tau, v, C, order=400):
-    """One order-point Gauss-Legendre rule on [-tau, tau] over the direct
-    alpha-sum; at these sizes the rule is exact to rounding."""
+def young_lhs_gauss(seq, gamma, tau, v, C, order=400, panels=1):
+    """One order-point Gauss-Legendre rule on each of `panels` equal panels
+    of [-tau, tau] over the direct alpha-sum; at these sizes the rule is
+    exact to rounding."""
     x, w = np.polynomial.legendre.leggauss(order)
-    ts, ws = tau * x, tau * w
+    h = tau / panels
+    mids = -tau + h * (2 * np.arange(panels) + 1)
+    ts, ws = (mids[:, None] + h * x).ravel(), np.tile(h * w, panels)
     ns = seq.ns.astype(float)
     total = 0.0
     for c in range(1, C + 1):
@@ -55,6 +62,21 @@ def young_lhs_gauss(seq, gamma, tau, v, C, order=400):
             inner = np.exp(2j * math.pi * phase) @ seq.values
             total += float(np.sum(ws * np.abs(inner) ** 2)) / c
     return total
+
+
+def dense_lhs_one_modulus(seq, gamma, v, c, tau):
+    """The dense quadratic form a^H (K o R) a: the N x N sinc kernel K at
+    lam_n = 2 pi n^gamma/(c v) times the Ramanujan sums R[m, n] = c_c(m - n)
+    from the phi(c) x N cosine table."""
+    ns = seq.ns
+    alphas, _ = _unit_residues(c)
+    lags = np.arange(seq.N)
+    ramanujan = np.rint(np.cos(2.0 * math.pi * (np.outer(alphas, lags) % c) / c).sum(axis=0))
+    lams = 2.0 * math.pi * ns.astype(float) ** gamma / (c * v)
+    sinc = 2.0 * tau * np.sinc(tau * (lams[:, None] - lams[None, :]) / math.pi)
+    kernel = sinc * ramanujan[np.abs(ns[:, None] - ns[None, :])]
+    a = seq.values
+    return float(np.real(a.conj() @ kernel @ a)) / c
 
 
 class TestSequence:
@@ -93,11 +115,14 @@ class TestYoungLS:
         want = young_lhs_bruteforce(seq, gamma, 0.3, 2.0, 5)
         assert got == pytest.approx(want, rel=1e-5)
 
-    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_closed_form_matches_gauss_oracle(self, gamma):
+        # at gamma = 2 the phases run up to 32^2 - 17^2 = 735 cycles per unit
+        # t, so the rule is split into panels that each hold fewer than 25
+        panels = 32 if gamma == 2.0 else 1
         seq = Sequence.random(N=16, seed=17)
         got = young_ls_lhs(seq, gamma, 1.0, 1.0, 6)
-        want = young_lhs_gauss(seq, gamma, 1.0, 1.0, 6)
+        want = young_lhs_gauss(seq, gamma, 1.0, 1.0, 6, panels=panels)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_parseval_sanity(self):
@@ -122,6 +147,45 @@ class TestYoungLS:
         r1 = young_ls_ratio(seq, 1.0, 0.3, 1.5, 4)
         r2 = young_ls_ratio(scaled, 1.0, 0.3, 1.5, 4)
         assert r1.ratio == pytest.approx(r2.ratio, rel=1e-10)
+
+
+class TestPairGroups:
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("v", [1.0, 2.5])
+    @pytest.mark.parametrize("tau", [0.3, 1.0])
+    def test_grouped_form_matches_dense(self, gamma, v, tau):
+        seq = Sequence.random(N=24, seed=29)
+        groups = _pair_groups(seq, seq.ns.astype(float) ** gamma)
+        for c in range(1, 13):
+            want = dense_lhs_one_modulus(seq, gamma, v, c, tau)
+            got = _hybrid_lhs_one_modulus(groups, v, c, tau)
+            assert got == pytest.approx(want, rel=1e-13)
+
+    def test_gamma_one_groups_by_lag(self):
+        seq = Sequence.random(N=24, seed=31)
+        lags, gaps, weights = _pair_groups(seq, seq.ns.astype(float))
+        assert lags.size == seq.N
+        np.testing.assert_array_equal(lags, np.arange(seq.N))
+        np.testing.assert_array_equal(gaps, lags)
+        assert weights[0] == pytest.approx(seq.norm_sq, rel=1e-15)
+
+    def test_gamma_two_keeps_every_off_diagonal_pair(self):
+        # n^2 - m^2 = (n - m)(n + m) tells the pairs of one lag apart; the
+        # diagonal is the one group (0, 0)
+        seq = Sequence.random(N=24, seed=31)
+        lags, _, weights = _pair_groups(seq, seq.ns.astype(float) ** 2)
+        assert weights.size == seq.N * (seq.N - 1) // 2 + 1
+        assert weights[lags == 0] == pytest.approx([seq.norm_sq], rel=1e-15)
+
+
+class TestRamanujanSums:
+    @pytest.mark.parametrize("moduli", [range(1, 301), [2310]])
+    def test_dft_matches_moebius_closed_form(self, moduli):
+        # c_c(k) = sum over d | (c, k) of mu(c/d) d
+        for c in moduli:
+            ks = np.arange(2 * c)
+            want = sum(moebius(c // d) * d * (ks % d == 0) for d in divisors(c))
+            np.testing.assert_array_equal(_ramanujan_sums(c, ks), want)
 
 
 class TestCorollaryWindow:
