@@ -5,19 +5,17 @@ twisted form h(t; y) = h(t) cos(2t log y) define
 
     H(x, y) = (4/pi^2) int_0^inf t h(t; y) tanh(pi t) B(t, x) dt,
 
-evaluated exactly by bessel_H_many for every x that shares one twist y
-(bessel_H_direct is its one-column case). x <= SERIES_X_MAX take the power
-series of the cosine kernel B on one shared t-grid (bessel_H_series_many).
-Larger x swap the two integrals, H = int_R cos(x cosh r) k_y(r) dr with the
-per-y kernel k_y(r) = (4/pi^2) int_0^inf t h(t; y) tanh(pi t) cos(2tr) dt,
-and take the r-integral along a rotated contour shared by the x of one
-octave. Both routes put Gauss panels on [0, t_upper] with the same
-t-weights (_t_weights) and double every panel count until no x moves by
-more than tol (quadrature.doubled, for at most _ROUNDS rounds); each error
-estimate adds a 1e-16 M T rounding floor. The kernel route is exact at
-small x too, but took 4-25 times as long there as the series at T = 3-20.
-residue_expansion bounds E_K in H = sum_{k<K} r_k(y) J_{2k+1}(x) + E_K,
-which is asymptotic in small x and turns c-tails into Petersson sums.
+evaluated exactly by bessel_H_many for terms (x, y) of any twists. Each
+route builds one untwisted table that every twist shares: for x <=
+SERIES_X_MAX the power series of the cosine kernel B, for larger x the
+kernel k_1 on one rotated contour per octave of x, as k_y(r) = (k_1(r+L) +
+k_1(r-L))/2 at L = log y. Both double their Gauss panels until no term
+moves by more than tol (quadrature.doubled), and add _ROUNDING times the
+absolute sum of the terms on the last grid to each error estimate. The
+kernel route is exact at small x too, but took 4-25 times as long there as
+the series at T = 3-20. residue_expansion bounds E_K in H = sum_{k<K}
+r_k(y) J_{2k+1}(x) + E_K, which is asymptotic in small x and turns c-tails
+into Petersson sums.
 
 The reduced oscillatory integral I(v, w) over |r| <= 6.1/M with the
 explicit weight g(r) is the paper's stationary-phase asymptotic for H at
@@ -47,8 +45,9 @@ _H_PREF = 4.0 / math.pi**2
 _TAIL_EXP = 45.0  # exp(-45) ~ 3e-20: where the contour's ray is cut
 _PANEL_PHASE = 12.0  # radians of phase per panel on the first grid
 _ROUNDS = 4  # grid doublings either H route tries before flagging
-_ROUNDING_FLOOR = 1e-16  # times M T: a guessed floor added to every H error estimate
+_ROUNDING = 8.0 * np.finfo(float).eps  # times a sum's absolute terms: its rounding bar
 _BLOCK_NODES = 256  # rows per block of a node table: 256 x (t-nodes or x) at most
+_BLOCK_TERMS = 512  # columns per block of the series table: 256 x 512 at most
 # S_k(SL2(Z)) = 0 for k = 2, 4, ..., 10 (Iwaniec, Topics in Classical
 # Automorphic Forms, Thm 3.6), so the Kloosterman c-sums of J_1, J_3, ...,
 # J_9 have closed forms: the residue expansion stops at K = _K_MAX
@@ -115,57 +114,70 @@ def _panel_count(phase: float) -> int:
     return max(2, math.ceil(phase / _PANEL_PHASE))
 
 
-def _t_weights(
-    y: float, sw: SpectralWeight, rate: float, level: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The t-nodes on [0, t_upper] and their weights f = w (4/pi^2) t h(t; y)
-    tanh(pi t): Gauss panels for rate radians of phase per unit t, at least
-    one per M, doubled level times. No node lies at t = 0."""
+def _t_weights(sw: SpectralWeight, rate: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The t-nodes on [0, t_upper] and their weights f = w (4/pi^2) t h(t)
+    tanh(pi t) > 0: Gauss panels for rate radians of phase per unit t, at
+    least one per M, doubled level times. No node lies at t = 0."""
     t_hi = sw.t_upper
     panels = max(_panel_count(rate * t_hi), math.ceil(t_hi / sw.M)) << level
     t, wt = gauss_grid(0.0, t_hi, panels)
-    return t, wt * _H_PREF * t * weight_h_y(t, y, sw) * np.tanh(math.pi * t)
+    return t, wt * _H_PREF * t * weight_h(t, sw) * np.tanh(math.pi * t)
 
 
-def bessel_H_series_many(xs, y: float, sw: SpectralWeight, tol: float = 1e-8) -> QuadratureResult:
-    """H(x, y) for every x in xs (0 < x <= SERIES_X_MAX) at one twist y,
+def bessel_H_series_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> QuadratureResult:
+    """H(x, y) for every term (x, y) of xs and ys (0 < x <= SERIES_X_MAX),
     through the power-series kernel on one t-grid.
 
-    The x share every t-node, its log Gamma and one (t, k) x (k, x) series
-    product per block of _BLOCK_NODES t-nodes. The panels follow the phase
-    of the twist and of the smallest x's kernel, and double until no x
+    The terms share every t-node and one untwisted (t, k) x (k, x) series
+    product per block of _BLOCK_NODES t-nodes and _BLOCK_TERMS terms, which
+    each term weighs by cos(2t log y). The panels follow the phase of the
+    largest twist and of the smallest x's kernel, and double until no term
     moves by more than tol. value and err_estimate are real arrays in the
-    order of xs; converged covers them all. evaluations counts kernel-table
-    entries, t-nodes times x.
+    order of xs, err_estimate plus _ROUNDING sum_t f |B| on the last grid;
+    converged covers them all. evaluations counts kernel-table entries,
+    t-nodes times terms.
     """
-    if y <= 0:
-        raise ValueError("y must be positive")
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("xs must be a non-empty 1-d array")
     if not (np.all(xs > 0) and np.all(xs <= SERIES_X_MAX)):
         raise ValueError(f"the series route needs 0 < x <= {SERIES_X_MAX}")
+    if not np.all(np.asarray(ys) > 0):
+        raise ValueError("y must be positive")
+    # one weight column f cos(2t log y) per distinct twist; each term takes its own
+    log_y, twist = np.unique(np.log(ys), return_inverse=True)
+    twist = np.broadcast_to(twist, xs.shape)
     # B(t, x) turns at rate 2 asinh(2t/x) in t, fastest at the smallest x
-    rate = 2.0 * abs(math.log(y)) + 2.0 * math.asinh(2.0 * sw.t_upper / float(np.min(xs)))
+    rate = 2.0 * np.max(np.abs(log_y)) + 2.0 * math.asinh(2.0 * sw.t_upper / np.min(xs))
+    size = np.zeros(xs.size)
 
     def evaluate(level: int) -> tuple[np.ndarray, int]:
-        t, f = _t_weights(y, sw, rate, level)
-        total = np.zeros(xs.size)
+        nonlocal size
+        t, f = _t_weights(sw, rate, level)
+        total, size = np.zeros(xs.size), np.zeros(xs.size)
         for i in range(0, t.size, _BLOCK_NODES):
             block = slice(i, i + _BLOCK_NODES)
-            total += f[block] @ kernel_b_series_many(t[block], xs)
+            weights = f[block, None] * np.cos(2.0 * np.multiply.outer(t[block], log_y))
+            for j in range(0, xs.size, _BLOCK_TERMS):
+                cols = slice(j, j + _BLOCK_TERMS)
+                b = kernel_b_series_many(t[block], xs[cols])
+                total[cols] += (weights.T @ b)[twist[cols], np.arange(b.shape[1])]
+                size[cols] += f[block] @ np.abs(b, out=b)
+                del b  # before the next block builds its own
         return total, t.size * xs.size
 
     res = doubled(evaluate, tol, _ROUNDS)
-    res.err_estimate += _ROUNDING_FLOOR * sw.M * sw.T
+    res.err_estimate += _ROUNDING * size
     return res
 
 
 def _kernel_on_leg(
-    s: np.ndarray, fixed: float, horizontal: bool, t: np.ndarray, f: np.ndarray
-) -> np.ndarray:
-    """k_y at r = s + i fixed (a horizontal leg) or r = fixed + i s (a
-    vertical one), from the t-nodes and their weights f = w (4/pi^2) t h tanh.
+    s: np.ndarray, ws: np.ndarray, fixed: float, horizontal: bool, t: np.ndarray, f: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """k_1(r) dr at r = s + i fixed (a horizontal leg) or r = fixed + i s (a
+    vertical one) for the leg's Gauss nodes s and weights ws, from the
+    t-nodes and their weights f = w (4/pi^2) t h tanh; and |dr| sum_t f
+    cosh(2t Im r) >= |dr| sum_t f |cos(2tr)|, the absolute sum of its terms.
 
     cos(2t(a + ib)) = cos(2ta) cosh(2tb) - i sin(2ta) sinh(2tb), and the
     leg's fixed coordinate goes into the two weight vectors. So each block
@@ -179,96 +191,108 @@ def _kernel_on_leg(
         even, odd = np.cosh, np.sinh
         w_even, w_odd = f * np.cos(2.0 * fixed * t), f * np.sin(2.0 * fixed * t)
     out = np.empty(s.size, dtype=complex)
+    size = np.full(s.size, np.sum(w_even))
     for i in range(0, s.size, _BLOCK_NODES):
         block = slice(i, i + _BLOCK_NODES)
         phase = np.multiply.outer(2.0 * s[block], t)
-        out.real[block] = even(phase) @ w_even
+        table = even(phase)
+        out.real[block] = table @ w_even
+        if not horizontal:
+            size[block] = table @ f
         out.imag[block] = -(odd(phase, out=phase) @ w_odd)
-    return out
+    return out * (ws if horizontal else 1j * ws), size * ws
 
 
-def _bessel_H_kernel(
-    xs: np.ndarray, y: float, sw: SpectralWeight, tol: float
-) -> QuadratureResult:
-    """H(x, y) for every x in xs (x > 0) with the integrals swapped:
-    2 Re int_Gamma e^{ix cosh r} k_y(r) dr, through one contour and one
-    k_y table for all of xs.
+def _bessel_H_kernel(xs: np.ndarray, ys, sw: SpectralWeight, tol: float) -> QuadratureResult:
+    """H(x, y) for every term (x, y) of xs and ys (x > 0) with the
+    integrals swapped, through one contour and one untwisted k_1 table.
 
-    k_y is entire, so the r-integral over [0, inf) may leave the real axis.
-    Gamma runs along it to a, up to a + i theta, then right to R + i theta.
-    Off the axis, |e^{ix cosh r} cos(2tr)| <= exp(2t Im r - x sinh(Re r)
-    sin(Im r)), and rising at a, past every stationary point
-    (x sinh(a) sin(theta) = 2 t_upper theta), keeps that below 1 for every
-    t. Rising at 0 instead gives legs about e^{2T theta} times larger than
-    H, which cancel: ~7e3 each against H ~ 5e-12 at T=50, M=8, x=10, y=1,
-    leaving ~1e-11 of rounding. theta = min(pi/2, 4/T) caps cosh(2t theta)
-    at e^60, as t_upper <= 7.5 T; H itself does not depend on it. R lies 45
-    e-folds of decay beyond a. a and R are those of the smallest x, so
-    they lie beyond the stationary points and the cut of every larger x.
-    Every leg and the t-range [0, t_upper] carry Gauss panels sized by the
-    phase of the largest x; k_y at a leg's nodes is one (nodes, t) product
-    against the t-weights, and H is one weighted sum over the nodes per x.
+    k_1 is even, real on R and entire, so H = Re int_P k_1(v)
+    (e^{ix cosh(v-L)} + e^{ix cosh(v+L)}) dv at L = log y along a path P
+    that runs along the real axis to a*, up to a* + i theta, then right to
+    R* + i theta. Off the axis |e^{ix cosh(v-+L)} cos(2tv)| <= exp(2t Im v -
+    x sinh(Re v -+ L) sin(Im v)), and rising at a* = a + max|L|, a past
+    every stationary point (x sinh(a) sin(theta) = 2 t_upper theta), keeps
+    that below 1 for every t and twist. Rising at 0 instead gives legs about
+    e^{2T theta} times larger than H, which cancel: ~7e3 each against H ~
+    5e-12 at T=50, M=8, x=10, y=1. theta = min(pi/2, 4/T) caps cosh(2t
+    theta) at e^60, as t_upper <= 7.5 T. R* = R + max|L|, with R 45 e-folds
+    of decay beyond a. a and R are those of the smallest x, so they lie
+    beyond the stationary points and the cut of every larger x. Gauss panels
+    on every leg and on [0, t_upper] follow the phase of the largest x; off
+    the axis the nearer shift sets it, as the farther one decays faster than
+    it turns there.
 
-    The three leg panel counts and the t-panel count double together until
-    no H changes by more than tol (quadrature.doubled). evaluations counts
-    kernel-table entries, r-nodes times t-nodes, as the k_y table is shared
-    by every x.
+    All panel counts double together until no H changes by more than tol
+    (quadrature.doubled). err_estimate adds _ROUNDING sum f cosh(2t Im v)
+    |e^{ix cosh(v-+L)}| |dv| on the last grid. evaluations counts k_1-table
+    entries, r-nodes times t-nodes.
     """
+    log_y = np.log(ys)
+    shift = float(np.max(np.abs(log_y)))
+    cosh_l, sinh_l = xs * np.cosh(log_y), xs * np.sinh(log_y)
     theta = min(math.pi / 2, 4.0 / sw.T)
     x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
     decay = x_lo * math.sin(theta)
     sinh_a = 2.0 * sw.t_upper * theta / decay
     a = math.asinh(sinh_a)
     R = math.asinh(sinh_a + _TAIL_EXP / decay)
-    cosh_a = math.cosh(a)
+    cosh_a, a_s, R_s = math.cosh(a), a + shift, R + shift  # a_s, R_s: a*, R*
     # (start, end, fixed coordinate, horizontal) of each leg, and its first panel count
-    legs = ((0.0, a, 0.0, True), (0.0, theta, a, False), (a, R, theta, True))
+    legs = ((0.0, a_s, 0.0, True), (0.0, theta, a_s, False), (a_s, R_s, theta, True))
     counts = (
-        _panel_count(x_hi * (cosh_a - 1.0) + 2.0 * sw.T * a),
+        _panel_count(x_hi * (math.cosh(a_s + shift) - 1.0) + 2.0 * sw.T * a_s),
         _panel_count(x_hi * cosh_a * (1.0 - math.cos(theta)) + 2.0 * sw.T * theta),
         _panel_count(x_hi * (math.cosh(R) - cosh_a) * math.cos(theta) + 2.0 * sw.T * (R - a)),
     )
-    t_rate = 2.0 * (math.hypot(R, theta) + abs(math.log(y)))
+    t_rate = 2.0 * math.hypot(R_s, theta)
+    size = np.zeros(xs.size)
 
     def evaluate(level: int) -> tuple[np.ndarray, int]:
-        t, f = _t_weights(y, sw, t_rate, level)
-        total = np.zeros(xs.size)
+        nonlocal size
+        t, f = _t_weights(sw, t_rate, level)
+        total, size = np.zeros(xs.size), np.zeros(xs.size)
         nodes = 0
         for (lo, hi, fixed, horizontal), n in zip(legs, counts):
             s, ws = gauss_grid(lo, hi, n << level)
-            r, dr = (s + 1j * fixed, ws) if horizontal else (fixed + 1j * s, 1j * ws)
-            k = dr * _kernel_on_leg(s, fixed, horizontal, t, f)
+            r = s + 1j * fixed if horizontal else fixed + 1j * s
+            k, k_abs = _kernel_on_leg(s, ws, fixed, horizontal, t, f)
             for i in range(0, s.size, _BLOCK_NODES):
                 block = slice(i, i + _BLOCK_NODES)
-                total += (np.exp(1j * np.multiply.outer(xs, np.cosh(r[block]))) @ k[block]).real
+                # x cosh(v -+ L) = x cosh L cosh v -+ x sinh L sinh v
+                even = np.multiply.outer(cosh_l, np.cosh(r[block]))
+                odd = np.multiply.outer(sinh_l, np.sinh(r[block]))
+                for sign in (-1.0, 1.0):
+                    e = np.exp(1j * (even + sign * odd))
+                    total += (e @ k[block]).real
+                    size += np.abs(e) @ k_abs[block]
             nodes += s.size
-        return 2.0 * total, nodes * t.size
+        return total, nodes * t.size
 
     res = doubled(evaluate, tol, _ROUNDS)
-    res.err_estimate += _ROUNDING_FLOOR * sw.M * sw.T
+    res.err_estimate += _ROUNDING * size
     return res
 
 
-def bessel_H_many(
-    xs, y: float, sw: SpectralWeight, tol: float = 1e-8
-) -> tuple[QuadratureResult, int]:
-    """H(x, y) for every x > 0 in xs at one twist y, and how many of them
-    took the series route.
+def bessel_H_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> tuple[QuadratureResult, int]:
+    """H(x, y) for every term (x, y) of xs and ys (x > 0, y > 0; a scalar y
+    serves every x), and how many terms took the series route.
 
     x <= SERIES_X_MAX go through one bessel_H_series_many call, which is
     exact for small x too, x < 1 included; larger x through one
     _bessel_H_kernel call per octave, with the t- and r-integrals swapped.
     Both cut the t-range where the Gaussian is below 4e-19, and both double
-    their grids until no x moves by more than tol. value and err_estimate
+    their grids until no term moves by more than tol. value and err_estimate
     are real arrays in the order of xs (empty for an empty xs); converged
     covers them all and evaluations adds up every call's kernel-table
     entries.
     """
-    if y <= 0:
-        raise ValueError("y must be positive")
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or not np.all(xs > 0):
         raise ValueError("xs must be a 1-d array of positive x")
+    ys = np.broadcast_to(np.asarray(ys, dtype=float), xs.shape)
+    if not np.all(ys > 0):
+        raise ValueError("y must be positive")
     value = np.zeros(xs.size)
     err = np.zeros(xs.size)
     evaluations = 0
@@ -282,7 +306,7 @@ def bessel_H_many(
     ]
     for route, mask in batches:
         if np.any(mask):
-            res = route(xs[mask], y, sw, tol)
+            res = route(xs[mask], ys[mask], sw, tol)
             value[mask], err[mask] = res.value, res.err_estimate
             evaluations += res.evaluations
             converged = converged and res.converged
@@ -296,7 +320,7 @@ def bessel_H_direct(
     tol: float = 1e-8,
 ) -> QuadratureResult:
     """H(x, y) from the cosine kernel and the twisted weight: the
-    one-column case of bessel_H_many."""
+    one-term case of bessel_H_many."""
     res, _ = bessel_H_many(np.array([x], dtype=float), y, sw, tol)
     return QuadratureResult(
         complex(res.value[0], 0.0), float(res.err_estimate[0]), res.evaluations, res.converged
@@ -399,26 +423,21 @@ def smallx_decay_scan(
     y_samples=(1.0, 2.0, 4.0, 8.0),
     tol: float = 1e-12,
 ) -> list[dict]:
-    """Max |H(x, y)| over (x, y) with x(y + 1/y) = u, for each u in the grid.
-
-    A row's converged is the AND over the quadratures behind it.
+    """Max |H(x, y)| over (x, y) with x(y + 1/y) = u, for each u in the grid:
+    one bessel_H_many call per u over every y, whose converged the row keeps.
     """
+    ys = np.asarray(y_samples, dtype=float)
     rows = []
     for u in u_grid:
         if u < 0:
             raise ValueError("u must be non-negative")
-        worst = 0.0
-        worst_y = None
-        converged = True
-        for y in y_samples:
-            x = u / (y + 1.0 / y)
-            if x <= 0:
-                continue
-            h = bessel_H_direct(x, y, sw, tol=tol)
-            converged = converged and h.converged
-            if abs(h.value.real) > worst:
-                worst, worst_y = abs(h.value.real), y
+        xs = u / (ys + 1.0 / ys)
+        res, _ = bessel_H_many(xs[xs > 0], ys[xs > 0], sw, tol)
+        h = np.zeros(ys.size)
+        h[xs > 0] = np.abs(res.value)
+        j = int(np.argmax(h))
+        y_max = float(ys[j]) if h[j] > 0 else None
         rows.append(
-            {"u": float(u), "max_abs_H": worst, "argmax_y": worst_y, "converged": converged}
+            {"u": float(u), "max_abs_H": float(h[j]), "argmax_y": y_max, "converged": res.converged}
         )
     return rows

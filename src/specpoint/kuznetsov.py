@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .arith import _unit_residues, divisor_count, divisor_sigma, kloosterman
 from .besselintegral import (
     _K_MAX,
+    _ROUNDING,
     R_CUT_FACTOR,
     SpectralWeight,
     bessel_H_many,
@@ -153,14 +154,15 @@ def diagonal_term(m: int, n: int, sw: SpectralWeight, tol: float = 1e-10) -> Qua
 
 @dataclass
 class KloostermanSideReport:
-    """The c-sum, its bars, the K of its Petersson subtraction, and how many
-    terms each H route evaluated: the batched series and the x > 5 kernel."""
+    """The c-sum, its bars, the K of its Petersson subtraction (one per pair
+    in a batch), and how many terms each H route evaluated: the batched
+    series and the x > 5 kernel."""
 
     value: float
     tail_estimate: float
     quadrature_err: float
     c_used: int
-    petersson_K: int
+    petersson_K: int | list[int]
     converged: bool
     series_moduli: int
     kernel_moduli: int
@@ -173,18 +175,18 @@ _S_VANISH = 1e-9
 
 
 def _h_value(
-    xs: np.ndarray, s_vals: np.ndarray, y: float, sw: SpectralWeight, tol: float
+    xs: np.ndarray, ys: np.ndarray, s_vals: np.ndarray, sw: SpectralWeight, tol: float
 ) -> tuple[QuadratureResult, int, int]:
-    """H(x, y) for the c-sum terms of one twist y, with arguments xs and
+    """H(x, y) for the c-sum terms with arguments xs, twists ys and
     Kloosterman sums s_vals, and how many terms each route evaluated.
 
     A term with |S| <= _S_VANISH vanishes: its value and bar are 0 and no
-    route evaluates it. The rest go through one bessel_H_many call. The
-    result holds per-term values and bars in the order of xs; the two
-    counts are (series, kernel).
+    route evaluates it. The rest, of any twists, go through one
+    bessel_H_many call. The result holds per-term values and bars in the
+    order of xs; the two counts are (series, kernel).
     """
     live = np.abs(s_vals) > _S_VANISH
-    res, series = bessel_H_many(xs[live], y, sw, tol)
+    res, series = bessel_H_many(xs[live], ys[live], sw, tol)
     value = np.zeros(xs.size)
     err = np.zeros(xs.size)
     value[live], err[live] = res.value, res.err_estimate
@@ -193,8 +195,9 @@ def _h_value(
 
 
 def _tail_bars(mn: np.ndarray, weights: np.ndarray, C: int, sw: SpectralWeight) -> np.ndarray:
-    """For K = 1, ..., _K_MAX, a bound for sum_p |w_p| sum_{c > C}
-    |S(m_p, n_p; c)/c E_K(x_pc, y)| over the pairs p of one twist y, C >= 1.
+    """bars[p, K-1], for each pair p and K = 1, ..., _K_MAX: a bound for
+    |w_p| sum_{c > C} |S(m_p, n_p; c)/c E_K(x_pc, y_p)| at y_p =
+    sqrt(m_p/n_p), C >= 1.
 
     For L >= K, E_K = sum_{K <= k < L} r_k J_{2k+1} + E_L with
     |J_nu(x)| <= (x/2)^nu I_0(x)/nu!; each K takes its best L. Weil's
@@ -208,55 +211,63 @@ def _tail_bars(mn: np.ndarray, weights: np.ndarray, C: int, sw: SpectralWeight) 
     pair = np.sqrt(np.gcd(m, n)) * np.abs(weights) * np.i0(X / (C + 1))
     nu = np.arange(2 * _K_MAX + 1)
     u = 1.0 / (nu - 0.5)
-    # order[nu >= 2] bounds sum_p |w_p| sum_{c > C} |S/c| (x_pc/2)^nu I_0(x_pc)
+    # order[p, nu >= 2] bounds |w_p| sum_{c > C} |S/c| (x_pc/2)^nu I_0(x_pc)
     order = math.sqrt(C) * (u * math.log(C) + 2.0 + 2.0 * u + u * u)
-    order *= (X / (2.0 * C)) ** nu[:, None] @ pair
-    r, B = residue_expansion(math.sqrt(m[0] / n[0]), sw)
-    term = [abs(r[k]) / math.factorial(2 * k + 1) * order[2 * k + 1] for k in range(_K_MAX)]
-    bars = np.empty(_K_MAX)
+    order = order * (X[:, None] / (2.0 * C)) ** nu * pair[:, None]
+    r, B = (np.array(rb) for rb in zip(*(residue_expansion(y, sw) for y in np.sqrt(m / n))))
+    k = np.arange(_K_MAX)
+    term = np.abs(r) / [math.factorial(2 * j + 1) for j in k] * order[:, 2 * k + 1]
+    tail = B * order[:, 2 * k + 2]  # the E_L bound, L = k + 1
+    bars = np.empty((mn.shape[0], _K_MAX))
     for K in range(1, _K_MAX + 1):
-        bars[K - 1] = min(sum(term[K:L]) + B[L - 1] * order[2 * L] for L in range(K, _K_MAX + 1))
+        bars[:, K - 1] = np.min(
+            [term[:, K:L].sum(axis=1) + tail[:, L - 1] for L in range(K, _K_MAX + 1)], axis=0
+        )
     return bars
 
 
 def _petersson_c_sum(
     mn: np.ndarray, weights: np.ndarray, s_vals: np.ndarray, sw: SpectralWeight, tol: float
 ) -> KloostermanSideReport:
-    """sum_p w_p sum_{c >= 1} S(m_p, n_p; c)/c H(4 pi sqrt(m_p n_p)/c, y) for
-    the pairs p of one twist y = sqrt(m_p/n_p), from s_vals[p, c-1], c <= C.
+    """sum_p w_p sum_{c >= 1} S(m_p, n_p; c)/c H(4 pi sqrt(m_p n_p)/c, y_p)
+    over pairs p of any twists y_p = sqrt(m_p/n_p), from s_vals[p, c-1].
 
-    Each term c <= C is taken exactly (_h_value) less G_K = sum_{k<K}
-    r_k J_{2k+1}. Petersson sums J_{2k+1} over all c to -delta_{m,n}
-    i^{2k+2}/(2pi), so adding delta_{m,n}/(2pi) sum_{k<K} (-1)^k r_k(1)
-    leaves E_K over c > C. The bar is _tail_bars plus 8 eps times what was
-    subtracted: |r_k J_{2k+1}(x)|, or |r_k| where x >= 2k+1 (bessel_j's
-    nodes are of size 1 there). K minimises it: r_k grows like
-    e^{(k+1/2)^2/M^2}, so a larger K trades tail for rounding.
+    Each term c <= C is taken exactly (one _h_value call) less G_K =
+    sum_{k<K} r_k(y_p) J_{2k+1}. Petersson sums J_{2k+1} over all c to
+    -delta_{m,n} i^{2k+2}/(2pi), so adding delta_{m,n}/(2pi) sum_{k<K}
+    (-1)^k r_k(1) leaves E_K over c > C. A pair's bar is its _tail_bars row
+    plus _ROUNDING times what was subtracted: |r_k J_{2k+1}(x)|, or |r_k|
+    where x >= 2k+1 (bessel_j's nodes are of size 1 there). Each pair's K
+    minimises its own bar: r_k grows like e^{(k+1/2)^2/M^2}, so a larger K
+    trades tail for rounding. tail_estimate adds up the pairs' bars.
     """
     m, n = mn[:, 0], mn[:, 1]
-    y = math.sqrt(m[0] / n[0])
+    ys = np.sqrt(m / n)
     cs = np.arange(1, s_vals.shape[1] + 1)
-    xs = (4.0 * math.pi * np.sqrt(m * n)[:, None] / cs).ravel()
+    xs = 4.0 * math.pi * np.sqrt(m * n)[:, None] / cs  # (pair, c)
     s_vals = np.where(np.abs(s_vals) > _S_VANISH, s_vals, 0.0)
-    coeff = (weights[:, None] * s_vals / cs).ravel()
-    h, series, kernel = _h_value(xs, s_vals.ravel(), y, sw, tol)
+    coeff = weights[:, None] * s_vals / cs
+    h, series, kernel = _h_value(xs.ravel(), np.repeat(ys, cs.size), s_vals.ravel(), sw, tol)
 
-    r = residue_expansion(y, sw)[0]
+    r = np.array([residue_expansion(y, sw)[0] for y in ys]).T  # (k, pair)
     orders = 2 * np.arange(_K_MAX) + 1
-    jn = np.array([bessel_j(int(k), xs) for k in orders])
-    size = np.abs(r)[:, None] * np.where(xs >= orders[:, None], 1.0, np.abs(jn))
-    g = np.cumsum(r[:, None] * jn, axis=0)  # G_K in row K - 1
-    diag = float(np.sum(weights[m == n])) / (2.0 * math.pi)
-    closed = diag * np.cumsum((-1.0) ** np.arange(_K_MAX) * r)
-    rounding = np.cumsum(size, axis=0) @ np.abs(coeff) + abs(diag) * np.cumsum(np.abs(r))
-    bars = _tail_bars(mn, weights, cs.size, sw) + 8.0 * np.finfo(float).eps * rounding
-    K = int(np.argmin(bars)) + 1
+    jn = np.array([bessel_j(int(k), xs) for k in orders])  # (k, pair, c)
+    size = np.abs(r)[:, :, None] * np.where(xs >= orders[:, None, None], 1.0, np.abs(jn))
+    g = np.cumsum(r[:, :, None] * jn, axis=0)  # G_K in row K - 1
+    diag = np.where(m == n, weights, 0.0) / (2.0 * math.pi)
+    closed = diag * np.cumsum((-1.0) ** np.arange(_K_MAX)[:, None] * r, axis=0)
+    rounding = np.sum(np.cumsum(size, axis=0) * np.abs(coeff), axis=2)
+    rounding += np.abs(diag) * np.cumsum(np.abs(r), axis=0)
+    bars = _tail_bars(mn, weights, cs.size, sw) + _ROUNDING * rounding.T  # (pair, K)
+    K = np.argmin(bars, axis=1)
+    pairs = np.arange(mn.shape[0])
+    value = np.sum(coeff * (h.value.reshape(xs.shape) - g[K, pairs])) + np.sum(closed[K, pairs])
     return KloostermanSideReport(
-        value=float(coeff @ (h.value - g[K - 1]) + closed[K - 1]),
-        tail_estimate=float(bars[K - 1]),
-        quadrature_err=float(np.abs(coeff) @ h.err_estimate),
+        value=float(value),
+        tail_estimate=float(np.sum(bars[pairs, K])),
+        quadrature_err=float(np.abs(coeff).ravel() @ h.err_estimate),
         c_used=int(cs.size),
-        petersson_K=K,
+        petersson_K=[int(k) + 1 for k in K],
         converged=h.converged,
         series_moduli=series,
         kernel_moduli=kernel,
@@ -278,7 +289,8 @@ def kloosterman_side(
     if C_max == 0:
         return KloostermanSideReport(0.0, math.inf, 0.0, 0, 0, True, 0, 0)
     s_vals = np.array([[kloosterman(m, n, c).real for c in range(1, C_max + 1)]])
-    return _petersson_c_sum(np.array([[m, n]]), np.ones(1), s_vals, sw, tol)
+    rep = _petersson_c_sum(np.array([[m, n]]), np.ones(1), s_vals, sw, tol)
+    return replace(rep, petersson_K=rep.petersson_K[0])
 
 
 @dataclass
@@ -383,15 +395,15 @@ def decomposition(
 ) -> DecompositionReport:
     """S + T on the spectral side against D + P for a real block sequence.
 
-    P is the c-sum over the pairs n_i <= n_j, one _petersson_c_sum call per
-    twist y = sqrt(n_i/n_j), with the Kloosterman sums of every c <= C from
-    _kloosterman_block. C is the smallest modulus whose c > C tail bars,
-    each twist at its best K, add up to at most tol; skip_bar adds up the
-    bars the calls report, tail and rounding. spectral_tail bounds the
+    P is the c-sum over the pairs n_i <= n_j, every twist y = sqrt(n_i/n_j)
+    in one _petersson_c_sum call, with the Kloosterman sums of every c <= C
+    from _kloosterman_block. C is the smallest modulus whose c > C tail
+    bars, each pair at its best K, add up to at most tol; skip_bar is the
+    bar that call reports, tail and rounding. spectral_tail bounds the
     forms beyond the data through |sum_n a_n lambda_j(n)| <= sum_n |a_n|
     tau(n). converged is the AND over every quadrature run. params holds C
-    (as "c_eval" and "c_far"), the K of each twist by ascending n_i/n_j,
-    and the evaluated terms split by the route of H.
+    (as "c_eval" and "c_far"), the K of each pair in np.triu_indices
+    order, and the evaluated terms split by the route of H.
     """
     if not seq.is_real:
         raise ValueError(
@@ -420,16 +432,13 @@ def decomposition(
     qerr = 2.0 * eis.err_estimate / math.pi + h0.err_estimate * seq.norm_sq
     converged = eis.converged and h0.converged
 
-    # the pairs i <= j, an off-diagonal pair standing for both orders, grouped
-    # by twist: equal ratios n_i / n_j divide to equal floats
+    # the pairs i <= j, an off-diagonal pair standing for both orders
     iu, ju = np.triu_indices(N)
     mn = np.stack([ns[iu], ns[ju]], axis=1)
     aa = np.where(iu == ju, 1.0, 2.0) * a[iu] * a[ju]
-    _, pair_twist = np.unique(ns[iu] / ns[ju], return_inverse=True)
-    twists = [pair_twist == j for j in range(pair_twist.max() + 1)]
 
     def tail_bar(C: int) -> float:
-        return min(sum(_tail_bars(mn[p], aa[p], C, sw) for p in twists))
+        return float(np.sum(np.min(_tail_bars(mn, aa, C, sw), axis=1)))
 
     # the tail bar falls with C: double, then bisect
     C = 1
@@ -441,45 +450,34 @@ def decomposition(
         lo, C = (mid, C) if tail_bar(mid) > tol else (lo, mid)
 
     s_table = np.stack([_kloosterman_block(ns, c)[iu, ju] for c in range(1, C + 1)], axis=1)
-    p_val = skip_bar = 0.0
-    series_terms = kernel_terms = 0
-    ks = []
-    for p in twists:
-        part = _petersson_c_sum(mn[p], aa[p], s_table[p], sw, tol)
-        p_val += part.value
-        skip_bar += part.tail_estimate
-        qerr += part.quadrature_err
-        converged = converged and part.converged
-        series_terms += part.series_moduli
-        kernel_terms += part.kernel_moduli
-        ks.append(part.petersson_K)
+    off = _petersson_c_sum(mn, aa, s_table, sw, tol)
 
     lam_cap = sum(abs(x) * divisor_count(int(n)) for x, n in zip(a, ns))
-    residual = abs(s_val + t_val - d_val - p_val)
-    denom = max(abs(s_val + t_val), abs(d_val + p_val), 1e-300)
+    residual = abs(s_val + t_val - d_val - off.value)
+    denom = max(abs(s_val + t_val), abs(d_val + off.value), 1e-300)
     return DecompositionReport(
         S=float(s_val),
         T_eis=float(t_val),
         D=float(d_val),
-        P=float(p_val),
+        P=off.value,
         residual=residual,
         rel_residual=residual / denom,
-        skip_bar=skip_bar,
+        skip_bar=off.tail_estimate,
         spectral_tail=spectral_tail_bar(1, 1, sw, forms) * float(lam_cap) ** 2,
-        quadrature_err=qerr,
+        quadrature_err=qerr + off.quadrature_err,
         diagonal_closed_form=diagonal_closed_form(sw) * seq.norm_sq,
-        converged=converged,
+        converged=converged and off.converged,
         params={
             "N": N,
             "T": sw.T,
             "M": sw.M,
             "c_eval": C,
             "c_far": C,
-            "petersson_K": ks,
+            "petersson_K": off.petersson_K,
             "tol": tol,
-            "evaluated": series_terms + kernel_terms,
-            "series_terms": series_terms,
-            "kernel_terms": kernel_terms,
+            "evaluated": off.series_moduli + off.kernel_moduli,
+            "series_terms": off.series_moduli,
+            "kernel_terms": off.kernel_moduli,
         },
     )
 

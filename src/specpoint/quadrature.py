@@ -26,7 +26,7 @@ class QuadratureResult:
     """A numerically computed integral with an error estimate and a cost.
 
     err_estimate is the value's change over the last grid doubling (plus
-    any floor the caller adds); converged is False when the doublings ran
+    any rounding bar the caller adds); converged is False when the doublings ran
     out before that change fell to tol. For a batch of H values
     (besselintegral.bessel_H_many), value and err_estimate are real arrays
     with one entry per x.

@@ -184,7 +184,15 @@ class TestBesselHDirect:
             assert np.all(gap <= series.err_estimate[mask] + kernel.err_estimate + 1e-13)
 
     @pytest.mark.parametrize(
-        "x,y", [(0.05, 1.0), (0.5, math.sqrt(2.0)), (3.0, 1.0 / math.sqrt(3.0)), (10.0, 0.5)]
+        "x,y",
+        [
+            (0.05, 1.0),
+            (0.5, math.sqrt(2.0)),
+            (3.0, 1.0 / math.sqrt(3.0)),
+            (10.0, 0.5),
+            (40.0, math.sqrt(5.0 / 8.0)),
+            (20.0, 2.0),
+        ],
     )
     def test_matches_mpmath_bessel_integral(self, x, y):
         # independent of kernel_b_block and of either route: B(t, x) =
@@ -264,6 +272,35 @@ class TestSwappedKernelRoute:
         assert np.all(batch.err_estimate <= tol)
         for x, value in zip(xs, batch.value):
             assert value == pytest.approx(bessel_H_direct(x, y, sw, tol=tol).value.real, abs=1e-12)
+
+    def test_mixed_twists_match_one_twist_calls(self):
+        # terms of three twists on both routes share one call: one series
+        # table and one k_1 contour per octave for every twist
+        sw, tol = SpectralWeight(3.0, 1.0), 1e-10
+        xs = np.array([0.1, 0.5, 2.0, 3.0, 4.5, 5.5, 7.0, 9.0, 13.0, 20.0, 30.0, 41.0])
+        ys = np.resize([1.0, 0.5, math.sqrt(5.0 / 8.0)], xs.size)
+        batch, series = bessel_H_many(xs, ys, sw, tol=tol)
+        assert batch.converged and series == 5
+        for y in np.unique(ys):
+            mask = ys == y
+            one, _ = bessel_H_many(xs[mask], y, sw, tol=tol)
+            assert one.converged
+            gap = np.abs(batch.value[mask] - one.value)
+            assert np.all(gap <= batch.err_estimate[mask] + one.err_estimate)
+
+    def test_rounding_bar_covers_a_finer_grid(self, monkeypatch):
+        # at T=50 the legs carry terms ~1e3 times the smallest H here, so the
+        # value one doubling finer moves by rounding alone, by up to 1.1e-12:
+        # only a bar from the terms' absolute sum covers that
+        sw, xs = SpectralWeight(50.0, 8.0), np.linspace(10.0, 19.0, 10)
+        res, _ = bessel_H_many(xs, 1.0, sw, 1e-11)
+        assert res.converged
+        monkeypatch.setattr(besselintegral, "_ROUNDS", 2)
+        finer, _ = bessel_H_many(xs, 1.0, sw, 0.0)
+        # each level has 4 times the table entries of the one before: res
+        # stopped at level 1 (5 units), finer at level 2 (21 units)
+        assert 21 * res.evaluations == 5 * finer.evaluations
+        assert np.all(np.abs(finer.value - res.value) <= res.err_estimate)
 
     def test_memory_is_bounded(self):
         # the doubled grid here is ~1,900 r-nodes by ~1,100 t-nodes, ~34 MB

@@ -172,6 +172,24 @@ class TestKloostermanSide:
             if 4 * math.pi * math.sqrt(m * n) / c > 5.0
         )
 
+    def test_mixed_twists_match_one_twist_calls(self):
+        # one c-sum over the pairs of two twists, each pair with its own y and
+        # K, against a call per twist
+        sw, C, tol = SpectralWeight(T=3.0, M=1.0), 64, 1e-10
+        mn = np.array([[1, 1], [1, 2], [2, 2], [2, 4]])
+        weights = np.array([0.3, -1.2, 0.7, 0.5])
+        s_vals = np.array([[kloosterman(m, n, c).real for c in range(1, C + 1)] for m, n in mn])
+        mixed = kuznetsov._petersson_c_sum(mn, weights, s_vals, sw, tol)
+        parts = [
+            kuznetsov._petersson_c_sum(mn[p], weights[p], s_vals[p], sw, tol)
+            for p in ([0, 2], [1, 3])
+        ]
+        bar = sum(rep.tail_estimate + rep.quadrature_err for rep in [mixed, *parts])
+        assert mixed.converged
+        assert abs(mixed.value - sum(rep.value for rep in parts)) <= bar
+        assert mixed.petersson_K[::2] == parts[0].petersson_K
+        assert mixed.petersson_K[1::2] == parts[1].petersson_K
+
     def test_batch_memory_is_bounded(self):
         # one t-block of 256 nodes times ~500 moduli at a time, never all nodes
         sw = SpectralWeight(T=3.0, M=1.0)
@@ -364,6 +382,21 @@ class TestDecomposition:
         assert rep.residual <= 1e-7
         assert rep.skip_bar <= 1e-6
         assert rep.residual <= rep.skip_bar + rep.quadrature_err + rep.spectral_tail
+
+    def test_one_K_per_pair(self, seed1):
+        # each pair takes the K of its own bar, so no bar exceeds what one K
+        # per twist gave (skip_bar 9.9e-7 here)
+        assert len(seed1.params["petersson_K"]) == 10
+        assert seed1.skip_bar <= 9.9e-7
+        # a pair's bars scale with |a_i a_j|, so its K is that of its own
+        # c-sum; at T=3, M=1 and N=2 they differ, which pins the order
+        sw = SpectralWeight(T=3.0, M=1.0)
+        rep = decomposition(Sequence(N=2, values=np.array([0.4, -0.9])), sw, [], tol=1e-6)
+        C = rep.params["c_eval"]
+        iu, ju = np.triu_indices(2)
+        want = [kloosterman_side(int(i) + 3, int(j) + 3, sw, C).petersson_K for i, j in zip(iu, ju)]
+        assert len(set(want)) > 1
+        assert rep.params["petersson_K"] == want
 
     def test_vanishing_sums_are_not_evaluated(self, seed1):
         # a vanishing S rounds to |S| <= 1e-9 and would add ~1e-15 to P:
