@@ -4,6 +4,10 @@ Complete exponential sums over residue classes (Kloosterman sums S(m,n;c)
 and the two-sided sums V_q(m,n;c)), the factorization identity relating
 them, Weil-bound ratios, and the small multiplicative functions they need.
 
+`kloosterman` takes one modulus (an int, giving a complex value) or a 1-d
+integer array of moduli (giving the real array of S(m,n;c), summed over a
+cached flat table of half the units of every modulus).
+
 All angles are reduced modulo c in integer arithmetic before exp(2*pi*i*x)
 is applied, so a single term carries only one rounding error and moduli up
 to ~10^6 stay well below the 1e-10 contracts used by the test suites.
@@ -68,8 +72,66 @@ def _exp_angle_sum(angles_mod_c: np.ndarray, c: int) -> complex:
     return complex(np.sum(np.cos(phases)) + 1j * np.sum(np.sin(phases)))
 
 
-def kloosterman(m: int, n: int, c: int) -> complex:
-    """S(m,n;c) = sum over alpha in (Z/c)* of e((alpha*m + alpha^{-1}*n)/c)."""
+# Half-unit table of every modulus 1..C for the array form of kloosterman:
+# the units alpha <= c/2 of c = 1, 2, ..., C in turn, and their inverses,
+# as int32. Modulus c occupies [starts[c - 1], starts[c]), so the table for
+# a smaller C is a prefix of it.
+_HALF_UNITS = (np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(1, np.int64))
+_PASS_UNITS = 1 << 13  # table entries per step of the array form: 64 KB temporaries
+
+
+def _half_units(C: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha, alpha^{-1}, starts) over the units alpha <= c/2 of every
+    c <= C, from _unit_residues; starts has C + 1 offsets.
+
+    The table is kept for the largest C asked for so far: a larger C
+    extends it by the new moduli only, a smaller one reads its prefix.
+    """
+    global _HALF_UNITS
+    alphas, invs, starts = _HALF_UNITS
+    if starts.size <= C:
+        new = range(starts.size, C + 1)
+        # alpha < c/2 are the first phi(c)/2 units; c <= 2 has one unit
+        half = np.cumsum([(euler_phi(c) + 1) // 2 for c in new])
+        starts = np.concatenate([starts, starts[-1] + half])
+        alphas = np.concatenate([alphas, np.empty(half[-1], np.int32)])
+        invs = np.concatenate([invs, np.empty(half[-1], np.int32)])
+        for c in new:
+            lo, hi = starts[c - 1], starts[c]
+            a, inv = _unit_residues(c)
+            alphas[lo:hi], invs[lo:hi] = a[: hi - lo], inv[: hi - lo]
+        _HALF_UNITS = alphas, invs, starts
+    return alphas, invs, starts[: C + 1]
+
+
+def kloosterman(m: int, n: int, c):
+    """S(m,n;c) = sum over alpha in (Z/c)* of e((alpha*m + alpha^{-1}*n)/c).
+
+    An int c gives the complex value. A 1-d integer array of moduli gives
+    the real array of S(m,n;c), c by c. S is real because alpha and
+    c - alpha give conjugate terms, so every modulus up to max(c) adds up
+    2 cos(2 pi (alpha m + alpha^{-1} n)/c) over its units alpha < c/2
+    (_half_units), _PASS_UNITS units at a time.
+    """
+    if np.ndim(c):
+        moduli = np.asarray(c)
+        if moduli.ndim != 1 or not np.issubdtype(moduli.dtype, np.integer):
+            raise ValueError("moduli must be a 1-d integer array")
+        if np.min(moduli) < 1:
+            raise ValueError(f"moduli must be positive, got {np.min(moduli)}")
+        top = int(np.max(moduli))
+        alphas, invs, starts = _half_units(top)
+        sums = np.empty(top)
+        steps = np.searchsorted(starts, np.arange(0, starts[-1], _PASS_UNITS))
+        cuts = np.unique(np.append(steps, top))  # whole moduli per step
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            offsets = starts[lo : hi + 1] - starts[lo]
+            mods = np.repeat(np.arange(lo + 1, hi + 1), np.diff(offsets))
+            units = slice(starts[lo], starts[hi])
+            angles = (alphas[units] * np.mod(m, mods) + invs[units] * np.mod(n, mods)) % mods
+            sums[lo:hi] = np.add.reduceat(np.cos((TWO_PI / mods) * angles), offsets[:-1])
+        sums[2:] *= 2.0  # the one unit of c = 1 (alpha = 0) and of c = 2 is its own partner
+        return sums[moduli - 1]
     if c < 1:
         raise ValueError(f"modulus must be positive, got {c}")
     if c == 1:

@@ -61,7 +61,9 @@ def kernel_b_series_many(t: np.ndarray, x, nmax: int = 48) -> np.ndarray:
     for k in range(1, nmax):
         coef[:, k] = coef[:, k - 1] / (k * (nu + k))
     half_x = xs.ravel() / 2.0
-    powers = (-(half_x**2))[None, :] ** np.arange(nmax)[:, None]
+    # (x^2/4)^k with the sign (-1)^k apart: numpy's ** is ~25x slower on a negative base
+    powers = (half_x**2)[None, :] ** np.arange(nmax)[:, None]
+    powers[1::2] *= -1.0
     log_half_x = np.log(half_x)
     # Im((x/2)^nu (re + i im)) = cos(theta) im + sin(theta) re, theta = 2t log(x/2),
     # nmax rows at a time, so that beside the result no table outgrows powers

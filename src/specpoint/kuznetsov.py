@@ -281,6 +281,10 @@ def kloosterman_side(
     Kloosterman sums of c <= C_max and the Petersson closed form of the
     rest (_petersson_c_sum). tail_estimate bounds what that leaves out.
 
+    All C_max sums come from one array-form kloosterman call, whose unit
+    table is kept for the largest C_max so far: a later call at the same or
+    a smaller C_max builds no unit table.
+
     C_max = 0 evaluates no modulus: the value is the empty sum 0, and no
     finite bar covers its tail.
     """
@@ -288,7 +292,7 @@ def kloosterman_side(
         raise ValueError("C_max must be non-negative")
     if C_max == 0:
         return KloostermanSideReport(0.0, math.inf, 0.0, 0, 0, True, 0, 0)
-    s_vals = np.array([[kloosterman(m, n, c).real for c in range(1, C_max + 1)]])
+    s_vals = kloosterman(m, n, np.arange(1, C_max + 1))[None, :]
     rep = _petersson_c_sum(np.array([[m, n]]), np.ones(1), s_vals, sw, tol)
     return replace(rep, petersson_K=rep.petersson_K[0])
 

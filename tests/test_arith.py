@@ -95,6 +95,35 @@ class TestKloosterman:
         )
 
 
+class TestKloostermanArray:
+    MODULI = np.arange(1, 301)
+
+    @pytest.mark.parametrize(
+        "m,n", [(1, 1), (0, 0), (0, 5), (12, 0), (-7, 3), (-30, -12), (6, 10), (60, 90)]
+    )
+    def test_matches_scalar_and_bruteforce(self, m, n):
+        # m = 0 or n = 0 is 0 mod every c; (6, 10) and (60, 90) share factors with c
+        got = arith.kloosterman(m, n, self.MODULI)
+        assert got.dtype == np.float64
+        bound = 1e-12 * self.MODULI + 1e-12
+        scalar = np.array([arith.kloosterman(m, n, int(c)) for c in self.MODULI])
+        brute = np.array([kloosterman_bruteforce(m, n, int(c)) for c in self.MODULI])
+        assert np.all(np.abs(got - scalar) <= bound)
+        assert np.all(np.abs(got - brute) <= bound)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (-3, 8)])
+    def test_moduli_one_and_two(self, m, n):
+        # S(m,n;1) = 1 and S(m,n;2) = (-1)^(m+n): each has one self-paired unit
+        got = arith.kloosterman(m, n, [2, 1, 2, 3])
+        want = [(-1) ** (m + n), 1.0, (-1) ** (m + n), arith.kloosterman(m, n, 3).real]
+        assert got == pytest.approx(want, abs=1e-14)
+
+    @pytest.mark.parametrize("moduli", [[0], [-2], [5, 0, 7]])
+    def test_nonpositive_modulus_raises(self, moduli):
+        with pytest.raises(ValueError):
+            arith.kloosterman(1, 1, np.array(moduli))
+
+
 class TestVqSum:
     def test_degenerate_modulus(self):
         assert arith.vq_sum(5, 3, 7, 1) == 1.0 + 0.0j

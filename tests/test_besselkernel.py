@@ -1,9 +1,10 @@
 """Contour evaluation of B(t,x) against frozen high-precision values,
 the independent power-series route (batched over x, against its per-x
-recursion), and a Y_0 series at t = 0."""
+recursion and against mpmath), and a Y_0 series at t = 0."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -108,6 +109,25 @@ def test_series_batch_matches_per_x(nmax):
         assert np.max(np.abs(batch[:, j] - kernel_b_series_many(t, x, nmax=nmax))) <= 1e-14
         ref = series_per_x(t, x, nmax)
         assert np.max(np.abs(batch[:, j] - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-14
+
+
+def test_series_matches_mpmath():
+    # -pi Im J_{2it}(x) / sinh(pi t) straight from mpmath, which shares no
+    # step with the series' coefficient recursion or its power table
+    t = np.array([0.5, 3.0, 9.5, 12.0])
+    xs = np.array([0.02, 1.0, 2.5, 5.0])
+    with mpmath.workdps(30):
+        want = np.array(
+            [
+                [
+                    float(-mpmath.pi * mpmath.besselj(2j * tt, x).imag / mpmath.sinh(mpmath.pi * tt))
+                    for x in xs
+                ]
+                for tt in t
+            ]
+        )
+    got = kernel_b_series_many(t, xs)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
 def test_refinement_consistency():

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from specpoint.arith import kloosterman
-from specpoint import kuznetsov
+from specpoint import arith, kuznetsov
 from specpoint.besselintegral import R_CUT_FACTOR, SpectralWeight, bessel_H_direct
 from specpoint.kuznetsov import (
     _kloosterman_block,
@@ -161,16 +161,37 @@ class TestKloostermanSide:
         assert rep.quadrature_err == pytest.approx(err, rel=1e-3)
 
     @pytest.mark.parametrize("m,n,series,kernel", [(1, 1, 470, 2), (4, 4, 492, 10)])
-    def test_route_counts(self, m, n, series, kernel):
+    def test_route_counts(self, m, n, series, kernel, monkeypatch):
         # moduli c <= 512; x > 5 for c < 4 pi sqrt(mn)/5. Vanishing sums take
         # no route: for (1, 1), only 472 of the 512 sums exceed _S_VANISH.
+        # All 512 sums come from one array-form kloosterman call.
+        calls = []
+        monkeypatch.setattr(
+            kuznetsov, "kloosterman", lambda *args: calls.append(args) or kloosterman(*args)
+        )
         rep = kloosterman_side(m, n, SpectralWeight(T=3.0, M=1.0), 512)
+        assert len(calls) == 1
         assert (rep.series_moduli, rep.kernel_moduli) == (series, kernel)
         assert rep.kernel_moduli == sum(
             abs(kloosterman(m, n, c).real) > 1e-9
             for c in range(1, 513)
             if 4 * math.pi * math.sqrt(m * n) / c > 5.0
         )
+
+    def test_repeat_c_sum_builds_no_unit_table(self, monkeypatch):
+        # the half-unit table is kept for the largest C so far: the same or a
+        # smaller C reads it, a larger one builds the new moduli only
+        sw = SpectralWeight(T=3.0, M=1.0)
+        kloosterman_side(1, 2, sw, 64)
+        calls = []
+        original = arith._unit_residues
+        monkeypatch.setattr(arith, "_unit_residues", lambda c: calls.append(c) or original(c))
+        kloosterman_side(2, 3, sw, 64)
+        kloosterman_side(1, 1, sw, 24)
+        assert calls == []
+        built = arith._HALF_UNITS[-1].size - 1
+        kloosterman(1, 1, np.arange(1, built + 6))
+        assert calls == list(range(built + 1, built + 6))
 
     def test_mixed_twists_match_one_twist_calls(self):
         # one c-sum over the pairs of two twists, each pair with its own y and
