@@ -42,8 +42,7 @@ def mod_inverse(a: int, c: int) -> int:
         raise ValueError(f"{a} is not invertible modulo {c}") from exc
 
 
-@lru_cache(maxsize=4096)
-def _unit_residues(c: int) -> tuple[np.ndarray, np.ndarray]:
+def _build_unit_residues(c: int) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, alpha^{-1}) arrays over the units modulo c, alpha ascending.
     c = 1 gives ([0],[0]).
 
@@ -67,6 +66,10 @@ def _unit_residues(c: int) -> tuple[np.ndarray, np.ndarray]:
     return alphas, inv
 
 
+# the cached unit table of one modulus, for the per-modulus sums
+_unit_residues = lru_cache(maxsize=4096)(_build_unit_residues)
+
+
 def _exp_angle_sum(angles_mod_c: np.ndarray, c: int) -> complex:
     phases = (TWO_PI / c) * angles_mod_c
     return complex(np.sum(np.cos(phases)) + 1j * np.sum(np.sin(phases)))
@@ -82,10 +85,12 @@ _PASS_UNITS = 1 << 13  # table entries per step of the array form: 64 KB tempora
 
 def _half_units(C: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(alpha, alpha^{-1}, starts) over the units alpha <= c/2 of every
-    c <= C, from _unit_residues; starts has C + 1 offsets.
+    c <= C; starts has C + 1 offsets.
 
     The table is kept for the largest C asked for so far: a larger C
     extends it by the new moduli only, a smaller one reads its prefix.
+    New moduli come from _build_unit_residues, not the _unit_residues
+    cache, so no modulus is held twice.
     """
     global _HALF_UNITS
     alphas, invs, starts = _HALF_UNITS
@@ -98,7 +103,7 @@ def _half_units(C: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         invs = np.concatenate([invs, np.empty(half[-1], np.int32)])
         for c in new:
             lo, hi = starts[c - 1], starts[c]
-            a, inv = _unit_residues(c)
+            a, inv = _build_unit_residues(c)
             alphas[lo:hi], invs[lo:hi] = a[: hi - lo], inv[: hi - lo]
         _HALF_UNITS = alphas, invs, starts
     return alphas, invs, starts[: C + 1]

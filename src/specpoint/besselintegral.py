@@ -47,7 +47,7 @@ _PANEL_PHASE = 12.0  # radians of phase per panel on the first grid
 _ROUNDS = 4  # grid doublings either H route tries before flagging
 _ROUNDING = 8.0 * np.finfo(float).eps  # times a sum's absolute terms: its rounding bar
 _BLOCK_NODES = 256  # rows per block of a node table: 256 x (t-nodes or x) at most
-_BLOCK_TERMS = 512  # columns per block of the series table: 256 x 512 at most
+_BLOCK_TERMS = 512  # terms per block of a term table: 256 x 512 at most
 # S_k(SL2(Z)) = 0 for k = 2, 4, ..., 10 (Iwaniec, Topics in Classical
 # Automorphic Forms, Thm 3.6), so the Kloosterman c-sums of J_1, J_3, ...,
 # J_9 have closed forms: the residue expansion stops at K = _K_MAX
@@ -223,6 +223,8 @@ def _bessel_H_kernel(xs: np.ndarray, ys, sw: SpectralWeight, tol: float) -> Quad
     the axis the nearer shift sets it, as the farther one decays faster than
     it turns there.
 
+    The phase tables are built per block of _BLOCK_NODES nodes and
+    _BLOCK_TERMS terms, so memory does not grow with the number of terms.
     All panel counts double together until no H changes by more than tol
     (quadrature.doubled). err_estimate adds _ROUNDING sum f cosh(2t Im v)
     |e^{ix cosh(v-+L)}| |dv| on the last grid. evaluations counts k_1-table
@@ -259,13 +261,16 @@ def _bessel_H_kernel(xs: np.ndarray, ys, sw: SpectralWeight, tol: float) -> Quad
             k, k_abs = _kernel_on_leg(s, ws, fixed, horizontal, t, f)
             for i in range(0, s.size, _BLOCK_NODES):
                 block = slice(i, i + _BLOCK_NODES)
-                # x cosh(v -+ L) = x cosh L cosh v -+ x sinh L sinh v
-                even = np.multiply.outer(cosh_l, np.cosh(r[block]))
-                odd = np.multiply.outer(sinh_l, np.sinh(r[block]))
-                for sign in (-1.0, 1.0):
-                    e = np.exp(1j * (even + sign * odd))
-                    total += (e @ k[block]).real
-                    size += np.abs(e) @ k_abs[block]
+                cosh_r, sinh_r = np.cosh(r[block]), np.sinh(r[block])
+                for j in range(0, xs.size, _BLOCK_TERMS):
+                    cols = slice(j, j + _BLOCK_TERMS)
+                    # x cosh(v -+ L) = x cosh L cosh v -+ x sinh L sinh v
+                    even = np.multiply.outer(cosh_l[cols], cosh_r)
+                    odd = np.multiply.outer(sinh_l[cols], sinh_r)
+                    for sign in (-1.0, 1.0):
+                        e = np.exp(1j * (even + sign * odd))
+                        total[cols] += (e @ k[block]).real
+                        size[cols] += np.abs(e) @ k_abs[block]
             nodes += s.size
         return total, nodes * t.size
 

@@ -37,13 +37,7 @@ from .besselintegral import (
     weight_h_y,
 )
 from .quadrature import QuadratureResult, adaptive_quadrature, gauss_grid
-from .sievebench import (
-    Sequence,
-    _eisenstein_linear_forms,
-    _hybrid_lhs_one_modulus,
-    _pair_groups,
-    _twisted_linear_forms,
-)
+from .sievebench import Sequence, _block_sides, _hybrid_lhs_one_modulus, _pair_groups
 from .specfun import bessel_j, eisenstein_density
 from .spectraldata import MaassForm
 
@@ -168,9 +162,8 @@ class KloostermanSideReport:
     kernel_moduli: int
 
 
-# |S| at or below this counts as a vanishing Kloosterman sum: neither
-# arith.kloosterman nor the product form of _kloosterman_block rounds a
-# vanishing sum to exactly 0
+# |S| at or below this counts as a vanishing Kloosterman sum, which the
+# cosine sums of arith.kloosterman do not round to exactly 0
 _S_VANISH = 1e-9
 
 
@@ -386,6 +379,8 @@ def _kloosterman_block(ns: np.ndarray, c: int) -> np.ndarray:
     L[alpha, m] = e(alpha m/c) and R[alpha, n] = e(alpha^{-1} n/c) over the
     phi(c) units alpha, so the product sums e((alpha m + alpha^{-1} n)/c)
     in O(phi(c) N) memory. c = 1 has the single unit 0 and gives all ones.
+    No sum calls it: it is the product-form reference for arith.kloosterman,
+    and the benchmark's tracer (bench/tracing.py) wraps it by name.
     """
     alphas, invs = _unit_residues(c)
     res = ns % c
@@ -399,15 +394,16 @@ def decomposition(
 ) -> DecompositionReport:
     """S + T on the spectral side against D + P for a real block sequence.
 
-    P is the c-sum over the pairs n_i <= n_j, every twist y = sqrt(n_i/n_j)
-    in one _petersson_c_sum call, with the Kloosterman sums of every c <= C
-    from _kloosterman_block. C is the smallest modulus whose c > C tail
-    bars, each pair at its best K, add up to at most tol; skip_bar is the
-    bar that call reports, tail and rounding. spectral_tail bounds the
-    forms beyond the data through |sum_n a_n lambda_j(n)| <= sum_n |a_n|
-    tau(n). converged is the AND over every quadrature run. params holds C
-    (as "c_eval" and "c_far"), the K of each pair in np.triu_indices
-    order, and the evaluated terms split by the route of H.
+    S and T come from _block_sides. P is the c-sum over the pairs n_i <=
+    n_j, every twist y = sqrt(n_i/n_j) in one _petersson_c_sum call, with
+    the Kloosterman sums of every c <= C from one array-form kloosterman
+    call per pair. C is the smallest modulus whose c > C tail bars, each
+    pair at its best K, add up to at most tol; skip_bar is the bar that
+    call reports, tail and rounding. spectral_tail bounds the forms beyond
+    the data through |sum_n a_n lambda_j(n)| <= sum_n |a_n| tau(n).
+    converged is the AND over every quadrature run. params holds C (as
+    "c_eval" and "c_far"), the K of each pair in np.triu_indices order,
+    and the evaluated terms split by the route of H.
     """
     if not seq.is_real:
         raise ValueError(
@@ -416,25 +412,11 @@ def decomposition(
         )
     a, ns, N = seq.values.real, seq.ns, seq.N
 
-    # spectral sum
-    sq = _twisted_linear_forms(seq, forms)
-    s_val = sum(f.omega * weight_h(f.t, sw) * sq[j] for j, f in enumerate(forms))
-
-    # Eisenstein integral
-    def eis_integrand(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return eisenstein_density(t) * weight_h(t, sw) * _eisenstein_linear_forms(seq, t)
-
-    eis = adaptive_quadrature(
-        eis_integrand, 1e-12, sw.t_upper, tol * math.pi / 2.0, initial_panels=32
-    )
-    t_val = 2.0 * eis.value.real / math.pi
+    s_val, eis = _block_sides(seq, sw, forms, tol)
+    t_val = eis.value.real
 
     h0 = diagonal_H0(sw, tol=tol)
     d_val = h0.value.real * seq.norm_sq
-
-    qerr = 2.0 * eis.err_estimate / math.pi + h0.err_estimate * seq.norm_sq
-    converged = eis.converged and h0.converged
 
     # the pairs i <= j, an off-diagonal pair standing for both orders
     iu, ju = np.triu_indices(N)
@@ -453,7 +435,7 @@ def decomposition(
         mid = (lo + C) // 2
         lo, C = (mid, C) if tail_bar(mid) > tol else (lo, mid)
 
-    s_table = np.stack([_kloosterman_block(ns, c)[iu, ju] for c in range(1, C + 1)], axis=1)
+    s_table = np.stack([kloosterman(int(m), int(n), np.arange(1, C + 1)) for m, n in mn])
     off = _petersson_c_sum(mn, aa, s_table, sw, tol)
 
     lam_cap = sum(abs(x) * divisor_count(int(n)) for x, n in zip(a, ns))
@@ -468,9 +450,9 @@ def decomposition(
         rel_residual=residual / denom,
         skip_bar=off.tail_estimate,
         spectral_tail=spectral_tail_bar(1, 1, sw, forms) * float(lam_cap) ** 2,
-        quadrature_err=qerr + off.quadrature_err,
+        quadrature_err=eis.err_estimate + h0.err_estimate * seq.norm_sq + off.quadrature_err,
         diagonal_closed_form=diagonal_closed_form(sw) * seq.norm_sq,
-        converged=converged and off.converged,
+        converged=eis.converged and h0.converged and off.converged,
         params={
             "N": N,
             "T": sw.T,

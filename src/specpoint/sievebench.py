@@ -24,7 +24,7 @@ import numpy as np
 
 from .arith import _unit_residues, divisor_sigma
 from .besselintegral import SpectralWeight, weight_h
-from .quadrature import gauss_grid
+from .quadrature import QuadratureResult, adaptive_quadrature, gauss_grid
 from .specfun import eisenstein_density
 from .spectraldata import GL3Form, MaassForm
 
@@ -84,6 +84,7 @@ class SieveReport:
 
 
 def _t_grid(tau: float, order: int, panels: int):
+    """Gauss panels on [-tau, tau]; only bench/tracing.py refers to it."""
     return gauss_grid(-tau, tau, panels, order)
 
 
@@ -167,10 +168,26 @@ def _twisted_linear_forms(seq: Sequence, forms: list[MaassForm]) -> np.ndarray:
     return out
 
 
-def _eisenstein_linear_forms(seq: Sequence, t: np.ndarray) -> np.ndarray:
-    """|sum_n a_n sigma_{2it}(n)|^2 on an array of real t."""
-    sums = sum(a * divisor_sigma(2j * t, int(n)) for a, n in zip(seq.values, seq.ns))
-    return np.abs(sums) ** 2
+def _block_sides(
+    seq: Sequence, sw: SpectralWeight, forms: list[MaassForm], tol: float
+) -> tuple[float, QuadratureResult]:
+    """S and T of the averaged identity for the block a_n:
+
+        S = sum_j omega_j h(t_j) |sum_n a_n lambda_j(n) n^{i t_j}|^2
+        T = (2/pi) int_0^{t_upper} omega(t) h(t) |sum_n a_n sigma_{2it}(n)|^2 dt
+
+    T (the even integrand's half-line, doubled) carries its bar and flag at tol.
+    """
+    sq = _twisted_linear_forms(seq, forms)
+    s_val = sum(f.omega * weight_h(f.t, sw) * sq[j] for j, f in enumerate(forms))
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        sums = sum(a * divisor_sigma(2j * t, int(n)) for a, n in zip(seq.values, seq.ns))
+        return eisenstein_density(t) * weight_h(t, sw) * np.abs(sums) ** 2
+
+    res = adaptive_quadrature(integrand, 1e-12, sw.t_upper, tol * math.pi / 2.0, initial_panels=32)
+    return float(s_val), res.scaled(2.0 / math.pi)
 
 
 def corollary_ratio(seq: Sequence, sw: SpectralWeight, forms: list[MaassForm]) -> SieveReport:
@@ -208,9 +225,10 @@ def moment_demo(
     """Desk-scale second-moment block at one dyadic length.
 
     Cuspidal and Eisenstein averages of the GL(3)-twisted linear forms
-    N^{-1/2} sum_n A(n1, n) (coeff) w(n/N), reported against the majorant
-    (1 + MT/N) sum_n |A(n1, n)|^2 + (n1 + T/M^2) N n1 with all
-    epsilon-factors set to 1.
+    N^{-1/2} sum_n A(n1, n) (coeff) w(n/N) (_block_sides at tol 1e-6),
+    reported against the majorant (1 + MT/N) sum_n |A(n1, n)|^2 + (n1 +
+    T/M^2) N n1 with all epsilon-factors set to 1. "T_err" is the bar on
+    "T" and "converged" the flag of its quadrature.
     """
     if n1 < 1 or N < 1:
         raise ValueError("n1 and N must be positive")
@@ -221,22 +239,17 @@ def moment_demo(
     # the block carries n^{-it} and sigma_{-2it}(n); lambda_j is real, so the
     # conjugate coefficients give the same moduli with n^{it} and sigma_{2it}(n)
     block = Sequence(N=N, values=np.conj(coeffs * wvals / math.sqrt(N)))
-
-    sq = _twisted_linear_forms(block, forms)
-    s_val = sum(f.omega * weight_h(f.t, sw) * sq[j] for j, f in enumerate(forms))
-
-    nodes, weights = _t_grid(sw.t_upper, order=64, panels=20)
-    keep = nodes > 0
-    nodes, weights = nodes[keep], 2.0 * weights[keep]
-    density = eisenstein_density(nodes) * weight_h(nodes, sw)
-    t_val = float(np.sum(weights * density * _eisenstein_linear_forms(block, nodes)) / math.pi)
+    s_val, eis = _block_sides(block, sw, forms, 1e-6)
+    t_val = eis.value.real
 
     coeff_sq = float(np.sum(np.abs(coeffs) ** 2))
     majorant = (1.0 + M * T / N) * coeff_sq + (n1 + T / M**2) * N * n1
     return {
-        "S": float(s_val),
+        "S": s_val,
         "T": t_val,
+        "T_err": float(eis.err_estimate),
+        "converged": eis.converged,
         "majorant": majorant,
-        "ratio": (float(s_val) + t_val) / majorant,
+        "ratio": (s_val + t_val) / majorant,
         "params": {"T": T, "M": M, "N": N, "n1": n1},
     }

@@ -33,6 +33,14 @@ class CoefficientRangeError(KeyError):
     """A coefficient outside the stored table was requested."""
 
 
+def _prime_power(lp: float, a: int) -> float:
+    """lambda(p^a) from lp = lambda(p) by the Hecke recursion."""
+    prev, cur = 1.0, lp
+    for _ in range(a - 1):
+        prev, cur = cur, lp * cur - prev
+    return cur if a >= 1 else 1.0
+
+
 @dataclass
 class MaassForm:
     t: float
@@ -65,11 +73,7 @@ class MaassForm:
 
     def lam_prime_power(self, p: int, a: int) -> float:
         """lambda(p^a) by the Hecke recursion from lambda(p)."""
-        lp = self.lam(p)
-        prev, cur = 1.0, lp
-        for _ in range(a - 1):
-            prev, cur = cur, lp * cur - prev
-        return cur if a >= 1 else 1.0
+        return _prime_power(self.lam(p), a)
 
     def lam_extended(self, n: int) -> float:
         """lambda(n) for any n whose prime factors are within the table.
@@ -288,27 +292,16 @@ def synthetic_form(
     spectra balance the two sides.
     """
     rng = np.random.default_rng(seed)
-    lam = np.zeros(n_max)
-    lam[0] = 1.0
-    lam_pp: dict[tuple[int, int], float] = {}
+    lam = np.ones(n_max)
+    # ascending n draws the random prime values in ascending order of p
     for n in range(2, n_max + 1):
         fac = factorize(n)
-        if len(fac) == 1:
-            p, a = fac[0]
-            if a == 1:
-                if prime_values and p in prime_values:
-                    lp = prime_values[p]
-                else:
-                    lp = 2.0 * math.cos(rng.uniform(0.0, math.pi))
-                lam_pp[(p, 1)] = lp
-                lam[n - 1] = lp
-            else:
-                prev = lam_pp[(p, a - 2)] if a >= 3 else 1.0
-                cur = lam_pp[(p, a - 1)]
-                lam_pp[(p, a)] = lam_pp[(p, 1)] * cur - prev
-                lam[n - 1] = lam_pp[(p, a)]
+        if fac != ((n, 1),):
+            lam[n - 1] = math.prod(_prime_power(float(lam[p - 1]), a) for p, a in fac)
+        elif prime_values and n in prime_values:
+            lam[n - 1] = prime_values[n]
         else:
-            lam[n - 1] = math.prod(lam_pp[pa] for pa in fac)
+            lam[n - 1] = 2.0 * math.cos(rng.uniform(0.0, math.pi))
     return MaassForm(t=t, parity=parity, omega=omega, hecke=lam)
 
 

@@ -313,6 +313,21 @@ class TestSwappedKernelRoute:
             tracemalloc.stop()
         assert peak < 10_000_000
 
+    def test_kernel_memory_is_bounded_in_terms(self):
+        # 2,000 terms of one octave: phase tables over all of them at once
+        # would take ~41 MB; blocks of 512 terms keep the peak near 11 MB
+        rng = np.random.default_rng(3)
+        xs = rng.uniform(8.0, 15.9, 2000)
+        ys = np.exp(rng.uniform(-0.5, 0.5, 2000))
+        tracemalloc.start()
+        try:
+            res = besselintegral._bessel_H_kernel(xs, ys, SpectralWeight(3.0, 1.0), 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak < 20_000_000
+
 
 class TestDualRoute:
     @pytest.mark.parametrize(

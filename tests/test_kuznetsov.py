@@ -184,14 +184,20 @@ class TestKloostermanSide:
         sw = SpectralWeight(T=3.0, M=1.0)
         kloosterman_side(1, 2, sw, 64)
         calls = []
-        original = arith._unit_residues
-        monkeypatch.setattr(arith, "_unit_residues", lambda c: calls.append(c) or original(c))
+        build = arith._build_unit_residues
+        monkeypatch.setattr(arith, "_build_unit_residues", lambda c: calls.append(c) or build(c))
         kloosterman_side(2, 3, sw, 64)
         kloosterman_side(1, 1, sw, 24)
         assert calls == []
         built = arith._HALF_UNITS[-1].size - 1
         kloosterman(1, 1, np.arange(1, built + 6))
         assert calls == list(range(built + 1, built + 6))
+        # new moduli do not pass through the per-modulus cache either, so
+        # no unit table is held both there and in the half table
+        info = arith._unit_residues.cache_info()
+        kloosterman_side(1, 1, sw, built + 10)
+        assert calls[5:] == list(range(built + 6, built + 11))
+        assert arith._unit_residues.cache_info() == info
 
     def test_mixed_twists_match_one_twist_calls(self):
         # one c-sum over the pairs of two twists, each pair with its own y and
@@ -350,6 +356,16 @@ class TestKloostermanBlock:
             want = np.array([[kloosterman(int(m), int(n), c).real for n in ns] for m in ns])
             assert np.max(np.abs(_kloosterman_block(ns, c) - want)) <= 1e-12 * c
 
+    @pytest.mark.parametrize("N", [4, 8])
+    def test_array_form_pair_table_matches_product_form(self, N):
+        # the table decomposition takes: one array-form call per pair i <= j
+        ns = np.arange(N + 1, 2 * N + 1)
+        iu, ju = np.triu_indices(N)
+        cs = np.arange(1, 201)
+        table = np.stack([kloosterman(int(ns[i]), int(ns[j]), cs) for i, j in zip(iu, ju)])
+        want = np.stack([_kloosterman_block(ns, int(c))[iu, ju] for c in cs], axis=1)
+        assert np.max(np.abs(table - want) / cs) <= 1e-12
+
     def test_memory_is_linear_in_units(self):
         # a c x c complex table at c = 1021 alone would take 16.7 MB
         ns = np.arange(9, 17)
@@ -434,6 +450,21 @@ class TestDecomposition:
         assert seed1.params["evaluated"] == live
         assert seed1.P == pytest.approx(0.39727341, abs=1e-8)
         assert seed1.quadrature_err < 1e-8
+
+    def test_one_kloosterman_call_per_pair(self, monkeypatch):
+        # every modulus of a pair comes from one array-form call; the
+        # product-form block is not on the path
+        calls = []
+        monkeypatch.setattr(
+            kuznetsov, "kloosterman", lambda *args: calls.append(args) or kloosterman(*args)
+        )
+        monkeypatch.setattr(kuznetsov, "_kloosterman_block", lambda *args: calls.append(None))
+        seq = Sequence(N=4, values=np.random.default_rng(1).uniform(-1.0, 1.0, size=4))
+        rep = decomposition(seq, SpectralWeight(T=3.0, M=1.5), [], tol=1e-6)
+        assert len(calls) == 10
+        pairs = [(m, n) for m in range(5, 9) for n in range(m, 9)]
+        assert [(m, n) for m, n, _ in calls] == pairs
+        assert all(np.array_equal(cs, np.arange(1, rep.params["c_eval"] + 1)) for *_, cs in calls)
 
     def test_spectral_tail_caps_coefficients_by_divisors(self):
         # a_10 = 0.7 alone: |a_10 lambda_j(10)|^2 <= 0.49 tau(10)^2, as for

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specpoint.arith import _unit_residues, divisors, moebius
-from specpoint.besselintegral import SpectralWeight
+from specpoint.besselintegral import SpectralWeight, weight_h
 from specpoint.sievebench import (
     Sequence,
     _hybrid_lhs_one_modulus,
@@ -18,6 +18,7 @@ from specpoint.sievebench import (
     young_ls_lhs,
     young_ls_ratio,
 )
+from specpoint.specfun import eisenstein_density
 from specpoint.spectraldata import sym_square_lift, synthetic_spectrum
 
 SW = SpectralWeight(T=14.0, M=4.0)
@@ -244,7 +245,35 @@ class TestDirichletPolynomial:
         assert worst <= 2 * math.pi + 1.0
 
 
+def eisenstein_gauss_oracle(values, ns, sw, panels=1000, order=32):
+    """(2/pi) int_0^{t_upper} omega(t) h(t) |sum_n a_n sigma_{2it}(n)|^2 dt
+    on panels equal panels with an order-point Gauss-Legendre rule each,
+    sigma_{2it}(n) summed over the divisors d as e^{2it log d}."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    h = sw.t_upper / (2 * panels)
+    mids = h * (2 * np.arange(panels) + 1)
+    ts, ws = (mids[:, None] + h * x).ravel(), np.tile(h * w, panels)
+    sums = np.zeros(ts.size, dtype=complex)
+    for a, n in zip(values, ns):
+        for d in divisors(int(n)):
+            sums += a * np.exp(2j * ts * math.log(d))
+    integrand = eisenstein_density(ts) * weight_h(ts, sw) * np.abs(sums) ** 2
+    return 2.0 / math.pi * float(ws @ integrand)
+
+
 class TestMomentDemo:
+    @pytest.mark.parametrize("T,M,N", [(30.0, 6.0, 32), (14.0, 4.0, 16)])
+    def test_eisenstein_average_matches_gauss_oracle(self, forms, T, M, N):
+        # T must lie within its own bar of an independent 32,000-node rule
+        gl3 = sym_square_lift(forms[0], 160)
+        sw = SpectralWeight(T, M)
+        out = moment_demo(gl3, forms, sw, N=N)
+        ns = np.arange(N + 1, 2 * N + 1)
+        values = np.conj([gl3.a(1, int(n)) for n in ns]) / math.sqrt(N)
+        want = eisenstein_gauss_oracle(values, ns, sw)
+        assert out["converged"]
+        assert abs(out["T"] - want) <= out["T_err"] + 1e-12 * abs(want)
+
     def test_zero_block(self, forms):
         gl3 = sym_square_lift(forms[0], 64)
         out = moment_demo(gl3, forms, SW, N=16, n1=1, weight=lambda u: 0.0 * u)
