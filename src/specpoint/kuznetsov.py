@@ -11,10 +11,14 @@ against
 
 with the twist fixed at y = sqrt(m/n), which turns (m/n)^{i t_j} into the
 even factor cos(2 t log y). Averaging against a real sequence supported on
-(N, 2N] gives the quadratic decomposition S + T = D + P. Both c-sums take
-the terms c <= C exactly less the residue expansion G_K of H, whose whole
-c-sum is a Petersson closed form, leaving a c > C tail with a provable bar.
-Every truncation (spectral height, c-range, quadrature) carries a bar.
+(N, 2N] gives the quadratic decomposition S + T = D + P. The pair and the
+block share all four sides: S and T are the bilinear forms _cusp_form and
+_eisenstein_form at u = v = a where the pair takes u = e_m, v = e_n, D is
+||a||^2 H0, and P is the pair's c-sum over the block's pairs. Both c-sums
+take the terms c <= C exactly less the residue expansion G_K of H, whose
+whole c-sum is a Petersson closed form, leaving a c > C tail with a
+provable bar. Every truncation (spectral height, c-range, quadrature)
+carries a bar.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arith import _unit_residues, divisor_count, divisor_sigma, kloosterman
+from .arith import _unit_residues, divisor_count, kloosterman
 from .besselintegral import (
     _K_MAX,
     _ROUNDING,
@@ -34,21 +38,16 @@ from .besselintegral import (
     bessel_H_many,
     residue_expansion,
     weight_h,
-    weight_h_y,
 )
 from .quadrature import QuadratureResult, adaptive_quadrature, gauss_grid
-from .sievebench import Sequence, _block_sides, _hybrid_lhs_one_modulus, _pair_groups
-from .specfun import bessel_j, eisenstein_density
+from .sievebench import Sequence, _cusp_form, _eisenstein_form, _hybrid_lhs_one_modulus, _pair_groups
+from .specfun import bessel_j
 from .spectraldata import MaassForm
 
 
-def spectral_side(
-    m: int,
-    n: int,
-    sw: SpectralWeight,
-    forms: list[MaassForm],
-) -> float:
-    """sum_j omega_j h(t_j; y) lambda_j(m) lambda_j(n) at y = sqrt(m/n).
+def spectral_side(m: int, n: int, sw: SpectralWeight, forms: list[MaassForm]) -> float:
+    """sum_j omega_j h(t_j; y) lambda_j(m) lambda_j(n) at y = sqrt(m/n):
+    _cusp_form at u = e_m, v = e_n.
 
     A dataset that stops short of the weight's effective support (T + 6M)
     triggers a warning; the matching quantitative bar comes from
@@ -57,16 +56,13 @@ def spectral_side(
     if not forms:
         warnings.warn("empty form list: spectral side is 0 with full tail uncovered")
         return 0.0
-    y = math.sqrt(m / n)
     t_cov = max(f.t for f in forms)
     if t_cov < sw.T + 6.0 * sw.M:
         warnings.warn(
             f"spectrum covers t <= {t_cov:.2f} < T + 6M = {sw.T + 6 * sw.M:.2f}; "
             "tail bar applies"
         )
-    return float(
-        sum(f.omega * weight_h_y(f.t, y, sw) * f.lam(m) * f.lam(n) for f in forms)
-    )
+    return _cusp_form(np.array([m, n]), *np.eye(2), sw, forms)
 
 
 # No Maass cusp form of SL2(Z) has spectral parameter below t_1 = 9.5336952613...
@@ -80,7 +76,11 @@ def spectral_tail_bar(
 ) -> float:
     """Bound for the uncovered spectral tail t > max(t_cov, FIRST_CUSP_FORM_T):
     eigenvalue density t/6 times the Gaussian weight, coefficients bounded by
-    tau(m) tau(n), harmonic weights by the dataset maximum (1 with no data)."""
+    tau(m) tau(n), harmonic weights by the dataset maximum (1 with no data).
+
+    With no forms it is not yet a bound: the first cusp form's harmonic
+    weight omega_1 ~ 2.935 exceeds the cap of 1, and at T = 6, 7 (M = 1)
+    the residual of the data-free identity exceeds this bar."""
     if not forms:
         t_cov = 0.0
         omega_cap = 1.0
@@ -96,33 +96,13 @@ def spectral_tail_bar(
     return float(abs(w @ ((t / 6.0) * weight_h(t, sw)))) * omega_cap * lam_cap
 
 
-def eisenstein_side(
-    m: int,
-    n: int,
-    sw: SpectralWeight,
-    tol: float = 1e-10,
-) -> QuadratureResult:
+def eisenstein_side(m: int, n: int, sw: SpectralWeight, tol: float = 1e-10) -> QuadratureResult:
     """(1/pi) int omega(t) h(t; y) (n/m)^{it} sigma_{2it}(m) sigma_{-2it}(n) dt
-    at y = sqrt(m/n).
-
-    The integrand is Hermitian in t, so the value is real and computed as
-    twice the real part over t > 0.
+    at y = sqrt(m/n): _eisenstein_form at u = e_m, v = e_n. The integrand is
+    real and even: sigma_{2it}(m) sigma_{-2it}(n) = (m/n)^{it} eta_t(m)
+    eta_t(n) with eta_t(n) = sum_{d | n} cos(t log(n/d^2)).
     """
-    y = math.sqrt(m / n)
-    log_nm = math.log(n / m)
-
-    def f(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        hy = weight_h_y(t, y, sw)
-        ratio = np.exp(1j * t * log_nm)
-        sigmas = divisor_sigma(2j * t, m) * divisor_sigma(-2j * t, n)
-        return eisenstein_density(t) * hy * ratio * sigmas
-
-    res = adaptive_quadrature(f, 1e-12, sw.t_upper, tol * math.pi / 2.0, initial_panels=24)
-    value = 2.0 * res.value.real / math.pi
-    return QuadratureResult(
-        complex(value, 0.0), 2.0 * res.err_estimate / math.pi, res.evaluations, res.converged
-    )
+    return _eisenstein_form(np.array([m, n]), *np.eye(2), sw, tol)
 
 
 def diagonal_H0(sw: SpectralWeight, tol: float = 1e-10) -> QuadratureResult:
@@ -394,10 +374,11 @@ def decomposition(
 ) -> DecompositionReport:
     """S + T on the spectral side against D + P for a real block sequence.
 
-    S and T come from _block_sides. P is the c-sum over the pairs n_i <=
-    n_j, every twist y = sqrt(n_i/n_j) in one _petersson_c_sum call, with
-    the Kloosterman sums of every c <= C from one array-form kloosterman
-    call per pair. C is the smallest modulus whose c > C tail bars, each
+    S and T are _cusp_form and _eisenstein_form at u = v = a, the forms
+    of spectral_side and eisenstein_side. P is the c-sum over the pairs
+    n_i <= n_j, every twist y = sqrt(n_i/n_j) in one _petersson_c_sum
+    call, with the Kloosterman sums of every c <= C from one array-form
+    kloosterman call per pair. C is the smallest modulus whose c > C tail bars, each
     pair at its best K, add up to at most tol; skip_bar is the bar that
     call reports, tail and rounding. spectral_tail bounds the forms beyond
     the data through |sum_n a_n lambda_j(n)| <= sum_n |a_n| tau(n).
@@ -412,7 +393,8 @@ def decomposition(
         )
     a, ns, N = seq.values.real, seq.ns, seq.N
 
-    s_val, eis = _block_sides(seq, sw, forms, tol)
+    s_val = _cusp_form(ns, a, a, sw, forms)
+    eis = _eisenstein_form(ns, a, a, sw, tol)
     t_val = eis.value.real
 
     h0 = diagonal_H0(sw, tol=tol)

@@ -156,43 +156,47 @@ def young_ls_ratio(seq: Sequence, gamma: float, tau: float, v: float, C: int) ->
     return SieveReport.make(lhs, rhs, gamma=gamma, tau=tau, v=v, C=C, N=seq.N)
 
 
-def _twisted_linear_forms(seq: Sequence, forms: list[MaassForm]) -> np.ndarray:
-    """|sum_n a_n lambda_j(n) n^{i t_j}|^2 for every form."""
-    ns = seq.ns
-    log_ns = np.log(ns.astype(float))
-    out = np.empty(len(forms))
+def _twisted_linear_forms(ns: np.ndarray, a: np.ndarray, forms: list[MaassForm]) -> np.ndarray:
+    """L_j(a) = sum_n a_n lambda_j(n) n^{i t_j} over the integers ns, for each
+    form j; a stack of vectors a gives a row per vector."""
+    basis = np.empty((len(ns), len(forms)), dtype=complex)
     for j, f in enumerate(forms):
-        lam = np.array([f.lam(int(n)) for n in ns])
-        inner = np.sum(seq.values * lam * np.exp(1j * f.t * log_ns))
-        out[j] = abs(inner) ** 2
-    return out
+        basis[:, j] = [f.lam(int(n)) for n in ns] * np.exp(1j * f.t * np.log(ns))
+    return a @ basis
 
 
-def _block_sides(
-    seq: Sequence, sw: SpectralWeight, forms: list[MaassForm], tol: float
-) -> tuple[float, QuadratureResult]:
-    """S and T of the averaged identity for the block a_n:
+def _cusp_form(
+    ns: np.ndarray, u: np.ndarray, v: np.ndarray, sw: SpectralWeight, forms: list[MaassForm]
+) -> float:
+    """sum_j omega_j h(t_j) Re(L_j(u) conj L_j(v)) over the integers ns: the
+    cuspidal side at u = v = a for a block, and at u = e_m, v = e_n for the
+    pair (m, n), whose real part lambda(m) lambda(n) cos(t log(m/n)) twists h."""
+    lu, lv = _twisted_linear_forms(ns, np.array([u, v]), forms)
+    omega = np.array([f.omega for f in forms])
+    t = np.array([f.t for f in forms], dtype=float)
+    return float(np.sum(omega * weight_h(t, sw) * (lu * lv.conj()).real))
 
-        S = sum_j omega_j h(t_j) |sum_n a_n lambda_j(n) n^{i t_j}|^2
-        T = (2/pi) int_0^{t_upper} omega(t) h(t) |sum_n a_n sigma_{2it}(n)|^2 dt
 
-    T (the even integrand's half-line, doubled) carries its bar and flag at tol.
-    """
-    sq = _twisted_linear_forms(seq, forms)
-    s_val = sum(f.omega * weight_h(f.t, sw) * sq[j] for j, f in enumerate(forms))
+def _eisenstein_form(
+    ns: np.ndarray, u: np.ndarray, v: np.ndarray, sw: SpectralWeight, tol: float
+) -> QuadratureResult:
+    """(2/pi) int_0^{t_upper} omega(t) h(t) Re(E_t(u) conj E_t(v)) dt over the
+    integers ns, E_t(a) = sum_n a_n sigma_{2it}(n): the Eisenstein side, paired
+    like _cusp_form, as twice the even integrand's half-line, to tol."""
 
     def integrand(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        sums = sum(a * divisor_sigma(2j * t, int(n)) for a, n in zip(seq.values, seq.ns))
-        return eisenstein_density(t) * weight_h(t, sw) * np.abs(sums) ** 2
+        sigmas = np.array([divisor_sigma(2j * t, int(n)) for n in ns])
+        eu, ev = u @ sigmas, v @ sigmas
+        return eisenstein_density(t) * weight_h(t, sw) * (eu * ev.conj()).real
 
     res = adaptive_quadrature(integrand, 1e-12, sw.t_upper, tol * math.pi / 2.0, initial_panels=32)
-    return float(s_val), res.scaled(2.0 / math.pi)
+    return res.scaled(2.0 / math.pi)
 
 
 def corollary_ratio(seq: Sequence, sw: SpectralWeight, forms: list[MaassForm]) -> SieveReport:
     """Sharp-cutoff window sum over T < t_j <= T + M against M (T + N) ||a||^2."""
-    sq = _twisted_linear_forms(seq, forms)
+    sq = np.abs(_twisted_linear_forms(seq.ns, seq.values, forms)) ** 2
     lhs = float(
         sum(f.omega * sq[j] for j, f in enumerate(forms) if sw.T < f.t <= sw.T + sw.M)
     )
@@ -225,10 +229,11 @@ def moment_demo(
     """Desk-scale second-moment block at one dyadic length.
 
     Cuspidal and Eisenstein averages of the GL(3)-twisted linear forms
-    N^{-1/2} sum_n A(n1, n) (coeff) w(n/N) (_block_sides at tol 1e-6),
-    reported against the majorant (1 + MT/N) sum_n |A(n1, n)|^2 + (n1 +
-    T/M^2) N n1 with all epsilon-factors set to 1. "T_err" is the bar on
-    "T" and "converged" the flag of its quadrature.
+    N^{-1/2} sum_n A(n1, n) (coeff) w(n/N), _cusp_form and _eisenstein_form
+    (tol 1e-6) at u = v = the block, reported against the majorant (1 +
+    MT/N) sum_n |A(n1, n)|^2 + (n1 + T/M^2) N n1 with all epsilon-factors
+    set to 1. "T_err" is the bar on "T" and "converged" the flag of its
+    quadrature.
     """
     if n1 < 1 or N < 1:
         raise ValueError("n1 and N must be positive")
@@ -238,8 +243,9 @@ def moment_demo(
     coeffs = np.array([gl3.a(n1, int(n)) for n in ns])
     # the block carries n^{-it} and sigma_{-2it}(n); lambda_j is real, so the
     # conjugate coefficients give the same moduli with n^{it} and sigma_{2it}(n)
-    block = Sequence(N=N, values=np.conj(coeffs * wvals / math.sqrt(N)))
-    s_val, eis = _block_sides(block, sw, forms, 1e-6)
+    a = np.conj(coeffs * wvals / math.sqrt(N))
+    s_val = _cusp_form(ns, a, a, sw, forms)
+    eis = _eisenstein_form(ns, a, a, sw, 1e-6)
     t_val = eis.value.real
 
     coeff_sq = float(np.sum(np.abs(coeffs) ** 2))

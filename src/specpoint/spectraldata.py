@@ -207,9 +207,6 @@ class GL3Form:
             f"A({m},{n}) outside table (x_max={self.x_max}, label={self.label!r})"
         )
 
-    def has(self, m: int, n: int) -> bool:
-        return (m, n) in self.coeff or (n, m) in self.coeff
-
     @property
     def dual(self) -> "GL3Form":
         lam = tuple(-z for z in self.langlands)

@@ -36,7 +36,10 @@ from specpoint.sievebench import Sequence
 from specpoint.specfun import bessel_j
 from specpoint.spectraldata import synthetic_spectrum
 
+from oracles import eisenstein_gauss_oracle
+
 SW = SpectralWeight(T=14.0, M=4.0)
+SW3 = SpectralWeight(T=3.0, M=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +70,14 @@ class TestSpectralSide:
         # weight around T = 3 is ~3e-19, not at t = 0
         assert spectral_tail_bar(1, 1, SpectralWeight(3.0, 1.0), []) < 1e-18
 
+    @pytest.mark.xfail(strict=True, reason="with no forms the bar caps omega_1 ~ 2.935 at 1")
+    @pytest.mark.parametrize("T", [6.0, 7.0])
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
+    def test_data_free_tail_bar_covers_residual(self, T, m, n):
+        # at T = 7, (1, 1) the residual is 4.8e-3 against a tail bar of 4.9e-4
+        rep = trace_residual(m, n, SpectralWeight(T, 1.0), [], C_max=512, tol=1e-10)
+        assert rep.residual <= rep.spectral_tail + rep.c_tail + rep.quadrature_err
+
     def test_reordering_oracle(self, forms):
         from specpoint.besselintegral import weight_h_y
 
@@ -94,6 +105,18 @@ class TestEisenstein:
         res = eisenstein_side(2, 4, SW, tol=1e-14)
         assert res.converged
         assert res.err_estimate <= 1e-14
+
+    @pytest.mark.parametrize(
+        "m,n,sw", [(1, 1, SW3), (2, 3, SW3), (1, 4, SW3), (2, 3, SW)], ids=["11", "23", "14", "23-T14"]
+    )
+    def test_matches_polarised_gauss_oracle(self, m, n, sw):
+        # the oracle is the quadratic form Q(a) = E(a, a), and the pair is
+        # E(e_m, e_n) = (Q(e_m + e_n) - Q(e_m - e_n))/4
+        res = eisenstein_side(m, n, sw)
+        plus, minus = (eisenstein_gauss_oracle([1.0, s], [m, n], sw) for s in (1.0, -1.0))
+        want = (plus - minus) / 4.0
+        assert res.converged
+        assert abs(res.value.real - want) <= res.err_estimate + 1e-12 * abs(want)
 
 
 class TestDiagonal:
@@ -400,6 +423,29 @@ class TestDecomposition:
         assert rep.S == pytest.approx(spec, rel=1e-10)
         assert rep.T_eis == pytest.approx(eis, rel=1e-6)
         assert rep.D == pytest.approx(diagonal_H0(SW).value.real * 0.49, rel=1e-9)
+
+    def test_block_is_the_sum_of_its_pairs(self, forms, monkeypatch):
+        # S and T of a block are its pairs' sides averaged against a_i a_j,
+        # the off-diagonal pairs included; T's own bar comes from its call
+        seen = []
+
+        def spy(*args):
+            seen.append(eisenstein_form(*args))
+            return seen[-1]
+
+        eisenstein_form = kuznetsov._eisenstein_form
+        monkeypatch.setattr(kuznetsov, "_eisenstein_form", spy)
+        seq = Sequence(N=4, values=np.random.default_rng(3).uniform(-1.0, 1.0, size=4))
+        rep = decomposition(seq, SW, forms)
+        monkeypatch.undo()
+        (t_res,) = seen
+        a, ns = seq.values.real, [int(n) for n in seq.ns]
+        spec = np.array([[spectral_side(m, n, SW, forms) for n in ns] for m in ns])
+        eis = [[eisenstein_side(m, n, SW) for n in ns] for m in ns]
+        value = np.array([[e.value.real for e in row] for row in eis])
+        err = np.array([[e.err_estimate for e in row] for row in eis])
+        assert rep.S == pytest.approx(a @ spec @ a, rel=1e-12)
+        assert abs(rep.T_eis - a @ value @ a) <= np.abs(a) @ err @ np.abs(a) + t_res.err_estimate
 
     @pytest.fixture(scope="class")
     def seed1(self):

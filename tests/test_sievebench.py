@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specpoint.arith import _unit_residues, divisors, moebius
-from specpoint.besselintegral import SpectralWeight, weight_h
+from specpoint.besselintegral import SpectralWeight
 from specpoint.sievebench import (
     Sequence,
     _hybrid_lhs_one_modulus,
@@ -18,8 +18,9 @@ from specpoint.sievebench import (
     young_ls_lhs,
     young_ls_ratio,
 )
-from specpoint.specfun import eisenstein_density
 from specpoint.spectraldata import sym_square_lift, synthetic_spectrum
+
+from oracles import eisenstein_gauss_oracle
 
 SW = SpectralWeight(T=14.0, M=4.0)
 
@@ -243,22 +244,6 @@ class TestDirichletPolynomial:
             seq = Sequence.random(N=32, seed=seed)
             worst = max(worst, dirichlet_poly_ratio(seq, 20.0).ratio)
         assert worst <= 2 * math.pi + 1.0
-
-
-def eisenstein_gauss_oracle(values, ns, sw, panels=1000, order=32):
-    """(2/pi) int_0^{t_upper} omega(t) h(t) |sum_n a_n sigma_{2it}(n)|^2 dt
-    on panels equal panels with an order-point Gauss-Legendre rule each,
-    sigma_{2it}(n) summed over the divisors d as e^{2it log d}."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    h = sw.t_upper / (2 * panels)
-    mids = h * (2 * np.arange(panels) + 1)
-    ts, ws = (mids[:, None] + h * x).ravel(), np.tile(h * w, panels)
-    sums = np.zeros(ts.size, dtype=complex)
-    for a, n in zip(values, ns):
-        for d in divisors(int(n)):
-            sums += a * np.exp(2j * ts * math.log(d))
-    integrand = eisenstein_density(ts) * weight_h(ts, sw) * np.abs(sums) ** 2
-    return 2.0 / math.pi * float(ws @ integrand)
 
 
 class TestMomentDemo:
