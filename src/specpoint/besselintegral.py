@@ -9,7 +9,9 @@ evaluated exactly by bessel_H_many for terms (x, y) of any twists. Each
 route builds one untwisted table that every twist shares: for x <=
 SERIES_X_MAX the power series of the cosine kernel B, for larger x the
 kernel k_1 on one rotated contour per octave of x, as k_y(r) = (k_1(r+L) +
-k_1(r-L))/2 at L = log y. Both double their Gauss panels until no term
+k_1(r-L))/2 at L = log y. Neither takes a trig call per (node, t) pair:
+both factor their phases in t over the t-grid's Gauss panels
+(quadrature.grid_panels). Both double their Gauss panels until no term
 moves by more than tol (quadrature.doubled), and add _ROUNDING times the
 absolute sum of the terms on the last grid to each error estimate. The
 kernel route is exact at small x too, but took 4-25 times as long there as
@@ -34,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .besselkernel import kernel_b_series_many
-from .quadrature import QuadratureResult, adaptive_quadrature, doubled, gauss_grid
+from .quadrature import QuadratureResult, adaptive_quadrature, doubled, gauss_grid, grid_panels
 from .specfun import log_gamma
 
 TWO_OVER_PI_SQRT_PI = 2.0 / (math.pi * math.sqrt(math.pi))
@@ -129,8 +131,9 @@ def bessel_H_series_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> Quadr
     through the power-series kernel on one t-grid.
 
     The terms share every t-node and one untwisted (t, k) x (k, x) series
-    product per block of _BLOCK_NODES t-nodes and _BLOCK_TERMS terms, which
-    each term weighs by cos(2t log y). The panels follow the phase of the
+    product per block of _BLOCK_NODES t-nodes (whole panels, whose phase
+    table kernel_b_series_many factors) and _BLOCK_TERMS terms, which each
+    term weighs by cos(2t log y). The panels follow the phase of the
     largest twist and of the smallest x's kernel, and double until no term
     moves by more than tol. value and err_estimate are real arrays in the
     order of xs, err_estimate plus _ROUNDING sum_t f |B| on the last grid;
@@ -171,41 +174,79 @@ def bessel_H_series_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> Quadr
     return res
 
 
-def _kernel_on_leg(
-    s: np.ndarray, ws: np.ndarray, fixed: float, horizontal: bool, t: np.ndarray, f: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """k_1(r) dr at r = s + i fixed (a horizontal leg) or r = fixed + i s (a
-    vertical one) for the leg's Gauss nodes s and weights ws, from the
-    t-nodes and their weights f = w (4/pi^2) t h tanh; and |dr| sum_t f
-    cosh(2t Im r) >= |dr| sum_t f |cos(2tr)|, the absolute sum of its terms.
+def _split(v: np.ndarray) -> np.ndarray:
+    """The upper 26 bits of v (Veltkamp), so that v_hi w_hi is exact."""
+    c = 134217729.0 * v  # 2^27 + 1
+    return c - (c - v)
 
-    cos(2t(a + ib)) = cos(2ta) cosh(2tb) - i sin(2ta) sinh(2tb), and the
-    leg's fixed coordinate goes into the two weight vectors. So each block
-    of at most _BLOCK_NODES nodes is one real (nodes, t) phase table,
-    turned into the two function tables in turn.
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The outer product a b and its rounding error (Dekker's two-product):
+    hi + lo = a[i] b[j] exactly."""
+    hi = np.multiply.outer(a, b)
+    a_hi, b_hi = _split(a), _split(b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    lo = np.multiply.outer(a_hi, b_hi) - hi
+    lo += np.multiply.outer(a_hi, b_lo)
+    lo += np.multiply.outer(a_lo, b_hi)
+    lo += np.multiply.outer(a_lo, b_lo)
+    return hi, lo
+
+
+def _cos_sum(r: np.ndarray, t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """k_1(r) = sum_t f(t) cos(2tr) at complex r, for t-nodes on grid panels.
+
+    With t = left + half u + offset (quadrature.grid_panels), cos(2tr) is,
+    to first order in the offset (a few ulps), the mean of exp(+-2i left r)
+    exp(+-2i half u r) (1 +- 2i offset r), so
+    k_1 = 1/2 sum_p (A+ G+ + A- G-) for the (r, panel) tables A+- =
+    exp(+-2i left r) and G+- = E+- @ F, E+- = exp(+-2i half u r) an (r, u)
+    table and F the (u, panel) table of f (and of f offset beside it): no
+    (r, t) table is formed. The phase 2 left Re r is split exactly into two
+    doubles. On the real axis the - sum is the conjugate of the + sum.
+    Blocks of _BLOCK_NODES r-nodes bound the tables.
     """
-    if horizontal:
-        even, odd = np.cos, np.sin
-        w_even, w_odd = f * np.cosh(2.0 * fixed * t), f * np.sinh(2.0 * fixed * t)
-    else:
-        even, odd = np.cosh, np.sinh
-        w_even, w_odd = f * np.cos(2.0 * fixed * t), f * np.sin(2.0 * fixed * t)
-    out = np.empty(s.size, dtype=complex)
-    size = np.full(s.size, np.sum(w_even))
-    for i in range(0, s.size, _BLOCK_NODES):
-        block = slice(i, i + _BLOCK_NODES)
-        phase = np.multiply.outer(2.0 * s[block], t)
-        table = even(phase)
-        out.real[block] = table @ w_even
-        if not horizontal:
-            size[block] = table @ f
-        out.imag[block] = -(odd(phase, out=phase) @ w_odd)
-    return out * (ws if horizontal else 1j * ws), size * ws
+    lefts, half, u, offsets = grid_panels(t)
+    rows = f.reshape(lefts.size, u.size)
+    weights = np.concatenate([rows, rows * offsets]).T.astype(complex)  # (u, 2 panels)
+    panels = lefts.size
+    out = np.empty(r.size, dtype=complex)
+    for i in range(0, r.size, _BLOCK_NODES):
+        block = r[i : i + _BLOCK_NODES]
+        two_ir = 2j * block[:, None]
+        narrow = np.exp(np.multiply.outer(two_ir[:, 0] * half, u))
+        hi, lo = _two_product(block.real, 2.0 * lefts)
+        wide = np.exp(1j * hi - np.multiply.outer(block.imag, 2.0 * lefts))
+        wide *= 1.0 + 1j * lo
+        plus = narrow @ weights
+        plus = np.sum((plus[:, :panels] + two_ir * plus[:, panels:]) * wide, axis=1)
+        minus = plus.conj()
+        off = block.imag != 0
+        if np.any(off):
+            g = (1.0 / narrow[off]) @ weights
+            g = (g[:, :panels] - two_ir[off] * g[:, panels:]) / wide[off]
+            minus[off] = g.sum(axis=1)
+        out[i : i + _BLOCK_NODES] = 0.5 * (plus + minus)
+    return out
 
 
-def _bessel_H_kernel(xs: np.ndarray, ys, sw: SpectralWeight, tol: float) -> QuadratureResult:
-    """H(x, y) for every term (x, y) of xs and ys (x > 0) with the
-    integrals swapped, through one contour and one untwisted k_1 table.
+def _kernel_on_legs(
+    r: np.ndarray, dr: np.ndarray, t: np.ndarray, f: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """k_1(r) dr at the contour nodes r with weights dr, from the t-nodes
+    and their weights f = w (4/pi^2) t h tanh > 0; and |dr| sum_t f
+    cosh(2t Im r) >= |dr| sum_t f |cos(2tr)|, the absolute sum of its terms,
+    which is k_1 at i Im r, once per run of equal Im r (a horizontal leg).
+    One _cos_sum call takes both."""
+    new = np.concatenate([[True], r.imag[1:] != r.imag[:-1]])
+    k = _cos_sum(np.concatenate([r, 1j * r.imag[new]]), t, f)
+    return k[: r.size] * dr, k[r.size :].real[np.cumsum(new) - 1] * np.abs(dr)
+
+
+def _contour(xs: np.ndarray, log_y: np.ndarray, sw: SpectralWeight) -> tuple[tuple, tuple, float]:
+    """The path of _bessel_H_kernel for terms (x, log y): its legs as
+    (start, end, fixed coordinate, horizontal), their first panel counts,
+    and the rate that sets the first t-grid.
 
     k_1 is even, real on R and entire, so H = Re int_P k_1(v)
     (e^{ix cosh(v-L)} + e^{ix cosh(v+L)}) dv at L = log y along a path P
@@ -222,17 +263,8 @@ def _bessel_H_kernel(xs: np.ndarray, ys, sw: SpectralWeight, tol: float) -> Quad
     on every leg and on [0, t_upper] follow the phase of the largest x; off
     the axis the nearer shift sets it, as the farther one decays faster than
     it turns there.
-
-    The phase tables are built per block of _BLOCK_NODES nodes and
-    _BLOCK_TERMS terms, so memory does not grow with the number of terms.
-    All panel counts double together until no H changes by more than tol
-    (quadrature.doubled). err_estimate adds _ROUNDING sum f cosh(2t Im v)
-    |e^{ix cosh(v-+L)}| |dv| on the last grid. evaluations counts k_1-table
-    entries, r-nodes times t-nodes.
     """
-    log_y = np.log(ys)
     shift = float(np.max(np.abs(log_y)))
-    cosh_l, sinh_l = xs * np.cosh(log_y), xs * np.sinh(log_y)
     theta = min(math.pi / 2, 4.0 / sw.T)
     x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
     decay = x_lo * math.sin(theta)
@@ -247,32 +279,57 @@ def _bessel_H_kernel(xs: np.ndarray, ys, sw: SpectralWeight, tol: float) -> Quad
         _panel_count(x_hi * cosh_a * (1.0 - math.cos(theta)) + 2.0 * sw.T * theta),
         _panel_count(x_hi * (math.cosh(R) - cosh_a) * math.cos(theta) + 2.0 * sw.T * (R - a)),
     )
-    t_rate = 2.0 * math.hypot(R_s, theta)
+    return legs, counts, 2.0 * math.hypot(R_s, theta)
+
+
+def _contour_nodes(legs, counts, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes r and weights dr of every leg's Gauss panels, their first
+    counts doubled level times, leg after leg."""
+    nodes = []
+    for (lo, hi, fixed, horizontal), n in zip(legs, counts):
+        s, ws = gauss_grid(lo, hi, n << level)
+        nodes.append((s + 1j * fixed, ws) if horizontal else (fixed + 1j * s, 1j * ws))
+    return np.concatenate([r for r, _ in nodes]), np.concatenate([dr for _, dr in nodes])
+
+
+def _bessel_H_kernel(xs: np.ndarray, ys, sw: SpectralWeight, tol: float) -> QuadratureResult:
+    """H(x, y) for every term (x, y) of xs and ys (x > 0) with the
+    integrals swapped, through one contour (_contour) and one untwisted
+    k_1 table.
+
+    Per level, one _cos_sum call gives k_1 at every node of every leg, from
+    panel-factored tables (no (r, t) table is formed); the term tables
+    e^{ix cosh(v-+L)} are built per block of _BLOCK_NODES nodes and
+    _BLOCK_TERMS terms, so memory does not grow with the number of terms.
+    All panel counts double together until no H changes by more than tol
+    (quadrature.doubled). err_estimate adds _ROUNDING sum f cosh(2t Im v)
+    |e^{ix cosh(v-+L)}| |dv| on the last grid. evaluations counts k_1-table
+    entries, r-nodes times t-nodes.
+    """
+    log_y = np.log(ys)
+    cosh_l, sinh_l = xs * np.cosh(log_y), xs * np.sinh(log_y)
+    legs, counts, t_rate = _contour(xs, log_y, sw)
     size = np.zeros(xs.size)
 
     def evaluate(level: int) -> tuple[np.ndarray, int]:
         nonlocal size
         t, f = _t_weights(sw, t_rate, level)
+        r, dr = _contour_nodes(legs, counts, level)
+        k, k_abs = _kernel_on_legs(r, dr, t, f)
         total, size = np.zeros(xs.size), np.zeros(xs.size)
-        nodes = 0
-        for (lo, hi, fixed, horizontal), n in zip(legs, counts):
-            s, ws = gauss_grid(lo, hi, n << level)
-            r = s + 1j * fixed if horizontal else fixed + 1j * s
-            k, k_abs = _kernel_on_leg(s, ws, fixed, horizontal, t, f)
-            for i in range(0, s.size, _BLOCK_NODES):
-                block = slice(i, i + _BLOCK_NODES)
-                cosh_r, sinh_r = np.cosh(r[block]), np.sinh(r[block])
-                for j in range(0, xs.size, _BLOCK_TERMS):
-                    cols = slice(j, j + _BLOCK_TERMS)
-                    # x cosh(v -+ L) = x cosh L cosh v -+ x sinh L sinh v
-                    even = np.multiply.outer(cosh_l[cols], cosh_r)
-                    odd = np.multiply.outer(sinh_l[cols], sinh_r)
-                    for sign in (-1.0, 1.0):
-                        e = np.exp(1j * (even + sign * odd))
-                        total[cols] += (e @ k[block]).real
-                        size[cols] += np.abs(e) @ k_abs[block]
-            nodes += s.size
-        return total, nodes * t.size
+        for i in range(0, r.size, _BLOCK_NODES):
+            block = slice(i, i + _BLOCK_NODES)
+            cosh_r, sinh_r = np.cosh(r[block]), np.sinh(r[block])
+            for j in range(0, xs.size, _BLOCK_TERMS):
+                cols = slice(j, j + _BLOCK_TERMS)
+                # x cosh(v -+ L) = x cosh L cosh v -+ x sinh L sinh v
+                even = np.multiply.outer(cosh_l[cols], cosh_r)
+                odd = np.multiply.outer(sinh_l[cols], sinh_r)
+                for sign in (-1.0, 1.0):
+                    e = np.exp(1j * (even + sign * odd))
+                    total[cols] += (e @ k[block]).real
+                    size[cols] += np.abs(e) @ k_abs[block]
+        return total, r.size * t.size
 
     res = doubled(evaluate, tol, _ROUNDS)
     res.err_estimate += _ROUNDING * size

@@ -5,7 +5,10 @@ from doubled: it evaluates on grids whose panel counts double round by
 round until no value moves by more than tol. adaptive_quadrature runs it
 for one integrand on [a, b], and besselintegral's two H routes run it on
 their t-grids and contour legs. A grid fixes its summation order, so
-results are bit-reproducible for a given tolerance.
+results are bit-reproducible for a given tolerance. grid_panels reads a
+grid's panel structure back from its nodes: both H routes build their
+phase tables exp(i w t) from it, panels + 16 exponentials per frequency w
+where a (node, w) table takes 16 per panel.
 """
 
 from __future__ import annotations
@@ -73,6 +76,33 @@ def gauss_grid(
     """Nodes and weights of panels equal Gauss-Legendre panels on [a, b]."""
     edges = np.linspace(a, b, panels + 1)
     return gauss_legendre_panels(edges[:-1], edges[1:], order)
+
+
+def grid_panels(t: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """The panel structure of nodes t: (lefts, half, u, offsets) with
+    t[16 p + q] = lefts[p] + half u[q] + offsets[p, q].
+
+    For a run of whole equal panels of a gauss_grid, lefts are the panels'
+    left ends, half their half-width and u = 1 + xi for the _PANEL_ORDER = 16
+    Legendre nodes xi; offsets, which only the rounding of the grid's edges
+    and nodes leaves, stay within a few ulps of max|t|. So a table of exp(i w t) over
+    nodes and frequencies w takes panels + 16 exponentials per w, and a
+    first-order correction 1 + i w offsets. On t >= 0 neither factor's phase
+    exceeds the node's, as it would from the panel mids near t = 0. Any
+    other t is one node per panel: lefts = t, half = 0, u = [0], offsets = 0.
+    """
+    t = np.asarray(t, dtype=float).ravel()
+    xi = _gl_nodes(_PANEL_ORDER)[0]
+    if t.size >= _PANEL_ORDER and t.size % _PANEL_ORDER == 0:
+        rows = t.reshape(-1, _PANEL_ORDER)
+        # the mean half-width, from the first and last node of the run (xi[0] = -xi[-1])
+        half = (rows[-1, -1] - rows[0, 0]) / (2.0 * (rows.shape[0] - 1 + xi[-1]))
+        lefts = 0.5 * (rows[:, 0] + rows[:, -1]) - half
+        u = 1.0 + xi
+        offsets = (rows - lefts[:, None]) - half * u
+        if half > 0 and np.max(np.abs(offsets)) <= 16.0 * np.finfo(float).eps * np.max(np.abs(t)):
+            return lefts, float(half), u, offsets
+    return t, 0.0, np.zeros(1), np.zeros((t.size, 1))
 
 
 def doubled(evaluate, tol: float, rounds: int) -> QuadratureResult:

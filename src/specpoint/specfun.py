@@ -91,12 +91,17 @@ def bessel_j(n: int, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0):
         raise ValueError("bessel_j needs x > 0")
-    flat = x.ravel()
+    order = np.argsort(x, axis=None)
+    flat = x.ravel()[order]
+    counts = 2 ** np.ceil(np.log2(np.maximum(64.0, 2.0 * flat + 32.0))).astype(int)
     out = np.empty(flat.size)
-    # blocks of 256 x bound the (x, node) tables; P comes from a block's largest x
-    for i in range(0, flat.size, 256):
-        xs = flat[i : i + 256, None]
-        count = 2 ** math.ceil(math.log2(max(64.0, 2.0 * xs.max() + 32.0)))
+    # x go in by size, in blocks of at most 256 x of one P: so each x gets
+    # its own P, and a block's (x, node) table stays bounded
+    i = 0
+    while i < flat.size:
+        count = int(counts[i])
+        end = min(i + 256, int(np.searchsorted(counts, count, side="right")))
+        xs = flat[i:end, None]
         rho = np.where(xs < n, (n + np.sqrt(np.maximum(n * n - xs * xs, 0.0))) / xs, 1.0)
         # nodes j and count - j carry equal terms: take j <= count/2, ends once
         j = np.arange(count // 2 + 1)
@@ -104,7 +109,8 @@ def bessel_j(n: int, x) -> np.ndarray:
         weight = np.where((j == 0) | (j == count // 2), 1.0, 2.0) / count
         a, b = 0.5 * xs * (rho - 1.0 / rho), 0.5 * xs * (rho + 1.0 / rho)
         terms = np.exp(a * np.cos(u) - n * np.log(rho)) * np.cos(b * np.sin(u) - nu)
-        out[i : i + 256] = terms @ weight
+        out[order[i:end]] = terms @ weight
+        i = end
     return out.reshape(x.shape)
 
 

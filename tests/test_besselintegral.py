@@ -313,6 +313,46 @@ class TestSwappedKernelRoute:
             tracemalloc.stop()
         assert peak < 10_000_000
 
+    def test_memory_guard_at_paper_scale(self):
+        # 512 terms of one call at T=50, M=8: when this route built (r, t)
+        # phase tables, its tracemalloc peak was 19,973,162 bytes (numpy 2.4,
+        # Python 3.11); the panel-factored k_1 tables must not need more
+        xs = np.linspace(10.0, 19.0, 512)
+        tracemalloc.start()
+        try:
+            res, _ = bessel_H_many(xs, 1.0, SW)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak <= 19_973_162
+
+    @pytest.mark.parametrize(
+        "T,M,xs,per_leg,bound",
+        [(3.0, 1.0, (5.5, 7.9), None, 2.0), (50.0, 8.0, (10.0, 15.9), 10, 8.0)],
+    )
+    def test_factored_k1_matches_mpmath_on_every_leg(self, T, M, xs, per_leg, bound):
+        # k_1(r) = sum_t f cos(2tr) over the same t-nodes, summed by mpmath
+        # at 30 digits, at the first grid's r-nodes on each leg (at T=50, where
+        # a leg has up to 2,304 nodes and the t-grid 1,568, at per_leg nodes
+        # from end to end): within the bar, 8 eps times the absolute sum of
+        # the terms. At T=3 the bound is 2 eps: the panel factoring reads 0.9
+        # eps there, and 3.4 eps without its first-order offsets correction
+        sw, log_y = SpectralWeight(T, M), np.log([1.0, 0.5])
+        legs, counts, rate = besselintegral._contour(np.array(xs), log_y, sw)
+        t, f = besselintegral._t_weights(sw, rate, 0)
+        for leg, n in zip(legs, counts):
+            r = besselintegral._contour_nodes([leg], [n], 0)[0]
+            if per_leg is not None:
+                r = r[np.unique(np.linspace(0, r.size - 1, per_leg).round().astype(int))]
+            k = besselintegral._cos_sum(r, t, f)
+            size = np.cosh(2.0 * np.multiply.outer(r.imag, t)) @ f
+            with mp.workdps(30):
+                tf = [(mp.mpf(2.0 * ti), mp.mpf(fi)) for ti, fi in zip(t, f)]
+                sums = [mp.fsum(fi * mp.cos(ti * mp.mpc(z)) for ti, fi in tf) for z in r]
+            want = np.array([complex(v) for v in sums])
+            assert np.all(np.abs(k - want) <= bound * np.finfo(float).eps * size)
+
     def test_kernel_memory_is_bounded_in_terms(self):
         # 2,000 terms of one octave: phase tables over all of them at once
         # would take ~41 MB; blocks of 512 terms keep the peak near 11 MB

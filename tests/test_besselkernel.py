@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from specpoint.besselkernel import kernel_b_block, kernel_b_series_many
+from specpoint.quadrature import gauss_grid, grid_panels
 from specpoint.specfun import log_gamma
 
 # -pi * Im J_{2it}(x) / sinh(pi t)  (and -pi Y_0(x) at t = 0), mpmath dps=40
@@ -128,6 +129,18 @@ def test_series_matches_mpmath():
         )
     got = kernel_b_series_many(t, xs)
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("t_upper,panels", [(9.5, 10), (40.0, 16), (102.0, 86)])
+def test_series_on_grid_panels_matches_shuffled_nodes(t_upper, panels):
+    # grid panels take the factored phase table; the same nodes shuffled
+    # are no grid, so they take one node per panel
+    t, _ = gauss_grid(0.0, t_upper, panels)
+    perm = np.random.default_rng(5).permutation(t.size)
+    assert grid_panels(t)[2].size == 16 and grid_panels(t[perm])[2].size == 1
+    xs = np.geomspace(0.002, 5.0, 24)
+    grid, shuffled = kernel_b_series_many(t, xs), kernel_b_series_many(t[perm], xs)
+    assert np.all(np.abs(grid[perm] - shuffled) <= 1e-13 * np.maximum(1.0, np.abs(shuffled)))
 
 
 def test_refinement_consistency():

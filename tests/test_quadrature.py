@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from specpoint.quadrature import adaptive_quadrature, gauss_grid
+from specpoint.quadrature import adaptive_quadrature, gauss_grid, grid_panels
+
+EPS = np.finfo(float).eps
 
 
 def test_constant():
@@ -86,3 +88,24 @@ def test_evaluation_counter():
     assert res.evaluations > 0
     assert res.value.real == pytest.approx(1 / 3, abs=1e-13)
 
+
+def test_grid_panels_of_whole_gauss_panels():
+    # a gauss_grid, and any run of its whole panels, is left + half (1 + xi)
+    # per node, less offsets of rounding size
+    t, _ = gauss_grid(0.0, 102.0, 86)
+    for run in (t, t[256:768]):
+        lefts, half, u, offsets = grid_panels(run)
+        assert u.size == 16 and lefts.size == run.size // 16
+        assert half == pytest.approx(102.0 / 172.0, rel=1e-14)
+        assert np.max(np.abs(offsets)) <= EPS * 102.0
+        rebuilt = lefts[:, None] + half * u + offsets
+        assert np.max(np.abs(rebuilt.ravel() - run)) <= EPS * 102.0
+
+
+def test_grid_panels_of_other_nodes_are_one_node_per_panel():
+    t, _ = gauss_grid(0.0, 9.5, 10)
+    shuffled = np.random.default_rng(1).permutation(t)
+    for other in (shuffled, np.linspace(0.01, 12.0, 320), t[8:24], t[:40]):
+        lefts, half, u, offsets = grid_panels(other)
+        assert half == 0.0 and u.size == 1
+        assert np.array_equal(lefts, other) and not np.any(offsets)

@@ -88,6 +88,18 @@ class TestBesselJ:
         want = np.array([float(mp.besselj(n, x)) for x in xs])
         assert np.all(np.abs(got - want) <= 5e-14 * np.abs(want))
 
+    def test_pair_major_rows_match_per_element_calls(self):
+        # rows x = 4 pi sqrt(mn)/c, c = 1..521, of two pairs: the x go in by
+        # size, each with its own node count, and come back in place
+        c = np.arange(1, 522)
+        xs = 4.0 * math.pi * np.sqrt(np.array([[1.0], [12.0]])) / c
+        for n in (1, 3, 5, 7, 9):
+            got = specfun.bessel_j(n, xs)
+            assert got.shape == xs.shape
+            want = np.array([specfun.bessel_j(n, np.array([x]))[0] for x in xs.flat])
+            want = want.reshape(xs.shape)
+            assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+
     def test_rejects_nonpositive_x(self):
         with pytest.raises(ValueError):
             specfun.bessel_j(1, np.array([0.0, 1.0]))
