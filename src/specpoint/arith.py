@@ -6,7 +6,10 @@ them, Weil-bound ratios, and the small multiplicative functions they need.
 
 `kloosterman` takes one modulus (an int, giving a complex value) or a 1-d
 integer array of moduli (giving the real array of S(m,n;c), summed over a
-cached flat table of half the units of every modulus).
+cached flat table of half the units of every modulus). That table is built
+in array passes over runs of moduli, with no loop per modulus: a gcd mask
+picks the units, a totient sieve sizes the table, and square-and-multiply
+with one exponent per entry gives the inverses.
 
 All angles are reduced modulo c in integer arithmetic before exp(2*pi*i*x)
 is applied, so a single term carries only one rounding error and moduli up
@@ -78,9 +81,59 @@ def _exp_angle_sum(angles_mod_c: np.ndarray, c: int) -> complex:
 # Half-unit table of every modulus 1..C for the array form of kloosterman:
 # the units alpha <= c/2 of c = 1, 2, ..., C in turn, and their inverses,
 # as int32. Modulus c occupies [starts[c - 1], starts[c]), so the table for
-# a smaller C is a prefix of it.
-_HALF_UNITS = (np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(1, np.int64))
-_PASS_UNITS = 1 << 13  # table entries per step of the array form: 64 KB temporaries
+# a smaller C is a prefix of it. It starts with c = 1, whose one unit is 0.
+_HALF_UNITS = (np.zeros(1, np.int32), np.zeros(1, np.int32), np.arange(2))
+_PASS_UNITS = 1 << 13  # table entries or candidates per step: 64 KB temporaries
+
+
+def _runs(first: int, last: int):
+    """(lo, hi) bounds of the consecutive runs of moduli first..last: each
+    holds about _PASS_UNITS candidates alpha <= c/2, and one modulus at
+    least. The moduli below c hold floor((c - 1)^2/4) candidates."""
+    while first <= last:
+        hi = min(last, max(first, math.isqrt((first - 1) ** 2 + 4 * _PASS_UNITS)))
+        yield first, hi
+        first = hi + 1
+
+
+def _unit_run(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, alpha, unit) over the candidates 1 <= alpha <= c/2 of the moduli
+    2 <= lo <= c <= hi, modulus by modulus: unit marks gcd(alpha, c) = 1.
+    Candidate alpha of c is number floor((c - 1)^2/4) + alpha - 1 of all."""
+    mods = np.arange(lo, hi + 1)
+    c = np.repeat(mods, mods // 2)
+    alpha = np.arange((lo - 1) ** 2 // 4 + 1, hi**2 // 4 + 1) - (c - 1) ** 2 // 4
+    return c, alpha, np.gcd(alpha, c) == 1
+
+
+def _euler_inverses(alphas: np.ndarray, mods: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """alpha^{-1} = alpha^{phi - 1} mod c entry by entry, each entry with its
+    own modulus and totient: _build_unit_residues's square-and-multiply,
+    every entry multiplied at the bits its exponent has."""
+    exponents = phi - 1
+    inv = np.ones_like(alphas)
+    power = alphas.copy()
+    for bit in range(int(np.max(exponents)).bit_length()):
+        inv = np.where((exponents >> bit) & 1, inv * power % mods, inv)
+        power = power * power % mods
+    return inv
+
+
+def _totients(C: int) -> np.ndarray:
+    """phi(c) for c = 0, 1, ..., C (phi(0) = 0): each prime p, found as an
+    entry no smaller prime has touched, takes its factor (1 - 1/p) off
+    every multiple."""
+    phi = np.arange(C + 1)
+    for p in range(2, C + 1):
+        if phi[p] == p:
+            phi[p::p] -= phi[p::p] // p
+    return phi
+
+
+def _grown(table: np.ndarray, size: int) -> np.ndarray:
+    out = np.empty(size, table.dtype)
+    out[: table.size] = table
+    return out
 
 
 def _half_units(C: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -89,22 +142,26 @@ def _half_units(C: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The table is kept for the largest C asked for so far: a larger C
     extends it by the new moduli only, a smaller one reads its prefix.
-    New moduli come from _build_unit_residues, not the _unit_residues
-    cache, so no modulus is held twice.
+    New moduli are built in runs of about _PASS_UNITS candidates
+    (_unit_run), not through the _unit_residues cache, so no modulus is
+    held twice. phi(c) from _totients sizes the table before any run, and
+    each run writes its units and their inverses alpha^{phi(c) - 1}
+    (_euler_inverses) straight into it: the peak memory is the old and the
+    new table plus one run's temporaries.
     """
     global _HALF_UNITS
     alphas, invs, starts = _HALF_UNITS
     if starts.size <= C:
-        new = range(starts.size, C + 1)
-        # alpha < c/2 are the first phi(c)/2 units; c <= 2 has one unit
-        half = np.cumsum([(euler_phi(c) + 1) // 2 for c in new])
-        starts = np.concatenate([starts, starts[-1] + half])
-        alphas = np.concatenate([alphas, np.empty(half[-1], np.int32)])
-        invs = np.concatenate([invs, np.empty(half[-1], np.int32)])
-        for c in new:
-            lo, hi = starts[c - 1], starts[c]
-            a, inv = _build_unit_residues(c)
-            alphas[lo:hi], invs[lo:hi] = a[: hi - lo], inv[: hi - lo]
+        first = starts.size  # the first new modulus
+        phi = _totients(C)
+        # alpha < c/2 are the first phi(c)/2 units; c = 2 has one unit
+        starts = np.concatenate([starts, starts[-1] + np.cumsum((phi[first:] + 1) // 2)])
+        alphas, invs = (_grown(old, starts[-1]) for old in (alphas, invs))
+        for lo, hi in _runs(first, C):
+            c, alpha, unit = _unit_run(lo, hi)
+            c, alpha = c[unit], alpha[unit]
+            span = slice(starts[lo - 1], starts[hi])
+            alphas[span], invs[span] = alpha, _euler_inverses(alpha, c, phi[c])
         _HALF_UNITS = alphas, invs, starts
     return alphas, invs, starts[: C + 1]
 
@@ -128,7 +185,9 @@ def kloosterman(m: int, n: int, c):
         alphas, invs, starts = _half_units(top)
         sums = np.empty(top)
         steps = np.searchsorted(starts, np.arange(0, starts[-1], _PASS_UNITS))
-        cuts = np.unique(np.append(steps, top))  # whole moduli per step
+        # whole moduli per step, distinct: np.unique would import numpy.ma
+        cuts = np.append(steps, top)
+        cuts = cuts[np.diff(cuts, prepend=-1) > 0]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             offsets = starts[lo : hi + 1] - starts[lo]
             mods = np.repeat(np.arange(lo + 1, hi + 1), np.diff(offsets))

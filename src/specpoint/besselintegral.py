@@ -363,8 +363,11 @@ def bessel_H_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> tuple[Quadra
     # one kernel contour per octave [2^j, 2^{j+1}) of x: a wider batch stays
     # exact, but pays the phase of its largest x along the smallest x's contour
     octave = np.floor(np.log2(xs))
+    # the distinct octaves ascending; np.unique would import numpy.ma
+    octaves = np.sort(octave[~series])
+    octaves = octaves[np.diff(octaves, prepend=-np.inf) > 0]
     batches = [(bessel_H_series_many, series)] + [
-        (_bessel_H_kernel, ~series & (octave == j)) for j in np.unique(octave[~series])
+        (_bessel_H_kernel, ~series & (octave == j)) for j in octaves
     ]
     for route, mask in batches:
         if np.any(mask):

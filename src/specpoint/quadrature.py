@@ -3,8 +3,10 @@
 Every uniform panel grid comes from gauss_grid, and every refined integral
 from doubled: it evaluates on grids whose panel counts double round by
 round until no value moves by more than tol. adaptive_quadrature runs it
-for one integrand on [a, b], and besselintegral's two H routes run it on
-their t-grids and contour legs. A grid fixes its summation order, so
+for one integrand on [a, b], sievebench's Eisenstein form on its cached
+weighted grids, and besselintegral's two H routes on their t-grids and
+contour legs; doubling_rounds gives the first two their round count from
+an evaluation budget. A grid fixes its summation order, so
 results are bit-reproducible for a given tolerance. grid_panels reads a
 grid's panel structure back from its nodes: both H routes build their
 phase tables exp(i w t) from it, panels + 16 exponentials per frequency w
@@ -124,6 +126,13 @@ def doubled(evaluate, tol: float, rounds: int) -> QuadratureResult:
     return QuadratureResult(value, err, evaluations, converged)
 
 
+def doubling_rounds(initial_panels: int, max_evals: int = 4_000_000) -> int:
+    """The most doublings of a gauss_grid from initial_panels panels whose
+    levels 0..r, _PANEL_ORDER initial_panels (2^{r+1} - 1) evaluations in
+    all, stay within max_evals."""
+    return (max_evals // (_PANEL_ORDER * initial_panels) + 1).bit_length() - 2
+
+
 def adaptive_quadrature(
     f: Integrand,
     a: float,
@@ -136,9 +145,8 @@ def adaptive_quadrature(
 
     f must accept a 1-d numpy array of nodes and return values of the same
     shape. The grid starts at initial_panels uniform panels and doubles
-    (doubled) for as many rounds as keep the evaluations of all its levels
-    within max_evals. Failure to converge within them flags the result
-    instead of raising.
+    (doubled) for doubling_rounds(initial_panels, max_evals) rounds.
+    Failure to converge within them flags the result instead of raising.
     """
     if not (b > a):
         return QuadratureResult(0.0 + 0.0j, 0.0, 0)
@@ -149,6 +157,4 @@ def adaptive_quadrature(
         t, w = gauss_grid(a, b, initial_panels << level)
         return complex(np.asarray(f(t)) @ w), t.size
 
-    # levels 0..r cost _PANEL_ORDER initial_panels (2^{r+1} - 1) evaluations
-    rounds = (max_evals // (_PANEL_ORDER * initial_panels) + 1).bit_length() - 2
-    return doubled(evaluate, tol, rounds)
+    return doubled(evaluate, tol, doubling_rounds(initial_panels, max_evals))

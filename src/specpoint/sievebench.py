@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .arith import _unit_residues, divisor_sigma
 from .besselintegral import SpectralWeight, weight_h
-from .quadrature import QuadratureResult, adaptive_quadrature, gauss_grid
+from .quadrature import QuadratureResult, doubled, doubling_rounds, gauss_grid
 from .specfun import eisenstein_density
 from .spectraldata import GL3Form, MaassForm
 
@@ -177,20 +178,50 @@ def _cusp_form(
     return float(np.sum(omega * weight_h(t, sw) * (lu * lv.conj()).real))
 
 
+_EIS_PANELS = 32  # panels of _eisenstein_form's level-0 grid
+_EIS_CACHED_LEVEL = 4  # finer grids are built per call, so the cache stays small
+
+
+@lru_cache(maxsize=32)
+def _eisenstein_weights(sw: SpectralWeight, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, w, omega(t) h(t)) on _eisenstein_form's grid at level: the nodes t
+    and weights w of _EIS_PANELS << level Gauss panels on [1e-12, t_upper].
+
+    None of it depends on the coefficient vectors, so every pair and block
+    at one window shares one zeta grid per level. Only levels up to
+    _EIS_CACHED_LEVEL pass through the cache: an entry holds 3 x 512 2^level
+    float64, at most 196 KB, and the 32 entries at most 6.3 MB. Every
+    caller gets the same read-only arrays.
+    """
+    t, w = gauss_grid(1e-12, sw.t_upper, _EIS_PANELS << level)
+    wh = eisenstein_density(t) * weight_h(t, sw)
+    t.flags.writeable = w.flags.writeable = wh.flags.writeable = False
+    return t, w, wh
+
+
 def _eisenstein_form(
     ns: np.ndarray, u: np.ndarray, v: np.ndarray, sw: SpectralWeight, tol: float
 ) -> QuadratureResult:
     """(2/pi) int_0^{t_upper} omega(t) h(t) Re(E_t(u) conj E_t(v)) dt over the
     integers ns, E_t(a) = sum_n a_n sigma_{2it}(n): the Eisenstein side, paired
-    like _cusp_form, as twice the even integrand's half-line, to tol."""
+    like _cusp_form, as twice the even integrand's half-line, to tol.
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
+    The grids double (quadrature.doubled) for as many rounds as
+    adaptive_quadrature takes at _EIS_PANELS initial panels, and omega h
+    comes from _eisenstein_weights, so value, error, evaluations and
+    converged equal that integral's bit for bit.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+
+    def evaluate(level: int) -> tuple[complex, int]:
+        weights = _eisenstein_weights if level <= _EIS_CACHED_LEVEL else _eisenstein_weights.__wrapped__
+        t, w, wh = weights(sw, level)
         sigmas = np.array([divisor_sigma(2j * t, int(n)) for n in ns])
         eu, ev = u @ sigmas, v @ sigmas
-        return eisenstein_density(t) * weight_h(t, sw) * (eu * ev.conj()).real
+        return complex((wh * (eu * ev.conj()).real) @ w), t.size
 
-    res = adaptive_quadrature(integrand, 1e-12, sw.t_upper, tol * math.pi / 2.0, initial_panels=32)
+    res = doubled(evaluate, tol * math.pi / 2.0, doubling_rounds(_EIS_PANELS))
     return res.scaled(2.0 / math.pi)
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,44 @@ class TestKloostermanArray:
     def test_nonpositive_modulus_raises(self, moduli):
         with pytest.raises(ValueError):
             arith.kloosterman(1, 1, np.array(moduli))
+
+
+class TestHalfUnits:
+    # the table of a fresh process: modulus 1 alone, whose one unit is 0
+    FRESH = (np.zeros(1, np.int32), np.zeros(1, np.int32), np.arange(2))
+
+    @pytest.mark.parametrize(
+        "steps", [[600], [100, 60, 600], [2, 3, 600]], ids=["at-once", "in-steps", "from-two"]
+    )
+    def test_matches_unit_residue_halves(self, steps, monkeypatch):
+        monkeypatch.setattr(arith, "_HALF_UNITS", self.FRESH)
+        for C in steps:
+            alphas, invs, starts = arith._half_units(C)
+        assert starts.size == 601
+        for c in range(1, 601):
+            units, inv = arith._build_unit_residues(c)
+            half = (arith.euler_phi(c) + 1) // 2
+            lo, hi = starts[c - 1], starts[c]
+            assert hi - lo == half, c
+            assert np.array_equal(alphas[lo:hi], units[:half]), c
+            assert np.array_equal(invs[lo:hi], inv[:half]), c
+            assert np.all(alphas[lo:hi].astype(np.int64) * invs[lo:hi] % c == 1 % c), c
+
+    def test_totients(self):
+        assert arith._totients(1000)[1:].tolist() == [arith.euler_phi(c) for c in range(1, 1001)]
+
+    def test_build_memory_is_bounded(self, monkeypatch):
+        # built modulus by modulus into concatenated copies of the table,
+        # C = 4096 peaked at up to 31.8 MB; the runs write into one
+        # preallocated table and peak at ~20.9 MB
+        monkeypatch.setattr(arith, "_HALF_UNITS", self.FRESH)
+        tracemalloc.start()
+        try:
+            arith._half_units(4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 31_800_000
 
 
 class TestVqSum:

@@ -1,14 +1,20 @@
 """Sieve-ratio harness: direct-sum oracles, monotonicity, scaling laws."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from specpoint.arith import _unit_residues, divisors, moebius
-from specpoint.besselintegral import SpectralWeight
+from specpoint import sievebench, specfun
+from specpoint.arith import _unit_residues, divisor_sigma, divisors, moebius
+from specpoint.besselintegral import SpectralWeight, weight_h
+from specpoint.kuznetsov import eisenstein_side
+from specpoint.quadrature import adaptive_quadrature
 from specpoint.sievebench import (
     Sequence,
+    _eisenstein_form,
+    _eisenstein_weights,
     _hybrid_lhs_one_modulus,
     _pair_groups,
     _ramanujan_sums,
@@ -18,6 +24,7 @@ from specpoint.sievebench import (
     young_ls_lhs,
     young_ls_ratio,
 )
+from specpoint.specfun import eisenstein_density
 from specpoint.spectraldata import sym_square_lift, synthetic_spectrum
 
 from oracles import eisenstein_gauss_oracle
@@ -244,6 +251,51 @@ class TestDirichletPolynomial:
             seq = Sequence.random(N=32, seed=seed)
             worst = max(worst, dirichlet_poly_ratio(seq, 20.0).ratio)
         assert worst <= 2 * math.pi + 1.0
+
+
+def _eisenstein_form_reference(ns, u, v, sw, tol):
+    """_eisenstein_form as one adaptive_quadrature call, with omega h
+    recomputed on every grid."""
+
+    def integrand(t):
+        sigmas = np.array([divisor_sigma(2j * t, int(n)) for n in ns])
+        eu, ev = u @ sigmas, v @ sigmas
+        return eisenstein_density(t) * weight_h(t, sw) * (eu * ev.conj()).real
+
+    res = adaptive_quadrature(integrand, 1e-12, sw.t_upper, tol * math.pi / 2.0, initial_panels=32)
+    return res.scaled(2.0 / math.pi)
+
+
+class TestEisensteinForm:
+    @pytest.mark.parametrize("T,M", [(3.0, 1.0), (14.0, 4.0)])
+    @pytest.mark.parametrize("inputs", ["pair", "block"])
+    def test_cached_weights_match_adaptive_quadrature(self, T, M, inputs):
+        sw = SpectralWeight(T=T, M=M)
+        if inputs == "pair":
+            ns, u, v, tol = np.array([2, 3]), *np.eye(2), 1e-10
+        else:
+            seq = Sequence.random(6, seed=4, real=True)
+            ns, u, v, tol = seq.ns, seq.values, seq.values, 1e-6
+        want = _eisenstein_form_reference(ns, u, v, sw, tol)
+        # the first call may fill the cache, the second reads it
+        for _ in range(2):
+            got = _eisenstein_form(ns, u, v, sw, tol)
+            assert got.value == want.value
+            assert got.err_estimate == want.err_estimate
+            assert got.evaluations == want.evaluations
+            assert got.converged == want.converged
+
+    def test_second_pair_computes_no_zeta(self, monkeypatch):
+        calls = []
+        zeta_many = specfun.zeta_many
+        monkeypatch.setattr(specfun, "zeta_many", lambda s: calls.append(s.size) or zeta_many(s))
+        monkeypatch.setattr(sievebench, "_eisenstein_weights", lru_cache(maxsize=32)(_eisenstein_weights.__wrapped__))
+        sw = SpectralWeight(T=3.0, M=1.0)
+        first = eisenstein_side(1, 2, sw, 1e-8)
+        assert sum(calls) == first.evaluations
+        calls.clear()
+        eisenstein_side(2, 3, sw, 1e-8)
+        assert calls == []
 
 
 class TestMomentDemo:
