@@ -190,10 +190,14 @@ def kloosterman(m: int, n: int, c):
         cuts = cuts[np.diff(cuts, prepend=-1) > 0]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             offsets = starts[lo : hi + 1] - starts[lo]
-            mods = np.repeat(np.arange(lo + 1, hi + 1), np.diff(offsets))
+            # m, n and 2 pi/c once per modulus, repeated over its units
+            cs = np.arange(lo + 1, hi + 1)
+            mods, m_res, n_res, scale = (
+                np.repeat(v, np.diff(offsets)) for v in (cs, m % cs, n % cs, TWO_PI / cs)
+            )
             units = slice(starts[lo], starts[hi])
-            angles = (alphas[units] * np.mod(m, mods) + invs[units] * np.mod(n, mods)) % mods
-            sums[lo:hi] = np.add.reduceat(np.cos((TWO_PI / mods) * angles), offsets[:-1])
+            angles = (alphas[units] * m_res + invs[units] * n_res) % mods
+            sums[lo:hi] = np.add.reduceat(np.cos(scale * angles), offsets[:-1])
         sums[2:] *= 2.0  # the one unit of c = 1 (alpha = 0) and of c = 2 is its own partner
         return sums[moduli - 1]
     if c < 1:

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .besselkernel import kernel_b_series_many
+from .besselkernel import kernel_b_series_many, series_cut, series_envelope
 from .quadrature import QuadratureResult, adaptive_quadrature, doubled, gauss_grid, grid_panels
 from .specfun import log_gamma
 
@@ -135,10 +135,12 @@ def bessel_H_series_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> Quadr
     table kernel_b_series_many factors) and _BLOCK_TERMS terms, which each
     term weighs by cos(2t log y). The panels follow the phase of the
     largest twist and of the smallest x's kernel, and double until no term
-    moves by more than tol. value and err_estimate are real arrays in the
-    order of xs, err_estimate plus _ROUNDING sum_t f |B| on the last grid;
-    converged covers them all. evaluations counts kernel-table entries,
-    t-nodes times terms.
+    moves by more than tol. Each block of terms sums the series' k-terms
+    that its largest x needs (besselkernel.series_cut). value and
+    err_estimate are real arrays in the order of xs, err_estimate plus
+    _ROUNDING sum_t f |B| and the k-terms' cut, series_cut's tail times
+    sum_t f series_envelope(t), on the last grid; converged covers them
+    all. evaluations counts kernel-table entries, t-nodes times terms.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
@@ -152,7 +154,10 @@ def bessel_H_series_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> Quadr
     twist = np.broadcast_to(twist, xs.shape)
     # B(t, x) turns at rate 2 asinh(2t/x) in t, fastest at the smallest x
     rate = 2.0 * np.max(np.abs(log_y)) + 2.0 * math.asinh(2.0 * sw.t_upper / np.min(xs))
-    size = np.zeros(xs.size)
+    # each block of terms takes the series' k-terms its largest x needs (series_cut)
+    blocks = [slice(j, j + _BLOCK_TERMS) for j in range(0, xs.size, _BLOCK_TERMS)]
+    cuts = [series_cut(float(np.max(xs[cols]))) for cols in blocks]
+    size, cut = np.zeros(xs.size), np.zeros(xs.size)
 
     def evaluate(level: int) -> tuple[np.ndarray, int]:
         nonlocal size
@@ -161,16 +166,19 @@ def bessel_H_series_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> Quadr
         for i in range(0, t.size, _BLOCK_NODES):
             block = slice(i, i + _BLOCK_NODES)
             weights = f[block, None] * np.cos(2.0 * np.multiply.outer(t[block], log_y))
-            for j in range(0, xs.size, _BLOCK_TERMS):
-                cols = slice(j, j + _BLOCK_TERMS)
-                b = kernel_b_series_many(t[block], xs[cols])
+            for cols, (K, _) in zip(blocks, cuts):
+                b = kernel_b_series_many(t[block], xs[cols], K)
                 total[cols] += (weights.T @ b)[twist[cols], np.arange(b.shape[1])]
                 size[cols] += f[block] @ np.abs(b, out=b)
                 del b  # before the next block builds its own
+        # what the k-terms left out can add: each block's tail times sum_t f envelope
+        envelope = f @ series_envelope(t)
+        for cols, (_, tail) in zip(blocks, cuts):
+            cut[cols] = tail * envelope
         return total, t.size * xs.size
 
     res = doubled(evaluate, tol, _ROUNDS)
-    res.err_estimate += _ROUNDING * size
+    res.err_estimate += _ROUNDING * size + cut
     return res
 
 

@@ -13,7 +13,11 @@ All values are double precision with explicit error accumulation. The
 power-series route (valid for small x, vectorised over both t and x) is
 the kernel of H(x, y) for x <= 5, summed on besselintegral's doubling
 t-grid, and an independent check of the contour. On whole Gauss panels of
-t its phase table takes one exponential per panel and x, not per node.
+t its phase table takes one exponential per panel and x, not per node. It
+stops at its last live k-term: K is the smallest number of terms with
+(x/2)^{2K}/(K!)^2 <= 2^-64 at the largest x of a call (series_cut; 20 at
+x = 5, 11 at x = 1), and what it leaves out is bounded through |c_k| <=
+1/(k!)^2 (series_envelope).
 H at larger x no longer goes through B (besselintegral swaps the t- and
 r-integrals there), so kernel_b_block, checked against frozen
 high-precision values, is the independent check of B and of that route.
@@ -32,7 +36,38 @@ _TAIL_EXP = 45.0  # exp(-45) ~ 3e-20, below every tolerance used here
 _MAX_ROUNDS = 6  # panel doublings kernel_b_block tries before giving up
 
 
-def kernel_b_series_many(t: np.ndarray, x, nmax: int = 48) -> np.ndarray:
+_SERIES_CUT = 2.0**-64  # the first omitted k-term, relative to the k = 0 term
+
+
+def series_cut(x: float) -> tuple[int, float]:
+    """(K, tail) for the series at every x' <= x: K is the smallest number
+    of k-terms with (x/2)^{2K}/(K!)^2 <= _SERIES_CUT (20 at x = 5, 11 at
+    x = 1), and tail >= sum_{k >= K} (x/2)^{2k}/(k!)^2, the terms left out.
+
+    As |(1 + 2it)_k| >= k!, kernel_b_series_many's coefficients obey
+    |c_k| <= 1/(k!)^2, so the K-term B(t, x') is off by at most tail times
+    series_envelope(t). The terms left out fall by a factor (x/2)^2/(K+1)^2
+    < 1 or more each: a term below 1 lies past the largest, at k > x/2.
+    """
+    q, K, term = x * x / 4.0, 0, 1.0
+    while term > _SERIES_CUT:
+        K += 1
+        term *= q / (K * K)
+    return K, term / (1.0 - q / (K + 1) ** 2)
+
+
+def series_envelope(t: np.ndarray) -> np.ndarray:
+    """pi |p(t)| / (sinh(pi t) e^{-pi t}) for t > 0, with p(t) = exp(-log
+    Gamma(1 + 2it) - pi t) the prefactor of kernel_b_series_many's terms:
+    the factor that turns a bound on sum_k |c_k| (x/2)^{2k} into one on
+    |B(t, x)|. |Gamma(1 + 2it)|^2 = 2 pi t / sinh(2 pi t) gives |p|^2 =
+    (1 - e^{-4 pi t})/(4 pi t)."""
+    t = np.asarray(t, dtype=float)
+    prefactor = np.sqrt(-np.expm1(-4.0 * math.pi * t) / (4.0 * math.pi * t))
+    return 2.0 * math.pi * prefactor / -np.expm1(-2.0 * math.pi * t)
+
+
+def kernel_b_series_many(t: np.ndarray, x, nmax: int | None = None) -> np.ndarray:
     """Power-series route, vectorized over t and x: -pi Im J_{2it}(x) / sinh(pi t).
 
     x is one positive number (the result has the shape of t) or a 1-d
@@ -44,9 +79,11 @@ def kernel_b_series_many(t: np.ndarray, x, nmax: int = 48) -> np.ndarray:
         (x/2)^nu exp(-log Gamma(1 + nu) - pi t) * c_k(t) * (-x^2/4)^k,
         c_0 = 1,  c_k = c_{k-1} / (k (nu + k)),
 
-    so log Gamma is taken once per t, whatever the number of x, and the
-    k-sum is one (t, k) x (k, x) matrix product. (x/2)^nu is factored over
-    t's Gauss panels when t is whole panels of a grid (quadrature.grid_panels),
+    taken for k < nmax; by default nmax is series_cut's K at the largest x,
+    which leaves out at most series_cut's tail times series_envelope(t).
+    log Gamma is taken once per t, whatever the number of x, and the k-sum
+    is one (t, k) x (k, x) matrix product. (x/2)^nu is factored over t's
+    Gauss panels when t is whole panels of a grid (quadrature.grid_panels),
     and over single nodes otherwise. Independent of the contour path.
     """
     xs = np.asarray(x, dtype=float)
@@ -55,6 +92,8 @@ def kernel_b_series_many(t: np.ndarray, x, nmax: int = 48) -> np.ndarray:
     t = np.abs(np.asarray(t, dtype=float))
     if np.any(t < 1e-9):
         raise ValueError("series route needs t >= 1e-9; use a Y_0 series at t = 0")
+    if nmax is None:
+        nmax = series_cut(float(np.max(xs)))[0]
     shape = t.shape
     t = t.ravel()
     nu = 2j * t

@@ -167,10 +167,18 @@ def _h_value(
     return out, series, int(np.count_nonzero(live)) - series
 
 
-def _tail_bars(mn: np.ndarray, weights: np.ndarray, C: int, sw: SpectralWeight) -> np.ndarray:
+def _residues(ys: np.ndarray, sw: SpectralWeight) -> tuple[np.ndarray, np.ndarray]:
+    """(r, B) of residue_expansion at each twist of ys, as (pair, k) arrays."""
+    r, B = zip(*(residue_expansion(y, sw) for y in ys))
+    return np.array(r), np.array(B)
+
+
+def _tail_bars(
+    mn: np.ndarray, weights: np.ndarray, C: int, residues: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
     """bars[p, K-1], for each pair p and K = 1, ..., _K_MAX: a bound for
     |w_p| sum_{c > C} |S(m_p, n_p; c)/c E_K(x_pc, y_p)| at y_p =
-    sqrt(m_p/n_p), C >= 1.
+    sqrt(m_p/n_p), C >= 1, from the pairs' _residues.
 
     For L >= K, E_K = sum_{K <= k < L} r_k J_{2k+1} + E_L with
     |J_nu(x)| <= (x/2)^nu I_0(x)/nu!; each K takes its best L. Weil's
@@ -187,16 +195,13 @@ def _tail_bars(mn: np.ndarray, weights: np.ndarray, C: int, sw: SpectralWeight) 
     # order[p, nu >= 2] bounds |w_p| sum_{c > C} |S/c| (x_pc/2)^nu I_0(x_pc)
     order = math.sqrt(C) * (u * math.log(C) + 2.0 + 2.0 * u + u * u)
     order = order * (X[:, None] / (2.0 * C)) ** nu * pair[:, None]
-    r, B = (np.array(rb) for rb in zip(*(residue_expansion(y, sw) for y in np.sqrt(m / n))))
+    r, B = residues
     k = np.arange(_K_MAX)
     term = np.abs(r) / [math.factorial(2 * j + 1) for j in k] * order[:, 2 * k + 1]
     tail = B * order[:, 2 * k + 2]  # the E_L bound, L = k + 1
-    bars = np.empty((mn.shape[0], _K_MAX))
-    for K in range(1, _K_MAX + 1):
-        bars[:, K - 1] = np.min(
-            [term[:, K:L].sum(axis=1) + tail[:, L - 1] for L in range(K, _K_MAX + 1)], axis=0
-        )
-    return bars
+    # bound[p, K-1, L-1] = sum_{K <= k < L} term[p, k] + tail[p, L-1], for L >= K
+    bound = np.cumsum(term[:, None, :] * (k > k[:, None]), axis=2) + tail[:, None, :]
+    return np.min(np.where(k >= k[:, None], bound, np.inf), axis=2)
 
 
 def _petersson_c_sum(
@@ -209,10 +214,13 @@ def _petersson_c_sum(
     sum_{k<K} r_k(y_p) J_{2k+1}. Petersson sums J_{2k+1} over all c to
     -delta_{m,n} i^{2k+2}/(2pi), so adding delta_{m,n}/(2pi) sum_{k<K}
     (-1)^k r_k(1) leaves E_K over c > C. A pair's bar is its _tail_bars row
-    plus _ROUNDING times what was subtracted: |r_k J_{2k+1}(x)|, or |r_k|
-    where x >= 2k+1 (bessel_j's nodes are of size 1 there). Each pair's K
-    minimises its own bar: r_k grows like e^{(k+1/2)^2/M^2}, so a larger K
-    trades tail for rounding. tail_estimate adds up the pairs' bars.
+    plus _ROUNDING times what was subtracted: |r_k J_{2k+1}(x)| where x <
+    2k+1, as bessel_j's power series there keeps relative accuracy, and
+    |r_k| where x >= 2k+1, as its trapezoid nodes there are of size 1 and
+    leave an absolute rounding. All five orders come from one bessel_j
+    call. Each pair's K minimises its own bar: r_k grows like
+    e^{(k+1/2)^2/M^2}, so a larger K trades tail for rounding.
+    tail_estimate adds up the pairs' bars.
     """
     m, n = mn[:, 0], mn[:, 1]
     ys = np.sqrt(m / n)
@@ -222,16 +230,17 @@ def _petersson_c_sum(
     coeff = weights[:, None] * s_vals / cs
     h, series, kernel = _h_value(xs.ravel(), np.repeat(ys, cs.size), s_vals.ravel(), sw, tol)
 
-    r = np.array([residue_expansion(y, sw)[0] for y in ys]).T  # (k, pair)
+    residues = _residues(ys, sw)
+    r = residues[0].T  # (k, pair)
     orders = 2 * np.arange(_K_MAX) + 1
-    jn = np.array([bessel_j(int(k), xs) for k in orders])  # (k, pair, c)
+    jn = bessel_j(orders, xs)  # (k, pair, c)
     size = np.abs(r)[:, :, None] * np.where(xs >= orders[:, None, None], 1.0, np.abs(jn))
     g = np.cumsum(r[:, :, None] * jn, axis=0)  # G_K in row K - 1
     diag = np.where(m == n, weights, 0.0) / (2.0 * math.pi)
     closed = diag * np.cumsum((-1.0) ** np.arange(_K_MAX)[:, None] * r, axis=0)
     rounding = np.sum(np.cumsum(size, axis=0) * np.abs(coeff), axis=2)
     rounding += np.abs(diag) * np.cumsum(np.abs(r), axis=0)
-    bars = _tail_bars(mn, weights, cs.size, sw) + _ROUNDING * rounding.T  # (pair, K)
+    bars = _tail_bars(mn, weights, cs.size, residues) + _ROUNDING * rounding.T  # (pair, K)
     K = np.argmin(bars, axis=1)
     pairs = np.arange(mn.shape[0])
     value = np.sum(coeff * (h.value.reshape(xs.shape) - g[K, pairs])) + np.sum(closed[K, pairs])
@@ -405,8 +414,10 @@ def decomposition(
     mn = np.stack([ns[iu], ns[ju]], axis=1)
     aa = np.where(iu == ju, 1.0, 2.0) * a[iu] * a[ju]
 
+    residues = _residues(np.sqrt(mn[:, 0] / mn[:, 1]), sw)
+
     def tail_bar(C: int) -> float:
-        return float(np.sum(np.min(_tail_bars(mn, aa, C, sw), axis=1)))
+        return float(np.sum(np.min(_tail_bars(mn, aa, C, residues), axis=1)))
 
     # the tail bar falls with C: double, then bisect
     C = 1

@@ -1,5 +1,6 @@
 """Special functions: complex log-gamma (Lanczos with reflection), Bessel
-J_n of integer order by the trapezoid rule, the Riemann zeta function by
+J_n of integer order (power series below the order, trapezoid rule from it
+on, every order of a call from one pass), the Riemann zeta function by
 Euler-Maclaurin summation, and the Eisenstein harmonic weight
 1/|zeta(1 + 2it)|^2 built on it.
 """
@@ -79,39 +80,69 @@ def log_gamma(z):
     return complex(out[0]) if scalar else out
 
 
-def bessel_j(n: int, x) -> np.ndarray:
-    """J_n(x) for an integer n >= 0 on an array of x > 0, by the trapezoid rule on
-    J_n(x) = (1/2pi) int_0^{2pi} exp(a cos u - n log rho) cos(b sin u - nu) du with
-    a, b = (x/2)(rho -+ 1/rho) for any rho > 0; rho = 1 gives (1/pi) int_0^pi
-    cos(nu - x sin u) du. P >= max(64, 2x + 32) nodes leave only the aliases
-    J_{n+-jP}(x) rho^{+-jP}, below 1e-20 relative for n <= 9. For x < n the saddle
-    point rho = (n + sqrt(n^2 - x^2))/x keeps every node within ~sqrt(2 pi n) |J_n(x)|,
-    so small x keep relative accuracy where rho = 1 nodes would cancel from size 1.
+_J_SERIES_TERMS = 30  # j < 30: the series' first omitted term is < 1e-30 relative for x < n <= 9
+
+
+def bessel_j(n, x) -> np.ndarray:
+    """J_n(x) for x > 0 (any array shape) at an integer order n >= 0, or at
+    every order of a 1-d array n from one pass (the result then has shape
+    n.shape + x.shape).
+
+    Where x < n, the power series J_n(x) = (x/2)^n sum_j (-x^2/4)^j / (j!
+    (j + n)!) (DLMF 10.2.2), by Horner's rule in x^2/4 over _J_SERIES_TERMS
+    terms, keeps relative accuracy however small J_n is. Where x >= n, the
+    trapezoid rule on J_n(x) = (1/pi) int_0^pi cos(nu - x sin u) du: one table
+    of cos(x sin u) and sin(x sin u) serves every order, and its nodes, of
+    size 1, leave an absolute rounding of a few eps. P >= max(64, 2x + 32)
+    nodes leave only the aliases J_{n+-jP}(x), below 1e-20 for n <= 9.
     """
+    orders = np.asarray(n)
+    if orders.ndim > 1 or not np.issubdtype(orders.dtype, np.integer) or np.any(orders < 0):
+        raise ValueError("bessel_j needs one integer order n >= 0 or a 1-d array of them")
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0):
         raise ValueError("bessel_j needs x > 0")
-    order = np.argsort(x, axis=None)
-    flat = x.ravel()[order]
-    counts = 2 ** np.ceil(np.log2(np.maximum(64.0, 2.0 * flat + 32.0))).astype(int)
-    out = np.empty(flat.size)
+    ns = np.atleast_1d(orders)
+    flat = x.ravel()
+    out = np.empty((ns.size, flat.size))
+    small = flat < np.max(ns)
+    if np.any(small):
+        xs = flat[small]
+        q = -0.25 * xs * xs
+        # 1/(j! (j + n)!) per (order, j): 1/n!, then one factor 1/(j (j + n)) per j
+        j = np.arange(1, _J_SERIES_TERMS)
+        first = np.array([[1.0 / math.factorial(int(k))] for k in ns])
+        coef = np.cumprod(np.hstack([first, 1.0 / (j * (j + ns[:, None]))]), axis=1)
+        total = np.repeat(coef[:, -1:], xs.size, axis=1)
+        for k in range(_J_SERIES_TERMS - 2, -1, -1):
+            total *= q
+            total += coef[:, k : k + 1]
+        out[:, small] = total * (0.5 * xs) ** ns[:, None]
+    large = np.flatnonzero(flat >= np.min(ns))
+    order = large[np.argsort(flat[large])]
+    counts = 2 ** np.ceil(np.log2(np.maximum(64.0, 2.0 * flat[order] + 32.0))).astype(int)
     # x go in by size, in blocks of at most 256 x of one P: so each x gets
     # its own P, and a block's (x, node) table stays bounded
     i = 0
-    while i < flat.size:
+    while i < order.size:
         count = int(counts[i])
         end = min(i + 256, int(np.searchsorted(counts, count, side="right")))
-        xs = flat[i:end, None]
-        rho = np.where(xs < n, (n + np.sqrt(np.maximum(n * n - xs * xs, 0.0))) / xs, 1.0)
+        rows = order[i:end]
         # nodes j and count - j carry equal terms: take j <= count/2, ends once
         j = np.arange(count // 2 + 1)
-        u, nu = 2.0 * math.pi * j / count, 2.0 * math.pi * (n * j % count) / count  # exact mod 2pi
+        # n u mod 2 pi, exactly: (n j mod P) 2 pi/P
+        u, nu = 2.0 * math.pi * j / count, 2.0 * math.pi * (np.outer(ns, j) % count) / count
         weight = np.where((j == 0) | (j == count // 2), 1.0, 2.0) / count
-        a, b = 0.5 * xs * (rho - 1.0 / rho), 0.5 * xs * (rho + 1.0 / rho)
-        terms = np.exp(a * np.cos(u) - n * np.log(rho)) * np.cos(b * np.sin(u) - nu)
-        out[order[i:end]] = terms @ weight
+        phase = np.multiply.outer(flat[rows], np.sin(u))
+        cos_t, sin_t = np.cos(phase), np.sin(phase)
+        a, b = weight * np.cos(nu), weight * np.sin(nu)
+        # cos(nu - x sin u) = cos(nu) cos(x sin u) + sin(nu) sin(x sin u), summed
+        # row by row (not by a matrix product), so no x's value depends on the
+        # batch; order k takes the block's x >= n_k, a suffix of it
+        for k, start in enumerate(np.searchsorted(flat[rows], ns)):
+            out[k, rows[start:]] = np.sum(cos_t[start:] * a[k] + sin_t[start:] * b[k], axis=1)
         i = end
-    return out.reshape(x.shape)
+    return out.reshape(orders.shape + x.shape)
 
 
 _BERNOULLI = [

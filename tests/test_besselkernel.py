@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from specpoint.besselkernel import kernel_b_block, kernel_b_series_many
+from specpoint.besselkernel import kernel_b_block, kernel_b_series_many, series_cut, series_envelope
 from specpoint.quadrature import gauss_grid, grid_panels
 from specpoint.specfun import log_gamma
 
@@ -141,6 +141,33 @@ def test_series_on_grid_panels_matches_shuffled_nodes(t_upper, panels):
     xs = np.geomspace(0.002, 5.0, 24)
     grid, shuffled = kernel_b_series_many(t, xs), kernel_b_series_many(t[perm], xs)
     assert np.all(np.abs(grid[perm] - shuffled) <= 1e-13 * np.maximum(1.0, np.abs(shuffled)))
+
+
+def test_series_cut_sizes():
+    # a return to a fixed 48 k-terms fails here
+    assert series_cut(5.0)[0] <= 20 and series_cut(1.0)[0] <= 11
+    for x in (0.02, 1.0, 5.0, 8.0):
+        K, tail = series_cut(x)
+        first = (x / 2) ** (2 * K) / math.factorial(K) ** 2
+        assert first <= 2.0**-64 < (x / 2) ** (2 * K - 2) / math.factorial(K - 1) ** 2
+        assert first <= tail <= 1.1 * first
+
+
+def test_series_envelope_is_pi_c0_over_scale():
+    t = np.array([1e-3, 0.4, 3.0, 17.0, 120.0])
+    c0 = np.abs(np.exp(-log_gamma(2j * t + 1.0) - math.pi * t))
+    want = math.pi * c0 / (-np.expm1(-2.0 * math.pi * t) / 2.0)
+    assert np.all(np.abs(series_envelope(t) - want) <= 1e-13 * want)
+
+
+@pytest.mark.parametrize("x", [0.02, 0.5, 1.0, 2.5, 5.0])
+def test_series_cut_within_its_bound(x):
+    # the closure's t-grid (T = 3, M = 1): the K-term series against 48 terms
+    t, _ = gauss_grid(0.0, 3.0 + 6.5, 20)
+    cut = kernel_b_series_many(t, x)
+    full = kernel_b_series_many(t, x, nmax=48)
+    bound = series_cut(x)[1] * series_envelope(t) + 8 * np.finfo(float).eps * np.abs(full)
+    assert np.all(np.abs(cut - full) <= bound)
 
 
 def test_refinement_consistency():

@@ -339,18 +339,61 @@ class TestPetersson:
         assert abs(partial - want) <= tail
 
 
-    @pytest.mark.xfail(strict=True, reason="bessel_j errs by up to 38.8 eps where x < 2k+1")
     def test_rounding_bar_covers_bessel_j_below_its_order(self):
         # _petersson_c_sum charges _ROUNDING = 8 eps times |r_k J_{2k+1}(x)|
-        # where x < 2k+1. On the x = 4 pi sqrt(mn)/c of mn <= 16, c < 200,
-        # bessel_j errs by 38.8 eps for J_9 at x ~ 0.274, 31.4 eps for J_7
-        # and 21.2 eps for J_5, against mpmath at 30 digits
-        xs = np.unique(4.0 * math.pi * np.sqrt(np.arange(1, 17))[:, None] / np.arange(1, 200))
-        for order in 2 * np.arange(_K_MAX) + 1:
-            x = xs[xs < order]
+        # where x < 2k+1 and times |r_k| where x >= 2k+1. On the closure's
+        # x = 4 pi sqrt(mn)/c (mn <= 16, c <= 521), against mpmath at 30
+        # digits, bessel_j's series errs by <= 6 eps relative below the
+        # order and its trapezoid by <= 4.4 eps absolute from it on
+        xs = np.unique(4.0 * math.pi * np.sqrt(np.arange(1, 17))[:, None] / np.arange(1, 522))
+        orders = 2 * np.arange(_K_MAX) + 1
+        got = bessel_j(orders, xs)
+        for order, row in zip(orders, got):
             with mpmath.workdps(30):
-                want = np.array([float(mpmath.besselj(int(order), mpmath.mpf(v))) for v in x])
-            assert np.all(np.abs(bessel_j(int(order), x) - want) <= _ROUNDING * np.abs(want)), order
+                want = np.array([float(mpmath.besselj(int(order), mpmath.mpf(v))) for v in xs])
+            below = xs < order
+            assert np.all(np.abs(row - want)[below] <= _ROUNDING * np.abs(want[below])), order
+            assert np.all(np.abs(row - want)[~below] <= _ROUNDING), order
+
+    @pytest.mark.parametrize("C", [1, 7, 199, 944])
+    def test_tail_bars_match_the_per_K_loop(self, C):
+        # the reference takes one (K, L) at a time, as _tail_bars once did:
+        # the same sums in the same order, so the bars and C stay the same
+        sw = SpectralWeight(3.0, 1.5)
+        ns = np.arange(9, 17)
+        iu, ju = np.triu_indices(ns.size)
+        mn = np.stack([ns[iu], ns[ju]], axis=1)
+        w = np.random.default_rng(3).uniform(-1.0, 1.0, mn.shape[0])
+        residues = kuznetsov._residues(np.sqrt(mn[:, 0] / mn[:, 1]), sw)
+        X = 4.0 * math.pi * np.sqrt(mn[:, 0] * mn[:, 1])
+        pair = np.sqrt(np.gcd(mn[:, 0], mn[:, 1])) * np.abs(w) * np.i0(X / (C + 1))
+        nu = np.arange(2 * _K_MAX + 1)
+        u = 1.0 / (nu - 0.5)
+        order = math.sqrt(C) * (u * math.log(C) + 2.0 + 2.0 * u + u * u)
+        order = order * (X[:, None] / (2.0 * C)) ** nu * pair[:, None]
+        k = np.arange(_K_MAX)
+        term = np.abs(residues[0]) / [math.factorial(2 * j + 1) for j in k] * order[:, 2 * k + 1]
+        tail = residues[1] * order[:, 2 * k + 2]
+        want = np.empty((mn.shape[0], _K_MAX))
+        for K in range(1, _K_MAX + 1):
+            want[:, K - 1] = np.min(
+                [term[:, K:L].sum(axis=1) + tail[:, L - 1] for L in range(K, _K_MAX + 1)], axis=0
+            )
+        assert np.array_equal(kuznetsov._tail_bars(mn, w, C, residues), want)
+
+    def test_one_bessel_j_call_per_c_sum(self, monkeypatch):
+        # all five orders of G_K come from one pass, whatever the pairs
+        calls = []
+
+        def counted(n, x):
+            calls.append(np.shape(n))
+            return bessel_j(n, x)
+
+        monkeypatch.setattr(kuznetsov, "bessel_j", counted)
+        mn = np.array([[1, 1], [1, 3], [2, 4]])
+        s_vals = np.stack([kloosterman(int(m), int(n), np.arange(1, 65)) for m, n in mn])
+        kuznetsov._petersson_c_sum(mn, np.ones(3), s_vals, SpectralWeight(3.0, 1.0), 1e-8)
+        assert calls == [(_K_MAX,)]
 
 
 class TestTraceReport:

@@ -90,19 +90,30 @@ class TestBesselJ:
 
     def test_pair_major_rows_match_per_element_calls(self):
         # rows x = 4 pi sqrt(mn)/c, c = 1..521, of two pairs: the x go in by
-        # size, each with its own node count, and come back in place
+        # size, each with its own node count, and come back in place; every
+        # order at once (the series below each order and one trapezoid table
+        # from it on) gives the same rows
         c = np.arange(1, 522)
         xs = 4.0 * math.pi * np.sqrt(np.array([[1.0], [12.0]])) / c
-        for n in (1, 3, 5, 7, 9):
-            got = specfun.bessel_j(n, xs)
+        orders = np.array([1, 3, 5, 7, 9])
+        every = specfun.bessel_j(orders, xs)
+        assert every.shape == (orders.size,) + xs.shape
+        for n, row in zip(orders, every):
+            got = specfun.bessel_j(int(n), xs)
             assert got.shape == xs.shape
-            want = np.array([specfun.bessel_j(n, np.array([x]))[0] for x in xs.flat])
+            want = np.array([specfun.bessel_j(int(n), np.array([x]))[0] for x in xs.flat])
             want = want.reshape(xs.shape)
             assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+            assert np.all(np.abs(row - want) <= 2e-15 * np.abs(want))
 
     def test_rejects_nonpositive_x(self):
         with pytest.raises(ValueError):
             specfun.bessel_j(1, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("n", [-1, 1.5, np.array([[1, 3]])])
+    def test_rejects_bad_orders(self, n):
+        with pytest.raises(ValueError):
+            specfun.bessel_j(n, np.array([1.0]))
 
 
 class TestZeta:
