@@ -21,10 +21,10 @@ into Petersson sums.
 
 The reduced oscillatory integral I(v, w) over |r| <= 6.1/M with the
 explicit weight g(r) is the paper's stationary-phase asymptotic for H at
-x >> 1. I_integral and compare_H_asymptotic check it against the exact
-route; no sum evaluates H through it. The routes' agreement, the
-small-argument decay of H, and the decay of I below the resonance
-threshold are the verification targets.
+x >> 1: H(x, y) ~ Re e^{2i(v+w)} I(v, w) at v = xy/4, w = x/(4y). No sum
+evaluates H through it. TestDualRoute in tests/test_besselintegral.py
+checks the exact routes against it, at resonant points and where both
+are below 1e-8.
 """
 
 from __future__ import annotations
@@ -75,10 +75,10 @@ class SpectralWeight:
 
 
 def weight_h(t, sw: SpectralWeight):
-    """h(t): even Gaussian pair around +-T."""
-    t = np.asarray(t, dtype=float)
+    """h(t): even Gaussian pair around +-T, at real or complex t."""
+    t = np.asarray(t, dtype=complex if np.iscomplexobj(t) else float)
     out = np.exp(-(((t - sw.T) / sw.M) ** 2)) + np.exp(-(((t + sw.T) / sw.M) ** 2))
-    return float(out) if out.ndim == 0 else out
+    return out.item() if out.ndim == 0 else out
 
 
 def weight_h_y(t, y: float, sw: SpectralWeight):
@@ -419,7 +419,7 @@ def residue_expansion(y: float, sw: SpectralWeight) -> tuple[np.ndarray, np.ndar
     s, weights = gauss_grid(0.0, hi, 2 * math.ceil(hi / sw.M))
     K = np.arange(1, _K_MAX + 1)[:, None]
     t = s - 1j * K
-    h_t = np.exp(-(((t - sw.T) / sw.M) ** 2)) + np.exp(-(((t + sw.T) / sw.M) ** 2))
+    h_t = weight_h(t, sw)
     # log of cosh(pi s) |Gamma(1 + 2K + 2is)|
     log_den = math.pi * s + np.log1p(np.exp(-2.0 * math.pi * s)) - math.log(2.0)
     log_den = log_den + log_gamma(1.0 + 2.0 * K + 2j * s).real
@@ -448,69 +448,3 @@ def I_integral(v: float, w: float, sw: SpectralWeight, tol: float = 1e-8) -> Qua
     out = res.scaled(mt)
     out.err_estimate += mt * 2.0 * r0 * 6.0 * TWO_OVER_PI_SQRT_PI * math.exp(-(R_CUT_FACTOR**2))
     return out
-
-
-@dataclass
-class BesselCompareReport:
-    """Dual-route comparison of H(x, y) at one point."""
-
-    x: float
-    y: float
-    T: float
-    M: float
-    H_direct: float
-    H_asymptotic: float
-    abs_residual: float
-    rel_residual: float
-    quadrature_err: float
-
-
-def compare_H_asymptotic(
-    x: float, y: float, sw: SpectralWeight, tol: float = 1e-8
-) -> BesselCompareReport:
-    """H by the kernel route against Re{e^{2i(v+w)} I(v,w)}, with residuals."""
-    v = x * y / 4.0
-    w = x / (4.0 * y)
-    direct = bessel_H_direct(x, y, sw, tol=tol)
-    reduced = I_integral(v, w, sw, tol=tol)
-    phase = np.exp(2j * math.pi * ((v + w) / math.pi % 1.0))
-    asym = float((phase * reduced.value).real)
-    abs_res = abs(direct.value.real - asym)
-    rel_res = abs_res / max(abs(direct.value.real), 1e-30)
-    return BesselCompareReport(
-        x=x,
-        y=y,
-        T=sw.T,
-        M=sw.M,
-        H_direct=direct.value.real,
-        H_asymptotic=asym,
-        abs_residual=abs_res,
-        rel_residual=rel_res,
-        quadrature_err=direct.err_estimate + reduced.err_estimate,
-    )
-
-
-def smallx_decay_scan(
-    sw: SpectralWeight,
-    u_grid,
-    y_samples=(1.0, 2.0, 4.0, 8.0),
-    tol: float = 1e-12,
-) -> list[dict]:
-    """Max |H(x, y)| over (x, y) with x(y + 1/y) = u, for each u in the grid:
-    one bessel_H_many call per u over every y, whose converged the row keeps.
-    """
-    ys = np.asarray(y_samples, dtype=float)
-    rows = []
-    for u in u_grid:
-        if u < 0:
-            raise ValueError("u must be non-negative")
-        xs = u / (ys + 1.0 / ys)
-        res, _ = bessel_H_many(xs[xs > 0], ys[xs > 0], sw, tol)
-        h = np.zeros(ys.size)
-        h[xs > 0] = np.abs(res.value)
-        j = int(np.argmax(h))
-        y_max = float(ys[j]) if h[j] > 0 else None
-        rows.append(
-            {"u": float(u), "max_abs_H": float(h[j]), "argmax_y": y_max, "converged": res.converged}
-        )
-    return rows

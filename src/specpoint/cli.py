@@ -29,17 +29,18 @@ from .kuznetsov import decomposition, trace_residual
 from .sievebench import Sequence, young_ls_ratio
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        # m, n >= 1 index Fourier coefficients; a C below 1 sums no modulus
+        # and leaves closure's c-tail bar infinite
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _pair(text: str) -> tuple[int, int]:
     m, n = text.split(",")
-    return int(m), int(n)
-
-
-def _c_max(text: str) -> int:
-    c_max = int(text)
-    if c_max < 1:
-        # no modulus would be summed, and closure's c-tail bar would be infinite
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {c_max}")
-    return c_max
+    return _positive_int(m), _positive_int(n)
 
 
 def _emit(report, wall_s: float) -> None:
@@ -76,7 +77,7 @@ def main(argv: list[str] | None = None) -> None:
     closure.add_argument("--pairs", type=_pair, nargs="+", default=[(1, 1)], metavar="M,N")
     closure.add_argument("--T", type=float, default=3.0)
     closure.add_argument("--M", type=float, default=1.0)
-    closure.add_argument("--C-max", dest="C_max", type=_c_max, default=512)
+    closure.add_argument("--C-max", dest="C_max", type=_positive_int, default=512)
     closure.add_argument("--tol", type=float, default=1e-8)
     closure.set_defaults(run=_closure)
 
@@ -89,7 +90,7 @@ def main(argv: list[str] | None = None) -> None:
 
     sieve = sub.add_parser("sieve", help="hybrid large-sieve ratio over c <= C and |t| <= tau")
     sieve.add_argument("--N", type=int, default=256)
-    sieve.add_argument("--C", type=_c_max, default=256)
+    sieve.add_argument("--C", type=_positive_int, default=256)
     sieve.add_argument("--gamma", type=float, default=1.0)
     sieve.add_argument("--tau", type=float, default=1.0)
     sieve.add_argument("--v", type=float, default=1.0)
@@ -97,7 +98,12 @@ def main(argv: list[str] | None = None) -> None:
     sieve.set_defaults(run=_sieve)
 
     args = parser.parse_args(argv)
-    args.run(args)
+    try:
+        args.run(args)
+    except ValueError as exc:
+        # an input outside a routine's range (M outside [1, T], tol <= 0, ...)
+        # is a usage error, as one that argparse rejects is
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

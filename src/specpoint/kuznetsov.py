@@ -153,12 +153,12 @@ def _h_value(
     """H(x, y) for the c-sum terms with arguments xs, twists ys and
     Kloosterman sums s_vals, and how many terms each route evaluated.
 
-    A term with |S| <= _S_VANISH vanishes: its value and bar are 0 and no
-    route evaluates it. The rest, of any twists, go through one
-    bessel_H_many call. The result holds per-term values and bars in the
-    order of xs; the two counts are (series, kernel).
+    Only the terms with S != 0 are evaluated, of any twists, through one
+    bessel_H_many call; the caller has set every |S| <= _S_VANISH to 0.
+    The others' values and bars are 0. The result holds per-term values and
+    bars in the order of xs; the two counts are (series, kernel).
     """
-    live = np.abs(s_vals) > _S_VANISH
+    live = s_vals != 0
     res, series = bessel_H_many(xs[live], ys[live], sw, tol)
     value = np.zeros(xs.size)
     err = np.zeros(xs.size)

@@ -15,11 +15,9 @@ from specpoint.besselintegral import (
     bessel_H_direct,
     bessel_H_many,
     bessel_H_series_many,
-    compare_H_asymptotic,
     g_weight,
     residue_expansion,
     rho_pm,
-    smallx_decay_scan,
     weight_h,
     weight_h_y,
 )
@@ -56,6 +54,23 @@ class TestWeights:
         T, M = SW.T, SW.M
         want = (1 + math.exp(-4 * T**2 / M**2)) * math.cos(2 * T)
         assert weight_h_y(T, math.e, SW) == pytest.approx(want, rel=1e-13)
+
+    def test_complex_argument(self):
+        # residue_expansion takes h on the lines t = s - iK; at t = -ia the
+        # pair is 2 exp((a^2 - T^2)/M^2) cos(2aT/M^2), the residues' closed form
+        sw = SpectralWeight(3.0, 1.5)
+        s = np.linspace(0.0, sw.t_upper, 9)
+        with mp.workdps(30):
+            for K in range(1, 6):
+                t = s - 1j * K
+                want = [
+                    complex(mp.exp(-(((z - sw.T) / sw.M) ** 2)) + mp.exp(-(((z + sw.T) / sw.M) ** 2)))
+                    for z in map(mp.mpc, t)
+                ]
+                assert np.allclose(weight_h(t, sw), want, rtol=1e-13, atol=0)
+        for a in np.arange(5) + 0.5:
+            want = 2.0 * math.exp((a**2 - sw.T**2) / sw.M**2) * math.cos(2.0 * a * sw.T / sw.M**2)
+            assert weight_h(-1j * a, sw) == pytest.approx(want, rel=1e-13)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -369,18 +384,31 @@ class TestSwappedKernelRoute:
         assert peak < 20_000_000
 
 
+def _reduced_H(x: float, y: float, sw: SpectralWeight, tol: float):
+    """Re e^{2i(v+w)} I(v, w) at v = xy/4, w = x/(4y), the stationary-phase
+    form of H(x, y), with the phase reduced mod 2 pi; and the I result."""
+    v, w = x * y / 4.0, x / (4.0 * y)
+    reduced = I_integral(v, w, sw, tol=tol)
+    phase = np.exp(2j * math.pi * ((v + w) / math.pi % 1.0))
+    return float((phase * reduced.value).real), reduced
+
+
 class TestDualRoute:
     @pytest.mark.parametrize(
         "vw_sum,vw_diff",
         [(200.0, 50.0), (150.0, 40.0), (400.0, 65.0)],
     )
     def test_resonant_agreement(self, vw_sum, vw_diff):
-        # v - w near T puts the stationary point inside the window
+        # v - w near T puts the stationary point inside the window; the
+        # routes agree to ~1e-12 relative there
         y = math.sqrt((vw_sum + vw_diff) / (vw_sum - vw_diff))
         x = 4.0 * vw_sum / (y + 1.0 / y)
-        rep = compare_H_asymptotic(x, y, SW, tol=1e-8)
-        assert abs(rep.H_direct) > 1e-3  # actually resonant
-        assert rep.abs_residual <= max(1e-3 * abs(rep.H_direct), 10.0 * rep.quadrature_err)
+        direct = bessel_H_direct(x, y, SW, tol=1e-8)
+        asym, reduced = _reduced_H(x, y, SW, 1e-8)
+        assert direct.converged and reduced.converged
+        H = direct.value.real
+        assert abs(H) > 1e-3  # actually resonant
+        assert abs(H - asym) <= 1e-10 * abs(H) + 10.0 * (direct.err_estimate + reduced.err_estimate)
 
     def test_off_resonance_both_tiny(self):
         # u <= 0.3: both routes are below 1e-8 in size
@@ -393,18 +421,25 @@ class TestDualRoute:
         assert abs(reduced.value) + reduced.err_estimate <= 1e-8
 
     def test_report_symmetry_under_y_inversion(self):
+        # H and its stationary-phase form are each invariant under y -> 1/y,
+        # and agree at both
         y, x = 1.5, 350.0
-        a = compare_H_asymptotic(x, y, SW, tol=1e-8)
-        b = compare_H_asymptotic(x, 1.0 / y, SW, tol=1e-8)
-        assert a.H_direct == pytest.approx(b.H_direct, abs=10 * (a.quadrature_err + b.quadrature_err))
-        assert a.H_asymptotic == pytest.approx(b.H_asymptotic, abs=1e-7)
+        a, b = bessel_H_direct(x, y, SW, tol=1e-8), bessel_H_direct(x, 1.0 / y, SW, tol=1e-8)
+        (asym_a, red_a), (asym_b, red_b) = _reduced_H(x, y, SW, 1e-8), _reduced_H(x, 1.0 / y, SW, 1e-8)
+        assert a.converged and b.converged and red_a.converged and red_b.converged
+        bar_a, bar_b = a.err_estimate + red_a.err_estimate, b.err_estimate + red_b.err_estimate
+        assert a.value.real == pytest.approx(b.value.real, abs=10 * (bar_a + bar_b))
+        assert asym_a == pytest.approx(asym_b, abs=1e-7)
+        assert abs(a.value.real - asym_a) <= 1e-10 * abs(a.value.real) + 10.0 * bar_a
+        assert abs(b.value.real - asym_b) <= 1e-10 * abs(b.value.real) + 10.0 * bar_b
 
 
 def test_smallx_scan_rows():
-    rows = smallx_decay_scan(SW, [0.0, 0.1], y_samples=(1.0, 2.0), tol=1e-10)
-    assert rows[0]["max_abs_H"] == 0.0
-    assert rows[1]["max_abs_H"] <= 1e-8
-    assert all(row["converged"] for row in rows)
+    # x (y + 1/y) = 0.1 lies far below the resonance at T = 50: H is tiny
+    ys = np.array([1.0, 2.0])
+    res, _ = bessel_H_many(0.1 / (ys + 1.0 / ys), ys, SW, 1e-10)
+    assert res.converged
+    assert np.all(np.abs(res.value) + res.err_estimate <= 1e-8)
 
 
 class TestResidueExpansion:

@@ -55,3 +55,23 @@ def test_closure_rejects_empty_c_range(capsys):
         main(["closure", "--C-max", "0"])
     assert exit_info.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.filterwarnings("ignore:empty form list")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "closure --pairs 0,1",  # m = 0 is no Fourier coefficient
+        "closure --tol 0",
+        "closure --M 0.5",  # the window needs 1 <= M <= T
+        "decompose --N 0",
+        "sieve --tau 0",
+    ],
+)
+def test_rejects_bad_input_with_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv.split())
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
