@@ -35,8 +35,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .besselkernel import kernel_b_series_many, series_cut, series_envelope
-from .quadrature import QuadratureResult, adaptive_quadrature, doubled, gauss_grid, grid_panels
+from .besselkernel import _TAIL_EXP, kernel_b_series_many, series_cut, series_envelope
+from .quadrature import (
+    _ROUNDING,
+    QuadratureResult,
+    _panel_count,
+    adaptive_quadrature,
+    doubled,
+    gauss_grid,
+    grid_panels,
+)
 from .specfun import log_gamma
 
 TWO_OVER_PI_SQRT_PI = 2.0 / (math.pi * math.sqrt(math.pi))
@@ -44,10 +52,7 @@ R_CUT_FACTOR = 6.1  # exp(-6.1^2) ~ 7e-17: the Gaussian r-truncation
 T_CUT_FACTOR = 6.5  # exp(-6.5^2) ~ 4e-19: the Gaussian t-truncation
 SERIES_X_MAX = 5.0  # largest x whose H integrand uses the power-series kernel
 _H_PREF = 4.0 / math.pi**2
-_TAIL_EXP = 45.0  # exp(-45) ~ 3e-20: where the contour's ray is cut
-_PANEL_PHASE = 12.0  # radians of phase per panel on the first grid
 _ROUNDS = 4  # grid doublings either H route tries before flagging
-_ROUNDING = 8.0 * np.finfo(float).eps  # times a sum's absolute terms: its rounding bar
 _BLOCK_NODES = 256  # rows per block of a node table: 256 x (t-nodes or x) at most
 _BLOCK_TERMS = 512  # terms per block of a term table: 256 x 512 at most
 # S_k(SL2(Z)) = 0 for k = 2, 4, ..., 10 (Iwaniec, Topics in Classical
@@ -110,10 +115,6 @@ def rho_pm(r):
     if r.ndim == 0:
         return float(plus), float(minus)
     return plus, minus
-
-
-def _panel_count(phase: float) -> int:
-    return max(2, math.ceil(phase / _PANEL_PHASE))
 
 
 def _t_weights(sw: SpectralWeight, rate: float, level: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,25 +2,26 @@
 
 A truncated real-axis evaluation is hopeless in double precision: pushing
 the tail below 1e-10 needs a cutoff R with x*cosh(R) ~ 1e12 oscillations.
-Instead the two exponentials exp(i(x cosh r +- 2tr)) are integrated along
-rotated contours. The +2tr piece rotates at the origin onto [0, i pi/2]
-plus a horizontal ray where the integrand decays like exp(-x sinh u). The
--2tr piece keeps a real-axis head [0, b] past its stationary point
-(sinh b chosen with x sinh b >= pi t + max(x, 5)) and rotates the tail the
-same way; every leg then has a bounded, non-cancelling integrand.
+Instead kernel_b_block integrates the two exponentials exp(i(x cosh r +-
+2tr)) along rotated contours. The +2tr piece rotates at the origin onto
+[0, i pi/2] plus a horizontal ray where the integrand decays like exp(-x
+sinh u). The -2tr piece keeps a real-axis head [0, b] past its stationary
+point (sinh b chosen with x sinh b >= pi t + max(x, 5)) and rotates the
+tail the same way; every leg then has a bounded, non-cancelling
+integrand. The legs are quadrature's Gauss grids under its one doubling
+loop and first-panel rule, like every other refined integral. H at x > 5
+does not go through B (besselintegral swaps the t- and r-integrals
+there), so kernel_b_block, checked against frozen high-precision values,
+is the independent check of B and of that route.
 
-All values are double precision with explicit error accumulation. The
-power-series route (valid for small x, vectorised over both t and x) is
-the kernel of H(x, y) for x <= 5, summed on besselintegral's doubling
+The power-series route (valid for small x, vectorised over both t and x)
+is the kernel of H(x, y) for x <= 5, summed on besselintegral's doubling
 t-grid, and an independent check of the contour. On whole Gauss panels of
 t its phase table takes one exponential per panel and x, not per node. It
 stops at its last live k-term: K is the smallest number of terms with
 (x/2)^{2K}/(K!)^2 <= 2^-64 at the largest x of a call (series_cut; 20 at
 x = 5, 11 at x = 1), and what it leaves out is bounded through |c_k| <=
 1/(k!)^2 (series_envelope).
-H at larger x no longer goes through B (besselintegral swaps the t- and
-r-integrals there), so kernel_b_block, checked against frozen
-high-precision values, is the independent check of B and of that route.
 """
 
 from __future__ import annotations
@@ -29,13 +30,11 @@ import math
 
 import numpy as np
 
-from .quadrature import _PANEL_ORDER, gauss_legendre_panels, grid_panels
+from .quadrature import _PANEL_ORDER, _ROUNDING, _panel_count, doubled, gauss_grid, grid_panels
 from .specfun import log_gamma
 
 _TAIL_EXP = 45.0  # exp(-45) ~ 3e-20, below every tolerance used here
 _MAX_ROUNDS = 6  # panel doublings kernel_b_block tries before giving up
-
-
 _SERIES_CUT = 2.0**-64  # the first omitted k-term, relative to the k = 0 term
 
 
@@ -128,107 +127,68 @@ def kernel_b_series_many(t: np.ndarray, x, nmax: int | None = None) -> np.ndarra
     return out.reshape(shape + xs.shape)
 
 
-# ---------------------------------------------------------------------------
-# Contour evaluation over many t at one x: the five contour legs share their
-# panel sets, so each leg is one (t, node) matrix exponential per level.
-
-
-def _refine(edges: np.ndarray) -> np.ndarray:
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return np.sort(np.concatenate([edges, mids]))
-
-
-def _graded_edges(a: float, b: float, phase_var: float, envelope_rate: float) -> np.ndarray:
-    """Panel edges on [a, b]: uniform in phase plus geometric near a for a
-    decaying envelope exp(-envelope_rate * (x - a))."""
-    m = max(4, min(512, int(phase_var / 8.0) + 4))
-    edges = np.linspace(a, b, m + 1)
-    if envelope_rate * (b - a) > 8.0:
-        geo = a + (b - a) * 0.5 ** np.arange(1, 14)
-        geo = geo[envelope_rate * (geo - a) > 2.0]
-        edges = np.unique(np.concatenate([edges, geo]))
-    return edges
-
-
-def _block_eval(t: np.ndarray, x: float, edge_sets: list) -> np.ndarray:
-    """One refinement level: total of all five legs for every t."""
-    tm = t[:, None]
-    total = np.zeros(t.size, dtype=complex)
-    for kind, edges, aux in edge_sets:
-        nodes, weights = gauss_legendre_panels(edges[:-1], edges[1:], 12)
-        nd = nodes[None, :]
-        if kind == "A":
-            base = (weights * np.exp(1j * x * np.cos(nodes)))[None, :]
-            mat = np.exp(-2.0 * tm * nd)
-            total += 1j * np.sum(base * mat, axis=1)
-        elif kind == "B":
-            base = (weights * np.exp(-x * np.sinh(nodes)))[None, :]
-            mat = np.exp((-math.pi + 2j * nd) * tm)
-            total += np.sum(base * mat, axis=1)
-        elif kind == "C":
-            base = (weights * np.exp(1j * x * np.cosh(nodes)))[None, :]
-            mat = np.exp(-2j * tm * nd)
-            total += np.sum(base * mat, axis=1)
-        elif kind == "D":
-            b_pt, xsb, xcb = aux
-            expo = (
-                1j * (xcb * np.cos(nd) - 2.0 * tm * b_pt)
-                - xsb * np.sin(nd)
-                + 2.0 * tm * nd
-            )
-            total += 1j * np.sum(weights[None, :] * np.exp(expo), axis=1)
-        elif kind == "E":
-            expo = (math.pi * tm - x * np.sinh(nd)) - 2j * tm * nd
-            total += np.sum(weights[None, :] * np.exp(expo), axis=1)
-    return total
-
-
 def kernel_b_block(
     t: np.ndarray, x: float, tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """B(t, x) for an array of t at one x > 0 (B is even in t).
 
-    Returns (values, per-t error estimates from global panel doubling,
-    converged). converged is False when _MAX_ROUNDS doublings ended with
-    the largest change still above tol. The contour legs are built for
-    max(t) and shared across the block.
+    Returns (values, per-t error estimates, converged). The contour legs
+    are built for the block's smallest and largest t and shared by every t,
+    one (t, node) table per leg and level. All panel counts double until no
+    value moves by more than tol (quadrature.doubled); converged is False
+    when _MAX_ROUNDS doublings run out. The error estimate adds _ROUNDING
+    times the legs' absolute terms on the last grid and the cut tails,
+    (pi/2 - theta_a) e^{-2t theta_a} past theta_a and 2 e^{-_TAIL_EXP}.
     """
     t = np.abs(np.asarray(t, dtype=float))
     if x <= 0:
         raise ValueError("x must be positive")
-    t_max = float(np.max(t)) if t.size else 0.0
+    t_min, t_max = float(np.min(t)), float(np.max(t))
     if t_max > 150.0:
         raise ValueError("t too large for the block contour path")
 
-    theta_a = math.pi / 2 if t_max * math.pi < 1 else min(
-        math.pi / 2, _TAIL_EXP / (2.0 * max(np.min(t), 1e-9))
-    )
+    theta_a = min(math.pi / 2, _TAIL_EXP / (2.0 * max(t_min, 1e-9)))
     xsb = math.pi * t_max + max(x, 5.0)
     b_pt = math.asinh(xsb / x)
     xcb = math.hypot(x, xsb)
     u_e = math.asinh((math.pi * t_max + _TAIL_EXP) / x)
+    u_b = math.asinh(_TAIL_EXP / x)
+    tc = t[:, None]
 
-    edge_sets = [
-        ("A", _graded_edges(0.0, theta_a, x, 2.0 * max(float(np.median(t)), 1.0)), None),
-        ("C", _graded_edges(0.0, b_pt, x * (math.cosh(b_pt) - 1.0) + 2.0 * t_max * b_pt, 0.0), None),
-        ("D", _graded_edges(0.0, math.pi / 2, min(xcb, 4.0 * _TAIL_EXP), 0.0), (b_pt, xsb, xcb)),
+    # (start, end, first panel count, terms on a (t, node) table) of each leg;
+    # a count takes the leg's radians of phase plus its e-folds of decay
+    legs = [
+        # exp(+2itr) rotated at 0 onto r = i theta, theta in [0, theta_a]
+        (0.0, theta_a, _panel_count(x * (1.0 - math.cos(theta_a)) + 2.0 * t_max * theta_a),
+         lambda s: 1j * np.exp(1j * x * np.cos(s) - 2.0 * tc * s)),
+        # exp(-2itr) on the real head [0, b] ...
+        (0.0, b_pt, _panel_count(x * (math.cosh(b_pt) - 1.0) + 2.0 * t_max * b_pt),
+         lambda s: np.exp(1j * (x * np.cosh(s) - 2.0 * tc * s))),
+        # ... then up from b to b + i pi/2
+        (0.0, math.pi / 2, _panel_count(xcb + xsb),
+         lambda s: 1j * np.exp(1j * xcb * np.cos(s) - xsb * np.sin(s) + 2.0 * tc * (s - 1j * b_pt))),
     ]
-    if math.pi * float(np.min(t)) <= _TAIL_EXP + 1:
-        edge_sets.append(
-            ("B", _graded_edges(0.0, math.asinh(_TAIL_EXP / x), 2.0 * t_max, x), None)
-        )
+    if math.pi * t_min <= _TAIL_EXP + 1:
+        # exp(+2itr)'s ray u + i pi/2, cut where x sinh u = _TAIL_EXP
+        legs.append((0.0, u_b, _panel_count(2.0 * t_max * u_b + _TAIL_EXP),
+                     lambda s: np.exp(-x * np.sinh(s) + (2j * s - math.pi) * tc)))
     if u_e > b_pt:
-        edge_sets.append(("E", _graded_edges(b_pt, u_e, 2.0 * t_max * (u_e - b_pt), x), None))
+        # exp(-2itr)'s ray u + i pi/2 from b, cut where x sinh u = pi t_max + _TAIL_EXP
+        legs.append((b_pt, u_e, _panel_count(2.0 * t_max * (u_e - b_pt) + _TAIL_EXP - max(x, 5.0)),
+                     lambda s: np.exp(math.pi * tc - x * np.sinh(s) - 2j * tc * s)))
+    size = np.zeros(t.size)
 
-    vals = _block_eval(t, x, edge_sets)
-    converged = False
-    for _ in range(_MAX_ROUNDS):
-        edge_sets = [(k, _refine(e), aux) for (k, e, aux) in edge_sets]
-        new_vals = _block_eval(t, x, edge_sets)
-        err = np.abs(new_vals - vals)
-        vals = new_vals
-        if float(np.max(err)) <= tol:
-            converged = True
-            break
-    err = err + (math.pi / 2 - theta_a) * np.exp(-2.0 * t * theta_a) + 2.0 * math.exp(-_TAIL_EXP)
-    return np.real(vals), err, converged
+    def evaluate(level: int) -> tuple[np.ndarray, int]:
+        nonlocal size
+        total, size, nodes = np.zeros(t.size, dtype=complex), np.zeros(t.size), 0
+        for lo, hi, n, terms in legs:
+            s, w = gauss_grid(lo, hi, n << level)
+            table = terms(s)
+            total += table @ w
+            size += np.abs(table) @ w
+            nodes += s.size
+        return total, t.size * nodes
+
+    res = doubled(evaluate, tol, _MAX_ROUNDS)
+    tails = (math.pi / 2 - theta_a) * np.exp(-2.0 * t * theta_a) + 2.0 * math.exp(-_TAIL_EXP)
+    return res.value.real, res.err_estimate + _ROUNDING * size + tails, res.converged

@@ -32,14 +32,13 @@ import numpy as np
 from .arith import _unit_residues, divisor_count, kloosterman
 from .besselintegral import (
     _K_MAX,
-    _ROUNDING,
     R_CUT_FACTOR,
     SpectralWeight,
     bessel_H_many,
     residue_expansion,
     weight_h,
 )
-from .quadrature import QuadratureResult, adaptive_quadrature, gauss_grid
+from .quadrature import _ROUNDING, QuadratureResult, adaptive_quadrature, gauss_grid
 from .sievebench import Sequence, _cusp_form, _eisenstein_form, _hybrid_lhs_one_modulus, _pair_groups
 from .specfun import bessel_j
 from .spectraldata import MaassForm

@@ -1,20 +1,25 @@
 """Gauss-Legendre panel quadrature under one refinement rule.
 
-Every uniform panel grid comes from gauss_grid, and every refined integral
-from doubled: it evaluates on grids whose panel counts double round by
-round until no value moves by more than tol. adaptive_quadrature runs it
-for one integrand on [a, b], sievebench's Eisenstein form on its cached
-weighted grids, and besselintegral's two H routes on their t-grids and
-contour legs; doubling_rounds gives the first two their round count from
-an evaluation budget. A grid fixes its summation order, so
-results are bit-reproducible for a given tolerance. grid_panels reads a
-grid's panel structure back from its nodes: both H routes build their
-phase tables exp(i w t) from it, panels + 16 exponentials per frequency w
-where a (node, w) table takes 16 per panel.
+Every panel grid comes from gauss_grid, and every refined integral from
+doubled: it evaluates on grids whose panel counts double round by round
+until no value moves by more than tol, and it rejects tol <= 0.
+adaptive_quadrature runs it for one integrand on [a, b], sievebench's
+Eisenstein form on its cached weighted grids, besselintegral's two H
+routes on their t-grids and contour legs, and besselkernel.kernel_b_block
+on its five contour legs; doubling_rounds gives the first two their round
+count from an evaluation budget. Both contours take their first panel
+counts from _panel_count, one panel per _PANEL_PHASE radians of phase
+plus e-folds of decay, and add _ROUNDING times the absolute sum of their
+terms on the last grid to each error estimate. A grid fixes its summation
+order, so results are bit-reproducible for a given tolerance. grid_panels
+reads a grid's panel structure back from its nodes: both H routes build
+their phase tables exp(i w t) from it, panels + 16 exponentials per
+frequency w where a (node, w) table takes 16 per panel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -24,6 +29,8 @@ import numpy as np
 Integrand = Callable[[np.ndarray], np.ndarray]
 
 _PANEL_ORDER = 16  # Gauss-Legendre points per panel of a doubled grid
+_PANEL_PHASE = 12.0  # radians of phase (or e-folds of decay) per panel on a first grid
+_ROUNDING = 8.0 * np.finfo(float).eps  # times a sum's absolute terms: its rounding bar
 
 
 @dataclass
@@ -59,25 +66,23 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_legendre_panels(
-    left: np.ndarray, right: np.ndarray, order: int
+def gauss_grid(
+    a: float, b: float, panels: int, order: int = _PANEL_ORDER
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the order-point Gauss-Legendre rule on each
-    panel [left_j, right_j], flattened panel by panel."""
+    """Nodes and weights of panels equal Gauss-Legendre panels on [a, b],
+    flattened panel by panel."""
     x, w = _gl_nodes(order)
-    mid = 0.5 * (left + right)
-    half = 0.5 * (right - left)
+    edges = np.linspace(a, b, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
     nodes = mid[:, None] + half[:, None] * x[None, :]
     weights = half[:, None] * w[None, :]
     return nodes.ravel(), weights.ravel()
 
 
-def gauss_grid(
-    a: float, b: float, panels: int, order: int = _PANEL_ORDER
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of panels equal Gauss-Legendre panels on [a, b]."""
-    edges = np.linspace(a, b, panels + 1)
-    return gauss_legendre_panels(edges[:-1], edges[1:], order)
+def _panel_count(phase: float) -> int:
+    """A first grid's panels for phase radians plus e-folds: one per _PANEL_PHASE, at least 2."""
+    return max(2, math.ceil(phase / _PANEL_PHASE))
 
 
 def grid_panels(t: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
@@ -112,8 +117,11 @@ def doubled(evaluate, tol: float, rounds: int) -> QuadratureResult:
 
     evaluate(level) returns the values with every panel count doubled level
     times, and its count of evaluations. converged is False when rounds
-    doublings run out; err_estimate is each value's last change.
+    doublings run out; err_estimate is each value's last change. tol must
+    be positive: at tol <= 0 every round would run and none could converge.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     value, evaluations = evaluate(0)
     err, converged = np.abs(value), False
     for level in range(1, rounds + 1):
@@ -150,8 +158,6 @@ def adaptive_quadrature(
     """
     if not (b > a):
         return QuadratureResult(0.0 + 0.0j, 0.0, 0)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
     def evaluate(level: int) -> tuple[complex, int]:
         t, w = gauss_grid(a, b, initial_panels << level)

@@ -211,8 +211,6 @@ def _eisenstein_form(
     comes from _eisenstein_weights, so value, error, evaluations and
     converged equal that integral's bit for bit.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
     def evaluate(level: int) -> tuple[complex, int]:
         weights = _eisenstein_weights if level <= _EIS_CACHED_LEVEL else _eisenstein_weights.__wrapped__

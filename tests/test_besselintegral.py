@@ -311,7 +311,8 @@ class TestSwappedKernelRoute:
         res, _ = bessel_H_many(xs, 1.0, sw, 1e-11)
         assert res.converged
         monkeypatch.setattr(besselintegral, "_ROUNDS", 2)
-        finer, _ = bessel_H_many(xs, 1.0, sw, 0.0)
+        # no change meets tol 1e-300, so every one of the 2 doublings runs
+        finer, _ = bessel_H_many(xs, 1.0, sw, 1e-300)
         # each level has 4 times the table entries of the one before: res
         # stopped at level 1 (5 units), finer at level 2 (21 units)
         assert 21 * res.evaluations == 5 * finer.evaluations

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from specpoint import besselkernel
 from specpoint.besselkernel import kernel_b_block, kernel_b_series_many, series_cut, series_envelope
 from specpoint.quadrature import gauss_grid, grid_panels
 from specpoint.specfun import log_gamma
@@ -72,10 +73,12 @@ def series_per_x(t: np.ndarray, x: float, nmax: int) -> np.ndarray:
 
 @pytest.mark.parametrize("t,x,want", B_TABLE)
 def test_frozen_oracle(t, x, want):
-    vals, _, converged = kernel_b_block(np.array([t]), x, tol=1e-10)
+    vals, err, converged = kernel_b_block(np.array([t]), x, tol=1e-10)
     assert converged
     assert np.isrealobj(vals)
     assert vals[0] == pytest.approx(want, abs=2e-9 + 1e-9 * abs(want))
+    # the bar covers the error to the rounded 40-digit value
+    assert abs(vals[0] - want) <= err[0]
 
 
 def test_t_zero_matches_y0_series():
@@ -177,8 +180,26 @@ def test_refinement_consistency():
         assert abs(coarse[0] - fine[0]) <= max(coarse_err[0], 1e-12)
 
 
+def test_refines_through_doubled(monkeypatch):
+    calls, doubled = [], besselkernel.doubled
+
+    def counted(evaluate, tol, rounds):
+        calls.append(tol)
+        return doubled(evaluate, tol, rounds)
+
+    monkeypatch.setattr(besselkernel, "doubled", counted)
+    vals, err, converged = kernel_b_block(np.array([0.5, 14.0, 38.0]), 12.0, tol=1e-10)
+    assert calls == [1e-10] and converged
+    # no grid meets tol 1e-300: every doubling runs, and the values stay finite
+    vals, err, converged = kernel_b_block(np.array([0.5, 14.0, 38.0]), 12.0, tol=1e-300)
+    assert len(calls) == 2 and not converged
+    assert np.all(np.isfinite(vals)) and np.all(np.isfinite(err))
+
+
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         kernel_b_block(np.array([5.0]), 0.0)
+    with pytest.raises(ValueError):
+        kernel_b_block(np.array([5.0, 151.0]), 8.0)
     with pytest.raises(ValueError):
         kernel_b_series_many(np.array([0.0]), 1.0)

@@ -1,15 +1,33 @@
 """Source hygiene: every name a module-level import binds in specpoint is
-used, and the closure and decomposition passes import no more of numpy."""
+used, every module-level def and class is named outside its definition,
+and the closure and decomposition passes import no more of numpy."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "specpoint"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "specpoint"
+
+
+def _names(node: ast.AST):
+    """(name, line) of every identifier node names: variables, attributes,
+    imported names and string constants (bench/tracing.py wraps layers by
+    their names as strings)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id, sub.lineno
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr, sub.lineno
+        elif isinstance(sub, ast.alias):
+            yield sub.name.split(".")[-1], sub.lineno
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value, sub.lineno
 
 
 def test_no_unused_module_level_imports():
@@ -27,6 +45,28 @@ def test_no_unused_module_level_imports():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def test_no_unreferenced_module_level_definitions():
+    # an orphaned helper of a deleted path is named nowhere but in its own
+    # definition: not in src, tests or bench
+    trees = {
+        path: ast.parse(path.read_text())
+        for folder in ("src", "tests", "bench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    uses = defaultdict(list)
+    for path, tree in trees.items():
+        for name, line in _names(tree):
+            uses[name].append((path, line))
+    unreferenced = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = range(node.lineno, node.end_lineno + 1)
+                if all(where == path and line in own for where, line in uses[node.name]):
+                    unreferenced.append(f"{path.name}:{node.name}")
+    assert unreferenced == []
 
 
 def test_passes_do_not_import_numpy_ma():

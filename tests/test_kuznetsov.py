@@ -19,7 +19,7 @@ import pytest
 
 from specpoint.arith import kloosterman
 from specpoint import arith, kuznetsov
-from specpoint.besselintegral import _K_MAX, _ROUNDING, R_CUT_FACTOR, SpectralWeight, bessel_H_direct
+from specpoint.besselintegral import _K_MAX, R_CUT_FACTOR, SpectralWeight, bessel_H_direct
 from specpoint.kuznetsov import (
     _kloosterman_block,
     decomposition,
@@ -33,6 +33,7 @@ from specpoint.kuznetsov import (
     spectral_tail_bar,
     trace_residual,
 )
+from specpoint.quadrature import _ROUNDING
 from specpoint.sievebench import Sequence
 from specpoint.specfun import bessel_j
 from specpoint.spectraldata import synthetic_spectrum

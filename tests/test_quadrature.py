@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from specpoint.besselintegral import SpectralWeight, bessel_H_many
+from specpoint.besselkernel import kernel_b_block
+from specpoint.kuznetsov import kloosterman_side
 from specpoint.quadrature import adaptive_quadrature, gauss_grid, grid_panels
 
 EPS = np.finfo(float).eps
@@ -81,6 +84,27 @@ def test_budget_exhaustion_is_flagged():
 
     res = adaptive_quadrature(nasty, 0.0, 1.0, 1e-14, max_evals=2000)
     assert not res.converged
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda tol: adaptive_quadrature(np.ones_like, 0.0, 1.0, tol),
+        lambda tol: bessel_H_many([1.0, 8.0], 1.0, SpectralWeight(3.0, 1.0), tol),
+        lambda tol: kloosterman_side(1, 2, SpectralWeight(3.0, 1.0), 64, tol),
+        lambda tol: kernel_b_block(np.array([1.0]), 8.0, tol),
+    ],
+    ids=["adaptive_quadrature", "bessel_H_many", "kloosterman_side", "kernel_b_block"],
+)
+def test_every_doubling_route_rejects_nonpositive_tol(route, tol):
+    # quadrature.doubled rejects it: no round could meet tol <= 0
+    with pytest.raises(ValueError, match="tol must be positive"):
+        route(tol)
+
+
+def test_empty_interval_needs_no_tol():
+    assert adaptive_quadrature(np.ones_like, 1.0, 1.0, 0.0).value == 0.0
 
 
 def test_evaluation_counter():
