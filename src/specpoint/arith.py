@@ -2,18 +2,21 @@
 
 Complete exponential sums over residue classes (Kloosterman sums S(m,n;c)
 and the two-sided sums V_q(m,n;c)), the factorization identity relating
-them, Weil-bound ratios, and the small multiplicative functions they need.
+them, and the divisor functions, Moebius function and factorization they
+and the spectral side need.
 
-`kloosterman` takes one modulus (an int, giving a complex value) or a 1-d
-integer array of moduli (giving the real array of S(m,n;c), summed over a
-cached flat table of half the units of every modulus). That table is built
-in array passes over runs of moduli, with no loop per modulus: a gcd mask
-picks the units, a totient sieve sizes the table, and square-and-multiply
-with one exponent per entry gives the inverses.
+`kloosterman` gives the real S(m,n;c) for one modulus (an int, summed over
+the lru-cached unit table _unit_residues) or for a 1-d integer array of
+moduli (summed over a cached flat table of half the units of every
+modulus). That table is built in array passes over runs of moduli, with no
+loop per modulus: a gcd mask picks the units, the totient sieve _totients
+sizes the table, and square-and-multiply with one exponent per entry gives
+the inverses alpha^{phi(c) - 1}, as _build_unit_residues does for one c.
 
-All angles are reduced modulo c in integer arithmetic before exp(2*pi*i*x)
-is applied, so a single term carries only one rounding error and moduli up
-to ~10^6 stay well below the 1e-10 contracts used by the test suites.
+All angles are reduced modulo c in integer arithmetic before the cosine or
+exp(2*pi*i*x) is applied, so a single term carries only one rounding error
+and moduli up to ~10^6 stay well below the 1e-10 contracts used by the test
+suites.
 """
 
 from __future__ import annotations
@@ -29,20 +32,6 @@ TWO_PI = 2.0 * math.pi
 def e(x: float) -> complex:
     """exp(2*pi*i*x)."""
     return complex(math.cos(TWO_PI * x), math.sin(TWO_PI * x))
-
-
-def mod_inverse(a: int, c: int) -> int:
-    """Inverse of a modulo c, in [0, c). c = 1 returns 0.
-
-    Raises ValueError when gcd(a, c) != 1; never silently returns a
-    wrong residue.
-    """
-    if c < 1:
-        raise ValueError(f"modulus must be positive, got {c}")
-    try:
-        return pow(a, -1, c)
-    except ValueError as exc:
-        raise ValueError(f"{a} is not invertible modulo {c}") from exc
 
 
 def _build_unit_residues(c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -71,11 +60,6 @@ def _build_unit_residues(c: int) -> tuple[np.ndarray, np.ndarray]:
 
 # the cached unit table of one modulus, for the per-modulus sums
 _unit_residues = lru_cache(maxsize=4096)(_build_unit_residues)
-
-
-def _exp_angle_sum(angles_mod_c: np.ndarray, c: int) -> complex:
-    phases = (TWO_PI / c) * angles_mod_c
-    return complex(np.sum(np.cos(phases)) + 1j * np.sum(np.sin(phases)))
 
 
 # Half-unit table of every modulus 1..C for the array form of kloosterman:
@@ -169,10 +153,11 @@ def _half_units(C: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def kloosterman(m: int, n: int, c):
     """S(m,n;c) = sum over alpha in (Z/c)* of e((alpha*m + alpha^{-1}*n)/c).
 
-    An int c gives the complex value. A 1-d integer array of moduli gives
-    the real array of S(m,n;c), c by c. S is real because alpha and
-    c - alpha give conjugate terms, so every modulus up to max(c) adds up
-    2 cos(2 pi (alpha m + alpha^{-1} n)/c) over its units alpha < c/2
+    S is real because alpha and c - alpha give conjugate terms. An int c
+    gives the float sum of cos(2 pi (alpha m + alpha^{-1} n)/c) over every
+    unit alpha (_unit_residues; c = 1 has the one unit 0). A 1-d integer
+    array of moduli gives the real array of S(m,n;c), c by c: every modulus
+    up to max(c) adds up twice those cosines over its units alpha < c/2
     (_half_units), _PASS_UNITS units at a time.
     """
     if np.ndim(c):
@@ -202,32 +187,27 @@ def kloosterman(m: int, n: int, c):
         return sums[moduli - 1]
     if c < 1:
         raise ValueError(f"modulus must be positive, got {c}")
-    if c == 1:
-        return 1.0 + 0.0j
     alphas, inv = _unit_residues(c)
     angles = (alphas * (m % c) + inv * (n % c)) % c
-    return _exp_angle_sum(angles, c)
+    return float(np.sum(np.cos((TWO_PI / c) * angles)))
 
 
 def vq_sum(q: int, m: int, n: int, c: int) -> complex:
     """V_q(m,n;c): sum over alpha mod c with (alpha*(q-alpha), c) = 1 of
     e((alpha^{-1}*m + (q-alpha)^{-1}*n)/c).
 
-    For c = 1 the coprimality condition is vacuous and the value is 1.
+    For c = 1 the coprimality condition is vacuous (the one unit is 0) and
+    the value is 1; no alpha qualifying gives 0.
     """
     if c < 1:
         raise ValueError(f"modulus must be positive, got {c}")
-    if c == 1:
-        return 1.0 + 0.0j
     units, inv = _unit_residues(c)
     beta = (q - units) % c
     keep = np.gcd(beta, c) == 1
-    if not np.any(keep):
-        return 0.0 + 0.0j
     inv_a = inv[keep]
     inv_b = inv[np.searchsorted(units, beta[keep])]
-    angles = (inv_a * (m % c) + inv_b * (n % c)) % c
-    return _exp_angle_sum(angles, c)
+    phases = (TWO_PI / c) * ((inv_a * (m % c) + inv_b * (n % c)) % c)
+    return complex(np.sum(np.cos(phases)) + 1j * np.sum(np.sin(phases)))
 
 
 def factorization_identity_residual(m: int, n: int, c: int) -> float:
@@ -239,15 +219,6 @@ def factorization_identity_residual(m: int, n: int, c: int) -> float:
     for q in divisors(c):
         rhs += vq_sum(q, m, n, c // q)
     return abs(lhs - rhs)
-
-
-def weil_ratio(m: int, n: int, c: int) -> float:
-    """|S(m,n;c)| / (tau(c) * sqrt(gcd(m,n,c)) * sqrt(c)); gcd(0,x) = x."""
-    if c < 1:
-        raise ValueError(f"modulus must be positive, got {c}")
-    s = abs(kloosterman(m, n, c))
-    g = math.gcd(math.gcd(abs(m), abs(n)), c)
-    return s / (divisor_count(c) * math.sqrt(g) * math.sqrt(c))
 
 
 def divisor_sigma(nu, n: int):
@@ -290,13 +261,6 @@ def divisor_count(n: int) -> int:
     return math.prod(k + 1 for _, k in factorize(n))
 
 
-def euler_phi(n: int) -> int:
-    out = 1
-    for p, k in factorize(n):
-        out *= p ** (k - 1) * (p - 1)
-    return out
-
-
 def moebius(n: int) -> int:
     mu = 1
     for _, k in factorize(n):
@@ -304,9 +268,3 @@ def moebius(n: int) -> int:
             return 0
         mu = -mu
     return mu
-
-
-def multiplicative_basics(n: int) -> tuple[int, int, int, dict[int, int]]:
-    """(tau(n), phi(n), mu(n), prime factorization) for n >= 1."""
-    fac = factorize(n)
-    return divisor_count(n), euler_phi(n), moebius(n), dict(fac)

@@ -158,12 +158,10 @@ def bessel_H_series_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> Quadr
     # each block of terms takes the series' k-terms its largest x needs (series_cut)
     blocks = [slice(j, j + _BLOCK_TERMS) for j in range(0, xs.size, _BLOCK_TERMS)]
     cuts = [series_cut(float(np.max(xs[cols]))) for cols in blocks]
-    size, cut = np.zeros(xs.size), np.zeros(xs.size)
 
-    def evaluate(level: int) -> tuple[np.ndarray, int]:
-        nonlocal size
+    def evaluate(level: int) -> tuple[np.ndarray, np.ndarray, int]:
         t, f = _t_weights(sw, rate, level)
-        total, size = np.zeros(xs.size), np.zeros(xs.size)
+        total, size, cut = np.zeros(xs.size), np.zeros(xs.size), np.zeros(xs.size)
         for i in range(0, t.size, _BLOCK_NODES):
             block = slice(i, i + _BLOCK_NODES)
             weights = f[block, None] * np.cos(2.0 * np.multiply.outer(t[block], log_y))
@@ -176,11 +174,9 @@ def bessel_H_series_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> Quadr
         envelope = f @ series_envelope(t)
         for cols, (_, tail) in zip(blocks, cuts):
             cut[cols] = tail * envelope
-        return total, t.size * xs.size
+        return total, _ROUNDING * size + cut, t.size * xs.size
 
-    res = doubled(evaluate, tol, _ROUNDS)
-    res.err_estimate += _ROUNDING * size + cut
-    return res
+    return doubled(evaluate, tol, _ROUNDS)
 
 
 def _split(v: np.ndarray) -> np.ndarray:
@@ -318,10 +314,8 @@ def _bessel_H_kernel(xs: np.ndarray, ys, sw: SpectralWeight, tol: float) -> Quad
     log_y = np.log(ys)
     cosh_l, sinh_l = xs * np.cosh(log_y), xs * np.sinh(log_y)
     legs, counts, t_rate = _contour(xs, log_y, sw)
-    size = np.zeros(xs.size)
 
-    def evaluate(level: int) -> tuple[np.ndarray, int]:
-        nonlocal size
+    def evaluate(level: int) -> tuple[np.ndarray, np.ndarray, int]:
         t, f = _t_weights(sw, t_rate, level)
         r, dr = _contour_nodes(legs, counts, level)
         k, k_abs = _kernel_on_legs(r, dr, t, f)
@@ -338,11 +332,9 @@ def _bessel_H_kernel(xs: np.ndarray, ys, sw: SpectralWeight, tol: float) -> Quad
                     e = np.exp(1j * (even + sign * odd))
                     total[cols] += (e @ k[block]).real
                     size[cols] += np.abs(e) @ k_abs[block]
-        return total, r.size * t.size
+        return total, _ROUNDING * size, r.size * t.size
 
-    res = doubled(evaluate, tol, _ROUNDS)
-    res.err_estimate += _ROUNDING * size
-    return res
+    return doubled(evaluate, tol, _ROUNDS)
 
 
 def bessel_H_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> tuple[QuadratureResult, int]:

@@ -176,10 +176,8 @@ def kernel_b_block(
         # exp(-2itr)'s ray u + i pi/2 from b, cut where x sinh u = pi t_max + _TAIL_EXP
         legs.append((b_pt, u_e, _panel_count(2.0 * t_max * (u_e - b_pt) + _TAIL_EXP - max(x, 5.0)),
                      lambda s: np.exp(math.pi * tc - x * np.sinh(s) - 2j * tc * s)))
-    size = np.zeros(t.size)
 
-    def evaluate(level: int) -> tuple[np.ndarray, int]:
-        nonlocal size
+    def evaluate(level: int) -> tuple[np.ndarray, np.ndarray, int]:
         total, size, nodes = np.zeros(t.size, dtype=complex), np.zeros(t.size), 0
         for lo, hi, n, terms in legs:
             s, w = gauss_grid(lo, hi, n << level)
@@ -187,8 +185,8 @@ def kernel_b_block(
             total += table @ w
             size += np.abs(table) @ w
             nodes += s.size
-        return total, t.size * nodes
+        return total, _ROUNDING * size, t.size * nodes
 
     res = doubled(evaluate, tol, _MAX_ROUNDS)
     tails = (math.pi / 2 - theta_a) * np.exp(-2.0 * t * theta_a) + 2.0 * math.exp(-_TAIL_EXP)
-    return res.value.real, res.err_estimate + _ROUNDING * size + tails, res.converged
+    return res.value.real, res.err_estimate + tails, res.converged

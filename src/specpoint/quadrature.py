@@ -2,16 +2,19 @@
 
 Every panel grid comes from gauss_grid, and every refined integral from
 doubled: it evaluates on grids whose panel counts double round by round
-until no value moves by more than tol, and it rejects tol <= 0.
+until no value moves by more than tol, and it rejects tol <= 0. Each
+evaluation returns its values, their rounding bars on its grid (0 for a
+plain integrand) and its count of evaluations; the error estimate is the
+last change plus the last grid's bar.
 adaptive_quadrature runs it for one integrand on [a, b], sievebench's
 Eisenstein form on its cached weighted grids, besselintegral's two H
 routes on their t-grids and contour legs, and besselkernel.kernel_b_block
 on its five contour legs; doubling_rounds gives the first two their round
 count from an evaluation budget. Both contours take their first panel
 counts from _panel_count, one panel per _PANEL_PHASE radians of phase
-plus e-folds of decay, and add _ROUNDING times the absolute sum of their
-terms on the last grid to each error estimate. A grid fixes its summation
-order, so results are bit-reproducible for a given tolerance. grid_panels
+plus e-folds of decay, and their bars are _ROUNDING times the absolute
+sum of their terms. A grid fixes its summation order, so results are
+bit-reproducible for a given tolerance. grid_panels
 reads a grid's panel structure back from its nodes: both H routes build
 their phase tables exp(i w t) from it, panels + 16 exponentials per
 frequency w where a (node, w) table takes 16 per panel.
@@ -37,8 +40,8 @@ _ROUNDING = 8.0 * np.finfo(float).eps  # times a sum's absolute terms: its round
 class QuadratureResult:
     """A numerically computed integral with an error estimate and a cost.
 
-    err_estimate is the value's change over the last grid doubling (plus
-    any rounding bar the caller adds); converged is False when the doublings ran
+    err_estimate is the value's change over the last grid doubling plus
+    the rounding bar on the last grid; converged is False when the doublings ran
     out before that change fell to tol. For a batch of H values
     (besselintegral.bessel_H_many), value and err_estimate are real arrays
     with one entry per x.
@@ -116,22 +119,23 @@ def doubled(evaluate, tol: float, rounds: int) -> QuadratureResult:
     """Values on grids doubled until none moves by more than tol.
 
     evaluate(level) returns the values with every panel count doubled level
-    times, and its count of evaluations. converged is False when rounds
-    doublings run out; err_estimate is each value's last change. tol must
-    be positive: at tol <= 0 every round would run and none could converge.
+    times, their rounding bars on that grid, and its count of evaluations.
+    converged is False when rounds doublings run out; err_estimate is each
+    value's last change plus the last grid's bar. tol must be positive: at
+    tol <= 0 every round would run and none could converge.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    value, evaluations = evaluate(0)
+    value, bar, evaluations = evaluate(0)
     err, converged = np.abs(value), False
     for level in range(1, rounds + 1):
-        new, n_eval = evaluate(level)
+        new, bar, n_eval = evaluate(level)
         evaluations += n_eval
         err, value = np.abs(new - value), new
         if np.all(err <= tol):
             converged = True
             break
-    return QuadratureResult(value, err, evaluations, converged)
+    return QuadratureResult(value, err + bar, evaluations, converged)
 
 
 def doubling_rounds(initial_panels: int, max_evals: int = 4_000_000) -> int:
@@ -159,8 +163,8 @@ def adaptive_quadrature(
     if not (b > a):
         return QuadratureResult(0.0 + 0.0j, 0.0, 0)
 
-    def evaluate(level: int) -> tuple[complex, int]:
+    def evaluate(level: int) -> tuple[complex, float, int]:
         t, w = gauss_grid(a, b, initial_panels << level)
-        return complex(np.asarray(f(t)) @ w), t.size
+        return complex(np.asarray(f(t)) @ w), 0.0, t.size
 
     return doubled(evaluate, tol, doubling_rounds(initial_panels, max_evals))

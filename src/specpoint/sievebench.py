@@ -212,12 +212,12 @@ def _eisenstein_form(
     converged equal that integral's bit for bit.
     """
 
-    def evaluate(level: int) -> tuple[complex, int]:
+    def evaluate(level: int) -> tuple[complex, float, int]:
         weights = _eisenstein_weights if level <= _EIS_CACHED_LEVEL else _eisenstein_weights.__wrapped__
         t, w, wh = weights(sw, level)
         sigmas = np.array([divisor_sigma(2j * t, int(n)) for n in ns])
         eu, ev = u @ sigmas, v @ sigmas
-        return complex((wh * (eu * ev.conj()).real) @ w), t.size
+        return complex((wh * (eu * ev.conj()).real) @ w), 0.0, t.size
 
     res = doubled(evaluate, tol * math.pi / 2.0, doubling_rounds(_EIS_PANELS))
     return res.scaled(2.0 / math.pi)

@@ -1,8 +1,8 @@
 """Special functions: complex log-gamma (Lanczos with reflection), Bessel
 J_n of integer order (power series below the order, trapezoid rule from it
 on, every order of a call from one pass), the Riemann zeta function by
-Euler-Maclaurin summation, and the Eisenstein harmonic weight
-1/|zeta(1 + 2it)|^2 built on it.
+Euler-Maclaurin summation with the fixed 12 Bernoulli terms B_2..B_24, and
+the Eisenstein harmonic weight 1/|zeta(1 + 2it)|^2 built on it.
 """
 
 from __future__ import annotations
@@ -158,16 +158,14 @@ _BERNOULLI = [
     -174611.0 / 330.0,
     854513.0 / 138.0,
     -236364091.0 / 2730.0,
-    8553103.0 / 6.0,
 ]
 
 
-def zeta_many(s: np.ndarray, em_order: int = 12) -> np.ndarray:
+def zeta_many(s: np.ndarray) -> np.ndarray:
     """Euler-Maclaurin zeta on an array of points right of the critical strip.
 
-    The truncation N adapts to the largest |Im s| present; em_order is the
-    number of Bernoulli correction terms (two different values of it give an
-    independent consistency check).
+    The truncation N adapts to the largest |Im s| present, and the
+    correction takes the 12 Bernoulli terms B_2, ..., B_24 of _BERNOULLI.
     """
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     if np.any(s == 1.0):
@@ -181,8 +179,8 @@ def zeta_many(s: np.ndarray, em_order: int = 12) -> np.ndarray:
     term = _BERNOULLI[0] / 2.0 * s * N ** (-s - 1.0)
     out += term
     fac = 2.0
-    for k in range(2, em_order + 1):
-        ratio = _BERNOULLI[k - 1] / _BERNOULLI[k - 2] / ((fac + 1.0) * (fac + 2.0))
+    for prev, b in zip(_BERNOULLI, _BERNOULLI[1:]):
+        ratio = b / prev / ((fac + 1.0) * (fac + 2.0))
         term = term * ratio * (s + fac - 1.0) * (s + fac) / (N * N)
         out += term
         fac += 2.0

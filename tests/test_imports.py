@@ -1,6 +1,7 @@
 """Source hygiene: every name a module-level import binds in specpoint is
-used, every module-level def and class is named outside its definition,
-and the closure and decomposition passes import no more of numpy."""
+used, every module-level def, class and assigned name is named outside its
+definition, and the closure and decomposition passes import no more of
+numpy."""
 
 import ast
 import os
@@ -30,6 +31,19 @@ def _names(node: ast.AST):
             yield sub.value, sub.lineno
 
 
+def _defined(node: ast.stmt):
+    """The names a module-level statement defines: a def's or class's, and
+    every name an assignment binds (a table or constant)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        yield node.name
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                    yield sub.id
+
+
 def test_no_unused_module_level_imports():
     unused = {}
     for path in sorted(SRC.glob("*.py")):
@@ -48,8 +62,8 @@ def test_no_unused_module_level_imports():
 
 
 def test_no_unreferenced_module_level_definitions():
-    # an orphaned helper of a deleted path is named nowhere but in its own
-    # definition: not in src, tests or bench
+    # an orphaned helper, table or constant of a deleted path is named
+    # nowhere but in its own definition: not in src, tests or bench
     trees = {
         path: ast.parse(path.read_text())
         for folder in ("src", "tests", "bench")
@@ -62,10 +76,10 @@ def test_no_unreferenced_module_level_definitions():
     unreferenced = []
     for path in sorted(SRC.glob("*.py")):
         for node in trees[path].body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = range(node.lineno, node.end_lineno + 1)
-                if all(where == path and line in own for where, line in uses[node.name]):
-                    unreferenced.append(f"{path.name}:{node.name}")
+            own = range(node.lineno, node.end_lineno + 1)
+            for name in _defined(node):
+                if all(where == path and line in own for where, line in uses[name]):
+                    unreferenced.append(f"{path.name}:{name}")
     assert unreferenced == []
 
 

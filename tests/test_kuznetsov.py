@@ -170,7 +170,7 @@ class TestKloostermanSide:
         value = 0.0 if m != n else sum((-1) ** k * rk for k, rk in enumerate(r)) / (2 * math.pi)
         err = size = 0.0
         for c in range(1, C + 1):
-            s = kloosterman(m, n, c).real
+            s = kloosterman(m, n, c)
             if abs(s) <= 1e-9:
                 continue
             x = 4 * math.pi * math.sqrt(m * n) / c
@@ -198,7 +198,7 @@ class TestKloostermanSide:
         assert len(calls) == 1
         assert (rep.series_moduli, rep.kernel_moduli) == (series, kernel)
         assert rep.kernel_moduli == sum(
-            abs(kloosterman(m, n, c).real) > 1e-9
+            abs(kloosterman(m, n, c)) > 1e-9
             for c in range(1, 513)
             if 4 * math.pi * math.sqrt(m * n) / c > 5.0
         )
@@ -229,7 +229,7 @@ class TestKloostermanSide:
         sw, C, tol = SpectralWeight(T=3.0, M=1.0), 64, 1e-10
         mn = np.array([[1, 1], [1, 2], [2, 2], [2, 4]])
         weights = np.array([0.3, -1.2, 0.7, 0.5])
-        s_vals = np.array([[kloosterman(m, n, c).real for c in range(1, C + 1)] for m, n in mn])
+        s_vals = np.array([[kloosterman(m, n, c) for c in range(1, C + 1)] for m, n in mn])
         mixed = kuznetsov._petersson_c_sum(mn, weights, s_vals, sw, tol)
         parts = [
             kuznetsov._petersson_c_sum(mn[p], weights[p], s_vals[p], sw, tol)
@@ -328,7 +328,7 @@ class TestPetersson:
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
     def test_partial_sum_matches_closed_form(self, m, n, k):
         cs = np.arange(1, self.C + 1)
-        s_vals = np.array([kloosterman(m, n, int(c)).real for c in cs])
+        s_vals = np.array([kloosterman(m, n, int(c)) for c in cs])
         X = 4 * math.pi * math.sqrt(m * n)
         partial = float(np.sum(s_vals / cs * bessel_j(k - 1, X / cs)))
         want = -(1 if m == n else 0) * (1j**k).real / (2 * math.pi)
@@ -434,7 +434,7 @@ class TestKloostermanBlock:
     def test_matches_scalar_sums(self, N):
         ns = np.arange(N + 1, 2 * N + 1)
         for c in range(1, 201):
-            want = np.array([[kloosterman(int(m), int(n), c).real for n in ns] for m in ns])
+            want = np.array([[kloosterman(int(m), int(n), c) for n in ns] for m in ns])
             assert np.max(np.abs(_kloosterman_block(ns, c) - want)) <= 1e-12 * c
 
     @pytest.mark.parametrize("N", [4, 8])
@@ -545,7 +545,7 @@ class TestDecomposition:
         C = seed1.params["c_eval"]
         ns = range(5, 9)
         live = sum(
-            abs(kloosterman(m, n, c).real) > 1e-9
+            abs(kloosterman(m, n, c)) > 1e-9
             for m in ns
             for n in ns
             if m <= n
