@@ -473,20 +473,20 @@ def p_bound_rhs(
     Each (q, c) term is the closed-form unit-residue mean square of
     _hybrid_lhs_one_modulus at v = q, so no quadrature grid is involved.
     The block's pairs are grouped by lag once (_pair_groups at lam_n = n,
-    N groups), and every (q, c) term reuses them at O(N) plus the
-    O(c log c) Ramanujan DFT.
+    N groups), and one _hybrid_lhs_one_modulus call takes every (q, c)
+    term as a row of its blocked (moduli x groups) kernel tables; each
+    modulus's Ramanujan DFT runs once per process, however many q repeat it.
     """
     if not seq.is_real:
         raise ValueError("the decomposition majorant applies to real sequences")
     N, T, M = seq.N, sw.T, sw.M
     q_hi = int(q_cap_const * N / T)
-    total = 0.0
-    tau = R_CUT_FACTOR / M
+    # the (q, c) term is the unit-residue mean square at v = q (its
+    # alpha-sum runs over all units, so alpha or alpha^{-1} alike)
+    terms = [(q, c) for q in range(1, q_hi + 1) for c in range(1, int(c_cap_const * N / (T * q)) + 1)]
+    qs, cs = np.array(terms, dtype=np.int64).reshape(-1, 2).T
     groups = _pair_groups(seq, seq.ns.astype(float))
-    for q in range(1, q_hi + 1):
-        c_hi = int(c_cap_const * N / (T * q))
-        # the (q, c) term is the unit-residue mean square at v = q (its
-        # alpha-sum runs over all units, so alpha or alpha^{-1} alike)
-        inner_q = sum(_hybrid_lhs_one_modulus(groups, q, c, tau) for c in range(1, c_hi + 1))
-        total += inner_q / q
+    values = _hybrid_lhs_one_modulus(groups, qs, cs, R_CUT_FACTOR / M)
+    # each q's sum over c, then its weight 1/q, in the order of the terms
+    total = sum(sum(values[qs == q].tolist()) / q for q in range(1, q_hi + 1))
     return M * T * total

@@ -7,9 +7,12 @@ the units alpha gives, for each pair m <= n of the block, the Ramanujan
 sum c_c(n - m) times int_{-tau}^{tau} e((lam_n - lam_m) t) dt, a sinc.
 The pair enters only through its lag n - m and its gap lam_n - lam_m, so
 _pair_groups adds up Re(conj(a_m) a_n) once per sequence over the pairs
-with equal (lag, gap), and each modulus then costs O(#groups) plus an
-O(c log c) DFT for c_c. At lam_n = n (gamma = 1) every gap is its lag,
-which leaves N groups where the dense form has N^2 kernel entries.
+with equal (lag, gap). The Ramanujan row c_c(k), k <= c/2, is one DFT
+per modulus per process (_ramanujan_sums, cached), and a whole sum over
+moduli is one _hybrid_lhs_one_modulus call: blocked (moduli x groups)
+kernel tables of gathered rows times sincs, each block one matrix product
+with the weights. At lam_n = n (gamma = 1) every gap is its lag, which
+leaves N groups where the dense form has N^2 kernel entries.
 Right-hand sides are the literature majorants with every unspecified
 epsilon-factor set to 1. Only ratios are reported: the suites check
 boundedness, monotonicity, and scaling invariance, never a sharp constant.
@@ -18,6 +21,7 @@ boundedness, monotonicity, and scaling invariance, never a sharp constant.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -91,17 +95,23 @@ def _t_grid(tau: float, order: int, panels: int):
 
 def _pair_groups(seq: Sequence, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lags, gaps, weights) of the pairs m <= n of the block grouped by
-    the exact key (n - m, lam_n - lam_m): each weight is the sum of
-    Re(conj(a_m) a_n) over its group, an off-diagonal pair counted twice
-    for both orders. For a real kernel K(m, n) = K(n, m) that depends on
-    the pair only through its key, sum_{m,n} conj(a_m) a_n K = weights @ K.
+    the exact key (n - m, lam_n - lam_m), lags ascending and gaps ascending
+    within a lag: each weight is the sum of Re(conj(a_m) a_n) over its
+    group, an off-diagonal pair counted twice for both orders. For a real
+    kernel K(m, n) = K(n, m) that depends on the pair only through its key,
+    sum_{m,n} conj(a_m) a_n K = weights @ K.
     """
     i, j = np.triu_indices(seq.N)
     a = seq.values
     pair_weights = np.where(i == j, 1.0, 2.0) * np.real(a[i].conj() * a[j])
-    # one complex key lag + i gap: complex values compare exactly, part by part
-    keys, group = np.unique((j - i) + 1j * (lams[j] - lams[i]), return_inverse=True)
-    return keys.real.astype(np.int64), keys.imag, np.bincount(group, weights=pair_weights)
+    lag, gap = j - i, lams[j] - lams[i]
+    # a stable sort by lag, then gap: a new group starts where either key changes
+    order = np.lexsort((gap, lag))
+    lag, gap = lag[order], gap[order]
+    starts = np.ones(lag.size, dtype=bool)
+    starts[1:] = (lag[1:] != lag[:-1]) | (gap[1:] != gap[:-1])
+    group = np.cumsum(starts) - 1
+    return lag[starts], gap[starts], np.bincount(group, weights=pair_weights[order])
 
 
 def _sinc_integral(freqs: np.ndarray, tau: float) -> np.ndarray:
@@ -109,44 +119,66 @@ def _sinc_integral(freqs: np.ndarray, tau: float) -> np.ndarray:
     return 2.0 * tau * np.sinc(2.0 * tau * freqs)
 
 
-def _ramanujan_sums(c: int, ks: np.ndarray) -> np.ndarray:
-    """c_c(k) = sum over units alpha mod c of e(alpha k/c), at each k >= 0.
+@lru_cache(maxsize=_unit_residues.cache_info().maxsize)
+def _ramanujan_sums(c: int) -> np.ndarray:
+    """c_c(k) = sum over units alpha mod c of e(alpha k/c) for k = 0..c/2,
+    read-only and computed once per modulus per process.
 
     The real DFT of the unit indicator, rounded to the integers it equals,
-    in O(c log c); c_c(k) is even and c-periodic in k, so k is folded into
-    [0, c/2].
+    in O(c log c); c_c(k) is even and c-periodic in k, so these entries
+    give every k.
     """
     units = np.zeros(c)
     units[_unit_residues(c)[0]] = 1.0
     sums = np.rint(np.fft.rfft(units).real)
-    ks = ks % c
-    return sums[np.minimum(ks, c - ks)]
+    sums.flags.writeable = False
+    return sums
 
 
-def _hybrid_lhs_one_modulus(groups: tuple, v: float, c: int, tau: float) -> float:
+_KERNEL_BLOCK = 1 << 13  # most (modulus, group) entries of one kernel block
+
+
+def _hybrid_lhs_one_modulus(groups: tuple, vs: np.ndarray, cs: np.ndarray, tau: float) -> np.ndarray:
     """(1/c) sum*_alpha int_{-tau}^{tau} |sum_n a_n e(alpha n/c) e(lam_n t/(c v))|^2 dt
-    for the pair groups of a at lam_n (n^gamma in the hybrid sieve).
+    for the pair groups of a at lam_n (n^gamma in the hybrid sieve), at
+    each modulus c of the 1-d array cs with its twist v from vs.
 
     The alpha-sum of e(alpha (n - m)/c) over the units is the Ramanujan sum
     c_c(lag) and the t-integral of e(gap t/(c v)) is 2 tau sinc(2 tau gap/(c v)),
-    so the value is (1/c) sum_g W_g c_c(lag_g) 2 tau sinc(2 tau gap_g/(c v)):
-    O(#groups) per modulus (N groups at gamma = 1) plus the O(c log c)
-    Ramanujan DFT, with no N x N or phi(c) x N table.
+    so the value is (1/c) sum_g W_g c_c(lag_g) 2 tau sinc(2 tau gap_g/(c v)).
+    The (moduli x groups) kernel is built in blocks of at most _KERNEL_BLOCK
+    entries (one modulus per block at least): the moduli's cached Ramanujan
+    rows gathered at the folded lags, times one sinc call, then one matrix
+    product with the weights. There is no N x N or phi(c) x N table.
     """
     lags, gaps, weights = groups
-    kernel = _ramanujan_sums(c, lags) * _sinc_integral(gaps / (c * v), tau)
-    return float(weights @ kernel) / c
+    cs = np.asarray(cs, dtype=np.int64)
+    vs = np.asarray(vs, dtype=float)
+    values = np.empty(cs.size)
+    step = max(1, _KERNEL_BLOCK // lags.size)
+    for i in range(0, cs.size, step):
+        c, v = cs[i : i + step, None], vs[i : i + step, None]
+        rows = [_ramanujan_sums(int(m)) for m in c[:, 0]]
+        offsets = np.cumsum([0] + [row.size for row in rows[:-1]])[:, None]
+        ks = lags % c
+        ramanujan = np.concatenate(rows)[offsets + np.minimum(ks, c - ks)]
+        kernel = ramanujan * _sinc_integral(gaps / (c * v), tau)
+        values[i : i + step] = (kernel @ weights) / c[:, 0]
+    return values
 
 
 def young_ls_lhs(seq: Sequence, gamma: float, tau: float, v: float, C: int) -> float:
     """Hybrid twisted mean square over moduli c <= C and |t| <= tau: the sum
     over c of the closed-form per-modulus values, with no quadrature grid."""
+    if isinstance(C, bool) or not isinstance(C, numbers.Integral):
+        raise ValueError(f"C must be an integer, got {C!r}")
     if gamma == 0:
         raise ValueError("gamma must be nonzero")
     if tau <= 0 or v <= 0 or C < 1:
         raise ValueError("tau, v must be positive and C >= 1")
     groups = _pair_groups(seq, seq.ns.astype(float) ** gamma)
-    return sum(_hybrid_lhs_one_modulus(groups, v, c, tau) for c in range(1, C + 1))
+    cs = np.arange(1, C + 1)
+    return sum(_hybrid_lhs_one_modulus(groups, np.full(cs.size, v), cs, tau).tolist())
 
 
 def young_ls_ratio(seq: Sequence, gamma: float, tau: float, v: float, C: int) -> SieveReport:

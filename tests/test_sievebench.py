@@ -9,7 +9,7 @@ import pytest
 from specpoint import sievebench, specfun
 from specpoint.arith import _unit_residues, divisor_sigma, divisors, moebius
 from specpoint.besselintegral import SpectralWeight, weight_h
-from specpoint.kuznetsov import eisenstein_side
+from specpoint.kuznetsov import eisenstein_side, p_bound_rhs
 from specpoint.quadrature import adaptive_quadrature
 from specpoint.sievebench import (
     Sequence,
@@ -150,12 +150,31 @@ class TestYoungLS:
         assert v2 >= v1 - 1e-12
         assert v3 >= v2 - 1e-12
 
+    @pytest.mark.parametrize("C", [2.5, 3.0, True, False, "4", None])
+    def test_rejects_non_integer_C(self, C):
+        with pytest.raises(ValueError, match="C must be an integer"):
+            young_ls_lhs(Sequence.random(N=4, seed=1), 1.0, 0.5, 1.0, C)
+
+    def test_accepts_numpy_integer_C(self):
+        seq = Sequence.random(N=8, seed=9)
+        assert young_ls_lhs(seq, 1.0, 0.3, 1.5, np.int64(4)) == young_ls_lhs(seq, 1.0, 0.3, 1.5, 4)
+
     def test_scaling_invariance(self):
         seq = Sequence.random(N=12, seed=13)
         scaled = Sequence(N=12, values=3.7j * seq.values)
         r1 = young_ls_ratio(seq, 1.0, 0.3, 1.5, 4)
         r2 = young_ls_ratio(scaled, 1.0, 0.3, 1.5, 4)
         assert r1.ratio == pytest.approx(r2.ratio, rel=1e-10)
+
+
+def complex_key_groups(seq, lams):
+    """_pair_groups by one np.unique over the complex keys lag + i gap,
+    which compare exactly part by part."""
+    i, j = np.triu_indices(seq.N)
+    a = seq.values
+    pair_weights = np.where(i == j, 1.0, 2.0) * np.real(a[i].conj() * a[j])
+    keys, group = np.unique((j - i) + 1j * (lams[j] - lams[i]), return_inverse=True)
+    return keys.real.astype(np.int64), keys.imag, np.bincount(group, weights=pair_weights)
 
 
 class TestPairGroups:
@@ -165,10 +184,21 @@ class TestPairGroups:
     def test_grouped_form_matches_dense(self, gamma, v, tau):
         seq = Sequence.random(N=24, seed=29)
         groups = _pair_groups(seq, seq.ns.astype(float) ** gamma)
-        for c in range(1, 13):
-            want = dense_lhs_one_modulus(seq, gamma, v, c, tau)
-            got = _hybrid_lhs_one_modulus(groups, v, c, tau)
-            assert got == pytest.approx(want, rel=1e-13)
+        cs = np.arange(1, 13)
+        got = _hybrid_lhs_one_modulus(groups, np.full(cs.size, v), cs, tau)
+        want = [dense_lhs_one_modulus(seq, gamma, v, int(c), tau) for c in cs]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("lam", ["n^0.5", "n^1", "n^2", "log n"])
+    @pytest.mark.parametrize("N", [1, 24, 97])
+    def test_matches_complex_key_grouping(self, lam, N):
+        seq = Sequence.random(N=N, seed=37)
+        ns = seq.ns.astype(float)
+        lams = np.log(ns) if lam == "log n" else ns ** float(lam[2:])
+        got, want = _pair_groups(seq, lams), complex_key_groups(seq, lams)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
 
     def test_gamma_one_groups_by_lag(self):
         seq = Sequence.random(N=24, seed=31)
@@ -186,15 +216,37 @@ class TestPairGroups:
         assert weights.size == seq.N * (seq.N - 1) // 2 + 1
         assert weights[lags == 0] == pytest.approx([seq.norm_sq], rel=1e-15)
 
+    def test_kernel_blocks_split_the_moduli(self, monkeypatch):
+        # blocks of one and of five moduli give each modulus its own value
+        seq = Sequence.random(N=24, seed=29)
+        groups = _pair_groups(seq, seq.ns.astype(float) ** 0.5)
+        cs = np.arange(1, 13)
+        vs = np.linspace(0.5, 3.0, cs.size)
+        whole = _hybrid_lhs_one_modulus(groups, vs, cs, 0.7)
+        for entries in (1, 5 * groups[0].size):
+            monkeypatch.setattr(sievebench, "_KERNEL_BLOCK", entries)
+            np.testing.assert_allclose(_hybrid_lhs_one_modulus(groups, vs, cs, 0.7), whole, rtol=1e-14, atol=0)
+
 
 class TestRamanujanSums:
     @pytest.mark.parametrize("moduli", [range(1, 301), [2310]])
     def test_dft_matches_moebius_closed_form(self, moduli):
-        # c_c(k) = sum over d | (c, k) of mu(c/d) d
+        # c_c(k) = sum over d | (c, k) of mu(c/d) d, stored for k = 0..c/2
         for c in moduli:
-            ks = np.arange(2 * c)
+            ks = np.arange(c // 2 + 1)
             want = sum(moebius(c // d) * d * (ks % d == 0) for d in divisors(c))
-            np.testing.assert_array_equal(_ramanujan_sums(c, ks), want)
+            np.testing.assert_array_equal(_ramanujan_sums(c), want)
+
+    def test_one_transform_per_modulus(self):
+        # the sieve workload's pass: young_ls_ratio over c <= 256 and
+        # p_bound_rhs's 395 (q, c) terms, whose moduli repeat
+        _ramanujan_sums.cache_clear()
+        young_ls_ratio(Sequence.random(256, seed=1), 1.0, 1.0, 1.0, 256)
+        p_bound_rhs(Sequence.random(64, seed=1, real=True), SpectralWeight(T=3.0, M=1.5))
+        assert _ramanujan_sums.cache_info().misses == 256
+        assert not any(_ramanujan_sums(c).flags.writeable for c in range(1, 257))
+        assert _ramanujan_sums.cache_info().misses == 256
+        assert _ramanujan_sums.cache_info().maxsize == _unit_residues.cache_info().maxsize
 
 
 class TestCorollaryWindow:
