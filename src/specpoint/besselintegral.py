@@ -69,8 +69,8 @@ class SpectralWeight:
     M: float
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError("T must be positive")
+        if not 0 < self.T < math.inf:
+            raise ValueError("T must be positive and finite")
         if not 1.0 <= self.M <= self.T:
             raise ValueError("M must lie in [1, T]")
 
@@ -402,13 +402,13 @@ def residue_expansion(y: float, sw: SpectralWeight) -> tuple[np.ndarray, np.ndar
 
     H = (2i/pi) int_R t h(t; y) J_{2it}(x) / cosh(pi t) dt. Moving the line
     to Im t = -K passes the poles t = -i(k + 1/2), with residues from
-    h(-ia) = 2 exp((a^2 - T^2)/M^2) cos(2aT/M^2). On t = s - iK,
+    weight_h at t = -ia, 2 exp((a^2 - T^2)/M^2) cos(2aT/M^2). On t = s - iK,
     |cosh(pi t)| = cosh(pi s) and |J_{2K+2is}(x)| <= (x/2)^{2K} I_0(x) /
     |Gamma(1 + 2K + 2is)|, as |(nu + 1)_j| >= j! for Re nu >= 0; B is the
     integral of absolute values there, even in s.
     """
     a = np.arange(_K_MAX) + 0.5
-    h = 2.0 * np.exp((a**2 - sw.T**2) / sw.M**2) * np.cos(2.0 * a * sw.T / sw.M**2)
+    h = weight_h(-1j * a, sw).real
     r = 4.0 / math.pi * (-1.0) ** np.arange(_K_MAX) * a * h * np.cosh(2.0 * a * math.log(y))
     hi = sw.t_upper + 2.0 * sw.M
     s, weights = gauss_grid(0.0, hi, 2 * math.ceil(hi / sw.M))

@@ -1,17 +1,17 @@
 """The specpoint console script: reports as JSON lines.
 
-    specpoint closure --pairs 1,1 2,3 --T 3 --M 1 --C-max 512 --tol 1e-8
+    specpoint closure --pairs 1,1 2,3 --T 3 --M 1 --tol 1e-8
     specpoint decompose --N 4 --T 3 --M 1.5 --seed 1
     specpoint sieve --N 256 --C 256 --gamma 1 --tau 1 --v 1 --seed 1
 
-closure runs the data-free trace identity Eis = Diag + Kloos for each pair,
-with no spectral data: for T <= 3 and M <= 1 the cuspidal side is below
-3e-19 (SL2(Z) has no cusp form with t < 9.53), so spectral_side warns and
-counts it as 0. decompose runs S + T = D + P for a real sequence on
-(N, 2N] drawn uniformly from [-1, 1] with the seed, again with no forms.
-sieve runs the hybrid large-sieve ratio young_ls_ratio over moduli c <= C
-and |t| <= tau for Sequence.random(N, seed), uniform on the complex unit
-disk.
+closure runs the trace identity S + T_eis = D + P of each pair with no
+spectral data: for T <= 3 and M <= 1 the cuspidal side is below 3e-19
+(SL2(Z) has no cusp form with t < 9.53), so S reads 0 and spectral_tail
+bounds it. decompose runs it averaged over a real sequence on (N, 2N]
+drawn uniformly from [-1, 1] with the seed. Both print a
+DecompositionReport; P sums c <= params["c_eval"], the smallest C whose
+tail bars add up to at most tol. sieve runs young_ls_ratio over c <= C
+and |t| <= tau for Sequence.random(N, seed), uniform on the unit disk.
 
 Every report is printed as one line: dataclasses.asdict of it plus
 "wall_s", the seconds it took.
@@ -33,7 +33,6 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         # m, n >= 1 index Fourier coefficients; a C below 1 sums no modulus
-        # and leaves closure's c-tail bar infinite
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
@@ -51,7 +50,7 @@ def _closure(args) -> None:
     sw = SpectralWeight(args.T, args.M)
     for m, n in args.pairs:
         start = time.perf_counter()
-        report = trace_residual(m, n, sw, [], C_max=args.C_max, tol=args.tol)
+        report = trace_residual(m, n, sw, [], tol=args.tol)
         _emit(report, time.perf_counter() - start)
 
 
@@ -77,7 +76,6 @@ def main(argv: list[str] | None = None) -> None:
     closure.add_argument("--pairs", type=_pair, nargs="+", default=[(1, 1)], metavar="M,N")
     closure.add_argument("--T", type=float, default=3.0)
     closure.add_argument("--M", type=float, default=1.0)
-    closure.add_argument("--C-max", dest="C_max", type=_positive_int, default=512)
     closure.add_argument("--tol", type=float, default=1e-8)
     closure.set_defaults(run=_closure)
 

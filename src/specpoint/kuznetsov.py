@@ -1,4 +1,4 @@
-"""Both sides of the trace identity, and its sequence-averaged form.
+"""The trace identity, bilinear in two weight vectors, and its sides.
 
 For a pair (m, n) the identity balances
 
@@ -10,21 +10,21 @@ against
     delta_{m,n} H0 + sum_c S(m,n;c)/c * H(4 pi sqrt(mn)/c, y)
 
 with the twist fixed at y = sqrt(m/n), which turns (m/n)^{i t_j} into the
-even factor cos(2 t log y). Averaging against a real sequence supported on
-(N, 2N] gives the quadratic decomposition S + T = D + P. The pair and the
-block share all four sides: S and T are the bilinear forms _cusp_form and
-_eisenstein_form at u = v = a where the pair takes u = e_m, v = e_n, D is
-||a||^2 H0, and P is the pair's c-sum over the block's pairs. Both c-sums
-take the terms c <= C exactly less the residue expansion G_K of H, whose
-whole c-sum is a Petersson closed form, leaving a c > C tail with a
-provable bar. Every truncation (spectral height, c-range, quadrature)
-carries a bar.
+even factor cos(2 t log y). Summing it against u_i v_j over the indices
+n_i, n_j gives S + T = D + P, which _identity assembles in one place: S
+and T are the bilinear forms _cusp_form and _eisenstein_form, D is H0
+times the sum of u_i v_j over n_i = n_j, and P is the pair's c-sum over
+the pairs i <= j. The pair (trace_residual) is this identity at u = e_m,
+v = e_n; a real sequence on (N, 2N] (decomposition) is it at u = v = a.
+The c-sum takes the terms c <= C exactly less the residue expansion G_K
+of H, whose whole c-sum is a Petersson closed form, leaving a c > C tail
+with a provable bar. Every truncation (spectral height, c-range,
+quadrature) carries a bar.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,35 +44,13 @@ from .specfun import bessel_j
 from .spectraldata import MaassForm
 
 
-def spectral_side(m: int, n: int, sw: SpectralWeight, forms: list[MaassForm]) -> float:
-    """sum_j omega_j h(t_j; y) lambda_j(m) lambda_j(n) at y = sqrt(m/n):
-    _cusp_form at u = e_m, v = e_n.
-
-    A dataset that stops short of the weight's effective support (T + 6M)
-    triggers a warning; the matching quantitative bar comes from
-    spectral_tail_bar.
-    """
-    if not forms:
-        warnings.warn("empty form list: spectral side is 0 with full tail uncovered")
-        return 0.0
-    t_cov = max(f.t for f in forms)
-    if t_cov < sw.T + 6.0 * sw.M:
-        warnings.warn(
-            f"spectrum covers t <= {t_cov:.2f} < T + 6M = {sw.T + 6 * sw.M:.2f}; "
-            "tail bar applies"
-        )
-    return _cusp_form(np.array([m, n]), *np.eye(2), sw, forms)
-
-
 # No Maass cusp form of SL2(Z) has spectral parameter below t_1 = 9.5336952613...
 # (Hejhal; Booker-Strombergsson-Venkatesh, Effective computation of Maass
 # cusp forms, IMRN 2006), so the uncovered spectrum starts there at the earliest.
 FIRST_CUSP_FORM_T = 9.53369526
 
 
-def spectral_tail_bar(
-    m: int, n: int, sw: SpectralWeight, forms: list[MaassForm]
-) -> float:
+def spectral_tail_bar(m: int, n: int, sw: SpectralWeight, forms: list[MaassForm]) -> float:
     """Bound for the uncovered spectral tail t > max(t_cov, FIRST_CUSP_FORM_T):
     eigenvalue density t/6 times the Gaussian weight, coefficients bounded by
     tau(m) tau(n), harmonic weights by the dataset maximum (1 with no data).
@@ -137,8 +115,8 @@ class KloostermanSideReport:
     c_used: int
     petersson_K: int | list[int]
     converged: bool
-    series_moduli: int
-    kernel_moduli: int
+    series_terms: int
+    kernel_terms: int
 
 
 # |S| at or below this counts as a vanishing Kloosterman sum, which the
@@ -168,8 +146,8 @@ def _h_value(
 
 def _residues(ys: np.ndarray, sw: SpectralWeight) -> tuple[np.ndarray, np.ndarray]:
     """(r, B) of residue_expansion at each twist of ys, as (pair, k) arrays."""
-    r, B = zip(*(residue_expansion(y, sw) for y in ys))
-    return np.array(r), np.array(B)
+    rb = np.array([residue_expansion(y, sw) for y in ys]).reshape(-1, 2, _K_MAX)
+    return rb[:, 0], rb[:, 1]
 
 
 def _tail_bars(
@@ -250,8 +228,8 @@ def _petersson_c_sum(
         c_used=int(cs.size),
         petersson_K=[int(k) + 1 for k in K],
         converged=h.converged,
-        series_moduli=series,
-        kernel_moduli=kernel,
+        series_terms=series,
+        kernel_terms=kernel,
     )
 
 
@@ -269,6 +247,8 @@ def kloosterman_side(
     C_max = 0 evaluates no modulus: the value is the empty sum 0, and no
     finite bar covers its tail.
     """
+    if min(m, n) < 1:
+        raise ValueError("m and n must be at least 1")
     if C_max < 0:
         raise ValueError("C_max must be non-negative")
     if C_max == 0:
@@ -278,71 +258,8 @@ def kloosterman_side(
     return replace(rep, petersson_K=rep.petersson_K[0])
 
 
-@dataclass
-class TraceReport:
-    m: int
-    n: int
-    spectral: float
-    eisenstein: float
-    diagonal: float
-    kloosterman: float
-    residual: float
-    dominant: float
-    rel_residual: float
-    spectral_tail: float
-    c_tail: float
-    quadrature_err: float
-    converged: bool
-    truncation: dict = field(default_factory=dict)
-
-
-def trace_residual(
-    m: int,
-    n: int,
-    sw: SpectralWeight,
-    forms: list[MaassForm],
-    C_max: int = 32,
-    tol: float = 1e-8,
-) -> TraceReport:
-    """Assemble all four terms at y = sqrt(m/n) and report the imbalance.
-
-    converged is the AND of the Eisenstein, diagonal and Kloosterman
-    results."""
-    spec = spectral_side(m, n, sw, forms)
-    eis = eisenstein_side(m, n, sw, tol=tol)
-    diag = diagonal_term(m, n, sw, tol=tol)
-    kloos = kloosterman_side(m, n, sw, C_max, tol=tol)
-    residual = abs(spec + eis.value.real - diag.value.real - kloos.value)
-    dominant = max(
-        abs(spec), abs(eis.value.real), abs(diag.value.real), abs(kloos.value), 1e-300
-    )
-    return TraceReport(
-        m=m,
-        n=n,
-        spectral=spec,
-        eisenstein=eis.value.real,
-        diagonal=diag.value.real,
-        kloosterman=kloos.value,
-        residual=residual,
-        dominant=dominant,
-        rel_residual=residual / dominant,
-        spectral_tail=spectral_tail_bar(m, n, sw, forms),
-        c_tail=kloos.tail_estimate,
-        quadrature_err=eis.err_estimate + diag.err_estimate + kloos.quadrature_err,
-        converged=eis.converged and diag.converged and kloos.converged,
-        truncation={
-            "n_forms": len(forms),
-            "C_max": C_max,
-            "tol": tol,
-            "series_moduli": kloos.series_moduli,
-            "kernel_moduli": kloos.kernel_moduli,
-            "petersson_K": kloos.petersson_K,
-        },
-    )
-
-
 # ---------------------------------------------------------------------------
-# Sequence-averaged decomposition
+# The bilinear identity: the pair and the sequence-averaged block
 
 
 @dataclass
@@ -377,87 +294,118 @@ def _kloosterman_block(ns: np.ndarray, c: int) -> np.ndarray:
     return (left.T @ right).real
 
 
-def decomposition(
-    seq: Sequence, sw: SpectralWeight, forms: list[MaassForm], tol: float = 1e-6
-) -> DecompositionReport:
-    """S + T on the spectral side against D + P for a real block sequence.
+def _c_eval(
+    mn: np.ndarray, weights: np.ndarray, residues: tuple[np.ndarray, np.ndarray], tol: float
+) -> int:
+    """The smallest C >= 1 whose c > C tail bars (_tail_bars), each pair at
+    its best K, add up to at most tol.
 
-    S and T are _cusp_form and _eisenstein_form at u = v = a, the forms
-    of spectral_side and eisenstein_side. P is the c-sum over the pairs
-    n_i <= n_j, every twist y = sqrt(n_i/n_j) in one _petersson_c_sum
-    call, with the Kloosterman sums of every c <= C from one array-form
-    kloosterman call per pair. C is the smallest modulus whose c > C tail bars, each
-    pair at its best K, add up to at most tol; skip_bar is the bar that
-    call reports, tail and rounding. spectral_tail bounds the forms beyond
-    the data through |sum_n a_n lambda_j(n)| <= sum_n |a_n| tau(n).
-    converged is the AND over every quadrature run. params holds C (as
-    "c_eval" and "c_far"), the K of each pair in np.triu_indices order,
-    and the evaluated terms split by the route of H.
+    The bars fall with C: double, then bisect. At small C a large block's
+    bar overflows (I_0 of X/(C+1) > 709 at N = 64), and a bar that reads
+    inf or nan is not at most tol either, so the doubling goes on past it.
     """
-    if not seq.is_real:
-        raise ValueError(
-            "sequence must be real-valued: the averaged identity needs an even "
-            "spectral weight, and cos(2 t log sqrt(m/n)) only arises for real a_n"
-        )
-    a, ns, N = seq.values.real, seq.ns, seq.N
 
-    s_val = _cusp_form(ns, a, a, sw, forms)
-    eis = _eisenstein_form(ns, a, a, sw, tol)
-    t_val = eis.value.real
+    def within(C: int) -> bool:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sum(np.min(_tail_bars(mn, weights, C, residues), axis=1))) <= tol
 
-    h0 = diagonal_H0(sw, tol=tol)
-    d_val = h0.value.real * seq.norm_sq
-
-    # the pairs i <= j, an off-diagonal pair standing for both orders
-    iu, ju = np.triu_indices(N)
-    mn = np.stack([ns[iu], ns[ju]], axis=1)
-    aa = np.where(iu == ju, 1.0, 2.0) * a[iu] * a[ju]
-
-    residues = _residues(np.sqrt(mn[:, 0] / mn[:, 1]), sw)
-
-    def tail_bar(C: int) -> float:
-        return float(np.sum(np.min(_tail_bars(mn, aa, C, residues), axis=1)))
-
-    # the tail bar falls with C: double, then bisect
     C = 1
-    while tail_bar(C) > tol:
+    while not within(C):
         C *= 2
     lo = C // 2
     while C - lo > 1:
         mid = (lo + C) // 2
-        lo, C = (mid, C) if tail_bar(mid) > tol else (lo, mid)
+        lo, C = (lo, mid) if within(mid) else (mid, C)
+    return C
 
-    s_table = np.stack([kloosterman(int(m), int(n), np.arange(1, C + 1)) for m, n in mn])
-    off = _petersson_c_sum(mn, aa, s_table, sw, tol)
 
-    lam_cap = sum(abs(x) * divisor_count(int(n)) for x, n in zip(a, ns))
+def _identity(
+    ns: np.ndarray, u: np.ndarray, v: np.ndarray, sw: SpectralWeight, forms: list[MaassForm], tol: float
+) -> DecompositionReport:
+    """S + T against D + P for real weights u, v on the indices ns.
+
+    S and T are _cusp_form and _eisenstein_form at (u, v), and D is H0
+    times sum_{n_i = n_j} u_i v_j. P is the c-sum over the pairs i <= j of
+    nonzero weight u_i v_j + u_j v_i (u_i v_i on the diagonal), every twist
+    y = sqrt(n_i/n_j) in one _petersson_c_sum call, with the Kloosterman
+    sums of every c <= C from one array-form kloosterman call per pair. C
+    is _c_eval's; skip_bar is the bar the c-sum reports, tail and rounding.
+    spectral_tail bounds the forms beyond the data through
+    |sum_n u_n lambda_j(n)| <= sum_n |u_n| tau(n), and likewise for v.
+    rel_residual is the residual over max(|S + T|, |D + P|). converged is
+    the AND over every quadrature run. params holds C (as "c_eval" and
+    "c_far"), the K of each pair in np.triu_indices order, and the
+    evaluated terms split by the route of H.
+    """
+    if np.any(ns < 1):
+        raise ValueError("indices must be at least 1")
+    s_val = _cusp_form(ns, u, v, sw, forms)
+    eis = _eisenstein_form(ns, u, v, sw, tol)
+    t_val = eis.value.real
+    h0 = diagonal_H0(sw, tol=tol)
+    mass = float(np.sum(np.outer(u, v)[ns[:, None] == ns]))
+    d_val = h0.value.real * mass
+
+    iu, ju = np.triu_indices(ns.size)
+    weights = u[iu] * v[ju] + np.where(iu == ju, 0.0, u[ju] * v[iu])
+    live = weights != 0
+    mn, weights = np.stack([ns[iu], ns[ju]], axis=1)[live], weights[live]
+    C = _c_eval(mn, weights, _residues(np.sqrt(mn[:, 0] / mn[:, 1]), sw), tol)
+    cs = np.arange(1, C + 1)
+    s_table = np.array([kloosterman(int(m), int(n), cs) for m, n in mn]).reshape(-1, C)
+    off = _petersson_c_sum(mn, weights, s_table, sw, tol)
+
+    lam_u, lam_v = (sum(abs(x) * divisor_count(int(n)) for x, n in zip(w, ns)) for w in (u, v))
     residual = abs(s_val + t_val - d_val - off.value)
-    denom = max(abs(s_val + t_val), abs(d_val + off.value), 1e-300)
     return DecompositionReport(
         S=float(s_val),
         T_eis=float(t_val),
         D=float(d_val),
         P=off.value,
         residual=residual,
-        rel_residual=residual / denom,
+        rel_residual=residual / max(abs(s_val + t_val), abs(d_val + off.value), 1e-300),
         skip_bar=off.tail_estimate,
-        spectral_tail=spectral_tail_bar(1, 1, sw, forms) * float(lam_cap) ** 2,
-        quadrature_err=eis.err_estimate + h0.err_estimate * seq.norm_sq + off.quadrature_err,
-        diagonal_closed_form=diagonal_closed_form(sw) * seq.norm_sq,
+        spectral_tail=spectral_tail_bar(1, 1, sw, forms) * float(lam_u) * float(lam_v),
+        quadrature_err=eis.err_estimate + h0.err_estimate * abs(mass) + off.quadrature_err,
+        diagonal_closed_form=diagonal_closed_form(sw) * mass,
         converged=eis.converged and h0.converged and off.converged,
         params={
-            "N": N,
+            "ns": ns.tolist(),
             "T": sw.T,
             "M": sw.M,
+            "n_forms": len(forms),
             "c_eval": C,
             "c_far": C,
             "petersson_K": off.petersson_K,
             "tol": tol,
-            "evaluated": off.series_moduli + off.kernel_moduli,
-            "series_terms": off.series_moduli,
-            "kernel_terms": off.kernel_moduli,
+            "evaluated": off.series_terms + off.kernel_terms,
+            "series_terms": off.series_terms,
+            "kernel_terms": off.kernel_terms,
         },
     )
+
+
+def trace_residual(
+    m: int, n: int, sw: SpectralWeight, forms: list[MaassForm], tol: float = 1e-8
+) -> DecompositionReport:
+    """The identity of the pair (m, n) at y = sqrt(m/n): _identity at
+    u = e_m, v = e_n, so S, T_eis, D and P are the pair's four sides."""
+    return _identity(np.array([m, n]), *np.eye(2), sw, forms, tol)
+
+
+def decomposition(
+    seq: Sequence, sw: SpectralWeight, forms: list[MaassForm], tol: float = 1e-6
+) -> DecompositionReport:
+    """S + T on the spectral side against D + P for a real block sequence:
+    _identity at u = v = a, so D is ||a||^2 H0 and P runs over the pairs
+    n_i <= n_j, an off-diagonal pair with weight 2 a_i a_j."""
+    if not seq.is_real:
+        raise ValueError(
+            "sequence must be real-valued: the averaged identity needs an even "
+            "spectral weight, and cos(2 t log sqrt(m/n)) only arises for real a_n"
+        )
+    a = seq.values.real
+    return _identity(seq.ns, a, a, sw, forms, tol)
 
 
 def p_bound_rhs(

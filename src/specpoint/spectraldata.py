@@ -50,6 +50,9 @@ class MaassForm:
 
     def __post_init__(self):
         self.hecke = np.asarray(self.hecke, dtype=float)
+        # a NaN passes every comparison below and the Hecke check
+        if not np.isfinite([self.t, self.omega, *self.hecke]).all():
+            raise SpectrumError(f"t, omega and lambda(n) must be finite (form t={self.t})")
         if self.t <= 0:
             raise SpectrumError(f"t must be positive, got {self.t}")
         if self.parity not in ("even", "odd"):

@@ -79,6 +79,8 @@ class TestWeights:
             SpectralWeight(T=10.0, M=0.5)
         with pytest.raises(ValueError):
             SpectralWeight(T=10.0, M=20.0)
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            SpectralWeight(T=math.inf, M=1.0)
 
 
 class TestGWeight:

@@ -1,6 +1,8 @@
 """The specpoint console script prints one JSON line per report."""
 
 import json
+import re
+import warnings
 
 import pytest
 
@@ -9,22 +11,29 @@ from specpoint.sievebench import Sequence, young_ls_lhs
 
 
 def test_closure_line(capsys):
-    with pytest.warns(UserWarning, match="empty form list"):
-        main(["closure", "--pairs", "1,1", "--C-max", "16"])
+    # no forms and no warning: the report carries the uncovered spectrum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        main(["closure", "--pairs", "1,1"])
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1
     rec = json.loads(lines[0])
-    assert (rec["m"], rec["n"]) == (1, 1)
-    assert rec["truncation"] == {
+    assert rec["S"] == 0.0
+    assert rec["params"] == {
+        "ns": [1, 1],
+        "T": 3.0,
+        "M": 1.0,
         "n_forms": 0,
-        "C_max": 16,
+        "c_eval": 108,
+        "c_far": 108,
+        "petersson_K": [4],
         "tol": 1e-8,
-        "series_moduli": 13,
-        "kernel_moduli": 2,
-        "petersson_K": 3,
+        "evaluated": 99,
+        "series_terms": 97,
+        "kernel_terms": 2,
     }
     assert rec["converged"] is True
-    assert rec["residual"] < 1e-3
+    assert rec["residual"] <= rec["skip_bar"] + rec["quadrature_err"] + rec["spectral_tail"]
     assert rec["wall_s"] > 0
 
 
@@ -32,7 +41,7 @@ def test_decompose_line(capsys):
     main(["decompose", "--N", "2", "--seed", "3"])
     rec = json.loads(capsys.readouterr().out)
     params = rec["params"]
-    assert params["N"] == 2
+    assert params["ns"] == [3, 4]  # the block (N, 2N] at N = 2
     assert params["series_terms"] + params["kernel_terms"] == params["evaluated"]
     assert rec["converged"] is True
     assert rec["residual"] <= rec["skip_bar"] + rec["quadrature_err"]
@@ -48,22 +57,13 @@ def test_sieve_line(capsys):
     assert rec["wall_s"] > 0
 
 
-def test_closure_rejects_empty_c_range(capsys):
-    # C_max < 1 sums no modulus and leaves an infinite c-tail bar, which is
-    # not a JSON number
-    with pytest.raises(SystemExit) as exit_info:
-        main(["closure", "--C-max", "0"])
-    assert exit_info.value.code == 2
-    assert capsys.readouterr().out == ""
-
-
-@pytest.mark.filterwarnings("ignore:empty form list")
 @pytest.mark.parametrize(
     "argv",
     [
         "closure --pairs 0,1",  # m = 0 is no Fourier coefficient
         "closure --tol 0",
         "closure --M 0.5",  # the window needs 1 <= M <= T
+        "closure --T inf",
         "decompose --N 0",
         "sieve --tau 0",
     ],
@@ -75,3 +75,6 @@ def test_rejects_bad_input_with_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+    # the message names the input at fault
+    flag = argv.split()[1].lstrip("-")
+    assert re.search(rf"\b{flag}\b", captured.err.split("error:", 1)[1])

@@ -12,6 +12,7 @@ closed forms of the weight-4 and weight-6 c-sums it rests on.
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -29,7 +30,6 @@ from specpoint.kuznetsov import (
     eisenstein_side,
     kloosterman_side,
     p_bound_rhs,
-    spectral_side,
     spectral_tail_bar,
     trace_residual,
 )
@@ -49,6 +49,11 @@ def forms():
     return synthetic_spectrum(count=16, n_max=64, t_lo=4.0, t_hi=40.0, seed=99)
 
 
+def spectral_side(m: int, n: int, sw: SpectralWeight, forms) -> float:
+    """The cuspidal side of the pair (m, n): _cusp_form at u = e_m, v = e_n."""
+    return kuznetsov._cusp_form(np.array([m, n]), *np.eye(2), sw, forms)
+
+
 class TestSpectralSide:
     def test_all_lambda_one(self, forms):
         from specpoint.besselintegral import weight_h_y
@@ -57,15 +62,24 @@ class TestSpectralSide:
         want = sum(f.omega * weight_h_y(f.t, 1.0, SW) for f in forms)
         assert got == pytest.approx(want, rel=1e-14)
 
-    def test_empty_forms_warns(self):
-        with pytest.warns(UserWarning, match="empty"):
-            assert spectral_side(1, 1, SW, []) == 0.0
+    def test_empty_forms_record_the_tail(self):
+        # no warning: the report carries the uncovered spectrum as a number
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = trace_residual(1, 1, SW, [], tol=1e-4)
+        assert rep.S == 0.0
+        assert rep.params["n_forms"] == 0
+        assert rep.spectral_tail == pytest.approx(spectral_tail_bar(1, 1, SW, []), rel=1e-12)
+        assert rep.spectral_tail > 0
 
-    def test_short_coverage_warns(self, forms):
+    def test_short_coverage_records_the_tail(self, forms):
         short = [f for f in forms if f.t <= 20.0]
-        with pytest.warns(UserWarning, match="tail"):
-            spectral_side(1, 2, SW, short)
-        assert spectral_tail_bar(1, 2, SW, short) > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = trace_residual(1, 2, SW, short, tol=1e-4)
+        assert rep.params["n_forms"] == len(short)
+        assert rep.spectral_tail == pytest.approx(spectral_tail_bar(1, 2, SW, short), rel=1e-12)
+        assert rep.spectral_tail > 0
 
     def test_no_tail_below_first_cusp_form(self):
         # with no data the uncovered range starts at t_1 ~ 9.53, where the
@@ -77,8 +91,8 @@ class TestSpectralSide:
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
     def test_data_free_tail_bar_covers_residual(self, T, m, n):
         # at T = 7, (1, 1) the residual is 4.8e-3 against a tail bar of 4.9e-4
-        rep = trace_residual(m, n, SpectralWeight(T, 1.0), [], C_max=512, tol=1e-10)
-        assert rep.residual <= rep.spectral_tail + rep.c_tail + rep.quadrature_err
+        rep = trace_residual(m, n, SpectralWeight(T, 1.0), [], tol=1e-10)
+        assert rep.residual <= rep.spectral_tail + rep.skip_bar + rep.quadrature_err
 
     def test_reordering_oracle(self, forms):
         from specpoint.besselintegral import weight_h_y
@@ -143,6 +157,11 @@ class TestKloostermanSide:
         rep = kloosterman_side(1, 1, SW, 0)
         assert rep.value == 0.0
 
+    @pytest.mark.parametrize("m,n", [(1, 0), (0, 1), (-2, 3)])
+    def test_rejects_indices_below_one(self, m, n):
+        with pytest.raises(ValueError, match="at least 1"):
+            kloosterman_side(m, n, SW3, 8)
+
     def test_tight_tol_converges(self):
         # tol 1e-11 at T=50, M=8 needs the series terms confirmed near rounding
         rep = kloosterman_side(1, 1, SpectralWeight(50.0, 8.0), 64, tol=1e-11)
@@ -196,8 +215,8 @@ class TestKloostermanSide:
         )
         rep = kloosterman_side(m, n, SpectralWeight(T=3.0, M=1.0), 512)
         assert len(calls) == 1
-        assert (rep.series_moduli, rep.kernel_moduli) == (series, kernel)
-        assert rep.kernel_moduli == sum(
+        assert (rep.series_terms, rep.kernel_terms) == (series, kernel)
+        assert rep.kernel_terms == sum(
             abs(kloosterman(m, n, c)) > 1e-9
             for c in range(1, 513)
             if 4 * math.pi * math.sqrt(m * n) / c > 5.0
@@ -399,34 +418,61 @@ class TestPetersson:
 
 class TestTraceReport:
     def test_exchange_symmetry(self, forms):
-        a = trace_residual(2, 3, SW, forms, C_max=6, tol=1e-7)
-        b = trace_residual(3, 2, SW, forms, C_max=6, tol=1e-7)
-        assert a.spectral == pytest.approx(b.spectral, abs=1e-10)
-        assert a.eisenstein == pytest.approx(b.eisenstein, abs=1e-10)
-        assert a.diagonal == b.diagonal
-        assert a.kloosterman == pytest.approx(b.kloosterman, abs=1e-9)
+        a = trace_residual(2, 3, SW, forms, tol=1e-7)
+        b = trace_residual(3, 2, SW, forms, tol=1e-7)
+        assert a.S == pytest.approx(b.S, abs=1e-10)
+        assert a.T_eis == pytest.approx(b.T_eis, abs=1e-10)
+        assert a.D == b.D
+        assert a.P == pytest.approx(b.P, abs=1e-9)
         assert a.residual == pytest.approx(b.residual, abs=1e-9)
 
     def test_report_fields(self, forms):
-        rep = trace_residual(1, 2, SW, forms, C_max=4, tol=1e-7)
-        assert rep.residual == pytest.approx(
-            abs(rep.spectral + rep.eisenstein - rep.diagonal - rep.kloosterman), rel=1e-12
+        rep = trace_residual(1, 2, SW, forms, tol=1e-7)
+        assert rep.residual == pytest.approx(abs(rep.S + rep.T_eis - rep.D - rep.P), rel=1e-12)
+        assert rep.rel_residual == pytest.approx(
+            rep.residual / max(abs(rep.S + rep.T_eis), abs(rep.D + rep.P)), rel=1e-12
         )
-        assert rep.dominant >= abs(rep.spectral)
-        assert "C_max" in rep.truncation
-        assert 1 <= rep.truncation["petersson_K"] <= 5
+        assert rep.params["ns"] == [1, 2]
+        assert rep.params["c_eval"] == rep.params["c_far"] >= 1
+        assert len(rep.params["petersson_K"]) == 1
+        assert 1 <= rep.params["petersson_K"][0] <= 5
         assert rep.converged is True
 
     def test_converged_is_and_of_parts(self, forms, monkeypatch):
-        side = kuznetsov.kloosterman_side
+        c_sum = kuznetsov._petersson_c_sum
 
         def unconverged(*args, **kwargs):
-            rep = side(*args, **kwargs)
+            rep = c_sum(*args, **kwargs)
             rep.converged = False
             return rep
 
-        monkeypatch.setattr(kuznetsov, "kloosterman_side", unconverged)
-        assert not trace_residual(1, 2, SW, forms, C_max=4, tol=1e-7).converged
+        monkeypatch.setattr(kuznetsov, "_petersson_c_sum", unconverged)
+        assert not trace_residual(1, 2, SW, forms, tol=1e-7).converged
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 3)])
+    def test_sides_are_the_pair_functions(self, m, n):
+        # the pair is the bilinear identity at u = e_m, v = e_n: each side
+        # is, bit for bit, the pair's own function at the C it chose
+        tol = 1e-8
+        rep = trace_residual(m, n, SW3, [], tol=tol)
+        C = rep.params["c_eval"]
+        assert rep.S == spectral_side(m, n, SW3, []) == 0.0
+        assert rep.T_eis == eisenstein_side(m, n, SW3, tol=tol).value.real
+        assert rep.D == diagonal_term(m, n, SW3, tol=tol).value.real
+        assert rep.P == kloosterman_side(m, n, SW3, C, tol).value
+        # C is the smallest modulus whose tail bars sum to at most tol
+        mn, w = np.array([[m, n]]), np.ones(1)
+        residues = kuznetsov._residues(np.sqrt(mn[:, 0] / mn[:, 1]), SW3)
+
+        def bar(c):
+            return np.min(kuznetsov._tail_bars(mn, w, c, residues))
+
+        assert bar(C) <= tol < bar(C - 1)
+
+    @pytest.mark.parametrize("m,n", [(0, 1), (1, 0), (-1, 2)])
+    def test_rejects_indices_below_one(self, m, n):
+        with pytest.raises(ValueError, match="at least 1"):
+            trace_residual(m, n, SW3, [])
 
 
 class TestKloostermanBlock:
@@ -510,6 +556,48 @@ class TestDecomposition:
         # the decompose input of bench/workloads.py at seed 1
         seq = Sequence(N=4, values=np.random.default_rng(1).uniform(-1.0, 1.0, size=4))
         return decomposition(seq, SpectralWeight(T=3.0, M=1.5), [], tol=1e-6)
+
+    def test_seed1_values(self, seed1):
+        # P is pinned to 5e-13 only: r_k ~ exp(k^2/M^2) amplifies the rounding
+        # of h(-ia) (<= 2e-15 relative), and with h(-ia) at 40 digits P reads
+        # 0.3972734144739434, 4.3e-13 from the value below and 2.9e-13 from
+        # what weight_h's h(-ia) gives
+        rep = seed1
+        assert rep.params["c_eval"] == 199
+        assert rep.params["petersson_K"] == [5] * 10
+        assert rep.T_eis == 3.8306736419015377
+        assert rep.D == pytest.approx(3.4334002406053075, rel=1e-14)
+        assert rep.P == pytest.approx(0.39727341447377285, rel=5e-13)
+
+    def test_pair_weights_are_the_quadratic_form(self, seed1):
+        # u = v = a gives the pairs i <= j the weights a_i^2 and 2 a_i a_j
+        # bit for bit, so P is the one c-sum over those weights
+        a = np.random.default_rng(1).uniform(-1.0, 1.0, size=4)
+        ns = np.arange(5, 9)
+        iu, ju = np.triu_indices(4)
+        mn = np.stack([ns[iu], ns[ju]], axis=1)
+        C = seed1.params["c_eval"]
+        s_table = np.stack([kloosterman(int(m), int(n), np.arange(1, C + 1)) for m, n in mn])
+        weights = np.where(iu == ju, 1.0, 2.0) * a[iu] * a[ju]
+        want = kuznetsov._petersson_c_sum(mn, weights, s_table, SpectralWeight(3.0, 1.5), 1e-6)
+        assert seed1.P == want.value
+        assert seed1.skip_bar == want.tail_estimate
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_c_search_is_finite_on_the_N64_block(self):
+        # at T = 14, M = 4 the bars of C = 1 take I_0 of X/2 ~ 800, which
+        # overflows; the search doubles past them and stops at a finite bar
+        a = Sequence.random(N=64, seed=1, real=True).values.real
+        ns = np.arange(65, 129)
+        iu, ju = np.triu_indices(64)
+        mn = np.stack([ns[iu], ns[ju]], axis=1)
+        w = np.where(iu == ju, 1.0, 2.0) * a[iu] * a[ju]
+        sw, tol = SpectralWeight(14.0, 4.0), 1e-6
+        residues = kuznetsov._residues(np.sqrt(mn[:, 0] / mn[:, 1]), sw)
+        C = kuznetsov._c_eval(mn, w, residues, tol)
+        bars = [np.sum(np.min(kuznetsov._tail_bars(mn, w, c, residues), axis=1)) for c in (C - 1, C)]
+        assert bars[1] <= tol < bars[0]
+        assert C == 912
 
     def test_bars_cover_residual(self, seed1):
         # P converges to 0.39727341 (every c <= 250 exact leaves a residual of

@@ -35,6 +35,12 @@ class TestMaassForm:
             MaassForm(t=9.0, parity="odd", omega=-0.1, hecke=np.array([1.0]))
         with pytest.raises(SpectrumError):
             MaassForm(t=9.0, parity="odd", omega=0.1, hecke=np.array([2.0]))
+        nan, inf = math.nan, math.inf
+        # a NaN fails every comparison, so no sign check catches it
+        bad = [(nan, 0.1, [1.0]), (inf, 0.1, [1.0]), (9.0, nan, [1.0]), (9.0, inf, [1.0])]
+        for t, omega, hecke in bad + [(9.0, 0.1, [1.0, nan]), (9.0, 0.1, [nan])]:
+            with pytest.raises(SpectrumError, match="finite"):
+                MaassForm(t=t, parity="even", omega=omega, hecke=np.array(hecke))
 
     def test_prime_power_recursion_matches_table(self, spectrum):
         f = spectrum[0]
@@ -85,6 +91,13 @@ class TestSpectrumIO:
     def test_malformed_record_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("#maass-spectrum v1 nmax=4 tol=1e-9\n9.5 even 0.5 1.0 oops\n")
+        with pytest.raises(SpectrumError, match="line 2"):
+            load_spectrum(path)
+
+    def test_nan_record_reports_line(self, tmp_path):
+        # a record of NaNs passes the Hecke check too, as its max reads no NaN
+        path = tmp_path / "nan.txt"
+        path.write_text("#maass-spectrum v1 nmax=6 tol=1e-8\nnan even nan nan nan nan nan nan\n")
         with pytest.raises(SpectrumError, match="line 2"):
             load_spectrum(path)
 
