@@ -144,18 +144,12 @@ def _h_value(
     return out, series, int(np.count_nonzero(live)) - series
 
 
-def _residues(ys: np.ndarray, sw: SpectralWeight) -> tuple[np.ndarray, np.ndarray]:
-    """(r, B) of residue_expansion at each twist of ys, as (pair, k) arrays."""
-    rb = np.array([residue_expansion(y, sw) for y in ys]).reshape(-1, 2, _K_MAX)
-    return rb[:, 0], rb[:, 1]
-
-
 def _tail_bars(
     mn: np.ndarray, weights: np.ndarray, C: int, residues: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """bars[p, K-1], for each pair p and K = 1, ..., _K_MAX: a bound for
     |w_p| sum_{c > C} |S(m_p, n_p; c)/c E_K(x_pc, y_p)| at y_p =
-    sqrt(m_p/n_p), C >= 1, from the pairs' _residues.
+    sqrt(m_p/n_p), C >= 1, from the pairs' residue_expansion rows (r, B).
 
     For L >= K, E_K = sum_{K <= k < L} r_k J_{2k+1} + E_L with
     |J_nu(x)| <= (x/2)^nu I_0(x)/nu!; each K takes its best L. Weil's
@@ -207,7 +201,7 @@ def _petersson_c_sum(
     coeff = weights[:, None] * s_vals / cs
     h, series, kernel = _h_value(xs.ravel(), np.repeat(ys, cs.size), s_vals.ravel(), sw, tol)
 
-    residues = _residues(ys, sw)
+    residues = residue_expansion(ys, sw)
     r = residues[0].T  # (k, pair)
     orders = 2 * np.arange(_K_MAX) + 1
     jn = bessel_j(orders, xs)  # (k, pair, c)
@@ -350,7 +344,7 @@ def _identity(
     weights = u[iu] * v[ju] + np.where(iu == ju, 0.0, u[ju] * v[iu])
     live = weights != 0
     mn, weights = np.stack([ns[iu], ns[ju]], axis=1)[live], weights[live]
-    C = _c_eval(mn, weights, _residues(np.sqrt(mn[:, 0] / mn[:, 1]), sw), tol)
+    C = _c_eval(mn, weights, residue_expansion(np.sqrt(mn[:, 0] / mn[:, 1]), sw), tol)
     cs = np.arange(1, C + 1)
     s_table = np.array([kloosterman(int(m), int(n), cs) for m, n in mn]).reshape(-1, C)
     off = _petersson_c_sum(mn, weights, s_table, sw, tol)

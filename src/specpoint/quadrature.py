@@ -61,7 +61,7 @@ class QuadratureResult:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # src uses orders 16 and 32
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)
     # every caller gets the same cached arrays

@@ -105,6 +105,7 @@ def _pair_groups(seq: Sequence, lams: np.ndarray) -> tuple[np.ndarray, np.ndarra
     a = seq.values
     pair_weights = np.where(i == j, 1.0, 2.0) * np.real(a[i].conj() * a[j])
     lag, gap = j - i, lams[j] - lams[i]
+    del i, j  # two (N^2/2)-entry arrays the sort below does not need
     # a stable sort by lag, then gap: a new group starts where either key changes
     order = np.lexsort((gap, lag))
     lag, gap = lag[order], gap[order]
@@ -114,22 +115,16 @@ def _pair_groups(seq: Sequence, lams: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return lag[starts], gap[starts], np.bincount(group, weights=pair_weights[order])
 
 
-def _sinc_integral(freqs: np.ndarray, tau: float) -> np.ndarray:
-    """int_{-tau}^{tau} e(f t) dt = 2 tau sinc(2 tau f) at each frequency f."""
-    return 2.0 * tau * np.sinc(2.0 * tau * freqs)
-
-
 @lru_cache(maxsize=_unit_residues.cache_info().maxsize)
 def _ramanujan_sums(c: int) -> np.ndarray:
     """c_c(k) = sum over units alpha mod c of e(alpha k/c) for k = 0..c/2,
     read-only and computed once per modulus per process.
 
-    The real DFT of the unit indicator, rounded to the integers it equals,
-    in O(c log c); c_c(k) is even and c-periodic in k, so these entries
-    give every k.
+    The real DFT of the unit indicator gcd(alpha, c) = 1 (alpha = 0 for
+    c = 1), rounded to the integers it equals, in O(c log c); c_c(k) is
+    even and c-periodic in k, so these entries give every k.
     """
-    units = np.zeros(c)
-    units[_unit_residues(c)[0]] = 1.0
+    units = (np.gcd(np.arange(c), c) == 1).astype(float)
     sums = np.rint(np.fft.rfft(units).real)
     sums.flags.writeable = False
     return sums
@@ -162,7 +157,7 @@ def _hybrid_lhs_one_modulus(groups: tuple, vs: np.ndarray, cs: np.ndarray, tau: 
         offsets = np.cumsum([0] + [row.size for row in rows[:-1]])[:, None]
         ks = lags % c
         ramanujan = np.concatenate(rows)[offsets + np.minimum(ks, c - ks)]
-        kernel = ramanujan * _sinc_integral(gaps / (c * v), tau)
+        kernel = ramanujan * (2.0 * tau * np.sinc(2.0 * tau * (gaps / (c * v))))
         values[i : i + step] = (kernel @ weights) / c[:, 0]
     return values
 
@@ -269,12 +264,12 @@ def dirichlet_poly_ratio(seq: Sequence, T: float) -> SieveReport:
     """int_{-T}^{T} |sum a_n n^{it}|^2 dt against (2T + N) ||a||^2.
 
     The integral is the grouped quadratic form at lam_n = log n with no
-    Ramanujan factor: the sum over pairs of W 2 sin(T log(n/m)) / log(n/m).
-    """
+    Ramanujan factor (_hybrid_lhs_one_modulus at c = 1, v = 2 pi, tau = T):
+    the sum over pairs of W 2 sin(T log(n/m)) / log(n/m)."""
     if T <= 0:
         raise ValueError("T must be positive")
-    _, gaps, weights = _pair_groups(seq, np.log(seq.ns.astype(float)))
-    lhs = float(weights @ _sinc_integral(gaps / (2.0 * math.pi), T))
+    groups = _pair_groups(seq, np.log(seq.ns.astype(float)))
+    lhs = float(_hybrid_lhs_one_modulus(groups, [2.0 * math.pi], [1], T)[0])
     rhs = (2.0 * T + seq.N) * seq.norm_sq
     return SieveReport.make(lhs, rhs, T=T, N=seq.N)
 

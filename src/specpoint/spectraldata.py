@@ -118,6 +118,18 @@ def hecke_consistency(form: MaassForm) -> float:
     return worst
 
 
+def _header_value(tokn: str, kind: type, low: float, lineno: int):
+    """kind(value) of a header token key=value, finite and >= low (tol = nan
+    would pass every Hecke check)."""
+    try:
+        value = kind(tokn.partition("=")[2])
+    except ValueError:
+        value = math.nan
+    if not low <= value < math.inf:
+        raise SpectrumError(f"line {lineno}: header {tokn!r}: need a finite {kind.__name__} >= {low}")
+    return value
+
+
 def load_spectrum(path) -> tuple[SpectrumManifest, list[MaassForm]]:
     """Parse and validate a spectrum file; forms come back sorted by t."""
     forms: list[MaassForm] = []
@@ -133,9 +145,9 @@ def load_spectrum(path) -> tuple[SpectrumManifest, list[MaassForm]]:
                 if line.startswith("#maass-spectrum"):
                     for tokn in line.split()[1:]:
                         if tokn.startswith("nmax="):
-                            n_max = int(tokn[5:])
+                            n_max = _header_value(tokn, int, 1, lineno)
                         elif tokn.startswith("tol="):
-                            tol = float(tokn[4:])
+                            tol = _header_value(tokn, float, 0.0, lineno)
                         elif tokn.startswith("source="):
                             source = tokn[7:]
                 continue
@@ -283,9 +295,8 @@ def synthetic_form(
     omega: float,
     n_max: int,
     seed: int | None = None,
-    prime_values: dict[int, float] | None = None,
 ) -> MaassForm:
-    """A Hecke-multiplicative table from prescribed or random prime values.
+    """A Hecke-multiplicative table from random prime values.
 
     Useful for exercising parsers, sums, and symmetry properties. The
     trace-formula identity does NOT hold for such mock data: only genuine
@@ -298,8 +309,6 @@ def synthetic_form(
         fac = factorize(n)
         if fac != ((n, 1),):
             lam[n - 1] = math.prod(_prime_power(float(lam[p - 1]), a) for p, a in fac)
-        elif prime_values and n in prime_values:
-            lam[n - 1] = prime_values[n]
         else:
             lam[n - 1] = 2.0 * math.cos(rng.uniform(0.0, math.pi))
     return MaassForm(t=t, parity=parity, omega=omega, hecke=lam)

@@ -455,7 +455,7 @@ class TestResidueExpansion:
         xs = np.array([0.02, 0.1, 0.5, 1.0])
         H, _ = bessel_H_many(xs, y, sw, 1e-13)
         assert H.converged
-        r, B = residue_expansion(y, sw)
+        (r,), (B,) = residue_expansion(np.array([y]), sw)
         for i, x in enumerate(xs):
             # J_{2k+1} and I_0 from mpmath, independent of specfun.bessel_j
             jn = [float(mp.besselj(2 * k + 1, x)) for k in range(r.size)]
@@ -464,11 +464,24 @@ class TestResidueExpansion:
                 gap = abs(H.value[i] - np.dot(r[:K], jn[:K]))
                 assert gap <= bound[K - 1] + H.err_estimate[i]
 
+    def test_rows_do_not_depend_on_the_batch(self):
+        # the 256 twists of the block (16, 32] span several blocks of lines;
+        # each row is bit for bit the one-twist call, and no twist gives (0, K)
+        sw = SpectralWeight(14.0, 4.0)
+        ns = np.arange(17, 33)
+        ys = np.sqrt(np.outer(ns, 1.0 / ns)).ravel()
+        r, B = residue_expansion(ys, sw)
+        assert r.shape == B.shape == (ys.size, 5)
+        for i, y in enumerate(ys):
+            (r1,), (B1,) = residue_expansion(np.array([y]), sw)
+            assert np.array_equal(r1, r[i]) and np.array_equal(B1, B[i])
+        assert [a.shape for a in residue_expansion(np.array([]), sw)] == [(0, 5), (0, 5)]
+
     def test_bound_matches_mpmath_line_integral(self):
         # B_K = (4/pi) int_0^inf |t h(t; y)| / (cosh(pi s) |Gamma(1 + 2K + 2is)|) ds
         # on t = s - iK, the line the residue expansion moves H to
         sw, y = SpectralWeight(3.0, 1.5), 1.0 / math.sqrt(3.0)
-        B = residue_expansion(y, sw)[1]
+        B = residue_expansion(np.array([y]), sw)[1][0]
         with mp.workdps(20):
             T, M, log_y = mp.mpf(sw.T), mp.mpf(sw.M), mp.log(mp.mpf(y))
             for K in range(1, B.size + 1):

@@ -83,6 +83,20 @@ def test_no_unreferenced_module_level_definitions():
     assert unreferenced == []
 
 
+def test_every_lru_cache_is_bounded():
+    # memory stays bounded: every lru_cache(...) in src passes a maxsize,
+    # first or by keyword, other than None
+    unbounded = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call) or "lru_cache" not in {n for n, _ in _names(node.func)}:
+                continue
+            size = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if not size or (isinstance(size[0], ast.Constant) and size[0].value is None):
+                unbounded.append(f"{path.name}:{node.lineno}")
+    assert unbounded == []
+
+
 def test_passes_do_not_import_numpy_ma():
     # numpy 2.4's np.unique without return_inverse imports numpy.ma on its
     # first call, ~15 ms and ~1.4 MB inside a timed pass

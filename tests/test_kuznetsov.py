@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from specpoint.arith import kloosterman
-from specpoint import arith, kuznetsov
-from specpoint.besselintegral import _K_MAX, R_CUT_FACTOR, SpectralWeight, bessel_H_direct
+from specpoint import arith, besselintegral, kuznetsov
+from specpoint.besselintegral import _K_MAX, R_CUT_FACTOR, SpectralWeight, bessel_H_direct, residue_expansion
 from specpoint.kuznetsov import (
     _kloosterman_block,
     decomposition,
@@ -35,7 +35,7 @@ from specpoint.kuznetsov import (
 )
 from specpoint.quadrature import _ROUNDING
 from specpoint.sievebench import Sequence
-from specpoint.specfun import bessel_j
+from specpoint.specfun import bessel_j, log_gamma
 from specpoint.spectraldata import synthetic_spectrum
 
 from oracles import eisenstein_gauss_oracle
@@ -384,7 +384,7 @@ class TestPetersson:
         iu, ju = np.triu_indices(ns.size)
         mn = np.stack([ns[iu], ns[ju]], axis=1)
         w = np.random.default_rng(3).uniform(-1.0, 1.0, mn.shape[0])
-        residues = kuznetsov._residues(np.sqrt(mn[:, 0] / mn[:, 1]), sw)
+        residues = residue_expansion(np.sqrt(mn[:, 0] / mn[:, 1]), sw)
         X = 4.0 * math.pi * np.sqrt(mn[:, 0] * mn[:, 1])
         pair = np.sqrt(np.gcd(mn[:, 0], mn[:, 1])) * np.abs(w) * np.i0(X / (C + 1))
         nu = np.arange(2 * _K_MAX + 1)
@@ -462,7 +462,7 @@ class TestTraceReport:
         assert rep.P == kloosterman_side(m, n, SW3, C, tol).value
         # C is the smallest modulus whose tail bars sum to at most tol
         mn, w = np.array([[m, n]]), np.ones(1)
-        residues = kuznetsov._residues(np.sqrt(mn[:, 0] / mn[:, 1]), SW3)
+        residues = residue_expansion(np.sqrt(mn[:, 0] / mn[:, 1]), SW3)
 
         def bar(c):
             return np.min(kuznetsov._tail_bars(mn, w, c, residues))
@@ -593,7 +593,7 @@ class TestDecomposition:
         mn = np.stack([ns[iu], ns[ju]], axis=1)
         w = np.where(iu == ju, 1.0, 2.0) * a[iu] * a[ju]
         sw, tol = SpectralWeight(14.0, 4.0), 1e-6
-        residues = kuznetsov._residues(np.sqrt(mn[:, 0] / mn[:, 1]), sw)
+        residues = residue_expansion(np.sqrt(mn[:, 0] / mn[:, 1]), sw)
         C = kuznetsov._c_eval(mn, w, residues, tol)
         bars = [np.sum(np.min(kuznetsov._tail_bars(mn, w, c, residues), axis=1)) for c in (C - 1, C)]
         assert bars[1] <= tol < bars[0]
@@ -657,6 +657,21 @@ class TestDecomposition:
         pairs = [(m, n) for m in range(5, 9) for n in range(m, 9)]
         assert [(m, n) for m, n, _ in calls] == pairs
         assert all(np.array_equal(cs, np.arange(1, rep.params["c_eval"] + 1)) for *_, cs in calls)
+
+    def test_one_residue_table_per_window(self, monkeypatch):
+        # log Gamma on the lines t = s - iK depends on the window alone, so
+        # the decomposition and ten pairs' c-sums at its window take it once,
+        # not once per distinct twist
+        calls = []
+        monkeypatch.setattr(besselintegral, "log_gamma", lambda z: calls.append(z) or log_gamma(z))
+        besselintegral._residue_lines.cache_clear()
+        sw = SpectralWeight(T=3.0, M=1.5)
+        seq = Sequence(N=4, values=np.random.default_rng(1).uniform(-1.0, 1.0, size=4))
+        decomposition(seq, sw, [], tol=1e-6)
+        for m in range(1, 5):
+            for n in range(m, 5):
+                kloosterman_side(m, n, sw, 64)
+        assert len(calls) == 1
 
     def test_spectral_tail_caps_coefficients_by_divisors(self):
         # a_10 = 0.7 alone: |a_10 lambda_j(10)|^2 <= 0.49 tau(10)^2, as for

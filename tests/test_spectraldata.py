@@ -101,6 +101,18 @@ class TestSpectrumIO:
         with pytest.raises(SpectrumError, match="line 2"):
             load_spectrum(path)
 
+    @pytest.mark.parametrize(
+        "header", ["nmax=0 tol=1e-9", "nmax=-1 tol=1e-9", "nmax=x tol=1e-9", "nmax=4 tol=nan", "nmax=4 tol=-1"]
+    )
+    def test_bad_header_reports_its_line(self, tmp_path, header):
+        # nmax < 1 leaves no record layout and nmax=x no integer; tol=nan
+        # passes every Hecke check and tol=-1 fails every record: each is
+        # the header's fault, reported on the header's line
+        path = tmp_path / "header.txt"
+        path.write_text(f"# a comment\n#maass-spectrum v1 {header}\n9.5 even 0.5 0.7 0.3 -0.51\n")
+        with pytest.raises(SpectrumError, match=r"^line 2: header"):
+            load_spectrum(path)
+
     def test_hecke_violation_rejected(self, tmp_path):
         # lambda(6) must equal lambda(2)*lambda(3) for gcd-coprime 2, 3
         path = tmp_path / "violation.txt"
