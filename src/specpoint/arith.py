@@ -1,9 +1,8 @@
 """Exact and near-exact arithmetic kernels.
 
 Complete exponential sums over residue classes (Kloosterman sums S(m,n;c)
-and the two-sided sums V_q(m,n;c)), the factorization identity relating
-them, and the divisor functions, Moebius function and factorization they
-and the spectral side need.
+and the two-sided sums V_q(m,n;c)), and the divisor functions, Moebius
+function and factorization they and the spectral side need.
 
 `kloosterman` gives the real S(m,n;c) for one modulus (an int, summed over
 the lru-cached unit table _unit_residues) or for a 1-d integer array of
@@ -11,7 +10,8 @@ moduli (summed over a cached flat table of half the units of every
 modulus). That table is built in array passes over runs of moduli, with no
 loop per modulus: a gcd mask picks the units, the totient sieve _totients
 sizes the table, and square-and-multiply with one exponent per entry gives
-the inverses alpha^{phi(c) - 1}, as _build_unit_residues does for one c.
+the inverses alpha^{phi(c) - 1} (_euler_inverses, which
+_build_unit_residues runs for one c).
 
 All angles are reduced modulo c in integer arithmetic before the cosine or
 exp(2*pi*i*x) is applied, so a single term carries only one rounding error
@@ -29,33 +29,12 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-def e(x: float) -> complex:
-    """exp(2*pi*i*x)."""
-    return complex(math.cos(TWO_PI * x), math.sin(TWO_PI * x))
-
-
 def _build_unit_residues(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, alpha^{-1}) arrays over the units modulo c, alpha ascending.
-    c = 1 gives ([0],[0]).
-
-    alpha^{-1} = alpha^{phi(c) - 1} mod c (Euler), by square-and-multiply on
-    the whole int64 array; products stay below c^2 < 2^63 for any modulus
-    whose unit array fits in memory.
-    """
-    if c == 1:
-        zero = np.zeros(1, dtype=np.int64)
-        return zero, zero
-    alphas = np.arange(1, c, dtype=np.int64)
-    alphas = alphas[np.gcd(alphas, c) == 1]
-    inv = np.ones_like(alphas)
-    power = alphas.copy()
-    exponent = alphas.size - 1
-    while exponent:
-        if exponent & 1:
-            inv = inv * power % c
-        power = power * power % c
-        exponent >>= 1
-    return alphas, inv
+    """(alpha, alpha^{-1}) arrays over the units modulo c, alpha ascending,
+    the inverses from _euler_inverses. c = 1 gives ([0], [0]): its one
+    unit is 0, and alpha^0 = 1 reduces to 0 mod 1."""
+    alphas = np.flatnonzero(np.gcd(np.arange(c), c) == 1)
+    return alphas, _euler_inverses(alphas, c, alphas.size) % c
 
 
 # the cached unit table of one modulus, for the per-modulus sums
@@ -90,10 +69,10 @@ def _unit_run(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c, alpha, np.gcd(alpha, c) == 1
 
 
-def _euler_inverses(alphas: np.ndarray, mods: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _euler_inverses(alphas: np.ndarray, mods: np.ndarray | int, phi: np.ndarray | int) -> np.ndarray:
     """alpha^{-1} = alpha^{phi - 1} mod c entry by entry, each entry with its
-    own modulus and totient: _build_unit_residues's square-and-multiply,
-    every entry multiplied at the bits its exponent has."""
+    own modulus and totient, by square-and-multiply at the bits of its
+    exponent; products stay below c^2 < 2^63 for any table that fits."""
     exponents = phi - 1
     inv = np.ones_like(alphas)
     power = alphas.copy()
@@ -208,17 +187,6 @@ def vq_sum(q: int, m: int, n: int, c: int) -> complex:
     inv_b = inv[np.searchsorted(units, beta[keep])]
     phases = (TWO_PI / c) * ((inv_a * (m % c) + inv_b * (n % c)) % c)
     return complex(np.sum(np.cos(phases)) + 1j * np.sum(np.sin(phases)))
-
-
-def factorization_identity_residual(m: int, n: int, c: int) -> float:
-    """| S(m,n;c)*e((m+n)/c) - sum_{q*r = c} V_q(m,n;r) |."""
-    if c < 1:
-        raise ValueError(f"modulus must be positive, got {c}")
-    lhs = kloosterman(m, n, c) * e(((m + n) % c) / c)
-    rhs = 0.0 + 0.0j
-    for q in divisors(c):
-        rhs += vq_sum(q, m, n, c // q)
-    return abs(lhs - rhs)
 
 
 def divisor_sigma(nu, n: int):

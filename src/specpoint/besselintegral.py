@@ -86,15 +86,6 @@ def weight_h(t, sw: SpectralWeight):
     return out.item() if out.ndim == 0 else out
 
 
-def weight_h_y(t, y: float, sw: SpectralWeight):
-    """h(t; y) = h(t) cos(2 t log y); even in t and invariant under y -> 1/y."""
-    if y <= 0:
-        raise ValueError("y must be positive")
-    t = np.asarray(t, dtype=float)
-    out = weight_h(t, sw) * np.cos(2.0 * t * math.log(y))
-    return float(out) if out.ndim == 0 else out
-
-
 def g_weight(r, sw: SpectralWeight):
     """g(r) = (2/(pi sqrt(pi))) (2 beta(Mr) cos(2Tr) + (M/T) beta'(Mr) sin(2Tr))."""
     r = np.asarray(r, dtype=float)
@@ -110,11 +101,7 @@ def g_weight(r, sw: SpectralWeight):
 def rho_pm(r):
     """(rho_plus, rho_minus) = (e^r - 1, 1 - e^{-r}), evaluated stably."""
     r = np.asarray(r, dtype=float)
-    plus = np.expm1(r)
-    minus = -np.expm1(-r)
-    if r.ndim == 0:
-        return float(plus), float(minus)
-    return plus, minus
+    return np.expm1(r), -np.expm1(-r)
 
 
 def _t_weights(sw: SpectralWeight, rate: float, level: int) -> tuple[np.ndarray, np.ndarray]:

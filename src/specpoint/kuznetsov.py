@@ -176,10 +176,11 @@ def _tail_bars(
 
 
 def _petersson_c_sum(
-    mn: np.ndarray, weights: np.ndarray, s_vals: np.ndarray, sw: SpectralWeight, tol: float
+    mn: np.ndarray, weights: np.ndarray, s_vals: np.ndarray, residues: tuple, sw: SpectralWeight, tol: float
 ) -> KloostermanSideReport:
     """sum_p w_p sum_{c >= 1} S(m_p, n_p; c)/c H(4 pi sqrt(m_p n_p)/c, y_p)
-    over pairs p of any twists y_p = sqrt(m_p/n_p), from s_vals[p, c-1].
+    over pairs p of any twists y_p = sqrt(m_p/n_p), from s_vals[p, c-1] and
+    the pairs' residue_expansion rows (r, B).
 
     Each term c <= C is taken exactly (one _h_value call) less G_K =
     sum_{k<K} r_k(y_p) J_{2k+1}. Petersson sums J_{2k+1} over all c to
@@ -201,7 +202,6 @@ def _petersson_c_sum(
     coeff = weights[:, None] * s_vals / cs
     h, series, kernel = _h_value(xs.ravel(), np.repeat(ys, cs.size), s_vals.ravel(), sw, tol)
 
-    residues = residue_expansion(ys, sw)
     r = residues[0].T  # (k, pair)
     orders = 2 * np.arange(_K_MAX) + 1
     jn = bessel_j(orders, xs)  # (k, pair, c)
@@ -248,7 +248,8 @@ def kloosterman_side(
     if C_max == 0:
         return KloostermanSideReport(0.0, math.inf, 0.0, 0, 0, True, 0, 0)
     s_vals = kloosterman(m, n, np.arange(1, C_max + 1))[None, :]
-    rep = _petersson_c_sum(np.array([[m, n]]), np.ones(1), s_vals, sw, tol)
+    residues = residue_expansion(np.sqrt([m / n]), sw)
+    rep = _petersson_c_sum(np.array([[m, n]]), np.ones(1), s_vals, residues, sw, tol)
     return replace(rep, petersson_K=rep.petersson_K[0])
 
 
@@ -258,6 +259,18 @@ def kloosterman_side(
 
 @dataclass
 class DecompositionReport:
+    """_identity's S + T_eis = D + P, with the bar of every truncation.
+
+    residual is |S + T_eis - D - P|, rel_residual it over max(|S + T_eis|,
+    |D + P|). P sums c <= params["c_eval"]; skip_bar bounds what that leaves
+    out and the rounding of the Petersson subtraction, which tol does not
+    cover (_c_eval). spectral_tail bounds the forms beyond the data
+    (spectral_tail_bar), quadrature_err the quadratures of T_eis, D and P.
+    diagonal_closed_form is D with H0's leading term; converged ANDs every
+    quadrature. params: indices, window, form count, C ("c_eval" = "c_far"),
+    each pair's K in np.triu_indices order, tol, and H's terms by route.
+    """
+
     S: float
     T_eis: float
     D: float
@@ -292,7 +305,12 @@ def _c_eval(
     mn: np.ndarray, weights: np.ndarray, residues: tuple[np.ndarray, np.ndarray], tol: float
 ) -> int:
     """The smallest C >= 1 whose c > C tail bars (_tail_bars), each pair at
-    its best K, add up to at most tol.
+    the K that minimises its tail, add up to at most tol.
+
+    tol covers the tail alone. Each pair then takes the K that minimises
+    tail plus rounding, so skip_bar can exceed tol: at (m, n) = (2, 3),
+    T = 3, M = 1, tol = 1e-8, C = 320 and K = 4 (tail 1.01586e-8, rounding
+    9.1e-13) beat K = 5 (tail 9.9955e-9), and skip_bar reads 1.0160e-8.
 
     The bars fall with C: double, then bisect. At small C a large block's
     bar overflows (I_0 of X/(C+1) > 709 at N = 64), and a bar that reads
@@ -316,20 +334,14 @@ def _c_eval(
 def _identity(
     ns: np.ndarray, u: np.ndarray, v: np.ndarray, sw: SpectralWeight, forms: list[MaassForm], tol: float
 ) -> DecompositionReport:
-    """S + T against D + P for real weights u, v on the indices ns.
-
-    S and T are _cusp_form and _eisenstein_form at (u, v), and D is H0
-    times sum_{n_i = n_j} u_i v_j. P is the c-sum over the pairs i <= j of
+    """S + T against D + P for real weights u, v on the indices ns, as the
+    module docstring sets out. P is the c-sum over the pairs i <= j of
     nonzero weight u_i v_j + u_j v_i (u_i v_i on the diagonal), every twist
     y = sqrt(n_i/n_j) in one _petersson_c_sum call, with the Kloosterman
     sums of every c <= C from one array-form kloosterman call per pair. C
-    is _c_eval's; skip_bar is the bar the c-sum reports, tail and rounding.
-    spectral_tail bounds the forms beyond the data through
-    |sum_n u_n lambda_j(n)| <= sum_n |u_n| tau(n), and likewise for v.
-    rel_residual is the residual over max(|S + T|, |D + P|). converged is
-    the AND over every quadrature run. params holds C (as "c_eval" and
-    "c_far"), the K of each pair in np.triu_indices order, and the
-    evaluated terms split by the route of H.
+    is _c_eval's, from the same residue_expansion rows as the c-sum.
+    spectral_tail takes |sum_n u_n lambda_j(n)| <= sum_n |u_n| tau(n), and
+    likewise for v.
     """
     if np.any(ns < 1):
         raise ValueError("indices must be at least 1")
@@ -344,10 +356,11 @@ def _identity(
     weights = u[iu] * v[ju] + np.where(iu == ju, 0.0, u[ju] * v[iu])
     live = weights != 0
     mn, weights = np.stack([ns[iu], ns[ju]], axis=1)[live], weights[live]
-    C = _c_eval(mn, weights, residue_expansion(np.sqrt(mn[:, 0] / mn[:, 1]), sw), tol)
+    residues = residue_expansion(np.sqrt(mn[:, 0] / mn[:, 1]), sw)
+    C = _c_eval(mn, weights, residues, tol)
     cs = np.arange(1, C + 1)
     s_table = np.array([kloosterman(int(m), int(n), cs) for m, n in mn]).reshape(-1, C)
-    off = _petersson_c_sum(mn, weights, s_table, sw, tol)
+    off = _petersson_c_sum(mn, weights, s_table, residues, sw, tol)
 
     lam_u, lam_v = (sum(abs(x) * divisor_count(int(n)) for x, n in zip(w, ns)) for w in (u, v))
     residual = abs(s_val + t_val - d_val - off.value)
@@ -402,15 +415,13 @@ def decomposition(
     return _identity(seq.ns, a, a, sw, forms, tol)
 
 
-def p_bound_rhs(
-    seq: Sequence,
-    sw: SpectralWeight,
-    q_cap_const: float = 4.0,
-    c_cap_const: float = 4.0,
-) -> float:
+_P_CAP = 4.0  # p_bound_rhs's (q, c) terms: q <= _P_CAP N/T and c <= _P_CAP N/(T q)
+
+
+def p_bound_rhs(seq: Sequence, sw: SpectralWeight) -> float:
     """Explicit majorant for the off-diagonal: M T times the capped
     (q, c, alpha) mean square of the doubly-twisted block sums over
-    |t| <= 6.1/M (empty ranges give 0).
+    |t| <= 6.1/M (empty ranges give 0), q and c capped by _P_CAP.
 
     Each (q, c) term is the closed-form unit-residue mean square of
     _hybrid_lhs_one_modulus at v = q, so no quadrature grid is involved.
@@ -422,10 +433,10 @@ def p_bound_rhs(
     if not seq.is_real:
         raise ValueError("the decomposition majorant applies to real sequences")
     N, T, M = seq.N, sw.T, sw.M
-    q_hi = int(q_cap_const * N / T)
+    q_hi = int(_P_CAP * N / T)
     # the (q, c) term is the unit-residue mean square at v = q (its
     # alpha-sum runs over all units, so alpha or alpha^{-1} alike)
-    terms = [(q, c) for q in range(1, q_hi + 1) for c in range(1, int(c_cap_const * N / (T * q)) + 1)]
+    terms = [(q, c) for q in range(1, q_hi + 1) for c in range(1, int(_P_CAP * N / (T * q)) + 1)]
     qs, cs = np.array(terms, dtype=np.int64).reshape(-1, 2).T
     groups = _pair_groups(seq, seq.ns.astype(float))
     values = _hybrid_lhs_one_modulus(groups, qs, cs, R_CUT_FACTOR / M)

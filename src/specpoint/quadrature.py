@@ -10,7 +10,7 @@ adaptive_quadrature runs it for one integrand on [a, b], sievebench's
 Eisenstein form on its cached weighted grids, besselintegral's two H
 routes on their t-grids and contour legs, and besselkernel.kernel_b_block
 on its five contour legs; doubling_rounds gives the first two their round
-count from an evaluation budget. Both contours take their first panel
+count from the budget _MAX_EVALS. Both contours take their first panel
 counts from _panel_count, one panel per _PANEL_PHASE radians of phase
 plus e-folds of decay, and their bars are _ROUNDING times the absolute
 sum of their terms. A grid fixes its summation order, so results are
@@ -34,6 +34,7 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 _PANEL_ORDER = 16  # Gauss-Legendre points per panel of a doubled grid
 _PANEL_PHASE = 12.0  # radians of phase (or e-folds of decay) per panel on a first grid
 _ROUNDING = 8.0 * np.finfo(float).eps  # times a sum's absolute terms: its rounding bar
+_MAX_EVALS = 4_000_000  # evaluations doubling_rounds allows one integral in all
 
 
 @dataclass
@@ -138,11 +139,11 @@ def doubled(evaluate, tol: float, rounds: int) -> QuadratureResult:
     return QuadratureResult(value, err + bar, evaluations, converged)
 
 
-def doubling_rounds(initial_panels: int, max_evals: int = 4_000_000) -> int:
+def doubling_rounds(initial_panels: int) -> int:
     """The most doublings of a gauss_grid from initial_panels panels whose
     levels 0..r, _PANEL_ORDER initial_panels (2^{r+1} - 1) evaluations in
-    all, stay within max_evals."""
-    return (max_evals // (_PANEL_ORDER * initial_panels) + 1).bit_length() - 2
+    all, stay within _MAX_EVALS."""
+    return (_MAX_EVALS // (_PANEL_ORDER * initial_panels) + 1).bit_length() - 2
 
 
 def adaptive_quadrature(
@@ -151,13 +152,12 @@ def adaptive_quadrature(
     b: float,
     tol: float,
     initial_panels: int = 8,
-    max_evals: int = 4_000_000,
 ) -> QuadratureResult:
     """Integrate f over [a, b] to absolute tolerance tol.
 
     f must accept a 1-d numpy array of nodes and return values of the same
     shape. The grid starts at initial_panels uniform panels and doubles
-    (doubled) for doubling_rounds(initial_panels, max_evals) rounds.
+    (doubled) for doubling_rounds(initial_panels) rounds.
     Failure to converge within them flags the result instead of raising.
     """
     if not (b > a):
@@ -167,4 +167,4 @@ def adaptive_quadrature(
         t, w = gauss_grid(a, b, initial_panels << level)
         return complex(np.asarray(f(t)) @ w), 0.0, t.size
 
-    return doubled(evaluate, tol, doubling_rounds(initial_panels, max_evals))
+    return doubled(evaluate, tol, doubling_rounds(initial_panels))

@@ -260,20 +260,6 @@ def corollary_ratio(seq: Sequence, sw: SpectralWeight, forms: list[MaassForm]) -
     return SieveReport.make(lhs, rhs, T=sw.T, M=sw.M, N=seq.N)
 
 
-def dirichlet_poly_ratio(seq: Sequence, T: float) -> SieveReport:
-    """int_{-T}^{T} |sum a_n n^{it}|^2 dt against (2T + N) ||a||^2.
-
-    The integral is the grouped quadratic form at lam_n = log n with no
-    Ramanujan factor (_hybrid_lhs_one_modulus at c = 1, v = 2 pi, tau = T):
-    the sum over pairs of W 2 sin(T log(n/m)) / log(n/m)."""
-    if T <= 0:
-        raise ValueError("T must be positive")
-    groups = _pair_groups(seq, np.log(seq.ns.astype(float)))
-    lhs = float(_hybrid_lhs_one_modulus(groups, [2.0 * math.pi], [1], T)[0])
-    rhs = (2.0 * T + seq.N) * seq.norm_sq
-    return SieveReport.make(lhs, rhs, T=T, N=seq.N)
-
-
 def moment_demo(
     gl3: GL3Form,
     forms: list[MaassForm],

@@ -74,10 +74,6 @@ class MaassForm:
             )
         return float(self.hecke[n - 1])
 
-    def lam_prime_power(self, p: int, a: int) -> float:
-        """lambda(p^a) by the Hecke recursion from lambda(p)."""
-        return _prime_power(self.lam(p), a)
-
     def lam_extended(self, n: int) -> float:
         """lambda(n) for any n whose prime factors are within the table.
 
@@ -92,7 +88,7 @@ class MaassForm:
                 raise CoefficientRangeError(
                     f"prime {p} exceeds table range nmax={self.nmax} (form t={self.t})"
                 )
-            out *= self.lam_prime_power(p, a)
+            out *= _prime_power(self.lam(p), a)
         return out
 
 
@@ -222,17 +218,6 @@ class GL3Form:
             f"A({m},{n}) outside table (x_max={self.x_max}, label={self.label!r})"
         )
 
-    @property
-    def dual(self) -> "GL3Form":
-        lam = tuple(-z for z in self.langlands)
-        return GL3Form(
-            langlands=(lam[0], lam[1], lam[2]),
-            coeff={(n, m): np.conj(v) for (m, n), v in self.coeff.items()},
-            self_dual=self.self_dual,
-            x_max=self.x_max,
-            label=self.label + "~",
-        )
-
 
 def sym_square_lift(gl2: MaassForm, x_max: int) -> GL3Form:
     """Self-dual table with A(1,n) = sum_{d^2 m = n} lambda(m^2).
@@ -270,62 +255,3 @@ def sym_square_lift(gl2: MaassForm, x_max: int) -> GL3Form:
         x_max=x_max,
         label=f"sym2(t={t0:.6f})",
     )
-
-
-def rankin_selberg_ratio(gl3: GL3Form, X: int) -> float:
-    """(sum over m^2 n <= X of |A(m,n)|^2) / X."""
-    if X < 1:
-        raise ValueError("X must be at least 1")
-    if X > gl3.x_max:
-        raise CoefficientRangeError(f"X={X} exceeds table range {gl3.x_max}")
-    total = 0.0
-    for m in range(1, int(math.isqrt(X)) + 1):
-        for n in range(1, X // (m * m) + 1):
-            total += abs(gl3.a(m, n)) ** 2
-    return total / X
-
-
-# ---------------------------------------------------------------------------
-# Synthetic fixtures (Hecke-exact mock data; not automorphic)
-
-
-def synthetic_form(
-    t: float,
-    parity: str,
-    omega: float,
-    n_max: int,
-    seed: int | None = None,
-) -> MaassForm:
-    """A Hecke-multiplicative table from random prime values.
-
-    Useful for exercising parsers, sums, and symmetry properties. The
-    trace-formula identity does NOT hold for such mock data: only genuine
-    spectra balance the two sides.
-    """
-    rng = np.random.default_rng(seed)
-    lam = np.ones(n_max)
-    # ascending n draws the random prime values in ascending order of p
-    for n in range(2, n_max + 1):
-        fac = factorize(n)
-        if fac != ((n, 1),):
-            lam[n - 1] = math.prod(_prime_power(float(lam[p - 1]), a) for p, a in fac)
-        else:
-            lam[n - 1] = 2.0 * math.cos(rng.uniform(0.0, math.pi))
-    return MaassForm(t=t, parity=parity, omega=omega, hecke=lam)
-
-
-def synthetic_spectrum(
-    count: int = 24,
-    n_max: int = 200,
-    t_lo: float = 5.0,
-    t_hi: float = 32.0,
-    seed: int = 20240101,
-) -> list[MaassForm]:
-    rng = np.random.default_rng(seed)
-    ts = np.sort(rng.uniform(t_lo, t_hi, size=count))
-    forms = []
-    for i, t in enumerate(ts):
-        parity = "even" if i % 2 == 0 else "odd"
-        omega = float(np.exp(rng.normal(math.log(8.0 / math.pi**2), 0.35)) / (1.0 + t / 40.0))
-        forms.append(synthetic_form(float(t), parity, omega, n_max, seed=seed + 7 * i))
-    return forms

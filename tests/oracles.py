@@ -1,13 +1,20 @@
-"""Oracles shared by the test modules: fixed, fine Gauss-Legendre rules
-written out here, independent of the production quadrature."""
+"""References and fixtures shared by the test modules.
+
+The references are independent of the production code paths they check:
+fixed, fine Gauss-Legendre rules written out here, the twisted weight
+h(t; y) of the H oracles, and the dual of a GL(3) table. The fixtures are
+synthetic spectra: Hecke-multiplicative tables from random prime values,
+which exercise parsers, sums and symmetries but are not automorphic.
+"""
 
 import math
 
 import numpy as np
 
-from specpoint.arith import divisors
+from specpoint.arith import divisors, factorize
 from specpoint.besselintegral import weight_h
 from specpoint.specfun import eisenstein_density
+from specpoint.spectraldata import GL3Form, MaassForm, _prime_power
 
 
 def eisenstein_gauss_oracle(values, ns, sw, panels=1000, order=32):
@@ -24,3 +31,70 @@ def eisenstein_gauss_oracle(values, ns, sw, panels=1000, order=32):
             sums += a * np.exp(2j * ts * math.log(d))
     integrand = eisenstein_density(ts) * weight_h(ts, sw) * np.abs(sums) ** 2
     return 2.0 / math.pi * float(ws @ integrand)
+
+
+def weight_h_y(t, y: float, sw):
+    """h(t; y) = h(t) cos(2 t log y); even in t and invariant under y -> 1/y."""
+    if y <= 0:
+        raise ValueError("y must be positive")
+    t = np.asarray(t, dtype=float)
+    out = weight_h(t, sw) * np.cos(2.0 * t * math.log(y))
+    return float(out) if out.ndim == 0 else out
+
+
+def dual(gl3: GL3Form) -> GL3Form:
+    """The contragredient table: parameters negated, A(m, n) -> conj A(n, m)."""
+    lam = tuple(-z for z in gl3.langlands)
+    return GL3Form(
+        langlands=(lam[0], lam[1], lam[2]),
+        coeff={(n, m): np.conj(v) for (m, n), v in gl3.coeff.items()},
+        self_dual=gl3.self_dual,
+        x_max=gl3.x_max,
+        label=gl3.label + "~",
+    )
+
+
+# ---------------------------------------------------------------------------
+# Synthetic fixtures (Hecke-exact mock data; not automorphic)
+
+
+def synthetic_form(
+    t: float,
+    parity: str,
+    omega: float,
+    n_max: int,
+    seed: int | None = None,
+) -> MaassForm:
+    """A Hecke-multiplicative table from random prime values.
+
+    Useful for exercising parsers, sums, and symmetry properties. The
+    trace-formula identity does NOT hold for such mock data: only genuine
+    spectra balance the two sides.
+    """
+    rng = np.random.default_rng(seed)
+    lam = np.ones(n_max)
+    # ascending n draws the random prime values in ascending order of p
+    for n in range(2, n_max + 1):
+        fac = factorize(n)
+        if fac != ((n, 1),):
+            lam[n - 1] = math.prod(_prime_power(float(lam[p - 1]), a) for p, a in fac)
+        else:
+            lam[n - 1] = 2.0 * math.cos(rng.uniform(0.0, math.pi))
+    return MaassForm(t=t, parity=parity, omega=omega, hecke=lam)
+
+
+def synthetic_spectrum(
+    count: int = 24,
+    n_max: int = 200,
+    t_lo: float = 5.0,
+    t_hi: float = 32.0,
+    seed: int = 20240101,
+) -> list[MaassForm]:
+    rng = np.random.default_rng(seed)
+    ts = np.sort(rng.uniform(t_lo, t_hi, size=count))
+    forms = []
+    for i, t in enumerate(ts):
+        parity = "even" if i % 2 == 0 else "odd"
+        omega = float(np.exp(rng.normal(math.log(8.0 / math.pi**2), 0.35)) / (1.0 + t / 40.0))
+        forms.append(synthetic_form(float(t), parity, omega, n_max, seed=seed + 7 * i))
+    return forms

@@ -19,10 +19,11 @@ from specpoint.besselintegral import (
     residue_expansion,
     rho_pm,
     weight_h,
-    weight_h_y,
 )
 from specpoint.besselkernel import kernel_b_block
 from specpoint.quadrature import adaptive_quadrature
+
+from oracles import weight_h_y
 
 SW = SpectralWeight(T=50.0, M=8.0)
 

@@ -36,9 +36,8 @@ from specpoint.kuznetsov import (
 from specpoint.quadrature import _ROUNDING
 from specpoint.sievebench import Sequence
 from specpoint.specfun import bessel_j, log_gamma
-from specpoint.spectraldata import synthetic_spectrum
 
-from oracles import eisenstein_gauss_oracle
+from oracles import eisenstein_gauss_oracle, synthetic_spectrum, weight_h_y
 
 SW = SpectralWeight(T=14.0, M=4.0)
 SW3 = SpectralWeight(T=3.0, M=1.0)
@@ -49,6 +48,12 @@ def forms():
     return synthetic_spectrum(count=16, n_max=64, t_lo=4.0, t_hi=40.0, seed=99)
 
 
+def petersson_c_sum(mn, weights, s_vals, sw: SpectralWeight, tol: float):
+    """_petersson_c_sum on the pairs' residue_expansion rows, as _identity passes them."""
+    residues = residue_expansion(np.sqrt(mn[:, 0] / mn[:, 1]), sw)
+    return kuznetsov._petersson_c_sum(mn, weights, s_vals, residues, sw, tol)
+
+
 def spectral_side(m: int, n: int, sw: SpectralWeight, forms) -> float:
     """The cuspidal side of the pair (m, n): _cusp_form at u = e_m, v = e_n."""
     return kuznetsov._cusp_form(np.array([m, n]), *np.eye(2), sw, forms)
@@ -56,8 +61,6 @@ def spectral_side(m: int, n: int, sw: SpectralWeight, forms) -> float:
 
 class TestSpectralSide:
     def test_all_lambda_one(self, forms):
-        from specpoint.besselintegral import weight_h_y
-
         got = spectral_side(1, 1, SW, forms)
         want = sum(f.omega * weight_h_y(f.t, 1.0, SW) for f in forms)
         assert got == pytest.approx(want, rel=1e-14)
@@ -87,16 +90,15 @@ class TestSpectralSide:
         assert spectral_tail_bar(1, 1, SpectralWeight(3.0, 1.0), []) < 1e-18
 
     @pytest.mark.xfail(strict=True, reason="with no forms the bar caps omega_1 ~ 2.935 at 1")
-    @pytest.mark.parametrize("T", [6.0, 7.0])
+    @pytest.mark.parametrize("T,M", [(6.0, 1.0), (7.0, 1.0), (8.0, 1.0), (3.0, 1.5)])
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
-    def test_data_free_tail_bar_covers_residual(self, T, m, n):
-        # at T = 7, (1, 1) the residual is 4.8e-3 against a tail bar of 4.9e-4
-        rep = trace_residual(m, n, SpectralWeight(T, 1.0), [], tol=1e-10)
+    def test_data_free_tail_bar_covers_residual(self, T, M, m, n):
+        # at T = 7, (1, 1) the residual is 4.8e-3 against a tail bar of 4.9e-4;
+        # at T = 3, M = 1.5 (the decompose window) 1.7e-8 against 1.6e-9
+        rep = trace_residual(m, n, SpectralWeight(T, M), [], tol=1e-10)
         assert rep.residual <= rep.spectral_tail + rep.skip_bar + rep.quadrature_err
 
     def test_reordering_oracle(self, forms):
-        from specpoint.besselintegral import weight_h_y
-
         y = math.sqrt(2.0 / 3.0)
         forward = spectral_side(2, 3, SW, forms)
         backward = sum(
@@ -249,9 +251,9 @@ class TestKloostermanSide:
         mn = np.array([[1, 1], [1, 2], [2, 2], [2, 4]])
         weights = np.array([0.3, -1.2, 0.7, 0.5])
         s_vals = np.array([[kloosterman(m, n, c) for c in range(1, C + 1)] for m, n in mn])
-        mixed = kuznetsov._petersson_c_sum(mn, weights, s_vals, sw, tol)
+        mixed = petersson_c_sum(mn, weights, s_vals, sw, tol)
         parts = [
-            kuznetsov._petersson_c_sum(mn[p], weights[p], s_vals[p], sw, tol)
+            petersson_c_sum(mn[p], weights[p], s_vals[p], sw, tol)
             for p in ([0, 2], [1, 3])
         ]
         bar = sum(rep.tail_estimate + rep.quadrature_err for rep in [mixed, *parts])
@@ -412,7 +414,7 @@ class TestPetersson:
         monkeypatch.setattr(kuznetsov, "bessel_j", counted)
         mn = np.array([[1, 1], [1, 3], [2, 4]])
         s_vals = np.stack([kloosterman(int(m), int(n), np.arange(1, 65)) for m, n in mn])
-        kuznetsov._petersson_c_sum(mn, np.ones(3), s_vals, SpectralWeight(3.0, 1.0), 1e-8)
+        petersson_c_sum(mn, np.ones(3), s_vals, SpectralWeight(3.0, 1.0), 1e-8)
         assert calls == [(_K_MAX,)]
 
 
@@ -579,7 +581,7 @@ class TestDecomposition:
         C = seed1.params["c_eval"]
         s_table = np.stack([kloosterman(int(m), int(n), np.arange(1, C + 1)) for m, n in mn])
         weights = np.where(iu == ju, 1.0, 2.0) * a[iu] * a[ju]
-        want = kuznetsov._petersson_c_sum(mn, weights, s_table, SpectralWeight(3.0, 1.5), 1e-6)
+        want = petersson_c_sum(mn, weights, s_table, SpectralWeight(3.0, 1.5), 1e-6)
         assert seed1.P == want.value
         assert seed1.skip_bar == want.tail_estimate
 
@@ -673,6 +675,16 @@ class TestDecomposition:
                 kloosterman_side(m, n, sw, 64)
         assert len(calls) == 1
 
+    def test_one_residue_expansion_per_identity(self, monkeypatch):
+        # the C search and the c-sum read the same rows (r, B) of the twists
+        calls = []
+        monkeypatch.setattr(
+            kuznetsov, "residue_expansion", lambda *args: calls.append(args) or residue_expansion(*args)
+        )
+        seq = Sequence(N=4, values=np.random.default_rng(1).uniform(-1.0, 1.0, size=4))
+        decomposition(seq, SpectralWeight(T=3.0, M=1.5), [], tol=1e-6)
+        assert len(calls) == 1
+
     def test_spectral_tail_caps_coefficients_by_divisors(self):
         # a_10 = 0.7 alone: |a_10 lambda_j(10)|^2 <= 0.49 tau(10)^2, as for
         # the pair (10, 10) of the trace identity
@@ -698,10 +710,11 @@ class TestPBound:
         seq = Sequence(N=16, values=np.zeros(16))
         assert p_bound_rhs(seq, SW) == 0.0
 
-    def test_empty_q_range(self):
+    def test_empty_q_range(self, monkeypatch):
         seq = Sequence.random(N=3, seed=1, real=True)
-        # q_cap * N / T < 1 leaves no admissible q
-        assert p_bound_rhs(seq, SW, q_cap_const=4.0) == 0.0
+        # _P_CAP * N / T < 1 leaves no admissible q
+        monkeypatch.setattr(kuznetsov, "_P_CAP", 4.0)
+        assert p_bound_rhs(seq, SW) == 0.0
 
     def test_sign_flip_invariance(self):
         seq = Sequence.random(N=16, seed=2, real=True)
@@ -711,10 +724,12 @@ class TestPBound:
         assert a == pytest.approx(b, rel=1e-12)
         assert a > 0
 
-    def test_monotone_in_caps(self):
+    def test_monotone_in_caps(self, monkeypatch):
         seq = Sequence.random(N=16, seed=3, real=True)
-        small = p_bound_rhs(seq, SW, q_cap_const=2.0, c_cap_const=2.0)
-        big = p_bound_rhs(seq, SW, q_cap_const=4.0, c_cap_const=4.0)
+        monkeypatch.setattr(kuznetsov, "_P_CAP", 2.0)
+        small = p_bound_rhs(seq, SW)
+        monkeypatch.setattr(kuznetsov, "_P_CAP", 4.0)
+        big = p_bound_rhs(seq, SW)
         assert big >= small - 1e-12
 
     @pytest.mark.parametrize("N", [8, 16])

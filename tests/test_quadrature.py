@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from specpoint import quadrature
 from specpoint.besselintegral import SpectralWeight, bessel_H_many
 from specpoint.besselkernel import kernel_b_block
 from specpoint.kuznetsov import kloosterman_side
@@ -30,13 +31,14 @@ def test_gauss_grid_sine():
     assert w @ np.sin(t) == pytest.approx(2.0, abs=1e-14)
 
 
-def test_tight_tol_converges():
+def test_tight_tol_converges(monkeypatch):
     # tol is 7e-16 of the value: shared out among panels it would fall
     # below their rounding, so the whole grid's change must meet it
     def f(t):
         return 10.0 * np.exp(-(((t - 50.0) / 8.0) ** 2))
 
-    res = adaptive_quadrature(f, 0.0, 100.0, 1e-13, initial_panels=24, max_evals=200_000)
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", 200_000)
+    res = adaptive_quadrature(f, 0.0, 100.0, 1e-13, initial_panels=24)
     assert res.converged
     assert res.err_estimate <= 1e-13
     assert abs(res.value - 80.0 * math.sqrt(math.pi) * math.erf(6.25)) <= 1e-13
@@ -78,11 +80,12 @@ def test_err_estimate_bounds_refinement():
         assert abs(coarse.value - fine.value) <= max(coarse.err_estimate, 1e-12)
 
 
-def test_budget_exhaustion_is_flagged():
+def test_budget_exhaustion_is_flagged(monkeypatch):
     def nasty(x):
         return np.cos(1e7 * x)
 
-    res = adaptive_quadrature(nasty, 0.0, 1.0, 1e-14, max_evals=2000)
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", 2000)
+    res = adaptive_quadrature(nasty, 0.0, 1.0, 1e-14)
     assert not res.converged
 
 

@@ -13,21 +13,21 @@ from specpoint.kuznetsov import eisenstein_side, p_bound_rhs
 from specpoint.quadrature import adaptive_quadrature
 from specpoint.sievebench import (
     Sequence,
+    SieveReport,
     _eisenstein_form,
     _eisenstein_weights,
     _hybrid_lhs_one_modulus,
     _pair_groups,
     _ramanujan_sums,
     corollary_ratio,
-    dirichlet_poly_ratio,
     moment_demo,
     young_ls_lhs,
     young_ls_ratio,
 )
 from specpoint.specfun import eisenstein_density
-from specpoint.spectraldata import sym_square_lift, synthetic_spectrum
+from specpoint.spectraldata import sym_square_lift
 
-from oracles import eisenstein_gauss_oracle
+from oracles import dual, eisenstein_gauss_oracle, synthetic_spectrum
 
 SW = SpectralWeight(T=14.0, M=4.0)
 
@@ -274,6 +274,20 @@ class TestCorollaryWindow:
         assert a.ratio == pytest.approx(b.ratio, rel=1e-10)
 
 
+def dirichlet_poly_ratio(seq: Sequence, T: float) -> SieveReport:
+    """int_{-T}^{T} |sum a_n n^{it}|^2 dt against (2T + N) ||a||^2.
+
+    The integral is the grouped quadratic form at lam_n = log n with no
+    Ramanujan factor (_hybrid_lhs_one_modulus at c = 1, v = 2 pi, tau = T):
+    the sum over pairs of W 2 sin(T log(n/m)) / log(n/m)."""
+    if T <= 0:
+        raise ValueError("T must be positive")
+    groups = _pair_groups(seq, np.log(seq.ns.astype(float)))
+    lhs = float(_hybrid_lhs_one_modulus(groups, [2.0 * math.pi], [1], T)[0])
+    rhs = (2.0 * T + seq.N) * seq.norm_sq
+    return SieveReport.make(lhs, rhs, T=T, N=seq.N)
+
+
 class TestDirichletPolynomial:
     def test_zero_sequence(self):
         seq = Sequence(N=8, values=np.zeros(8))
@@ -373,7 +387,7 @@ class TestMomentDemo:
         out = moment_demo(gl3, forms, SW, N=16, n1=1)
         assert out["S"] >= 0 and out["T"] >= 0
         assert np.isfinite(out["ratio"])
-        conj = gl3.dual  # real self-dual table: identical values
+        conj = dual(gl3)  # real self-dual table: identical values
         out2 = moment_demo(conj, forms, SW, N=16, n1=1)
         assert out2["S"] == pytest.approx(out["S"], rel=1e-12)
         assert out2["T"] == pytest.approx(out["T"], rel=1e-12)

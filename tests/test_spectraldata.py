@@ -10,14 +10,14 @@ from specpoint.spectraldata import (
     GL3Form,
     MaassForm,
     SpectrumError,
+    _prime_power,
     hecke_consistency,
     load_spectrum,
-    rankin_selberg_ratio,
     save_spectrum,
     sym_square_lift,
-    synthetic_form,
-    synthetic_spectrum,
 )
+
+from oracles import dual, synthetic_form, synthetic_spectrum
 
 
 @pytest.fixture(scope="module")
@@ -47,13 +47,13 @@ class TestMaassForm:
         for p in (2, 3, 5):
             for a in (1, 2, 3):
                 if p**a <= f.nmax:
-                    assert f.lam_prime_power(p, a) == pytest.approx(f.lam(p**a), abs=1e-11)
+                    assert _prime_power(f.lam(p), a) == pytest.approx(f.lam(p**a), abs=1e-11)
 
     def test_extended_coefficients(self, spectrum):
         f = spectrum[0]
         # 2^8 = 256 exceeds nmax=120 but factors over stored primes
         val = f.lam_extended(256)
-        assert val == pytest.approx(f.lam_prime_power(2, 8), abs=1e-12)
+        assert val == pytest.approx(_prime_power(f.lam(2), 8), abs=1e-12)
         with pytest.raises(CoefficientRangeError):
             f.lam_extended(127 * 127)  # prime 127 > nmax
 
@@ -178,14 +178,27 @@ class TestSymSquare:
 
     def test_dual_of_self_dual_is_conjugate(self, spectrum):
         gl3 = sym_square_lift(spectrum[0], 40)
-        dual = gl3.dual
+        contragredient = dual(gl3)
         for (m, n) in [(1, 5), (2, 3), (1, 12)]:
-            assert dual.a(m, n) == pytest.approx(np.conj(gl3.a(n, m)), abs=1e-12)
+            assert contragredient.a(m, n) == pytest.approx(np.conj(gl3.a(n, m)), abs=1e-12)
 
     def test_insufficient_range(self):
         small = synthetic_form(10.0, "even", 0.5, n_max=10, seed=1)
         with pytest.raises(CoefficientRangeError):
             sym_square_lift(small, 400)  # needs lambda(p) for p up to 20
+
+
+def rankin_selberg_ratio(gl3: GL3Form, X: int) -> float:
+    """(sum over m^2 n <= X of |A(m,n)|^2) / X."""
+    if X < 1:
+        raise ValueError("X must be at least 1")
+    if X > gl3.x_max:
+        raise CoefficientRangeError(f"X={X} exceeds table range {gl3.x_max}")
+    total = 0.0
+    for m in range(1, int(math.isqrt(X)) + 1):
+        for n in range(1, X // (m * m) + 1):
+            total += abs(gl3.a(m, n)) ** 2
+    return total / X
 
 
 class TestRankinSelberg:
