@@ -8,10 +8,11 @@ function and factorization they and the spectral side need.
 the lru-cached unit table _unit_residues) or for a 1-d integer array of
 moduli (summed over a cached flat table of half the units of every
 modulus). That table is built in array passes over runs of moduli, with no
-loop per modulus: a gcd mask picks the units, the totient sieve _totients
-sizes the table, and square-and-multiply with one exponent per entry gives
-the inverses alpha^{phi(c) - 1} (_euler_inverses, which
-_build_unit_residues runs for one c).
+loop per modulus: a gcd mask picks the units, the totients of the sieve
+_moebius_totients size the table, and square-and-multiply with one
+exponent per entry gives the inverses alpha^{phi(c) - 1} (_euler_inverses,
+which _build_unit_residues runs for one c). The same sieve's table gives
+moebius.
 
 All angles are reduced modulo c in integer arithmetic before the cosine or
 exp(2*pi*i*x) is applied, so a single term carries only one rounding error
@@ -82,15 +83,43 @@ def _euler_inverses(alphas: np.ndarray, mods: np.ndarray | int, phi: np.ndarray 
     return inv
 
 
-def _totients(C: int) -> np.ndarray:
-    """phi(c) for c = 0, 1, ..., C (phi(0) = 0): each prime p, found as an
-    entry no smaller prime has touched, takes its factor (1 - 1/p) off
-    every multiple."""
-    phi = np.arange(C + 1)
-    for p in range(2, C + 1):
-        if phi[p] == p:
-            phi[p::p] -= phi[p::p] // p
-    return phi
+# mu(c) and phi(c) for c = 0, 1, ..., len - 1, kept for the largest C so far
+_MOEBIUS_TOTIENTS = (np.zeros(1, np.int64), np.zeros(1, np.int64))
+
+
+def _moebius_totients(C: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, phi) over c = 0, 1, ..., C, with mu(0) = phi(0) = 0.
+
+    One sieve gives both: each prime p up to the square root, found as an
+    entry no smaller prime has divided, takes its factor (1 - 1/p) off
+    every multiple's phi, flips the sign of every multiple's mu, zeroes mu
+    at the multiples of p^2 and divides its powers out of every multiple.
+    What that leaves of c > 1 is 1 or c's one prime factor above the
+    square root, which takes its factor last. The table is kept for the
+    largest C asked for so far, and a larger C sieves it again to at
+    least twice its size, so moduli asked for one by one in ascending
+    order sieve it log2 C times.
+    """
+    global _MOEBIUS_TOTIENTS
+    mu, phi = _MOEBIUS_TOTIENTS
+    if phi.size <= C:
+        size = max(C + 1, 2 * phi.size)
+        mu, phi, rest = np.ones(size, np.int64), np.arange(size), np.arange(size)
+        mu[0] = 0
+        for p in range(2, math.isqrt(size - 1) + 1):
+            if rest[p] == p:
+                phi[p::p] -= phi[p::p] // p
+                mu[p::p] *= -1
+                mu[p * p :: p * p] = 0
+                power = p
+                while power < size:
+                    rest[power::power] //= p
+                    power *= p
+        big = rest > 1
+        phi[big] -= phi[big] // rest[big]
+        mu[big] *= -1
+        _MOEBIUS_TOTIENTS = mu, phi
+    return mu[: C + 1], phi[: C + 1]
 
 
 def _grown(table: np.ndarray, size: int) -> np.ndarray:
@@ -107,8 +136,8 @@ def _half_units(C: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     extends it by the new moduli only, a smaller one reads its prefix.
     New moduli are built in runs of about _PASS_UNITS candidates
     (_unit_run), not through the _unit_residues cache, so no modulus is
-    held twice. phi(c) from _totients sizes the table before any run, and
-    each run writes its units and their inverses alpha^{phi(c) - 1}
+    held twice. phi(c) from _moebius_totients sizes the table before any
+    run, and each run writes its units and their inverses alpha^{phi(c) - 1}
     (_euler_inverses) straight into it: the peak memory is the old and the
     new table plus one run's temporaries.
     """
@@ -116,7 +145,7 @@ def _half_units(C: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     alphas, invs, starts = _HALF_UNITS
     if starts.size <= C:
         first = starts.size  # the first new modulus
-        phi = _totients(C)
+        phi = _moebius_totients(C)[1]
         # alpha < c/2 are the first phi(c)/2 units; c = 2 has one unit
         starts = np.concatenate([starts, starts[-1] + np.cumsum((phi[first:] + 1) // 2)])
         alphas, invs = (_grown(old, starts[-1]) for old in (alphas, invs))
@@ -230,9 +259,9 @@ def divisor_count(n: int) -> int:
 
 
 def moebius(n: int) -> int:
-    mu = 1
-    for _, k in factorize(n):
-        if k > 1:
-            return 0
-        mu = -mu
-    return mu
+    """mu(n), read from the sieve table of _moebius_totients, which n
+    extends to at least n + 1 entries: for the small n of the GL(3)
+    tables, not for a lone large n."""
+    if n < 1:
+        raise ValueError(f"argument must be positive, got {n}")
+    return int(_moebius_totients(n)[0][n])

@@ -50,10 +50,12 @@ from .spectraldata import MaassForm
 FIRST_CUSP_FORM_T = 9.53369526
 
 
-def spectral_tail_bar(m: int, n: int, sw: SpectralWeight, forms: list[MaassForm]) -> float:
-    """Bound for the uncovered spectral tail t > max(t_cov, FIRST_CUSP_FORM_T):
-    eigenvalue density t/6 times the Gaussian weight, coefficients bounded by
-    tau(m) tau(n), harmonic weights by the dataset maximum (1 with no data).
+def spectral_tail_bar(sw: SpectralWeight, forms: list[MaassForm]) -> float:
+    """Bound for the uncovered spectral tail t > max(t_cov, FIRST_CUSP_FORM_T)
+    at coefficients of size 1: eigenvalue density t/6 times the Gaussian
+    weight, harmonic weights by the dataset maximum (1 with no data). The
+    caller scales it by its coefficients' caps, tau(m) tau(n) for the pair
+    (m, n).
 
     With no forms it is not yet a bound: the first cusp form's harmonic
     weight omega_1 ~ 2.935 exceeds the cap of 1, and at T = 6, 7 (M = 1)
@@ -68,9 +70,8 @@ def spectral_tail_bar(m: int, n: int, sw: SpectralWeight, forms: list[MaassForm]
     hi = sw.t_upper + 2.0 * sw.M
     if lo >= hi:
         return 0.0
-    lam_cap = divisor_count(m) * divisor_count(n)
     t, w = gauss_grid(lo, hi, 4, order=32)
-    return float(abs(w @ ((t / 6.0) * weight_h(t, sw)))) * omega_cap * lam_cap
+    return float(abs(w @ ((t / 6.0) * weight_h(t, sw)))) * omega_cap
 
 
 def eisenstein_side(m: int, n: int, sw: SpectralWeight, tol: float = 1e-10) -> QuadratureResult:
@@ -145,34 +146,39 @@ def _h_value(
 
 
 def _tail_bars(
-    mn: np.ndarray, weights: np.ndarray, C: int, residues: tuple[np.ndarray, np.ndarray]
+    mn: np.ndarray, weights: np.ndarray, C, residues: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """bars[p, K-1], for each pair p and K = 1, ..., _K_MAX: a bound for
-    |w_p| sum_{c > C} |S(m_p, n_p; c)/c E_K(x_pc, y_p)| at y_p =
-    sqrt(m_p/n_p), C >= 1, from the pairs' residue_expansion rows (r, B).
+    """bars[..., p, K-1], for each C >= 1 of an int or integer array C, each
+    pair p and K = 1, ..., _K_MAX: a bound for |w_p| sum_{c > C}
+    |S(m_p, n_p; c)/c E_K(x_pc, y_p)| at y_p = sqrt(m_p/n_p), from the
+    pairs' residue_expansion rows (r, B). The leading axes are C's.
 
     For L >= K, E_K = sum_{K <= k < L} r_k J_{2k+1} + E_L with
     |J_nu(x)| <= (x/2)^nu I_0(x)/nu!; each K takes its best L. Weil's
     |S| <= tau(c) sqrt(gcd(m, n) c) and x_pc = X_p/c <= X_p/(C+1) leave
     sum_{c > C} tau(c) c^{-s} at s = nu + 1/2 per order nu. Partial summation
     with C log C - C <= sum_{c <= C} tau(c) <= C log C + C bounds it by
-    C^{1-s} (u log C + 2 + 2u + u^2), u = 1/(s - 1).
+    C^{1-s} (u log C + 2 + 2u + u^2), u = 1/(s - 1). Every C's bars are
+    those of its own scalar call, bit for bit (log C from math.log).
     """
     m, n = mn[:, 0], mn[:, 1]
     X = 4.0 * math.pi * np.sqrt(m * n)
-    pair = np.sqrt(np.gcd(m, n)) * np.abs(weights) * np.i0(X / (C + 1))
+    C = np.asarray(C)
+    c = C.astype(float)[..., None, None]  # against (pair, order)
+    log_c = np.reshape([math.log(v) for v in C.ravel().tolist()], c.shape)
+    pair = np.sqrt(np.gcd(m, n)) * np.abs(weights) * np.i0(X / (c[..., 0] + 1))
     nu = np.arange(2 * _K_MAX + 1)
     u = 1.0 / (nu - 0.5)
-    # order[p, nu >= 2] bounds |w_p| sum_{c > C} |S/c| (x_pc/2)^nu I_0(x_pc)
-    order = math.sqrt(C) * (u * math.log(C) + 2.0 + 2.0 * u + u * u)
-    order = order * (X[:, None] / (2.0 * C)) ** nu * pair[:, None]
+    # order[..., p, nu >= 2] bounds |w_p| sum_{c > C} |S/c| (x_pc/2)^nu I_0(x_pc)
+    order = np.sqrt(c) * (u * log_c + 2.0 + 2.0 * u + u * u)
+    order = order * (X[:, None] / (2.0 * c)) ** nu * pair[..., None]
     r, B = residues
     k = np.arange(_K_MAX)
-    term = np.abs(r) / [math.factorial(2 * j + 1) for j in k] * order[:, 2 * k + 1]
-    tail = B * order[:, 2 * k + 2]  # the E_L bound, L = k + 1
-    # bound[p, K-1, L-1] = sum_{K <= k < L} term[p, k] + tail[p, L-1], for L >= K
-    bound = np.cumsum(term[:, None, :] * (k > k[:, None]), axis=2) + tail[:, None, :]
-    return np.min(np.where(k >= k[:, None], bound, np.inf), axis=2)
+    term = np.abs(r) / [math.factorial(2 * j + 1) for j in k] * order[..., 2 * k + 1]
+    tail = B * order[..., 2 * k + 2]  # the E_L bound, L = k + 1
+    # bound[..., p, K-1, L-1] = sum_{K <= k < L} term[..., p, k] + tail[..., p, L-1], for L >= K
+    bound = np.cumsum(term[..., None, :] * (k > k[:, None]), axis=-1) + tail[..., None, :]
+    return np.min(np.where(k >= k[:, None], bound, np.inf), axis=-1)
 
 
 def _petersson_c_sum(
@@ -301,6 +307,9 @@ def _kloosterman_block(ns: np.ndarray, c: int) -> np.ndarray:
     return (left.T @ right).real
 
 
+_C_PASS = 16  # candidates C per _tail_bars pass of the C search
+
+
 def _c_eval(
     mn: np.ndarray, weights: np.ndarray, residues: tuple[np.ndarray, np.ndarray], tol: float
 ) -> int:
@@ -312,22 +321,29 @@ def _c_eval(
     T = 3, M = 1, tol = 1e-8, C = 320 and K = 4 (tail 1.01586e-8, rounding
     9.1e-13) beat K = 5 (tail 9.9955e-9), and skip_bar reads 1.0160e-8.
 
-    The bars fall with C: double, then bisect. At small C a large block's
-    bar overflows (I_0 of X/(C+1) > 709 at N = 64), and a bar that reads
-    inf or nan is not at most tol either, so the doubling goes on past it.
+    The bars fall with C, so the search brackets C between powers of two,
+    then narrows the octave, each step one _tail_bars pass over _C_PASS
+    candidates: the doublings C = 1, 2, 4, ... first, then evenly spaced
+    C inside the bracket, until it holds one modulus. At small C a large
+    block's bar overflows (I_0 of X/(C+1) > 709 at N = 64), and a bar that
+    reads inf or nan is not at most tol either, so the search goes past it.
     """
 
-    def within(C: int) -> bool:
+    def within(cs: list[int]) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.sum(np.min(_tail_bars(mn, weights, C, residues), axis=1))) <= tol
+            return np.sum(np.min(_tail_bars(mn, weights, cs, residues), axis=-1), axis=-1) <= tol
 
-    C = 1
-    while not within(C):
-        C *= 2
-    lo = C // 2
+    first = 0  # the exponent of the pass's first doubling
+    while not np.any(hits := within([1 << e for e in range(first, first + _C_PASS)])):
+        first += _C_PASS
+    C = 1 << (first + int(np.argmax(hits)))
+    lo = C // 2  # its bars exceed tol, or it is 0
     while C - lo > 1:
-        mid = (lo + C) // 2
-        lo, C = (lo, mid) if within(mid) else (mid, C)
+        step = -(-(C - lo) // (_C_PASS + 1))
+        bounds = [lo, *range(lo + step, C, step), C]
+        # the first candidate within tol (C when none is) and the one before it
+        i = int(np.argmax(np.append(within(bounds[1:-1]), True)))
+        lo, C = bounds[i], bounds[i + 1]
     return C
 
 
@@ -372,7 +388,7 @@ def _identity(
         residual=residual,
         rel_residual=residual / max(abs(s_val + t_val), abs(d_val + off.value), 1e-300),
         skip_bar=off.tail_estimate,
-        spectral_tail=spectral_tail_bar(1, 1, sw, forms) * float(lam_u) * float(lam_v),
+        spectral_tail=spectral_tail_bar(sw, forms) * float(lam_u) * float(lam_v),
         quadrature_err=eis.err_estimate + h0.err_estimate * abs(mass) + off.quadrature_err,
         diagonal_closed_form=diagonal_closed_form(sw) * mass,
         converged=eis.converged and h0.converged and off.converged,
@@ -428,7 +444,8 @@ def p_bound_rhs(seq: Sequence, sw: SpectralWeight) -> float:
     The block's pairs are grouped by lag once (_pair_groups at lam_n = n,
     N groups), and one _hybrid_lhs_one_modulus call takes every (q, c)
     term as a row of its blocked (moduli x groups) kernel tables; each
-    modulus's Ramanujan DFT runs once per process, however many q repeat it.
+    modulus's Ramanujan row is computed once per process, however many q
+    repeat it.
     """
     if not seq.is_real:
         raise ValueError("the decomposition majorant applies to real sequences")

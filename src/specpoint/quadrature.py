@@ -62,9 +62,50 @@ class QuadratureResult:
         )
 
 
+def _legendre_series(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k c[k] P_k(x) for len(c) >= 2 by Clenshaw's recursion, grouped
+    as numpy.polynomial.legendre.legval groups it, so bit for bit equal."""
+    nd = len(c)
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        nd = nd - 1
+        c0 = c[-i] - c1 * ((nd - 1) / nd)
+        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=4)  # src uses orders 16 and 32
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
+    """Nodes and weights of the order-point Gauss-Legendre rule, order >= 2:
+    numpy.polynomial.legendre.leggauss(order) bit for bit, step by step,
+    without importing numpy.polynomial.
+
+    The nodes are the eigenvalues of the symmetric Jacobi matrix, with
+    off-diagonal k s_{k-1} s_k, s_j = 1/sqrt(2j + 1), as legcompanion
+    builds it (Golub and Welsch, Math. Comp. 23, 1969), refined by one
+    Newton step on P_order. The weights are 1/(P_order' P_{order-1}) at the
+    nodes, each factor scaled by its largest value, then symmetrized with
+    the nodes and scaled to sum to 2.
+    """
+    scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
+    off = np.arange(1, order) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    c = np.zeros(order + 1)
+    c[-1] = 1.0
+    # P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
+    der = np.zeros(order)
+    der[order - 1 :: -2] = 2 * np.arange(order - 1, -1, -2) + 1
+    dy = _legendre_series(x, c)
+    df = _legendre_series(x, der)
+    x -= dy / df
+    fm = _legendre_series(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     # every caller gets the same cached arrays
     x.flags.writeable = w.flags.writeable = False
     return x, w

@@ -7,12 +7,13 @@ the units alpha gives, for each pair m <= n of the block, the Ramanujan
 sum c_c(n - m) times int_{-tau}^{tau} e((lam_n - lam_m) t) dt, a sinc.
 The pair enters only through its lag n - m and its gap lam_n - lam_m, so
 _pair_groups adds up Re(conj(a_m) a_n) once per sequence over the pairs
-with equal (lag, gap). The Ramanujan row c_c(k), k <= c/2, is one DFT
-per modulus per process (_ramanujan_sums, cached), and a whole sum over
-moduli is one _hybrid_lhs_one_modulus call: blocked (moduli x groups)
-kernel tables of gathered rows times sincs, each block one matrix product
-with the weights. At lam_n = n (gamma = 1) every gap is its lag, which
-leaves N groups where the dense form has N^2 kernel entries.
+with equal (lag, gap). The Ramanujan row c_c(k), k <= c/2, comes from
+Hoelder's closed form once per modulus per process (_ramanujan_sums,
+cached), and a whole sum over moduli is one _hybrid_lhs_one_modulus call:
+blocked (moduli x groups) kernel tables of gathered rows times sincs,
+each block one matrix product with the weights. At lam_n = n (gamma = 1)
+every gap is its lag, which leaves N groups where the dense form has N^2
+kernel entries.
 Right-hand sides are the literature majorants with every unspecified
 epsilon-factor set to 1. Only ratios are reported: the suites check
 boundedness, monotonicity, and scaling invariance, never a sharp constant.
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import _unit_residues, divisor_sigma
+from .arith import _moebius_totients, _unit_residues, divisor_sigma
 from .besselintegral import SpectralWeight, weight_h
 from .quadrature import QuadratureResult, doubled, doubling_rounds, gauss_grid
 from .specfun import eisenstein_density
@@ -120,12 +121,13 @@ def _ramanujan_sums(c: int) -> np.ndarray:
     """c_c(k) = sum over units alpha mod c of e(alpha k/c) for k = 0..c/2,
     read-only and computed once per modulus per process.
 
-    The real DFT of the unit indicator gcd(alpha, c) = 1 (alpha = 0 for
-    c = 1), rounded to the integers it equals, in O(c log c); c_c(k) is
-    even and c-periodic in k, so these entries give every k.
+    Hoelder's closed form c_c(k) = mu(c/g) phi(c)/phi(c/g), g = gcd(k, c),
+    in exact integers from the sieve table of arith._moebius_totients;
+    c_c(k) is even and c-periodic in k, so these entries give every k.
     """
-    units = (np.gcd(np.arange(c), c) == 1).astype(float)
-    sums = np.rint(np.fft.rfft(units).real)
+    mu, phi = _moebius_totients(c)
+    q = c // np.gcd(np.arange(c // 2 + 1), c)
+    sums = (mu[q] * (phi[c] // phi[q])).astype(float)
     sums.flags.writeable = False
     return sums
 
@@ -150,6 +152,7 @@ def _hybrid_lhs_one_modulus(groups: tuple, vs: np.ndarray, cs: np.ndarray, tau: 
     cs = np.asarray(cs, dtype=np.int64)
     vs = np.asarray(vs, dtype=float)
     values = np.empty(cs.size)
+    _moebius_totients(int(np.max(cs, initial=1)))  # one sieve for every row below
     step = max(1, _KERNEL_BLOCK // lags.size)
     for i in range(0, cs.size, step):
         c, v = cs[i : i + step, None], vs[i : i + step, None]

@@ -198,7 +198,6 @@ def save_spectrum(path, forms: list[MaassForm], tol: float, source: str) -> None
 class GL3Form:
     langlands: tuple[complex, complex, complex]
     coeff: dict[tuple[int, int], complex]
-    self_dual: bool
     x_max: int
     label: str = ""
 
@@ -251,7 +250,6 @@ def sym_square_lift(gl2: MaassForm, x_max: int) -> GL3Form:
     return GL3Form(
         langlands=(2j * t0, 0.0 + 0.0j, -2j * t0),
         coeff=coeff,
-        self_dual=True,
         x_max=x_max,
         label=f"sym2(t={t0:.6f})",
     )

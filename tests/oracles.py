@@ -48,7 +48,6 @@ def dual(gl3: GL3Form) -> GL3Form:
     return GL3Form(
         langlands=(lam[0], lam[1], lam[2]),
         coeff={(n, m): np.conj(v) for (m, n), v in gl3.coeff.items()},
-        self_dual=gl3.self_dual,
         x_max=gl3.x_max,
         label=gl3.label + "~",
     )

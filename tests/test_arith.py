@@ -51,7 +51,7 @@ class TestKloosterman:
     def test_zero_frequencies_give_totient(self):
         for c in [1, 2, 6, 12, 30, 97]:
             s = arith.kloosterman(0, 0, c)
-            assert s == pytest.approx(arith._totients(c)[c], abs=1e-10)
+            assert s == pytest.approx(arith._moebius_totients(c)[1][c], abs=1e-10)
 
     def test_small_values(self):
         assert arith.kloosterman(1, 1, 2) == pytest.approx(1.0, abs=1e-12)
@@ -136,7 +136,7 @@ class TestHalfUnits:
     def test_totients(self):
         # phi(c) by its definition, the units among 1..c
         want = [sum(math.gcd(a, c) == 1 for a in range(1, c + 1)) for c in range(1, 1001)]
-        assert arith._totients(1000)[1:].tolist() == want
+        assert arith._moebius_totients(1000)[1][1:].tolist() == want
 
     def test_build_memory_is_bounded(self, monkeypatch):
         # built modulus by modulus into concatenated copies of the table,
@@ -272,7 +272,8 @@ class TestMultiplicativeBasics:
             (12, (6, 4, 0, {2: 2, 3: 1})),
             (30, (8, 8, -1, {2: 1, 3: 1, 5: 1})),
         ]:
-            got = (arith.divisor_count(n), arith._totients(n)[n], arith.moebius(n), dict(arith.factorize(n)))
+            phi = arith._moebius_totients(n)[1][n]
+            got = (arith.divisor_count(n), phi, arith.moebius(n), dict(arith.factorize(n)))
             assert got == want
 
     def test_divisor_sigma(self):
@@ -283,5 +284,41 @@ class TestMultiplicativeBasics:
     @given(st.integers(1, 2000))
     def test_phi_tau_consistency(self, n):
         assert arith.divisor_count(n) == len(arith.divisors(n))
-        assert arith._totients(n)[n] == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+        assert arith._moebius_totients(n)[1][n] == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
         assert math.prod(p**k for p, k in arith.factorize(n)) == n
+
+
+class TestMoebiusTotients:
+    FRESH = (np.zeros(1, np.int64), np.zeros(1, np.int64))
+
+    def test_moebius_by_inversion(self):
+        # mu is the one function with sum over d | n of mu(d) = [n = 1];
+        # divisors comes from trial division, not from the sieve
+        want = [0, 1]
+        for n in range(2, 2001):
+            want.append(-sum(want[d] for d in arith.divisors(n)[:-1]))
+        assert arith._moebius_totients(2000)[0].tolist() == want
+        assert [arith.moebius(n) for n in range(1, 2001)] == want[1:]
+
+    def test_moebius_rejects_nonpositive(self):
+        for n in (0, -6):
+            with pytest.raises(ValueError, match="positive"):
+                arith.moebius(n)
+
+    def test_table_is_kept_for_the_largest_C(self, monkeypatch):
+        # moduli asked for one by one in ascending order sieve the table
+        # nine times up to C = 299, each to twice the size; a smaller C
+        # reads a prefix of it
+        monkeypatch.setattr(arith, "_MOEBIUS_TOTIENTS", self.FRESH)
+        sizes = []
+        for C in range(1, 300):
+            arith._moebius_totients(C)
+            sizes.append(arith._MOEBIUS_TOTIENTS[1].size)
+        assert sorted(set(sizes)) == [2, 4, 8, 16, 32, 64, 128, 256, 512]
+        kept = arith._MOEBIUS_TOTIENTS
+        mu, phi = arith._moebius_totients(10)
+        assert mu.size == phi.size == 11
+        assert np.shares_memory(mu, kept[0]) and np.shares_memory(phi, kept[1])
+        monkeypatch.setattr(arith, "_MOEBIUS_TOTIENTS", self.FRESH)
+        once = arith._moebius_totients(511)
+        assert all(np.array_equal(table, whole) for table, whole in zip(once, kept))

@@ -1,9 +1,10 @@
 """Source hygiene: every name a module-level import binds in specpoint is
 used, every module-level def, class and assigned name is named outside its
 definition, and in src or bench unless a ROADMAP.md item is to run it, and
-the closure and decomposition passes import no more of numpy."""
+the closure, decompose and sieve passes import no more of numpy."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -121,28 +122,51 @@ def test_every_lru_cache_is_bounded():
     assert unbounded == []
 
 
-def test_passes_do_not_import_numpy_ma():
-    # numpy 2.4's np.unique without return_inverse imports numpy.ma on its
-    # first call, ~15 ms and ~1.4 MB inside a timed pass
-    # of the closure, decompose or sieve workload, whose calls run here
-    code = """
-import sys, warnings
+LAZY = ("numpy.ma", "numpy.fft", "numpy.polynomial")
+
+
+@pytest.fixture(scope="module")
+def lazy_modules() -> dict:
+    """Which of the LAZY numpy submodules import numpy alone loads, and which
+    are loaded after a fresh process ran the operations of a closure pass
+    (one pair's three sides at the bench's C_max), a decompose pass and a
+    sieve pass at their bench sizes."""
+    code = f"""
+import json, sys, warnings
 import numpy
-if "numpy.ma" in sys.modules:
-    print("preloaded")
-    raise SystemExit
+preloaded = [name for name in {LAZY!r} if name in sys.modules]
 from specpoint.besselintegral import SpectralWeight
-from specpoint.kuznetsov import decomposition, kloosterman_side, p_bound_rhs
+from specpoint.kuznetsov import decomposition, diagonal_term, eisenstein_side, kloosterman_side, p_bound_rhs
 from specpoint.sievebench import Sequence, young_ls_ratio
 warnings.simplefilter("ignore")
-kloosterman_side(1, 2, SpectralWeight(T=3.0, M=1.0), 512)
+sw = SpectralWeight(T=3.0, M=1.0)
+eisenstein_side(1, 2, sw, tol=1e-8)
+diagonal_term(1, 1, sw, tol=1e-8)
+kloosterman_side(1, 2, sw, 512)
 decomposition(Sequence.random(4, seed=1, real=True), SpectralWeight(T=3.0, M=1.5), [], 1e-6)
 young_ls_ratio(Sequence.random(256, seed=1), 1.0, 1.0, 1.0, 256)
 p_bound_rhs(Sequence.random(64, seed=1, real=True), SpectralWeight(T=3.0, M=1.5))
-print("numpy.ma" in sys.modules)
+print(json.dumps({{"preloaded": preloaded, "loaded": [name for name in {LAZY!r} if name in sys.modules]}}))
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    if out.stdout.strip() == "preloaded":
+    return json.loads(out.stdout)
+
+
+def test_passes_do_not_import_numpy_ma(lazy_modules):
+    # numpy 2.4's np.unique without return_inverse imports numpy.ma on its
+    # first call, ~15 ms and ~1.4 MB inside a timed pass
+    # of the closure, decompose or sieve workload, whose calls run here
+    if "numpy.ma" in lazy_modules["preloaded"]:
         pytest.skip("import numpy already loads numpy.ma")
-    assert out.stdout.strip() == "False"
+    assert "numpy.ma" not in lazy_modules["loaded"]
+
+
+@pytest.mark.parametrize("name", ["numpy.fft", "numpy.polynomial"])
+def test_passes_do_not_import_numpy_fft_or_polynomial(lazy_modules, name):
+    # importing numpy.fft took 1.5-1.8 ms of a sieve pass, numpy.polynomial
+    # ~5 ms and 0.5 MB of a closure or decompose pass: the Ramanujan rows
+    # come from a closed form, and the Gauss-Legendre rule from eigvalsh
+    if name in lazy_modules["preloaded"]:
+        pytest.skip(f"import numpy already loads {name}")
+    assert name not in lazy_modules["loaded"]

@@ -72,7 +72,7 @@ class TestSpectralSide:
             rep = trace_residual(1, 1, SW, [], tol=1e-4)
         assert rep.S == 0.0
         assert rep.params["n_forms"] == 0
-        assert rep.spectral_tail == pytest.approx(spectral_tail_bar(1, 1, SW, []), rel=1e-12)
+        assert rep.spectral_tail == pytest.approx(spectral_tail_bar(SW, []), rel=1e-12)
         assert rep.spectral_tail > 0
 
     def test_short_coverage_records_the_tail(self, forms):
@@ -81,15 +81,18 @@ class TestSpectralSide:
             warnings.simplefilter("error")
             rep = trace_residual(1, 2, SW, short, tol=1e-4)
         assert rep.params["n_forms"] == len(short)
-        assert rep.spectral_tail == pytest.approx(spectral_tail_bar(1, 2, SW, short), rel=1e-12)
+        want = spectral_tail_bar(SW, short) * arith.divisor_count(1) * arith.divisor_count(2)
+        assert rep.spectral_tail == pytest.approx(want, rel=1e-12)
         assert rep.spectral_tail > 0
 
     def test_no_tail_below_first_cusp_form(self):
         # with no data the uncovered range starts at t_1 ~ 9.53, where the
         # weight around T = 3 is ~3e-19, not at t = 0
-        assert spectral_tail_bar(1, 1, SpectralWeight(3.0, 1.0), []) < 1e-18
+        assert spectral_tail_bar(SpectralWeight(3.0, 1.0), []) < 1e-18
 
-    @pytest.mark.xfail(strict=True, reason="with no forms the bar caps omega_1 ~ 2.935 at 1")
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="with no forms the bar caps omega_1 ~ 2.935 at 1"
+    )
     @pytest.mark.parametrize("T,M", [(6.0, 1.0), (7.0, 1.0), (8.0, 1.0), (3.0, 1.5)])
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
     def test_data_free_tail_bar_covers_residual(self, T, M, m, n):
@@ -692,7 +695,7 @@ class TestDecomposition:
         vals[1] = 0.7
         sw = SpectralWeight(T=3.0, M=1.5)
         rep = decomposition(Sequence(N=8, values=vals), sw, [], tol=1e-6)
-        want = 0.49 * spectral_tail_bar(10, 10, sw, [])
+        want = 0.49 * spectral_tail_bar(sw, []) * arith.divisor_count(10) ** 2
         assert want > 0
         assert rep.spectral_tail == pytest.approx(want, rel=1e-12)
 

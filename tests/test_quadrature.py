@@ -14,6 +14,16 @@ from specpoint.quadrature import adaptive_quadrature, gauss_grid, grid_panels
 EPS = np.finfo(float).eps
 
 
+@pytest.mark.parametrize("order", [16, 24, 32])
+def test_gl_nodes_are_numpys_leggauss(order):
+    # the eigvalsh port gives numpy's rule bit for bit, read-only and cached
+    x, w = quadrature._gl_nodes(order)
+    want_x, want_w = np.polynomial.legendre.leggauss(order)
+    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+    assert not x.flags.writeable and not w.flags.writeable
+    assert quadrature._gl_nodes(order)[0] is x
+
+
 def test_constant():
     res = adaptive_quadrature(np.ones_like, 0.0, 1.0, 1e-12)
     assert res.converged

@@ -237,6 +237,16 @@ class TestRamanujanSums:
             want = sum(moebius(c // d) * d * (ks % d == 0) for d in divisors(c))
             np.testing.assert_array_equal(_ramanujan_sums(c), want)
 
+    def test_closed_form_matches_the_unit_indicators_dft(self):
+        # c_c(k) is the real DFT of the indicator of gcd(alpha, c) = 1,
+        # rounded to the integers it equals; uncached, so the rows of
+        # c <= 2048 (8 MB) do not stay in the cache
+        for c in range(1, 2049):
+            units = (np.gcd(np.arange(c), c) == 1).astype(float)
+            got = _ramanujan_sums.__wrapped__(c)
+            np.testing.assert_array_equal(got, np.rint(np.fft.rfft(units).real))
+            assert got.dtype == np.float64
+
     def test_one_transform_per_modulus(self):
         # the sieve workload's pass: young_ls_ratio over c <= 256 and
         # p_bound_rhs's 395 (q, c) terms, whose moduli repeat

@@ -128,7 +128,10 @@ class TestSymSquare:
     def test_normalization(self, spectrum):
         gl3 = sym_square_lift(spectrum[0], 64)
         assert gl3.a(1, 1) == 1.0
-        assert gl3.self_dual
+        # self-dual: the contragredient has the same parameters and table
+        assert {-z for z in gl3.langlands} == set(gl3.langlands)
+        contragredient = dual(gl3)
+        assert all(contragredient.a(m, n) == pytest.approx(v, abs=1e-12) for (m, n), v in gl3.coeff.items())
 
     def test_prime_values(self, spectrum):
         f = spectrum[1]
@@ -221,4 +224,4 @@ def test_omega_decay_floor(spectrum):
 
 def test_langlands_must_balance():
     with pytest.raises(ValueError):
-        GL3Form(langlands=(1.0, 2.0, 3.0), coeff={(1, 1): 1.0}, self_dual=True, x_max=1)
+        GL3Form(langlands=(1.0, 2.0, 3.0), coeff={(1, 1): 1.0}, x_max=1)
