@@ -442,10 +442,10 @@ def p_bound_rhs(seq: Sequence, sw: SpectralWeight) -> float:
     Each (q, c) term is the closed-form unit-residue mean square of
     _hybrid_lhs_one_modulus at v = q, so no quadrature grid is involved.
     The block's pairs are grouped by lag once (_pair_groups at lam_n = n,
-    N groups), and one _hybrid_lhs_one_modulus call takes every (q, c)
-    term as a row of its blocked (moduli x groups) kernel tables; each
-    modulus's Ramanujan row is computed once per process, however many q
-    repeat it.
+    N groups, no sort), and one _hybrid_lhs_one_modulus call takes every
+    (q, c) term as a row of its blocked (moduli x groups) kernel tables;
+    the Ramanujan sums are gathered from sievebench's kept table of rows,
+    which a modulus enters once per process however many q repeat it.
     """
     if not seq.is_real:
         raise ValueError("the decomposition majorant applies to real sequences")

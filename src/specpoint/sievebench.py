@@ -7,13 +7,16 @@ the units alpha gives, for each pair m <= n of the block, the Ramanujan
 sum c_c(n - m) times int_{-tau}^{tau} e((lam_n - lam_m) t) dt, a sinc.
 The pair enters only through its lag n - m and its gap lam_n - lam_m, so
 _pair_groups adds up Re(conj(a_m) a_n) once per sequence over the pairs
-with equal (lag, gap). The Ramanujan row c_c(k), k <= c/2, comes from
-Hoelder's closed form once per modulus per process (_ramanujan_sums,
-cached), and a whole sum over moduli is one _hybrid_lhs_one_modulus call:
-blocked (moduli x groups) kernel tables of gathered rows times sincs,
-each block one matrix product with the weights. At lam_n = n (gamma = 1)
-every gap is its lag, which leaves N groups where the dense form has N^2
-kernel entries.
+with equal (lag, gap), laid out lag by lag so that only gaps out of order
+within a lag are sorted. The Ramanujan rows c_c(k), k <= c/2, of every
+modulus up to the largest asked for so far sit in one flat read-only
+table (_ramanujan_table), each entry built once per process by Hoelder's
+closed form (_hoelder) and extended over new moduli only, and a whole sum
+over moduli is one _hybrid_lhs_one_modulus call: blocked (moduli x groups)
+kernel tables of entries gathered from that table times sincs, each block
+one matrix product with the weights. At lam_n = n (gamma = 1) every gap is
+its lag, which leaves N groups where the dense form has N^2 kernel
+entries, and nothing is sorted.
 Right-hand sides are the literature majorants with every unspecified
 epsilon-factor set to 1. Only ratios are reported: the suites check
 boundedness, monotonicity, and scaling invariance, never a sharp constant.
@@ -28,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import _moebius_totients, _unit_residues, divisor_sigma
+from .arith import _grown, _moebius_totients, _runs, _unit_residues, divisor_sigma
 from .besselintegral import SpectralWeight, weight_h
 from .quadrature import QuadratureResult, doubled, doubling_rounds, gauss_grid
 from .specfun import eisenstein_density
@@ -48,6 +51,8 @@ class Sequence:
             raise ValueError("N must be at least 1")
         if self.values.shape != (self.N,):
             raise ValueError(f"need exactly N={self.N} values for n in (N, 2N]")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("the values a_n must be finite")
         if not np.iscomplexobj(self.values):
             self.values = self.values.astype(complex)
 
@@ -101,35 +106,84 @@ def _pair_groups(seq: Sequence, lams: np.ndarray) -> tuple[np.ndarray, np.ndarra
     group, an off-diagonal pair counted twice for both orders. For a real
     kernel K(m, n) = K(n, m) that depends on the pair only through its key,
     sum_{m,n} conj(a_m) a_n K = weights @ K.
+
+    The pairs are laid out lag by lag, m ascending within a lag, so the
+    keys arrive sorted by lag; a stable sort by gap within each lag runs
+    only where some gap falls within a lag (never at lam_n = n). Either
+    way each group adds its pairs in ascending m.
     """
-    i, j = np.triu_indices(seq.N)
-    a = seq.values
-    pair_weights = np.where(i == j, 1.0, 2.0) * np.real(a[i].conj() * a[j])
-    lag, gap = j - i, lams[j] - lams[i]
-    del i, j  # two (N^2/2)-entry arrays the sort below does not need
-    # a stable sort by lag, then gap: a new group starts where either key changes
-    order = np.lexsort((gap, lag))
-    lag, gap = lag[order], gap[order]
+    N = seq.N
+    pairs = N * (N + 1) // 2
+    index = np.int32 if pairs <= np.iinfo(np.int32).max else np.int64
+    counts = np.arange(N, 0, -1, dtype=index)  # N - k pairs at lag k
+    lag = np.repeat(np.arange(N, dtype=index), counts)
+    i = np.arange(pairs, dtype=index) - np.repeat(np.cumsum(counts, dtype=index) - counts, counts)
+    j = i + lag
+    # conj(a_m) a_n formed in place: one (N^2/2)-entry complex array at a time
+    pair = seq.values.conj()[i]
+    pair *= seq.values[j]
+    # twice Re(conj(a_m) a_n) off the diagonal, which is the first N pairs
+    pair_weights = 2.0 * pair.real
+    pair_weights[:N] = pair.real[:N]
+    del pair
+    gap = lams[j] - lams[i]
+    del i, j
+    new_lag = lag[1:] != lag[:-1]
+    if not np.all(new_lag | (gap[1:] >= gap[:-1])):
+        # lags stay in place: the sort only reorders gaps within a lag
+        order = np.lexsort((gap, lag))
+        gap, pair_weights = gap[order], pair_weights[order]
     starts = np.ones(lag.size, dtype=bool)
-    starts[1:] = (lag[1:] != lag[:-1]) | (gap[1:] != gap[:-1])
+    starts[1:] = new_lag | (gap[1:] != gap[:-1])
     group = np.cumsum(starts) - 1
-    return lag[starts], gap[starts], np.bincount(group, weights=pair_weights[order])
+    return lag[starts].astype(np.int64), gap[starts], np.bincount(group, weights=pair_weights)
 
 
-@lru_cache(maxsize=_unit_residues.cache_info().maxsize)
-def _ramanujan_sums(c: int) -> np.ndarray:
-    """c_c(k) = sum over units alpha mod c of e(alpha k/c) for k = 0..c/2,
-    read-only and computed once per modulus per process.
+def _hoelder(c: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The Ramanujan sum c_c(k) entry by entry (c and k broadcast): Hoelder's
+    closed form mu(c/g) phi(c)/phi(c/g), g = gcd(k, c), in exact integers
+    from the sieve table of arith._moebius_totients."""
+    mu, phi = _moebius_totients(int(np.max(c)))
+    q = c // np.gcd(k, c)
+    return mu[q] * (phi[c] // phi[q])
 
-    Hoelder's closed form c_c(k) = mu(c/g) phi(c)/phi(c/g), g = gcd(k, c),
-    in exact integers from the sieve table of arith._moebius_totients;
-    c_c(k) is even and c-periodic in k, so these entries give every k.
+
+# c_c(k) for k = 0..c/2 of every modulus c = 1, 2, ... in turn, read-only,
+# kept for the largest C so far: modulus c's row starts at entry starts[c - 1].
+# It starts with c = 1, whose one entry is c_1(0) = 1, and holds at most as
+# many moduli as the unit-residue cache (read once here: a caller may rebind
+# _unit_residues, as bench/tracing.py does, to a wrapper with no cache_info).
+_RAMANUJAN = (np.ones(1), np.arange(2))
+_RAMANUJAN_MODULI = _unit_residues.cache_info().maxsize
+
+
+def _ramanujan_table(C: int) -> tuple[np.ndarray, np.ndarray]:
+    """(table, starts) of _RAMANUJAN, extended if need be to every modulus
+    c <= C, but to no more than _RAMANUJAN_MODULI moduli.
+
+    c_c(k) is even and c-periodic in k, so a row's entries give every k.
+    A larger C extends the table by the new moduli only, in runs of about
+    arith._PASS_UNITS entries (arith._runs) with int32 temporaries, one
+    _hoelder pass per run; a smaller C reads it as it is.
     """
-    mu, phi = _moebius_totients(c)
-    q = c // np.gcd(np.arange(c // 2 + 1), c)
-    sums = (mu[q] * (phi[c] // phi[q])).astype(float)
-    sums.flags.writeable = False
-    return sums
+    global _RAMANUJAN
+    table, starts = _RAMANUJAN
+    C = min(C, _RAMANUJAN_MODULI)
+    if starts.size <= C:
+        first = starts.size  # the first new modulus
+        sizes = np.arange(first, C + 1) // 2 + 1
+        starts = np.concatenate([starts, starts[-1] + np.cumsum(sizes)])
+        table = _grown(table, starts[-1])
+        for lo, hi in _runs(first, C):
+            mods = np.arange(lo, hi + 1, dtype=np.int32)
+            sizes = mods // 2 + 1
+            c = np.repeat(mods, sizes)
+            firsts = np.cumsum(sizes, dtype=np.int32) - sizes  # of each row within the run
+            k = np.arange(c.size, dtype=np.int32) - np.repeat(firsts, sizes)
+            table[starts[lo - 1] : starts[hi]] = _hoelder(c, k)
+        table.flags.writeable = False
+        _RAMANUJAN = table, starts
+    return table, starts
 
 
 _KERNEL_BLOCK = 1 << 13  # most (modulus, group) entries of one kernel block
@@ -144,22 +198,27 @@ def _hybrid_lhs_one_modulus(groups: tuple, vs: np.ndarray, cs: np.ndarray, tau: 
     c_c(lag) and the t-integral of e(gap t/(c v)) is 2 tau sinc(2 tau gap/(c v)),
     so the value is (1/c) sum_g W_g c_c(lag_g) 2 tau sinc(2 tau gap_g/(c v)).
     The (moduli x groups) kernel is built in blocks of at most _KERNEL_BLOCK
-    entries (one modulus per block at least): the moduli's cached Ramanujan
-    rows gathered at the folded lags, times one sinc call, then one matrix
-    product with the weights. There is no N x N or phi(c) x N table.
+    entries (one modulus per block at least): the Ramanujan sums gathered
+    from the kept table of _ramanujan_table at each row's start plus the
+    folded lag min(k, c - k), k = lag mod c, times one sinc call, then one
+    matrix product with the weights. A block with a modulus past the
+    table's bound takes its sums from _hoelder at the same entries. There
+    is no N x N or phi(c) x N table.
     """
     lags, gaps, weights = groups
     cs = np.asarray(cs, dtype=np.int64)
     vs = np.asarray(vs, dtype=float)
     values = np.empty(cs.size)
-    _moebius_totients(int(np.max(cs, initial=1)))  # one sieve for every row below
+    table, starts = _ramanujan_table(int(np.max(cs, initial=1)))
     step = max(1, _KERNEL_BLOCK // lags.size)
     for i in range(0, cs.size, step):
         c, v = cs[i : i + step, None], vs[i : i + step, None]
-        rows = [_ramanujan_sums(int(m)) for m in c[:, 0]]
-        offsets = np.cumsum([0] + [row.size for row in rows[:-1]])[:, None]
         ks = lags % c
-        ramanujan = np.concatenate(rows)[offsets + np.minimum(ks, c - ks)]
+        folded = np.minimum(ks, c - ks)
+        if np.max(c) < starts.size:
+            ramanujan = table[starts[c - 1] + folded]
+        else:
+            ramanujan = _hoelder(c, folded).astype(float)
         kernel = ramanujan * (2.0 * tau * np.sinc(2.0 * tau * (gaps / (c * v))))
         values[i : i + step] = (kernel @ weights) / c[:, 0]
     return values
@@ -170,6 +229,9 @@ def young_ls_lhs(seq: Sequence, gamma: float, tau: float, v: float, C: int) -> f
     over c of the closed-form per-modulus values, with no quadrature grid."""
     if isinstance(C, bool) or not isinstance(C, numbers.Integral):
         raise ValueError(f"C must be an integer, got {C!r}")
+    for name, value in (("gamma", gamma), ("tau", tau), ("v", v)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if gamma == 0:
         raise ValueError("gamma must be nonzero")
     if tau <= 0 or v <= 0 or C < 1:

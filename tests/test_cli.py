@@ -66,6 +66,11 @@ def test_sieve_line(capsys):
         "closure --T inf",
         "decompose --N 0",
         "sieve --tau 0",
+        # NaN passes tau <= 0 and v <= 0; the report would hold NaN tokens
+        "sieve --tau nan",
+        "sieve --v nan",
+        "sieve --tau inf",
+        "sieve --gamma inf",
     ],
 )
 def test_rejects_bad_input_with_usage_error(argv, capsys):

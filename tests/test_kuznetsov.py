@@ -699,6 +699,12 @@ class TestDecomposition:
         assert want > 0
         assert rep.spectral_tail == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        # a NaN a_n ran the C search until an OverflowError
+        with pytest.raises(ValueError, match="finite"):
+            decomposition(Sequence(N=4, values=np.array([0.5, bad, -0.1, 0.2])), SW, [], tol=1e-6)
+
     def test_nonnegativity_and_positivity(self, forms):
         seq = Sequence.random(N=8, seed=5, real=True)
         rep = decomposition(seq, SW, forms, tol=1e-6)
@@ -734,6 +740,20 @@ class TestPBound:
         monkeypatch.setattr(kuznetsov, "_P_CAP", 4.0)
         big = p_bound_rhs(seq, SW)
         assert big >= small - 1e-12
+
+    def test_pinned_value_at_the_bench_size(self):
+        # the sieve workload's majorant at seed 1, bit for bit
+        seq = Sequence.random(64, seed=1, real=True)
+        sw = SpectralWeight(T=3.0, M=1.5)
+        got = p_bound_rhs(seq, sw)
+        assert got.hex() == "0x1.f94953d7d9d03p+15"
+        assert got == pytest.approx(p_bound_lag_sum(seq.values.real, sw), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        # a NaN a_n made the majorant NaN
+        with pytest.raises(ValueError, match="finite"):
+            p_bound_rhs(Sequence(N=4, values=np.array([0.5, bad, -0.1, 0.2])), SW)
 
     @pytest.mark.parametrize("N", [8, 16])
     def test_matches_exact_lag_sum(self, N):

@@ -1,6 +1,7 @@
 """Sieve-ratio harness: direct-sum oracles, monotonicity, scaling laws."""
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -18,7 +19,7 @@ from specpoint.sievebench import (
     _eisenstein_weights,
     _hybrid_lhs_one_modulus,
     _pair_groups,
-    _ramanujan_sums,
+    _ramanujan_table,
     corollary_ratio,
     moment_demo,
     young_ls_lhs,
@@ -103,6 +104,11 @@ class TestSequence:
         with pytest.raises(ValueError):
             Sequence(N=4, values=np.ones(5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Sequence(N=4, values=np.array([0.5, bad, -0.1, 0.2]))
+
 
 class TestYoungLS:
     def test_zero_sequence(self):
@@ -155,9 +161,34 @@ class TestYoungLS:
         with pytest.raises(ValueError, match="C must be an integer"):
             young_ls_lhs(Sequence.random(N=4, seed=1), 1.0, 0.5, 1.0, C)
 
+    @pytest.mark.parametrize(
+        "name, gamma, tau, v",
+        [
+            ("tau", 1.0, math.nan, 1.0),
+            ("tau", 1.0, math.inf, 1.0),
+            ("v", 1.0, 0.5, math.nan),
+            ("v", 1.0, 0.5, math.inf),
+            ("gamma", math.inf, 0.5, 1.0),
+            ("gamma", math.nan, 0.5, 1.0),
+        ],
+    )
+    def test_rejects_non_finite_parameters(self, name, gamma, tau, v):
+        # NaN passes tau <= 0 and v <= 0, and would report a NaN ratio
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            young_ls_lhs(Sequence.random(N=4, seed=1), gamma, tau, v, 4)
+
     def test_accepts_numpy_integer_C(self):
         seq = Sequence.random(N=8, seed=9)
         assert young_ls_lhs(seq, 1.0, 0.3, 1.5, np.int64(4)) == young_ls_lhs(seq, 1.0, 0.3, 1.5, 4)
+
+    def test_pinned_value_at_the_bench_size(self):
+        # the sieve workload's young_ls_lhs at seed 1, bit for bit, and the
+        # dense form modulus by modulus
+        seq = Sequence.random(256, seed=1)
+        got = young_ls_lhs(seq, 1.0, 1.0, 1.0, 256)
+        assert got.hex() == "0x1.3724abdb264f6p+15"
+        want = math.fsum(dense_lhs_one_modulus(seq, 1.0, 1.0, c, 1.0) for c in range(1, 257))
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_scaling_invariance(self):
         seq = Sequence.random(N=12, seed=13)
@@ -189,12 +220,19 @@ class TestPairGroups:
         want = [dense_lhs_one_modulus(seq, gamma, v, int(c), tau) for c in cs]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("lam", ["n^0.5", "n^1", "n^2", "log n"])
-    @pytest.mark.parametrize("N", [1, 24, 97])
+    @pytest.mark.parametrize("lam", ["n^0.5", "n^1", "n^2", "log n", "permuted n^0.5"])
+    @pytest.mark.parametrize("N", [1, 2, 24, 97])
     def test_matches_complex_key_grouping(self, lam, N):
+        # within a lag the gaps fall (n^0.5, log n: sorted), stay (n^1) or
+        # rise (n^2: not sorted); the permuted n^0.5 gaps rise and fall
         seq = Sequence.random(N=N, seed=37)
         ns = seq.ns.astype(float)
-        lams = np.log(ns) if lam == "log n" else ns ** float(lam[2:])
+        if lam == "log n":
+            lams = np.log(ns)
+        elif lam == "permuted n^0.5":
+            lams = np.random.default_rng(41).permutation(ns**0.5)
+        else:
+            lams = ns ** float(lam[2:])
         got, want = _pair_groups(seq, lams), complex_key_groups(seq, lams)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
@@ -207,6 +245,19 @@ class TestPairGroups:
         np.testing.assert_array_equal(lags, np.arange(seq.N))
         np.testing.assert_array_equal(gaps, lags)
         assert weights[0] == pytest.approx(seq.norm_sq, rel=1e-15)
+
+    def test_peak_memory_at_N_256(self):
+        # the lag-major layout holds one (N^2/2)-entry complex array at a
+        # time; triu_indices and a full lexsort peaked at 1,799.5 KB here
+        seq = Sequence.random(N=256, seed=1)
+        lams = seq.ns.astype(float)
+        tracemalloc.start()
+        try:
+            _pair_groups(seq, lams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1800 * 1024
 
     def test_gamma_two_keeps_every_off_diagonal_pair(self):
         # n^2 - m^2 = (n - m)(n + m) tells the pairs of one lag apart; the
@@ -228,35 +279,87 @@ class TestPairGroups:
             np.testing.assert_allclose(_hybrid_lhs_one_modulus(groups, vs, cs, 0.7), whole, rtol=1e-14, atol=0)
 
 
+def ramanujan_row(c: int) -> np.ndarray:
+    """c_c(k) for k = 0..c/2 as the kept table holds it."""
+    table, starts = _ramanujan_table(c)
+    return table[starts[c - 1] : starts[c]]
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """An empty kept Ramanujan table (the row of c = 1 alone) for one test;
+    the process's table comes back after it, so no large table stays."""
+    table, starts = sievebench._RAMANUJAN
+    monkeypatch.setattr(sievebench, "_RAMANUJAN", (table[:1], starts[:2]))
+
+
 class TestRamanujanSums:
     @pytest.mark.parametrize("moduli", [range(1, 301), [2310]])
-    def test_dft_matches_moebius_closed_form(self, moduli):
+    def test_dft_matches_moebius_closed_form(self, moduli, fresh_table):
         # c_c(k) = sum over d | (c, k) of mu(c/d) d, stored for k = 0..c/2
         for c in moduli:
             ks = np.arange(c // 2 + 1)
             want = sum(moebius(c // d) * d * (ks % d == 0) for d in divisors(c))
-            np.testing.assert_array_equal(_ramanujan_sums(c), want)
+            np.testing.assert_array_equal(ramanujan_row(c), want)
 
-    def test_closed_form_matches_the_unit_indicators_dft(self):
+    def test_closed_form_matches_the_unit_indicators_dft(self, fresh_table):
         # c_c(k) is the real DFT of the indicator of gcd(alpha, c) = 1,
-        # rounded to the integers it equals; uncached, so the rows of
-        # c <= 2048 (8 MB) do not stay in the cache
+        # rounded to the integers it equals
+        _ramanujan_table(2048)
         for c in range(1, 2049):
             units = (np.gcd(np.arange(c), c) == 1).astype(float)
-            got = _ramanujan_sums.__wrapped__(c)
+            got = ramanujan_row(c)
             np.testing.assert_array_equal(got, np.rint(np.fft.rfft(units).real))
             assert got.dtype == np.float64
 
-    def test_one_transform_per_modulus(self):
-        # the sieve workload's pass: young_ls_ratio over c <= 256 and
-        # p_bound_rhs's 395 (q, c) terms, whose moduli repeat
-        _ramanujan_sums.cache_clear()
+    def test_table_is_read_only(self, fresh_table):
+        table, _ = _ramanujan_table(40)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[3] = 0.0
+
+    def test_the_sieve_pass_extends_the_table_once(self, fresh_table, monkeypatch):
+        # young_ls_ratio over c <= 256 builds the rows of c = 2..256 in one
+        # extension; p_bound_rhs's 395 (q, c) terms, c <= 21, build none
+        extensions = []
+        runs = sievebench._runs
+
+        def counted_runs(first, last):
+            extensions.append((first, last))
+            return runs(first, last)
+
+        monkeypatch.setattr(sievebench, "_runs", counted_runs)
         young_ls_ratio(Sequence.random(256, seed=1), 1.0, 1.0, 1.0, 256)
+        kept = sievebench._RAMANUJAN
+        assert extensions == [(2, 256)] and kept[1].size == 257
         p_bound_rhs(Sequence.random(64, seed=1, real=True), SpectralWeight(T=3.0, M=1.5))
-        assert _ramanujan_sums.cache_info().misses == 256
-        assert not any(_ramanujan_sums(c).flags.writeable for c in range(1, 257))
-        assert _ramanujan_sums.cache_info().misses == 256
-        assert _ramanujan_sums.cache_info().maxsize == _unit_residues.cache_info().maxsize
+        assert extensions == [(2, 256)] and sievebench._RAMANUJAN is kept
+
+    def test_table_holds_at_most_the_unit_cache_bound(self, fresh_table, monkeypatch):
+        # moduli past the bound take their sums per call, in blocks past the
+        # table and in a block that straddles its end
+        assert sievebench._RAMANUJAN_MODULI == _unit_residues.cache_info().maxsize
+        seq = Sequence.random(N=24, seed=29)
+        groups = _pair_groups(seq, seq.ns.astype(float) ** 0.5)
+        cs = np.arange(1, 41)
+        vs = np.linspace(0.5, 3.0, cs.size)
+        monkeypatch.setattr(sievebench, "_KERNEL_BLOCK", 7 * groups[0].size)
+        want = _hybrid_lhs_one_modulus(groups, vs, cs, 0.7)
+        table, starts = sievebench._RAMANUJAN
+        monkeypatch.setattr(sievebench, "_RAMANUJAN", (table[:1], starts[:2]))
+        monkeypatch.setattr(sievebench, "_RAMANUJAN_MODULI", 16)
+        got = _hybrid_lhs_one_modulus(groups, vs, cs, 0.7)
+        assert sievebench._RAMANUJAN[1].size - 1 == 16
+        np.testing.assert_array_equal(got, want)
+        dense = [dense_lhs_one_modulus(seq, 0.5, float(v), int(c), 0.7) for c, v in zip(cs, vs)]
+        np.testing.assert_allclose(got, dense, rtol=1e-13, atol=0)
+
+    def test_sieve_runs_with_a_wrapped_unit_residue_cache(self, fresh_table, monkeypatch):
+        # bench/tracing.py rebinds _unit_residues to a plain wrapper, which
+        # has no cache_info()
+        monkeypatch.setattr(sievebench, "_unit_residues", lambda c: _unit_residues(c))
+        seq = Sequence.random(N=8, seed=9)
+        assert young_ls_lhs(seq, 1.0, 0.3, 1.5, 6) == pytest.approx(young_lhs_gauss(seq, 1.0, 0.3, 1.5, 6), rel=1e-12)
 
 
 class TestCorollaryWindow:
