@@ -53,7 +53,7 @@ FIRST_CUSP_FORM_T = 9.53369526
 def spectral_tail_bar(sw: SpectralWeight, forms: list[MaassForm]) -> float:
     """Bound for the uncovered spectral tail t > max(t_cov, FIRST_CUSP_FORM_T)
     at coefficients of size 1: eigenvalue density t/6 times the Gaussian
-    weight, harmonic weights by the dataset maximum (1 with no data). The
+    weight, harmonic weights by the largest supplied omega (1 with none). The
     caller scales it by its coefficients' caps, tau(m) tau(n) for the pair
     (m, n).
 

@@ -2,9 +2,10 @@
 
 The references are independent of the production code paths they check:
 fixed, fine Gauss-Legendre rules written out here, the twisted weight
-h(t; y) of the H oracles, and the dual of a GL(3) table. The fixtures are
-synthetic spectra: Hecke-multiplicative tables from random prime values,
-which exercise parsers, sums and symmetries but are not automorphic.
+h(t; y) of the H oracles, the dual of a GL(3) table and the Hecke
+consistency of a Maass form's eigenvalues. The fixtures are synthetic
+spectra: Hecke-multiplicative tables from random prime values, which
+exercise sums and symmetries but are not automorphic.
 """
 
 import math
@@ -43,14 +44,26 @@ def weight_h_y(t, y: float, sw):
 
 
 def dual(gl3: GL3Form) -> GL3Form:
-    """The contragredient table: parameters negated, A(m, n) -> conj A(n, m)."""
-    lam = tuple(-z for z in gl3.langlands)
+    """The contragredient table: A(m, n) -> conj A(n, m)."""
     return GL3Form(
-        langlands=(lam[0], lam[1], lam[2]),
         coeff={(n, m): np.conj(v) for (m, n), v in gl3.coeff.items()},
         x_max=gl3.x_max,
         label=gl3.label + "~",
     )
+
+
+def hecke_consistency(form: MaassForm) -> float:
+    """max over m n <= nmax of |lambda(m)lambda(n) - sum_{d | (m,n)} lambda(mn/d^2)|."""
+    N = form.nmax
+    worst = 0.0
+    for m in range(2, N + 1):
+        if m * m > N:
+            break
+        for n in range(m, N // m + 1):
+            g = math.gcd(m, n)
+            rhs = sum(form.lam((m * n) // (d * d)) for d in divisors(g))
+            worst = max(worst, abs(form.lam(m) * form.lam(n) - rhs))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -59,16 +72,15 @@ def dual(gl3: GL3Form) -> GL3Form:
 
 def synthetic_form(
     t: float,
-    parity: str,
     omega: float,
     n_max: int,
     seed: int | None = None,
 ) -> MaassForm:
     """A Hecke-multiplicative table from random prime values.
 
-    Useful for exercising parsers, sums, and symmetry properties. The
-    trace-formula identity does NOT hold for such mock data: only genuine
-    spectra balance the two sides.
+    Useful for exercising sums and symmetry properties. The trace-formula
+    identity does NOT hold for such mock data: only genuine spectra balance
+    the two sides.
     """
     rng = np.random.default_rng(seed)
     lam = np.ones(n_max)
@@ -79,7 +91,7 @@ def synthetic_form(
             lam[n - 1] = math.prod(_prime_power(float(lam[p - 1]), a) for p, a in fac)
         else:
             lam[n - 1] = 2.0 * math.cos(rng.uniform(0.0, math.pi))
-    return MaassForm(t=t, parity=parity, omega=omega, hecke=lam)
+    return MaassForm(t=t, omega=omega, hecke=lam)
 
 
 def synthetic_spectrum(
@@ -93,7 +105,6 @@ def synthetic_spectrum(
     ts = np.sort(rng.uniform(t_lo, t_hi, size=count))
     forms = []
     for i, t in enumerate(ts):
-        parity = "even" if i % 2 == 0 else "odd"
         omega = float(np.exp(rng.normal(math.log(8.0 / math.pi**2), 0.35)) / (1.0 + t / 40.0))
-        forms.append(synthetic_form(float(t), parity, omega, n_max, seed=seed + 7 * i))
+        forms.append(synthetic_form(float(t), omega, n_max, seed=seed + 7 * i))
     return forms

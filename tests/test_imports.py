@@ -68,8 +68,6 @@ NOT_YET_RUN = {
     "arith.py:vq_sum": "item 8",
     "sievebench.py:corollary_ratio": "item 10",
     "sievebench.py:moment_demo": "item 3",
-    "spectraldata.py:load_spectrum": "item 3",
-    "spectraldata.py:save_spectrum": "item 3",
     "spectraldata.py:sym_square_lift": "item 3",
 }
 
@@ -106,6 +104,31 @@ def test_src_holds_what_src_or_bench_runs():
     # a definition that only tests name is a test reference or fixture and
     # belongs in tests/, unless a ROADMAP.md item is to run it
     assert sorted(_unreferenced(("bench",))) == sorted(NOT_YET_RUN)
+
+
+# calls that read or write a file: the builtin open, pathlib's methods and
+# numpy's array files
+FILE_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+NUMPY_FILE_FUNCTIONS = {"load", "save", "savez", "loadtxt", "savetxt", "genfromtxt", "fromfile"}
+
+
+def test_src_reads_and_writes_no_file():
+    # spectral data lives in memory: forms are computed or built in-process,
+    # so src has no file format to read or write
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if isinstance(func, ast.Name):
+                reads_or_writes = func.id == "open"
+            elif isinstance(func, ast.Attribute):
+                on_numpy = isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+                reads_or_writes = func.attr in FILE_METHODS or (on_numpy and func.attr in NUMPY_FILE_FUNCTIONS)
+            else:
+                reads_or_writes = False
+            if reads_or_writes:
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
 
 
 def test_every_lru_cache_is_bounded():
