@@ -11,9 +11,9 @@ SERIES_X_MAX the power series of the cosine kernel B, for larger x the
 kernel k_1 on one rotated contour per octave of x, as k_y(r) = (k_1(r+L) +
 k_1(r-L))/2 at L = log y. Neither takes a trig call per (node, t) pair:
 both factor their phases in t over the t-grid's Gauss panels
-(quadrature.grid_panels). Both double their Gauss panels until no term
-moves by more than tol (quadrature.doubled), and add _ROUNDING times the
-absolute sum of the terms on the last grid to each error estimate. The
+(quadrature.grid_panels). Both refine their Gauss panels by 3/2 until no
+term moves by more than tol (quadrature.refined), and add _ROUNDING times
+the absolute sum of the terms on the last grid to each error estimate. The
 kernel route is exact at small x too, but took 4-25 times as long there as
 the series at T = 3-20. residue_expansion bounds E_K in H = sum_{k<K}
 r_k(y) J_{2k+1}(x) + E_K for an array of twists, from one table per window;
@@ -41,9 +41,10 @@ from .quadrature import (
     QuadratureResult,
     _panel_count,
     adaptive_quadrature,
-    doubled,
     gauss_grid,
     grid_panels,
+    refined,
+    refined_panels,
 )
 from .specfun import log_gamma
 
@@ -52,7 +53,7 @@ R_CUT_FACTOR = 6.1  # exp(-6.1^2) ~ 7e-17: the Gaussian r-truncation
 T_CUT_FACTOR = 6.5  # exp(-6.5^2) ~ 4e-19: the Gaussian t-truncation
 SERIES_X_MAX = 5.0  # largest x whose H integrand uses the power-series kernel
 _H_PREF = 4.0 / math.pi**2
-_ROUNDS = 4  # grid doublings either H route tries before flagging
+_ROUNDS = 7  # grid refinements either H route tries before flagging: (3/2)^7 > 16
 _BLOCK_NODES = 256  # rows per block of a node table: 256 x (t-nodes or x) at most
 _BLOCK_TERMS = 512  # terms per block of a term table: 256 x 512 at most
 # S_k(SL2(Z)) = 0 for k = 2, 4, ..., 10 (Iwaniec, Topics in Classical
@@ -104,14 +105,24 @@ def rho_pm(r):
     return np.expm1(r), -np.expm1(-r)
 
 
-def _t_weights(sw: SpectralWeight, rate: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+def _t_panels(sw: SpectralWeight, rate: float) -> int:
+    """The first t-grid's panel count for rate radians of phase per unit t
+    on [0, t_upper]: _panel_count's, and at least one panel per M."""
+    return max(_panel_count(rate * sw.t_upper), math.ceil(sw.t_upper / sw.M))
+
+
+@lru_cache(maxsize=16)
+def _t_weights(sw: SpectralWeight, panels: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     """The t-nodes on [0, t_upper] and their weights f = w (4/pi^2) t h(t)
-    tanh(pi t) > 0: Gauss panels for rate radians of phase per unit t, at
-    least one per M, doubled level times. No node lies at t = 0."""
-    t_hi = sw.t_upper
-    panels = max(_panel_count(rate * t_hi), math.ceil(t_hi / sw.M)) << level
-    t, wt = gauss_grid(0.0, t_hi, panels)
-    return t, wt * _H_PREF * t * weight_h(t, sw) * np.tanh(math.pi * t)
+    tanh(pi t) > 0, read-only: Gauss panels from the first count panels
+    (_t_panels), refined level times. No node lies at t = 0. Every call of
+    a window and panel count shares them. At T = 50, M = 8 an entry holds
+    2 x 1,376 float64 (22 KB) on a first grid, 2 x 23,520 (376 KB) at
+    level 7."""
+    t, wt = gauss_grid(0.0, sw.t_upper, refined_panels(panels, level))
+    f = wt * _H_PREF * t * weight_h(t, sw) * np.tanh(math.pi * t)
+    t.flags.writeable = f.flags.writeable = False
+    return t, f
 
 
 def bessel_H_series_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> QuadratureResult:
@@ -122,8 +133,8 @@ def bessel_H_series_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> Quadr
     product per block of _BLOCK_NODES t-nodes (whole panels, whose phase
     table kernel_b_series_many factors) and _BLOCK_TERMS terms, which each
     term weighs by cos(2t log y). The panels follow the phase of the
-    largest twist and of the smallest x's kernel, and double until no term
-    moves by more than tol. Each block of terms sums the series' k-terms
+    largest twist and of the smallest x's kernel, and are refined until no
+    term moves by more than tol. Each block of terms sums the series' k-terms
     that its largest x needs (besselkernel.series_cut). value and
     err_estimate are real arrays in the order of xs, err_estimate plus
     _ROUNDING sum_t f |B| and the k-terms' cut, series_cut's tail times
@@ -142,12 +153,13 @@ def bessel_H_series_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> Quadr
     twist = np.broadcast_to(twist, xs.shape)
     # B(t, x) turns at rate 2 asinh(2t/x) in t, fastest at the smallest x
     rate = 2.0 * np.max(np.abs(log_y)) + 2.0 * math.asinh(2.0 * sw.t_upper / np.min(xs))
+    t_panels = _t_panels(sw, rate)
     # each block of terms takes the series' k-terms its largest x needs (series_cut)
     blocks = [slice(j, j + _BLOCK_TERMS) for j in range(0, xs.size, _BLOCK_TERMS)]
     cuts = [series_cut(float(np.max(xs[cols]))) for cols in blocks]
 
     def evaluate(level: int) -> tuple[np.ndarray, np.ndarray, int]:
-        t, f = _t_weights(sw, rate, level)
+        t, f = _t_weights(sw, t_panels, level)
         total, size, cut = np.zeros(xs.size), np.zeros(xs.size), np.zeros(xs.size)
         for i in range(0, t.size, _BLOCK_NODES):
             block = slice(i, i + _BLOCK_NODES)
@@ -163,7 +175,7 @@ def bessel_H_series_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> Quadr
             cut[cols] = tail * envelope
         return total, _ROUNDING * size + cut, t.size * xs.size
 
-    return doubled(evaluate, tol, _ROUNDS)
+    return refined(evaluate, tol, _ROUNDS)
 
 
 def _split(v: np.ndarray) -> np.ndarray:
@@ -222,23 +234,32 @@ def _cos_sum(r: np.ndarray, t: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel_on_legs(
-    r: np.ndarray, dr: np.ndarray, t: np.ndarray, f: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """k_1(r) dr at the contour nodes r with weights dr, from the t-nodes
-    and their weights f = w (4/pi^2) t h tanh > 0; and |dr| sum_t f
-    cosh(2t Im r) >= |dr| sum_t f |cos(2tr)|, the absolute sum of its terms,
-    which is k_1 at i Im r, once per run of equal Im r (a horizontal leg).
-    One _cos_sum call takes both."""
-    new = np.concatenate([[True], r.imag[1:] != r.imag[:-1]])
-    k = _cos_sum(np.concatenate([r, 1j * r.imag[new]]), t, f)
-    return k[: r.size] * dr, k[r.size :].real[np.cumsum(new) - 1] * np.abs(dr)
+def _theta(sw: SpectralWeight) -> float:
+    """The height theta = min(pi/2, 4/T) of _contour's path."""
+    return min(math.pi / 2, 4.0 / sw.T)
 
 
-def _contour(xs: np.ndarray, log_y: np.ndarray, sw: SpectralWeight) -> tuple[tuple, tuple, float]:
+@lru_cache(maxsize=16)
+def _leg_bars(sw: SpectralWeight, t_panels: int, vertical: int, level: int) -> np.ndarray:
+    """sum_t f cosh(2t sigma) = k_1(i sigma) over the t-grid _t_weights(sw,
+    t_panels, level), read-only, at sigma = 0, at the nodes of the rising
+    leg's vertical panels (refined level times) on [0, theta] and at theta:
+    the Im r of _contour's three legs in turn. At Im r = sigma, |dr| times
+    it bounds the absolute sum of _cos_sum's terms, |dr| sum_t f |cos(2tr)|.
+    None of it depends on x or on the twists, so every call of a window,
+    t-grid and vertical panel count shares one array."""
+    t, f = _t_weights(sw, t_panels, level)
+    theta = _theta(sw)
+    rise = gauss_grid(0.0, theta, refined_panels(vertical, level))[0]
+    bars = _cos_sum(1j * np.concatenate([[0.0], rise, [theta]]), t, f).real
+    bars.flags.writeable = False
+    return bars
+
+
+def _contour(xs: np.ndarray, log_y: np.ndarray, sw: SpectralWeight) -> tuple[tuple, tuple, int]:
     """The path of _bessel_H_kernel for terms (x, log y): its legs as
     (start, end, fixed coordinate, horizontal), their first panel counts,
-    and the rate that sets the first t-grid.
+    and the first t-grid's panel count.
 
     k_1 is even, real on R and entire, so H = Re int_P k_1(v)
     (e^{ix cosh(v-L)} + e^{ix cosh(v+L)}) dv at L = log y along a path P
@@ -257,7 +278,7 @@ def _contour(xs: np.ndarray, log_y: np.ndarray, sw: SpectralWeight) -> tuple[tup
     it turns there.
     """
     shift = float(np.max(np.abs(log_y)))
-    theta = min(math.pi / 2, 4.0 / sw.T)
+    theta = _theta(sw)
     x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
     decay = x_lo * math.sin(theta)
     sinh_a = 2.0 * sw.t_upper * theta / decay
@@ -271,15 +292,15 @@ def _contour(xs: np.ndarray, log_y: np.ndarray, sw: SpectralWeight) -> tuple[tup
         _panel_count(x_hi * cosh_a * (1.0 - math.cos(theta)) + 2.0 * sw.T * theta),
         _panel_count(x_hi * (math.cosh(R) - cosh_a) * math.cos(theta) + 2.0 * sw.T * (R - a)),
     )
-    return legs, counts, 2.0 * math.hypot(R_s, theta)
+    return legs, counts, _t_panels(sw, 2.0 * math.hypot(R_s, theta))
 
 
 def _contour_nodes(legs, counts, level: int) -> tuple[np.ndarray, np.ndarray]:
     """The nodes r and weights dr of every leg's Gauss panels, their first
-    counts doubled level times, leg after leg."""
+    counts refined level times, leg after leg."""
     nodes = []
     for (lo, hi, fixed, horizontal), n in zip(legs, counts):
-        s, ws = gauss_grid(lo, hi, n << level)
+        s, ws = gauss_grid(lo, hi, refined_panels(n, level))
         nodes.append((s + 1j * fixed, ws) if horizontal else (fixed + 1j * s, 1j * ws))
     return np.concatenate([r for r, _ in nodes]), np.concatenate([dr for _, dr in nodes])
 
@@ -290,22 +311,26 @@ def _bessel_H_kernel(xs: np.ndarray, ys, sw: SpectralWeight, tol: float) -> Quad
     k_1 table.
 
     Per level, one _cos_sum call gives k_1 at every node of every leg, from
-    panel-factored tables (no (r, t) table is formed); the term tables
-    e^{ix cosh(v-+L)} are built per block of _BLOCK_NODES nodes and
-    _BLOCK_TERMS terms, so memory does not grow with the number of terms.
-    All panel counts double together until no H changes by more than tol
-    (quadrature.doubled). err_estimate adds _ROUNDING sum f cosh(2t Im v)
-    |e^{ix cosh(v-+L)}| |dv| on the last grid. evaluations counts k_1-table
-    entries, r-nodes times t-nodes.
+    panel-factored tables (no (r, t) table is formed), and _leg_bars the
+    absolute sums of its terms; the term tables e^{ix cosh(v-+L)} are built
+    per block of _BLOCK_NODES nodes and _BLOCK_TERMS terms, so memory does
+    not grow with the number of terms. All panel counts are refined
+    together until no H changes by more than tol (quadrature.refined).
+    err_estimate adds _ROUNDING sum f cosh(2t Im v) |e^{ix cosh(v-+L)}|
+    |dv| on the last grid. evaluations counts k_1-table entries, r-nodes
+    times t-nodes.
     """
     log_y = np.log(ys)
     cosh_l, sinh_l = xs * np.cosh(log_y), xs * np.sinh(log_y)
-    legs, counts, t_rate = _contour(xs, log_y, sw)
+    legs, counts, t_panels = _contour(xs, log_y, sw)
 
     def evaluate(level: int) -> tuple[np.ndarray, np.ndarray, int]:
-        t, f = _t_weights(sw, t_rate, level)
+        t, f = _t_weights(sw, t_panels, level)
         r, dr = _contour_nodes(legs, counts, level)
-        k, k_abs = _kernel_on_legs(r, dr, t, f)
+        k = _cos_sum(r, t, f) * dr
+        # Im r runs through 0, the rising leg's nodes and theta: one bar each
+        new = np.concatenate([[True], r.imag[1:] != r.imag[:-1]])
+        k_abs = _leg_bars(sw, t_panels, counts[1], level)[np.cumsum(new) - 1] * np.abs(dr)
         total, size = np.zeros(xs.size), np.zeros(xs.size)
         for i in range(0, r.size, _BLOCK_NODES):
             block = slice(i, i + _BLOCK_NODES)
@@ -323,7 +348,7 @@ def _bessel_H_kernel(xs: np.ndarray, ys, sw: SpectralWeight, tol: float) -> Quad
                     size[cols] += np.exp(-z.imag) @ k_abs[block]
         return total, _ROUNDING * size, r.size * t.size
 
-    return doubled(evaluate, tol, _ROUNDS)
+    return refined(evaluate, tol, _ROUNDS)
 
 
 def bessel_H_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> tuple[QuadratureResult, int]:
@@ -333,7 +358,7 @@ def bessel_H_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> tuple[Quadra
     x <= SERIES_X_MAX go through one bessel_H_series_many call, which is
     exact for small x too, x < 1 included; larger x through one
     _bessel_H_kernel call per octave, with the t- and r-integrals swapped.
-    Both cut the t-range where the Gaussian is below 4e-19, and both double
+    Both cut the t-range where the Gaussian is below 4e-19, and both refine
     their grids until no term moves by more than tol. value and err_estimate
     are real arrays in the order of xs (empty for an empty xs); converged
     covers them all and evaluations adds up every call's kernel-table

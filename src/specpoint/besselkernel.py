@@ -8,14 +8,14 @@ Instead kernel_b_block integrates the two exponentials exp(i(x cosh r +-
 sinh u). The -2tr piece keeps a real-axis head [0, b] past its stationary
 point (sinh b chosen with x sinh b >= pi t + max(x, 5)) and rotates the
 tail the same way; every leg then has a bounded, non-cancelling
-integrand. The legs are quadrature's Gauss grids under its one doubling
+integrand. The legs are quadrature's Gauss grids under its one refinement
 loop and first-panel rule, like every other refined integral. H at x > 5
 does not go through B (besselintegral swaps the t- and r-integrals
 there), so kernel_b_block, checked against frozen high-precision values,
 is the independent check of B and of that route.
 
 The power-series route (valid for small x, vectorised over both t and x)
-is the kernel of H(x, y) for x <= 5, summed on besselintegral's doubling
+is the kernel of H(x, y) for x <= 5, summed on besselintegral's refined
 t-grid, and an independent check of the contour. On whole Gauss panels of
 t its phase table takes one exponential per panel and x, not per node. It
 stops at its last live k-term: K is the smallest number of terms with
@@ -30,11 +30,19 @@ import math
 
 import numpy as np
 
-from .quadrature import _PANEL_ORDER, _ROUNDING, _panel_count, doubled, gauss_grid, grid_panels
+from .quadrature import (
+    _PANEL_ORDER,
+    _ROUNDING,
+    _panel_count,
+    gauss_grid,
+    grid_panels,
+    refined,
+    refined_panels,
+)
 from .specfun import log_gamma
 
 _TAIL_EXP = 45.0  # exp(-45) ~ 3e-20, below every tolerance used here
-_MAX_ROUNDS = 6  # panel doublings kernel_b_block tries before giving up
+_MAX_ROUNDS = 11  # panel refinements kernel_b_block tries before giving up: (3/2)^11 > 64
 _SERIES_CUT = 2.0**-64  # the first omitted k-term, relative to the k = 0 term
 
 
@@ -134,11 +142,11 @@ def kernel_b_block(
 
     Returns (values, per-t error estimates, converged). The contour legs
     are built for the block's smallest and largest t and shared by every t,
-    one (t, node) table per leg and level. All panel counts double until no
-    value moves by more than tol (quadrature.doubled); converged is False
-    when _MAX_ROUNDS doublings run out. The error estimate adds _ROUNDING
-    times the legs' absolute terms on the last grid and the cut tails,
-    (pi/2 - theta_a) e^{-2t theta_a} past theta_a and 2 e^{-_TAIL_EXP}.
+    one (t, node) table per leg and level. All panel counts are refined
+    until no value moves by more than tol (quadrature.refined); converged
+    is False when _MAX_ROUNDS refinements run out. The error estimate adds
+    _ROUNDING times the legs' absolute terms on the last grid and the cut
+    tails, (pi/2 - theta_a) e^{-2t theta_a} past theta_a and 2 e^{-_TAIL_EXP}.
     """
     t = np.abs(np.asarray(t, dtype=float))
     if x <= 0:
@@ -180,13 +188,13 @@ def kernel_b_block(
     def evaluate(level: int) -> tuple[np.ndarray, np.ndarray, int]:
         total, size, nodes = np.zeros(t.size, dtype=complex), np.zeros(t.size), 0
         for lo, hi, n, terms in legs:
-            s, w = gauss_grid(lo, hi, n << level)
+            s, w = gauss_grid(lo, hi, refined_panels(n, level))
             table = terms(s)
             total += table @ w
             size += np.abs(table) @ w
             nodes += s.size
         return total, _ROUNDING * size, t.size * nodes
 
-    res = doubled(evaluate, tol, _MAX_ROUNDS)
+    res = refined(evaluate, tol, _MAX_ROUNDS)
     tails = (math.pi / 2 - theta_a) * np.exp(-2.0 * t * theta_a) + 2.0 * math.exp(-_TAIL_EXP)
     return res.value.real, res.err_estimate + tails, res.converged

@@ -32,7 +32,8 @@ from .sievebench import Sequence, young_ls_ratio
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        # m, n >= 1 index Fourier coefficients; a C below 1 sums no modulus
+        # m, n >= 1 index Fourier coefficients, N >= 1 sizes a block; a C
+        # below 1 sums no modulus
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
@@ -80,14 +81,14 @@ def main(argv: list[str] | None = None) -> None:
     closure.set_defaults(run=_closure)
 
     decompose = sub.add_parser("decompose", help="averaged decomposition S + T = D + P")
-    decompose.add_argument("--N", type=int, default=4)
+    decompose.add_argument("--N", type=_positive_int, default=4)
     decompose.add_argument("--T", type=float, default=3.0)
     decompose.add_argument("--M", type=float, default=1.5)
     decompose.add_argument("--seed", type=int, default=1)
     decompose.set_defaults(run=_decompose)
 
     sieve = sub.add_parser("sieve", help="hybrid large-sieve ratio over c <= C and |t| <= tau")
-    sieve.add_argument("--N", type=int, default=256)
+    sieve.add_argument("--N", type=_positive_int, default=256)
     sieve.add_argument("--C", type=_positive_int, default=256)
     sieve.add_argument("--gamma", type=float, default=1.0)
     sieve.add_argument("--tau", type=float, default=1.0)

@@ -107,8 +107,8 @@ def diagonal_term(m: int, n: int, sw: SpectralWeight, tol: float = 1e-10) -> Qua
 @dataclass
 class KloostermanSideReport:
     """The c-sum, its bars, the K of its Petersson subtraction (one per pair
-    in a batch), and how many terms each H route evaluated: the batched
-    series and the x > 5 kernel."""
+    in a batch), how many terms each H route evaluated (the batched series
+    and the x > 5 kernel), and the H kernel-table entries that took."""
 
     value: float
     tail_estimate: float
@@ -118,6 +118,7 @@ class KloostermanSideReport:
     converged: bool
     series_terms: int
     kernel_terms: int
+    evaluations: int
 
 
 # |S| at or below this counts as a vanishing Kloosterman sum, which the
@@ -230,6 +231,7 @@ def _petersson_c_sum(
         converged=h.converged,
         series_terms=series,
         kernel_terms=kernel,
+        evaluations=h.evaluations,
     )
 
 
@@ -252,7 +254,7 @@ def kloosterman_side(
     if C_max < 0:
         raise ValueError("C_max must be non-negative")
     if C_max == 0:
-        return KloostermanSideReport(0.0, math.inf, 0.0, 0, 0, True, 0, 0)
+        return KloostermanSideReport(0.0, math.inf, 0.0, 0, 0, True, 0, 0, 0)
     s_vals = kloosterman(m, n, np.arange(1, C_max + 1))[None, :]
     residues = residue_expansion(np.sqrt([m / n]), sw)
     rep = _petersson_c_sum(np.array([[m, n]]), np.ones(1), s_vals, residues, sw, tol)
@@ -274,7 +276,8 @@ class DecompositionReport:
     (spectral_tail_bar), quadrature_err the quadratures of T_eis, D and P.
     diagonal_closed_form is D with H0's leading term; converged ANDs every
     quadrature. params: indices, window, form count, C ("c_eval" = "c_far"),
-    each pair's K in np.triu_indices order, tol, and H's terms by route.
+    each pair's K in np.triu_indices order, tol, H's terms by route and
+    their kernel-table entries ("evaluations").
     """
 
     S: float
@@ -404,6 +407,7 @@ def _identity(
             "evaluated": off.series_terms + off.kernel_terms,
             "series_terms": off.series_terms,
             "kernel_terms": off.kernel_terms,
+            "evaluations": off.evaluations,
         },
     )
 

@@ -1,15 +1,18 @@
 """Gauss-Legendre panel quadrature under one refinement rule.
 
 Every panel grid comes from gauss_grid, and every refined integral from
-doubled: it evaluates on grids whose panel counts double round by round
-until no value moves by more than tol, and it rejects tol <= 0. Each
-evaluation returns its values, their rounding bars on its grid (0 for a
-plain integrand) and its count of evaluations; the error estimate is the
-last change plus the last grid's bar.
+refined: it evaluates on grids of refined_panels panels, the first counts
+grown by 3/2 round by round, until no value moves by more than tol, and it
+rejects a tol that is not positive and finite. A 16-point Gauss panel's
+error falls like h^32 in its width h, so the grid 3/2 as fine carries
+~(2/3)^32 ~ 2e-6 of the last one's error, and the change still measures
+that error. Each evaluation returns its values, their rounding bars on its
+grid (0 for a plain integrand) and its count of evaluations; the error
+estimate is the last change plus the last grid's bar.
 adaptive_quadrature runs it for one integrand on [a, b], sievebench's
 Eisenstein form on its cached weighted grids, besselintegral's two H
 routes on their t-grids and contour legs, and besselkernel.kernel_b_block
-on its five contour legs; doubling_rounds gives the first two their round
+on its five contour legs; refining_rounds gives the first two their round
 count from the budget _MAX_EVALS. Both contours take their first panel
 counts from _panel_count, one panel per _PANEL_PHASE radians of phase
 plus e-folds of decay, and their bars are _ROUNDING times the absolute
@@ -31,18 +34,18 @@ import numpy as np
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 
-_PANEL_ORDER = 16  # Gauss-Legendre points per panel of a doubled grid
+_PANEL_ORDER = 16  # Gauss-Legendre points per panel of a refined grid
 _PANEL_PHASE = 12.0  # radians of phase (or e-folds of decay) per panel on a first grid
 _ROUNDING = 8.0 * np.finfo(float).eps  # times a sum's absolute terms: its rounding bar
-_MAX_EVALS = 4_000_000  # evaluations doubling_rounds allows one integral in all
+_MAX_EVALS = 9_000_000  # evaluations refining_rounds allows one integral in all
 
 
 @dataclass
 class QuadratureResult:
     """A numerically computed integral with an error estimate and a cost.
 
-    err_estimate is the value's change over the last grid doubling plus
-    the rounding bar on the last grid; converged is False when the doublings ran
+    err_estimate is the value's change over the last refinement plus
+    the rounding bar on the last grid; converged is False when the rounds ran
     out before that change fell to tol. For a batch of H values
     (besselintegral.bessel_H_many), value and err_estimate are real arrays
     with one entry per x.
@@ -157,17 +160,25 @@ def grid_panels(t: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarra
     return t, 0.0, np.zeros(1), np.zeros((t.size, 1))
 
 
-def doubled(evaluate, tol: float, rounds: int) -> QuadratureResult:
-    """Values on grids doubled until none moves by more than tol.
+def refined_panels(panels: int, level: int) -> int:
+    """The panel count of a grid refined level times from panels:
+    ceil(panels (3/2)^level), in exact integers."""
+    return -(-panels * 3**level // 2**level)
 
-    evaluate(level) returns the values with every panel count doubled level
-    times, their rounding bars on that grid, and its count of evaluations.
-    converged is False when rounds doublings run out; err_estimate is each
-    value's last change plus the last grid's bar. tol must be positive: at
-    tol <= 0 every round would run and none could converge.
+
+def refined(evaluate, tol: float, rounds: int) -> QuadratureResult:
+    """Values on grids refined until none moves by more than tol.
+
+    evaluate(level) returns the values with every panel count refined level
+    times (refined_panels), their rounding bars on that grid, and its count
+    of evaluations. converged is False when rounds refinements run out;
+    err_estimate is each value's last change plus the last grid's bar. tol
+    must be positive and finite: at tol <= 0 every round would run and none
+    could converge, and at tol = inf the first change would pass whatever
+    its size.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     value, bar, evaluations = evaluate(0)
     err, converged = np.abs(value), False
     for level in range(1, rounds + 1):
@@ -180,11 +191,16 @@ def doubled(evaluate, tol: float, rounds: int) -> QuadratureResult:
     return QuadratureResult(value, err + bar, evaluations, converged)
 
 
-def doubling_rounds(initial_panels: int) -> int:
-    """The most doublings of a gauss_grid from initial_panels panels whose
-    levels 0..r, _PANEL_ORDER initial_panels (2^{r+1} - 1) evaluations in
-    all, stay within _MAX_EVALS."""
-    return (_MAX_EVALS // (_PANEL_ORDER * initial_panels) + 1).bit_length() - 2
+def refining_rounds(initial_panels: int) -> int:
+    """The most refinements of a gauss_grid from initial_panels panels
+    whose levels 0..r, _PANEL_ORDER refined_panels(initial_panels, level)
+    evaluations each, stay within _MAX_EVALS in all (-1 when not even
+    level 0 does)."""
+    total, rounds = _PANEL_ORDER * initial_panels, -1
+    while total <= _MAX_EVALS:
+        rounds += 1
+        total += _PANEL_ORDER * refined_panels(initial_panels, rounds + 1)
+    return rounds
 
 
 def adaptive_quadrature(
@@ -197,15 +213,15 @@ def adaptive_quadrature(
     """Integrate f over [a, b] to absolute tolerance tol.
 
     f must accept a 1-d numpy array of nodes and return values of the same
-    shape. The grid starts at initial_panels uniform panels and doubles
-    (doubled) for doubling_rounds(initial_panels) rounds.
+    shape. The grid starts at initial_panels uniform panels and is refined
+    (refined) for refining_rounds(initial_panels) rounds.
     Failure to converge within them flags the result instead of raising.
     """
     if not (b > a):
         return QuadratureResult(0.0 + 0.0j, 0.0, 0)
 
     def evaluate(level: int) -> tuple[complex, float, int]:
-        t, w = gauss_grid(a, b, initial_panels << level)
+        t, w = gauss_grid(a, b, refined_panels(initial_panels, level))
         return complex(np.asarray(f(t)) @ w), 0.0, t.size
 
-    return doubled(evaluate, tol, doubling_rounds(initial_panels))
+    return refined(evaluate, tol, refining_rounds(initial_panels))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .arith import _grown, _moebius_totients, _runs, _unit_residues, divisor_sigma
 from .besselintegral import SpectralWeight, weight_h
-from .quadrature import QuadratureResult, doubled, doubling_rounds, gauss_grid
+from .quadrature import QuadratureResult, gauss_grid, refined, refined_panels, refining_rounds
 from .specfun import eisenstein_density
 from .spectraldata import GL3Form, MaassForm
 
@@ -271,21 +271,22 @@ def _cusp_form(
 
 
 _EIS_PANELS = 32  # panels of _eisenstein_form's level-0 grid
-_EIS_CACHED_LEVEL = 4  # finer grids are built per call, so the cache stays small
+_EIS_CACHED_LEVEL = 6  # finer grids are built per call, so the cache stays small
 
 
 @lru_cache(maxsize=32)
 def _eisenstein_weights(sw: SpectralWeight, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t, w, omega(t) h(t)) on _eisenstein_form's grid at level: the nodes t
-    and weights w of _EIS_PANELS << level Gauss panels on [1e-12, t_upper].
+    and weights w of refined_panels(_EIS_PANELS, level) Gauss panels on
+    [1e-12, t_upper].
 
     None of it depends on the coefficient vectors, so every pair and block
     at one window shares one zeta grid per level. Only levels up to
-    _EIS_CACHED_LEVEL pass through the cache: an entry holds 3 x 512 2^level
-    float64, at most 196 KB, and the 32 entries at most 6.3 MB. Every
-    caller gets the same read-only arrays.
+    _EIS_CACHED_LEVEL pass through the cache: an entry holds 3 x 16
+    ceil(32 (3/2)^level) float64, at most 3 x 5,840 (140 KB), and the 32
+    entries at most 4.5 MB. Every caller gets the same read-only arrays.
     """
-    t, w = gauss_grid(1e-12, sw.t_upper, _EIS_PANELS << level)
+    t, w = gauss_grid(1e-12, sw.t_upper, refined_panels(_EIS_PANELS, level))
     wh = eisenstein_density(t) * weight_h(t, sw)
     t.flags.writeable = w.flags.writeable = wh.flags.writeable = False
     return t, w, wh
@@ -298,7 +299,7 @@ def _eisenstein_form(
     integers ns, E_t(a) = sum_n a_n sigma_{2it}(n): the Eisenstein side, paired
     like _cusp_form, as twice the even integrand's half-line, to tol.
 
-    The grids double (quadrature.doubled) for as many rounds as
+    The grids are refined (quadrature.refined) for as many rounds as
     adaptive_quadrature takes at _EIS_PANELS initial panels, and omega h
     comes from _eisenstein_weights, so value, error, evaluations and
     converged equal that integral's bit for bit.
@@ -311,7 +312,7 @@ def _eisenstein_form(
         eu, ev = u @ sigmas, v @ sigmas
         return complex((wh * (eu * ev.conj()).real) @ w), 0.0, t.size
 
-    res = doubled(evaluate, tol * math.pi / 2.0, doubling_rounds(_EIS_PANELS))
+    res = refined(evaluate, tol * math.pi / 2.0, refining_rounds(_EIS_PANELS))
     return res.scaled(2.0 / math.pi)
 
 

@@ -161,11 +161,17 @@ _BERNOULLI = [
 ]
 
 
+_ZETA_BLOCK = 1 << 16  # entries of one (points x n) table of zeta_many: 1 MB
+
+
 def zeta_many(s: np.ndarray) -> np.ndarray:
     """Euler-Maclaurin zeta on an array of points right of the critical strip.
 
     The truncation N adapts to the largest |Im s| present, and the
     correction takes the 12 Bernoulli terms B_2, ..., B_24 of _BERNOULLI.
+    The sum over n < N runs over blocks of points, at most _ZETA_BLOCK
+    table entries each, so memory does not grow with N times the points;
+    each point's sum is the same as from one table.
     """
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     if np.any(s == 1.0):
@@ -173,7 +179,10 @@ def zeta_many(s: np.ndarray) -> np.ndarray:
     tmax = float(np.max(np.abs(s.imag)))
     N = max(24, int(math.ceil(0.8 * tmax)) + 8)
     n = np.arange(1, N, dtype=float)
-    out = np.sum(n[None, :] ** (-s[:, None]), axis=1)
+    out = np.empty(s.shape, dtype=complex)
+    step = max(1, _ZETA_BLOCK // n.size)
+    for i in range(0, s.size, step):
+        out[i : i + step] = np.sum(n[None, :] ** (-s[i : i + step, None]), axis=1)
     out += N ** (1.0 - s) / (s - 1.0) + 0.5 * N ** (-s)
     # Bernoulli tail: T_1 = B_2/2! * s * N^(-s-1), then the two-step recurrence
     term = _BERNOULLI[0] / 2.0 * s * N ** (-s - 1.0)

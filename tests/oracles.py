@@ -5,7 +5,8 @@ fixed, fine Gauss-Legendre rules written out here, the twisted weight
 h(t; y) of the H oracles, the dual of a GL(3) table and the Hecke
 consistency of a Maass form's eigenvalues. The fixtures are synthetic
 spectra: Hecke-multiplicative tables from random prime values, which
-exercise sums and symmetries but are not automorphic.
+exercise sums and symmetries but are not automorphic. two_refinements_finer
+probes quadrature.refined from the module that calls it.
 """
 
 import math
@@ -32,6 +33,27 @@ def eisenstein_gauss_oracle(values, ns, sw, panels=1000, order=32):
             sums += a * np.exp(2j * ts * math.log(d))
     integrand = eisenstein_density(ts) * weight_h(ts, sw) * np.abs(sums) ** 2
     return 2.0 / math.pi * float(ws @ integrand)
+
+
+def two_refinements_finer(monkeypatch, module) -> list:
+    """Patch module's refined loop so that each call also evaluates the grid
+    two refinements past the one it stopped at. Returns the list that gets
+    one (result, values on that grid) per call."""
+    refined, checks = module.refined, []
+
+    def probed(evaluate, tol, rounds):
+        levels = []
+
+        def counted(level):
+            levels.append(level)
+            return evaluate(level)
+
+        res = refined(counted, tol, rounds)
+        checks.append((res, evaluate(levels[-1] + 2)[0]))
+        return res
+
+    monkeypatch.setattr(module, "refined", probed)
+    return checks
 
 
 def weight_h_y(t, y: float, sw):

@@ -21,9 +21,9 @@ from specpoint.besselintegral import (
     weight_h,
 )
 from specpoint.besselkernel import kernel_b_block
-from specpoint.quadrature import adaptive_quadrature
+from specpoint.quadrature import adaptive_quadrature, refined_panels
 
-from oracles import weight_h_y
+from oracles import two_refinements_finer, weight_h_y
 
 SW = SpectralWeight(T=50.0, M=8.0)
 
@@ -164,7 +164,7 @@ class TestBesselHDirect:
 
 
     def test_kernel_flag_reaches_result(self, monkeypatch):
-        # no doubling round allowed: neither route can confirm its grid, for
+        # no refinement round allowed: neither route can confirm its grid, for
         # one x, a kernel batch over three octaves or a series-only batch
         xs, sw = np.array([5.5, 9.0, 20.0]), SpectralWeight(3.0, 1.0)
         small = np.array([0.5, 2.0])
@@ -179,7 +179,7 @@ class TestBesselHDirect:
     @pytest.mark.parametrize("y", [1.0, 1.0 / math.sqrt(3.0)])
     def test_series_route_reaches_tight_tol(self, y):
         # a per-panel budget of tol * width / span would lie below rounding
-        # here; doubling the whole grid confirms every x
+        # here; refining the whole grid confirms every x
         res, series = bessel_H_many([0.02, 0.1, 0.5, 1.0], y, SpectralWeight(14.0, 4.0), 1e-13)
         assert series == 4
         assert res.converged
@@ -308,22 +308,32 @@ class TestSwappedKernelRoute:
 
     def test_rounding_bar_covers_a_finer_grid(self, monkeypatch):
         # at T=50 the legs carry terms ~1e3 times the smallest H here, so the
-        # value one doubling finer moves by rounding alone, by up to 1.1e-12:
+        # value two refinements finer moves by rounding alone, by up to ~1e-12:
         # only a bar from the terms' absolute sum covers that
         sw, xs = SpectralWeight(50.0, 8.0), np.linspace(10.0, 19.0, 10)
         res, _ = bessel_H_many(xs, 1.0, sw, 1e-11)
         assert res.converged
-        monkeypatch.setattr(besselintegral, "_ROUNDS", 2)
-        # no change meets tol 1e-300, so every one of the 2 doublings runs
+        monkeypatch.setattr(besselintegral, "_ROUNDS", 3)
+        # no change meets tol 1e-300, so every one of the 3 refinements runs
         finer, _ = bessel_H_many(xs, 1.0, sw, 1e-300)
-        # each level has 4 times the table entries of the one before: res
-        # stopped at level 1 (5 units), finer at level 2 (21 units)
-        assert 21 * res.evaluations == 5 * finer.evaluations
+
+        # r-nodes times t-nodes of each octave's contour, every panel count
+        # ceil(n (3/2)^level): res stopped at level 1, finer ran to level 3
+        def entries(level):
+            total = 0
+            for octave in (xs[xs < 16.0], xs[xs >= 16.0]):
+                legs, counts, t_panels = besselintegral._contour(octave, np.zeros(1), sw)
+                r_nodes = sum(16 * refined_panels(n, level) for n in counts)
+                total += r_nodes * 16 * refined_panels(t_panels, level)
+            return total
+
+        assert res.evaluations == entries(0) + entries(1)
+        assert finer.evaluations == sum(entries(level) for level in range(4))
         assert np.all(np.abs(finer.value - res.value) <= res.err_estimate)
 
     def test_memory_is_bounded(self):
-        # the doubled grid here is ~1,900 r-nodes by ~1,100 t-nodes, ~34 MB
-        # as one pair of real tables; blocks of 256 rows keep it below 10 MB
+        # the check grid here is ~2,000 r-nodes by ~850 t-nodes, ~27 MB as
+        # one pair of real tables; blocks of 256 rows keep it below 10 MB
         tracemalloc.start()
         try:
             bessel_H_direct(300.0, 1.4, SpectralWeight(50.0, 8.0), tol=1e-8)
@@ -358,8 +368,8 @@ class TestSwappedKernelRoute:
         # the terms. At T=3 the bound is 2 eps: the panel factoring reads 0.9
         # eps there, and 3.4 eps without its first-order offsets correction
         sw, log_y = SpectralWeight(T, M), np.log([1.0, 0.5])
-        legs, counts, rate = besselintegral._contour(np.array(xs), log_y, sw)
-        t, f = besselintegral._t_weights(sw, rate, 0)
+        legs, counts, t_panels = besselintegral._contour(np.array(xs), log_y, sw)
+        t, f = besselintegral._t_weights(sw, t_panels, 0)
         for leg, n in zip(legs, counts):
             r = besselintegral._contour_nodes([leg], [n], 0)[0]
             if per_leg is not None:
@@ -386,6 +396,40 @@ class TestSwappedKernelRoute:
             tracemalloc.stop()
         assert res.converged
         assert peak < 20_000_000
+
+
+# the bench's windows (closure; decomposition) and T=14
+WINDOWS = [(3.0, 1.0, 1e-8), (3.0, 1.5, 1e-6), (14.0, 4.0, 1e-8)]
+SERIES_PHASE_ROUNDING = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the series bar 8 eps sum_t f |B| leaves out the rounding of each node's "
+    "phase 2t log(x/2) - arg Gamma(1 + 2it), ~eps 2t log(2t) relative",
+)
+
+
+@pytest.mark.parametrize(
+    "series,T,M,tol",
+    [(False, *w) for w in WINDOWS]
+    + [(True, *w) for w in WINDOWS[:2]]
+    + [pytest.param(True, *WINDOWS[2], marks=SERIES_PHASE_ROUNDING)],
+)
+def test_bars_cover_two_refinements_finer(monkeypatch, series, T, M, tol):
+    # the c-sum terms 4 pi sqrt(mn)/c of the closure's and the
+    # decomposition's pairs m <= n <= 8, each route in one call: every
+    # bar covers the value on the grid two refinements past the one it
+    # stopped at. At T=14 the series values two grids finer move by up to
+    # 1.46 times their bars, by rounding alone
+    mn = np.array([(m, n) for m in range(1, 9) for n in range(m, 9)], dtype=float)
+    cs = np.arange(1.0, 41.0)
+    xs = (4.0 * np.pi * np.sqrt(mn[:, 0] * mn[:, 1])[:, None] / cs).ravel()
+    ys = np.repeat(np.sqrt(mn[:, 0] / mn[:, 1]), cs.size)
+    terms = (xs <= SERIES_X_MAX) == series
+    checks = two_refinements_finer(monkeypatch, besselintegral)
+    res, _ = bessel_H_many(xs[terms], ys[terms], SpectralWeight(T, M), tol)
+    assert res.converged and len(checks) == (1 if series else 5)
+    for call, finer in checks:
+        assert np.all(np.abs(finer - call.value) <= call.err_estimate)
 
 
 def _reduced_H(x: float, y: float, sw: SpectralWeight, tol: float):

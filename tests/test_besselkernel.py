@@ -180,17 +180,17 @@ def test_refinement_consistency():
         assert abs(coarse[0] - fine[0]) <= max(coarse_err[0], 1e-12)
 
 
-def test_refines_through_doubled(monkeypatch):
-    calls, doubled = [], besselkernel.doubled
+def test_refines_through_the_quadrature_loop(monkeypatch):
+    calls, refined = [], besselkernel.refined
 
     def counted(evaluate, tol, rounds):
         calls.append(tol)
-        return doubled(evaluate, tol, rounds)
+        return refined(evaluate, tol, rounds)
 
-    monkeypatch.setattr(besselkernel, "doubled", counted)
+    monkeypatch.setattr(besselkernel, "refined", counted)
     vals, err, converged = kernel_b_block(np.array([0.5, 14.0, 38.0]), 12.0, tol=1e-10)
     assert calls == [1e-10] and converged
-    # no grid meets tol 1e-300: every doubling runs, and the values stay finite
+    # no grid meets tol 1e-300: every refinement runs, and the values stay finite
     vals, err, converged = kernel_b_block(np.array([0.5, 14.0, 38.0]), 12.0, tol=1e-300)
     assert len(calls) == 2 and not converged
     assert np.all(np.isfinite(vals)) and np.all(np.isfinite(err))

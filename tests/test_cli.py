@@ -31,6 +31,7 @@ def test_closure_line(capsys):
         "evaluated": 99,
         "series_terms": 97,
         "kernel_terms": 2,
+        "evaluations": 179_600,
     }
     assert rec["converged"] is True
     assert rec["residual"] <= rec["skip_bar"] + rec["quadrature_err"] + rec["spectral_tail"]
@@ -62,9 +63,15 @@ def test_sieve_line(capsys):
     [
         "closure --pairs 0,1",  # m = 0 is no Fourier coefficient
         "closure --tol 0",
+        # inf would pass the first change however large: it reported
+        # converged with a 2,410.8 skip bar and a 0.427 residual
+        "closure --tol inf --pairs 1,1",
         "closure --M 0.5",  # the window needs 1 <= M <= T
         "closure --T inf",
         "decompose --N 0",
+        # numpy's "negative dimensions are not allowed" named no argument
+        "decompose --N -2",
+        "sieve --N 0",
         "sieve --tau 0",
         # NaN passes tau <= 0 and v <= 0; the report would hold NaN tokens
         "sieve --tau nan",

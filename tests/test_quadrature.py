@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from specpoint import quadrature
+from specpoint import besselintegral, besselkernel, quadrature
 from specpoint.besselintegral import SpectralWeight, bessel_H_many
 from specpoint.besselkernel import kernel_b_block
 from specpoint.kuznetsov import kloosterman_side
-from specpoint.quadrature import adaptive_quadrature, gauss_grid, grid_panels
+from specpoint.quadrature import adaptive_quadrature, gauss_grid, grid_panels, refined_panels, refining_rounds
 
 EPS = np.finfo(float).eps
 
@@ -99,7 +99,7 @@ def test_budget_exhaustion_is_flagged(monkeypatch):
     assert not res.converged
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf])
 @pytest.mark.parametrize(
     "route",
     [
@@ -111,9 +111,23 @@ def test_budget_exhaustion_is_flagged(monkeypatch):
     ids=["adaptive_quadrature", "bessel_H_many", "kloosterman_side", "kernel_b_block"],
 )
 def test_every_doubling_route_rejects_nonpositive_tol(route, tol):
-    # quadrature.doubled rejects it: no round could meet tol <= 0
-    with pytest.raises(ValueError, match="tol must be positive"):
+    # quadrature.refined rejects it: no round could meet tol <= 0, and at
+    # tol = inf the first change would pass whatever its size
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
         route(tol)
+
+
+def test_refined_grids_reach_the_finest_doubled_grids():
+    # each round takes ceil(n (3/2)^level) panels, and no loop's finest grid
+    # is coarser than under doubling: 16 and 64 times the first for the H
+    # routes and kernel_b_block, and n 2^r within 4,000,000 evaluations for
+    # adaptive_quadrature
+    assert [refined_panels(32, level) for level in range(5)] == [32, 48, 72, 108, 162]
+    for n in range(1, 2049):
+        doublings = (4_000_000 // (16 * n) + 1).bit_length() - 2
+        assert refined_panels(n, refining_rounds(n)) >= n << doublings
+        assert refined_panels(n, besselintegral._ROUNDS) >= 16 * n
+        assert refined_panels(n, besselkernel._MAX_ROUNDS) >= 64 * n
 
 
 def test_empty_interval_needs_no_tol():

@@ -28,7 +28,7 @@ from specpoint.sievebench import (
 from specpoint.specfun import eisenstein_density
 from specpoint.spectraldata import sym_square_lift
 
-from oracles import dual, eisenstein_gauss_oracle, synthetic_spectrum
+from oracles import dual, eisenstein_gauss_oracle, synthetic_spectrum, two_refinements_finer
 
 SW = SpectralWeight(T=14.0, M=4.0)
 
@@ -463,6 +463,38 @@ class TestEisensteinForm:
             assert got.err_estimate == want.err_estimate
             assert got.evaluations == want.evaluations
             assert got.converged == want.converged
+
+    @pytest.mark.parametrize(
+        "T,M,tol",
+        [
+            (3.0, 1.0, 1e-8),
+            pytest.param(
+                3.0,
+                1.5,
+                1e-6,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=AssertionError,
+                    reason="a plain integrand has no rounding bar: a change of exactly 0 reads as a bar of 0",
+                ),
+            ),
+            (14.0, 4.0, 1e-8),
+        ],
+    )
+    def test_bar_covers_two_refinements_finer(self, monkeypatch, T, M, tol):
+        # the closure's pairs and a decomposition's block at the bench's
+        # windows and at T=14: each bar covers the value two refinements
+        # finer. At T=3, M=1.5 the pairs (1, 1) and (4, 4) stop on a change
+        # of exactly 0 and move by 4.4e-16 and 8.9e-16 two grids finer
+        sw, checks = SpectralWeight(T=T, M=M), two_refinements_finer(monkeypatch, sievebench)
+        for m, n in [(1, 1), (1, 4), (2, 3), (4, 4)]:
+            _eisenstein_form(np.array([m, n]), *np.eye(2), sw, tol)
+        seq = Sequence.random(4, seed=1, real=True)
+        _eisenstein_form(seq.ns, seq.values.real, seq.values.real, sw, tol)
+        assert len(checks) == 5
+        for res, finer in checks:
+            assert res.converged
+            assert abs(finer - res.value) <= res.err_estimate
 
     def test_second_pair_computes_no_zeta(self, monkeypatch):
         calls = []

@@ -1,6 +1,7 @@
 """Special functions against frozen mpmath oracles and structural identities."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -138,3 +139,19 @@ class TestZeta:
         with mp.workdps(20):
             want = np.array([complex(mp.zeta(mp.mpc(z.real, z.imag))) for z in s])
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+    def test_memory_is_bounded(self, monkeypatch):
+        # max|t| ~ 1e4 over 512 points: N ~ 8,000, so one (points x n)
+        # table alone would take ~66 MB; blocks of points keep it near 1 MB
+        s = 1.0 + 1j * np.linspace(1.0, 1e4, 512)
+        tracemalloc.start()
+        try:
+            got = specfun.zeta_many(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        # every point's sum is the one a single table gives (8 MB at 64 points, the
+        # largest |t| among them, so the same N)
+        monkeypatch.setattr(specfun, "_ZETA_BLOCK", 1 << 30)
+        assert np.array_equal(got[7::8], specfun.zeta_many(s[7::8]))
