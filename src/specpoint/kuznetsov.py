@@ -39,7 +39,7 @@ from .besselintegral import (
     weight_h,
 )
 from .quadrature import _ROUNDING, QuadratureResult, adaptive_quadrature, gauss_grid
-from .sievebench import Sequence, _cusp_form, _eisenstein_form, _hybrid_lhs_one_modulus, _pair_groups
+from .sievebench import Sequence, _cusp_form, _eisenstein_form, _hybrid_lhs_one_modulus, _lag_groups
 from .specfun import bessel_j
 from .spectraldata import MaassForm
 
@@ -445,9 +445,10 @@ def p_bound_rhs(seq: Sequence, sw: SpectralWeight) -> float:
 
     Each (q, c) term is the closed-form unit-residue mean square of
     _hybrid_lhs_one_modulus at v = q, so no quadrature grid is involved.
-    The block's pairs are grouped by lag once (_pair_groups at lam_n = n,
-    N groups, no sort), and one _hybrid_lhs_one_modulus call takes every
-    (q, c) term as a row of its blocked (moduli x groups) kernel tables;
+    The block's pairs are grouped by lag once (sievebench._lag_groups: N
+    groups from one autocorrelation, no pair array), and one
+    _hybrid_lhs_one_modulus call takes every (q, c) term as a row of its
+    blocked (moduli x groups) kernel tables;
     the Ramanujan sums are gathered from sievebench's kept table of rows,
     which a modulus enters once per process however many q repeat it.
     """
@@ -459,7 +460,7 @@ def p_bound_rhs(seq: Sequence, sw: SpectralWeight) -> float:
     # alpha-sum runs over all units, so alpha or alpha^{-1} alike)
     terms = [(q, c) for q in range(1, q_hi + 1) for c in range(1, int(_P_CAP * N / (T * q)) + 1)]
     qs, cs = np.array(terms, dtype=np.int64).reshape(-1, 2).T
-    groups = _pair_groups(seq, seq.ns.astype(float))
+    groups = _lag_groups(seq)
     values = _hybrid_lhs_one_modulus(groups, qs, cs, R_CUT_FACTOR / M)
     # each q's sum over c, then its weight 1/q, in the order of the terms
     total = sum(sum(values[qs == q].tolist()) / q for q in range(1, q_hi + 1))

@@ -6,17 +6,19 @@ Expanding int_{-tau}^{tau} |sum_n a_n e(alpha n/c) e(lam_n t)|^2 dt over
 the units alpha gives, for each pair m <= n of the block, the Ramanujan
 sum c_c(n - m) times int_{-tau}^{tau} e((lam_n - lam_m) t) dt, a sinc.
 The pair enters only through its lag n - m and its gap lam_n - lam_m, so
-_pair_groups adds up Re(conj(a_m) a_n) once per sequence over the pairs
-with equal (lag, gap), laid out lag by lag so that only gaps out of order
-within a lag are sorted. The Ramanujan rows c_c(k), k <= c/2, of every
+the pairs with equal (lag, gap) are grouped once per sequence, each group
+weighted by its sum of Re(conj(a_m) a_n). At lam_n = n (gamma = 1) every
+gap is its lag, so _lag_groups reads the N weights off one
+autocorrelation, in O(N) memory; otherwise _pair_groups lays the N^2/2
+pairs out lag by lag, so that only gaps out of order within a lag are
+sorted. The Ramanujan rows c_c(k), k <= c/2, of every
 modulus up to the largest asked for so far sit in one flat read-only
 table (_ramanujan_table), each entry built once per process by Hoelder's
 closed form (_hoelder) and extended over new moduli only, and a whole sum
 over moduli is one _hybrid_lhs_one_modulus call: blocked (moduli x groups)
 kernel tables of entries gathered from that table times sincs, each block
-one matrix product with the weights. At lam_n = n (gamma = 1) every gap is
-its lag, which leaves N groups where the dense form has N^2 kernel
-entries, and nothing is sorted.
+one matrix product with the weights. At lam_n = n the N lag groups stand
+where the dense form has N^2 kernel entries.
 Right-hand sides are the literature majorants with every unspecified
 epsilon-factor set to 1. Only ratios are reported: the suites check
 boundedness, monotonicity, and scaling invariance, never a sharp constant.
@@ -32,9 +34,9 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import _grown, _moebius_totients, _runs, _unit_residues, divisor_sigma
-from .besselintegral import SpectralWeight, weight_h
+from .besselintegral import T_CUT_FACTOR, SpectralWeight, weight_h
 from .quadrature import QuadratureResult, gauss_grid, refined, refined_panels, refining_rounds
-from .specfun import eisenstein_density
+from .specfun import _ZETA_IM_MAX, eisenstein_density
 from .spectraldata import GL3Form, MaassForm
 
 
@@ -110,7 +112,11 @@ def _pair_groups(seq: Sequence, lams: np.ndarray) -> tuple[np.ndarray, np.ndarra
     The pairs are laid out lag by lag, m ascending within a lag, so the
     keys arrive sorted by lag; a stable sort by gap within each lag runs
     only where some gap falls within a lag (never at lam_n = n). Either
-    way each group adds its pairs in ascending m.
+    way each group adds its pairs in ascending m. The pair arrays take
+    O(N^2) memory (352 MB traced at N = 4096), so the library's lam_n = n
+    sums go through _lag_groups, which returns the same lags and gaps;
+    this is the path for any other lams, and the reference _lag_groups is
+    tested against.
     """
     N = seq.N
     pairs = N * (N + 1) // 2
@@ -137,6 +143,22 @@ def _pair_groups(seq: Sequence, lams: np.ndarray) -> tuple[np.ndarray, np.ndarra
     starts[1:] = new_lag | (gap[1:] != gap[:-1])
     group = np.cumsum(starts) - 1
     return lag[starts].astype(np.int64), gap[starts], np.bincount(group, weights=pair_weights)
+
+
+def _lag_groups(seq: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_pair_groups(seq, seq.ns) with no pair arrays: at lam_n = n every
+    gap is its lag, so the groups are the N lags k = 0..N-1, and the weight
+    of lag k is Re sum_m conj(a_m) a_{m+k}, doubled off k = 0, one entry of
+    the autocorrelation np.correlate(a, a, "full"). That is O(N) memory
+    where the pairs take O(N^2), with the O(N^2) dot products in C; each
+    weight is one dot product, not a sequential bincount sum.
+    """
+    N = seq.N
+    lags = np.arange(N, dtype=np.int64)
+    auto = np.correlate(seq.values, seq.values, "full")[N - 1 :].real
+    weights = 2.0 * auto
+    weights[0] = auto[0]
+    return lags, lags.astype(float), weights
 
 
 def _hoelder(c: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -226,7 +248,9 @@ def _hybrid_lhs_one_modulus(groups: tuple, vs: np.ndarray, cs: np.ndarray, tau: 
 
 def young_ls_lhs(seq: Sequence, gamma: float, tau: float, v: float, C: int) -> float:
     """Hybrid twisted mean square over moduli c <= C and |t| <= tau: the sum
-    over c of the closed-form per-modulus values, with no quadrature grid."""
+    over c of the closed-form per-modulus values, with no quadrature grid.
+    The pairs are grouped by _lag_groups at gamma = 1 (N groups, O(N)
+    memory) and by _pair_groups at lam_n = n^gamma otherwise."""
     if isinstance(C, bool) or not isinstance(C, numbers.Integral):
         raise ValueError(f"C must be an integer, got {C!r}")
     for name, value in (("gamma", gamma), ("tau", tau), ("v", v)):
@@ -236,7 +260,7 @@ def young_ls_lhs(seq: Sequence, gamma: float, tau: float, v: float, C: int) -> f
         raise ValueError("gamma must be nonzero")
     if tau <= 0 or v <= 0 or C < 1:
         raise ValueError("tau, v must be positive and C >= 1")
-    groups = _pair_groups(seq, seq.ns.astype(float) ** gamma)
+    groups = _lag_groups(seq) if gamma == 1 else _pair_groups(seq, seq.ns.astype(float) ** gamma)
     cs = np.arange(1, C + 1)
     return sum(_hybrid_lhs_one_modulus(groups, np.full(cs.size, v), cs, tau).tolist())
 
@@ -302,8 +326,15 @@ def _eisenstein_form(
     The grids are refined (quadrature.refined) for as many rounds as
     adaptive_quadrature takes at _EIS_PANELS initial panels, and omega h
     comes from _eisenstein_weights, so value, error, evaluations and
-    converged equal that integral's bit for bit.
+    converged equal that integral's bit for bit. A window whose zeta
+    points 1 + 2it, t < t_upper, pass specfun._ZETA_IM_MAX is rejected
+    before any grid is built.
     """
+    if 2.0 * sw.t_upper > _ZETA_IM_MAX:
+        raise ValueError(
+            f"T + {T_CUT_FACTOR:g} M = {sw.t_upper:g} puts the Eisenstein side's zeta(1 + 2it) at "
+            f"|Im s| up to {2.0 * sw.t_upper:g}, above zeta_many's cap {_ZETA_IM_MAX:g}"
+        )
 
     def evaluate(level: int) -> tuple[complex, float, int]:
         weights = _eisenstein_weights if level <= _EIS_CACHED_LEVEL else _eisenstein_weights.__wrapped__

@@ -162,6 +162,9 @@ _BERNOULLI = [
 
 
 _ZETA_BLOCK = 1 << 16  # entries of one (points x n) table of zeta_many: 1 MB
+# the largest |Im s| zeta_many takes: there a point costs 80,008 terms, and
+# each phase t log n already carries a rounding error of t log N eps ~ 1e-10
+_ZETA_IM_MAX = 1e5
 
 
 def zeta_many(s: np.ndarray) -> np.ndarray:
@@ -171,12 +174,16 @@ def zeta_many(s: np.ndarray) -> np.ndarray:
     correction takes the 12 Bernoulli terms B_2, ..., B_24 of _BERNOULLI.
     The sum over n < N runs over blocks of points, at most _ZETA_BLOCK
     table entries each, so memory does not grow with N times the points;
-    each point's sum is the same as from one table.
+    each point's sum is the same as from one table. An |Im s| above
+    _ZETA_IM_MAX is rejected: N grows with it (1.6M terms a point at 2e6),
+    and Euler-Maclaurin there wants Riemann-Siegel instead.
     """
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     if np.any(s == 1.0):
         raise ValueError("zeta pole at s = 1")
     tmax = float(np.max(np.abs(s.imag)))
+    if tmax > _ZETA_IM_MAX:
+        raise ValueError(f"zeta_many takes |Im s| <= {_ZETA_IM_MAX:g}, got {tmax:g}")
     N = max(24, int(math.ceil(0.8 * tmax)) + 8)
     n = np.arange(1, N, dtype=float)
     out = np.empty(s.shape, dtype=complex)

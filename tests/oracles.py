@@ -3,13 +3,15 @@
 The references are independent of the production code paths they check:
 fixed, fine Gauss-Legendre rules written out here, the twisted weight
 h(t; y) of the H oracles, the dual of a GL(3) table and the Hecke
-consistency of a Maass form's eigenvalues. The fixtures are synthetic
+consistency of a Maass form's eigenvalues, and the exact rational lag
+sums of a complex sequence. The fixtures are synthetic
 spectra: Hecke-multiplicative tables from random prime values, which
 exercise sums and symmetries but are not automorphic. two_refinements_finer
 probes quadrature.refined from the module that calls it.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -54,6 +56,26 @@ def two_refinements_finer(monkeypatch, module) -> list:
 
     monkeypatch.setattr(module, "refined", probed)
     return checks
+
+
+def exact_lag_sums(values) -> list[Fraction]:
+    """sum_m Re(conj(a_m) a_{m+k}) for each lag k = 0..N-1, doubled off
+    k = 0, in exact rationals. Every float is a dyadic rational, so the
+    parts are put over one power of two 2^shift and the sums are of
+    Python integers."""
+    parts = [x for z in np.asarray(values, dtype=complex).tolist() for x in (z.real, z.imag)]
+    shift = max(x.as_integer_ratio()[1].bit_length() - 1 for x in parts)
+    ints = []
+    for x in parts:
+        num, den = x.as_integer_ratio()
+        ints.append(num << (shift - den.bit_length() + 1))
+    re, im = ints[0::2], ints[1::2]
+    N = len(re)
+    sums = []
+    for k in range(N):
+        total = sum(re[m] * re[m + k] + im[m] * im[m + k] for m in range(N - k))
+        sums.append(Fraction(total if k == 0 else 2 * total, 1 << (2 * shift)))
+    return sums
 
 
 def weight_h_y(t, y: float, sw):

@@ -1,6 +1,7 @@
 """The specpoint console script prints one JSON line per report."""
 
 import json
+import math
 import re
 import warnings
 
@@ -58,6 +59,16 @@ def test_sieve_line(capsys):
     assert rec["wall_s"] > 0
 
 
+def test_sieve_line_at_N_4096(capsys):
+    # the lag groups keep N = 4096 to O(N) memory (the pairs took 352 MB)
+    main("sieve --N 4096 --C 8".split())
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    rec = json.loads(lines[0])
+    assert rec["params"]["N"] == 4096
+    assert math.isfinite(rec["ratio"]) and rec["ratio"] > 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -71,6 +82,9 @@ def test_sieve_line(capsys):
         "decompose --N 0",
         # numpy's "negative dimensions are not allowed" named no argument
         "decompose --N -2",
+        # the Eisenstein side's zeta at |Im s| ~ 2e6 ran for many minutes
+        "decompose --T 1e6",
+        "closure --T 1e6",
         "sieve --N 0",
         "sieve --tau 0",
         # NaN passes tau <= 0 and v <= 0; the report would hold NaN tokens

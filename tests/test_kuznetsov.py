@@ -755,7 +755,7 @@ class TestPBound:
         seq = Sequence.random(64, seed=1, real=True)
         sw = SpectralWeight(T=3.0, M=1.5)
         got = p_bound_rhs(seq, sw)
-        assert got.hex() == "0x1.f94953d7d9d03p+15"
+        assert got.hex() == "0x1.f94953d7d9d04p+15"
         assert got == pytest.approx(p_bound_lag_sum(seq.values.real, sw), rel=1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -1,8 +1,11 @@
 """Sieve-ratio harness: direct-sum oracles, monotonicity, scaling laws."""
 
 import math
+import sys
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from specpoint.sievebench import (
     _eisenstein_form,
     _eisenstein_weights,
     _hybrid_lhs_one_modulus,
+    _lag_groups,
     _pair_groups,
     _ramanujan_table,
     corollary_ratio,
@@ -28,7 +32,7 @@ from specpoint.sievebench import (
 from specpoint.specfun import eisenstein_density
 from specpoint.spectraldata import sym_square_lift
 
-from oracles import dual, eisenstein_gauss_oracle, synthetic_spectrum, two_refinements_finer
+from oracles import dual, eisenstein_gauss_oracle, exact_lag_sums, synthetic_spectrum, two_refinements_finer
 
 SW = SpectralWeight(T=14.0, M=4.0)
 
@@ -186,7 +190,7 @@ class TestYoungLS:
         # dense form modulus by modulus
         seq = Sequence.random(256, seed=1)
         got = young_ls_lhs(seq, 1.0, 1.0, 1.0, 256)
-        assert got.hex() == "0x1.3724abdb264f6p+15"
+        assert got.hex() == "0x1.3724abdb264fap+15"
         want = math.fsum(dense_lhs_one_modulus(seq, 1.0, 1.0, c, 1.0) for c in range(1, 257))
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -277,6 +281,94 @@ class TestPairGroups:
         for entries in (1, 5 * groups[0].size):
             monkeypatch.setattr(sievebench, "_KERNEL_BLOCK", entries)
             np.testing.assert_allclose(_hybrid_lhs_one_modulus(groups, vs, cs, 0.7), whole, rtol=1e-14, atol=0)
+
+
+def lag_errors(weights, exact) -> np.ndarray:
+    """|weights_k - exact_k|, each difference taken exactly."""
+    return np.array([abs(float(Fraction(w) - e)) for w, e in zip(weights.tolist(), exact)])
+
+
+class TestLagGroups:
+    @pytest.mark.parametrize("N", [1, 2, 24, 97, 256])
+    def test_matches_pair_groups_within_dot_product_rounding(self, N):
+        seq = Sequence.random(N=N, seed=43)
+        lags, gaps, weights = _lag_groups(seq)
+        want = _pair_groups(seq, seq.ns.astype(float))
+        for got, w in zip((lags, gaps), want[:2]):
+            assert got.dtype == w.dtype
+            np.testing.assert_array_equal(got, w)
+        assert weights.dtype == want[2].dtype and weights.shape == want[2].shape
+        # each weight is one complex dot product of N - k terms, whose real
+        # part sums 2 (N - k) real products in some order: it is off by at
+        # most gamma_{2(N-k)} sum_m |a_m| |a_{m+k}| (Higham, Accuracy and
+        # Stability, Section 3.1), the same doubled off k = 0
+        u = 2.0**-53
+        n = 2.0 * (N - lags)
+        mag = np.abs(seq.values)
+        scale = np.correlate(mag, mag, "full")[N - 1 :] * np.where(lags == 0, 1.0, 2.0)
+        bound = n * u / (1.0 - n * u) * scale
+        assert np.all(lag_errors(weights, exact_lag_sums(seq.values)) <= bound)
+
+    def test_closer_to_exact_sums_than_pair_groups(self):
+        # at the sieve workload's size: the lag path errs by 6.9e-15 at most,
+        # the sequential bincount sums of _pair_groups by 5.6e-14
+        seq = Sequence.random(N=256, seed=1)
+        exact = exact_lag_sums(seq.values)
+        lag = lag_errors(_lag_groups(seq)[2], exact)
+        pair = lag_errors(_pair_groups(seq, seq.ns.astype(float))[2], exact)
+        assert np.max(lag) <= np.max(pair)
+
+    def test_young_ls_lhs_at_gamma_one_matches_pair_groups(self):
+        seq = Sequence.random(N=97, seed=47)
+        cs = np.arange(1, 40)
+        pair = _hybrid_lhs_one_modulus(_pair_groups(seq, seq.ns.astype(float)), np.full(cs.size, 1.5), cs, 0.6)
+        got = young_ls_lhs(seq, 1.0, 0.6, 1.5, 39)
+        assert got == pytest.approx(math.fsum(pair), rel=1e-13)
+
+    def test_peak_memory_at_N_4096(self):
+        # the pair path at gamma = 1 peaked at 352 MB here; the lag path
+        # holds the (2N - 1)-entry autocorrelation and one kernel block
+        seq = Sequence.random(N=4096, seed=1)
+        young_ls_lhs(seq, 1.0, 1.0, 1.0, 8)  # the kept Ramanujan rows of c <= 8
+        tracemalloc.start()
+        try:
+            value = young_ls_lhs(seq, 1.0, 1.0, 1.0, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value) and value > 0
+        assert peak < 1 << 20
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_traced_sieve_pass(monkeypatch):
+    """A sieve pass of the benchmark under its tracer, on the seed-1
+    inputs: every operation and check passes, and every binding the tracer
+    replaced is restored afterwards."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    import workloads
+
+    modules = [m for key, m in sys.modules.items() if key.startswith("specpoint.")]
+    saved = [(m, name, m.__dict__[name]) for m in modules for _, name, _ in tracing.LAYERS if name in m.__dict__]
+    inputs = workloads.make_inputs("sieve", 1)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        attempt = workloads.Attempts()
+        outputs = workloads.run_sieve(inputs, attempt)
+        layers = tracer.layer_metrics()
+    finally:
+        for module, name, value in saved:
+            setattr(module, name, value)
+    assert [op["op"] for op in attempt.log] == ["young_ls_ratio", "p_bound_rhs"]
+    assert all(op["ok"] for op in attempt.log), attempt.log
+    assert layers["sievebench.young_ls_ratio.calls"] == 1
+    assert layers["kuznetsov.p_bound_rhs.calls"] == 1
+    _, checks, _ = workloads.evaluate("sieve", inputs, outputs)
+    assert all(check["ok"] for check in checks), checks
 
 
 def ramanujan_row(c: int) -> np.ndarray:
@@ -446,6 +538,15 @@ def _eisenstein_form_reference(ns, u, v, sw, tol):
 
 
 class TestEisensteinForm:
+    def test_rejects_a_window_past_the_zeta_cap(self, monkeypatch):
+        # at T = 1e6 zeta_many would take 1.6M terms for each t-node
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(sievebench, "_eisenstein_weights", no_grid)
+        with pytest.raises(ValueError, match=r"T \+ 6\.5 M = 1\.00001e\+06 .* above zeta_many's cap"):
+            _eisenstein_form(np.array([1, 2]), *np.eye(2), SpectralWeight(T=1e6, M=1.0), 1e-8)
+
     @pytest.mark.parametrize("T,M", [(3.0, 1.0), (14.0, 4.0)])
     @pytest.mark.parametrize("inputs", ["pair", "block"])
     def test_cached_weights_match_adaptive_quadrature(self, T, M, inputs):

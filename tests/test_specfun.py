@@ -132,6 +132,15 @@ class TestZeta:
         with pytest.raises(ValueError):
             specfun.zeta_many(1.0)
 
+    def test_rejects_points_past_the_cap(self):
+        # N ~ 0.8 |Im s| terms a point: 1.6M at the 2e6 of a T = 1e6 window
+        cap = specfun._ZETA_IM_MAX
+        assert cap >= 1e4
+        assert np.isfinite(specfun.zeta_many(1.0 - 1j * cap)[0])
+        for s in (1.0 + 1j * np.nextafter(cap, math.inf), np.array([2.0, 1.0 + 2e6j]), 3.0 - 1e9j):
+            with pytest.raises(ValueError, match=r"zeta_many takes \|Im s\| <= 100000, got"):
+                specfun.zeta_many(s)
+
     def test_truncation_order_consistency(self):
         # the fixed Bernoulli order against mpmath along 1.001 + it, |t| <= 200
         s = 1.001 + 1j * np.linspace(-200.0, 200.0, 100)
