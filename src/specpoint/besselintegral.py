@@ -53,7 +53,6 @@ R_CUT_FACTOR = 6.1  # exp(-6.1^2) ~ 7e-17: the Gaussian r-truncation
 T_CUT_FACTOR = 6.5  # exp(-6.5^2) ~ 4e-19: the Gaussian t-truncation
 SERIES_X_MAX = 5.0  # largest x whose H integrand uses the power-series kernel
 _H_PREF = 4.0 / math.pi**2
-_ROUNDS = 7  # grid refinements either H route tries before flagging: (3/2)^7 > 16
 _BLOCK_NODES = 256  # rows per block of a node table: 256 x (t-nodes or x) at most
 _BLOCK_TERMS = 512  # terms per block of a term table: 256 x 512 at most
 # S_k(SL2(Z)) = 0 for k = 2, 4, ..., 10 (Iwaniec, Topics in Classical
@@ -117,8 +116,8 @@ def _t_weights(sw: SpectralWeight, panels: int, level: int) -> tuple[np.ndarray,
     tanh(pi t) > 0, read-only: Gauss panels from the first count panels
     (_t_panels), refined level times. No node lies at t = 0. Every call of
     a window and panel count shares them. At T = 50, M = 8 an entry holds
-    2 x 1,376 float64 (22 KB) on a first grid, 2 x 23,520 (376 KB) at
-    level 7."""
+    2 x 1,376 float64 (22 KB) on a first grid, 2 x 119,024 (1.9 MB) at
+    level 11, refined's last."""
     t, wt = gauss_grid(0.0, sw.t_upper, refined_panels(panels, level))
     f = wt * _H_PREF * t * weight_h(t, sw) * np.tanh(math.pi * t)
     t.flags.writeable = f.flags.writeable = False
@@ -134,7 +133,8 @@ def bessel_H_series_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> Quadr
     table kernel_b_series_many factors) and _BLOCK_TERMS terms, which each
     term weighs by cos(2t log y). The panels follow the phase of the
     largest twist and of the smallest x's kernel, and are refined until no
-    term moves by more than tol. Each block of terms sums the series' k-terms
+    term moves by more than tol, for as many rounds as every refined loop
+    gets (quadrature.refined). Each block of terms sums the series' k-terms
     that its largest x needs (besselkernel.series_cut). value and
     err_estimate are real arrays in the order of xs, err_estimate plus
     _ROUNDING sum_t f |B| and the k-terms' cut, series_cut's tail times
@@ -175,7 +175,7 @@ def bessel_H_series_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> Quadr
             cut[cols] = tail * envelope
         return total, _ROUNDING * size + cut, t.size * xs.size
 
-    return refined(evaluate, tol, _ROUNDS)
+    return refined(evaluate, tol)
 
 
 def _split(v: np.ndarray) -> np.ndarray:
@@ -315,7 +315,8 @@ def _bessel_H_kernel(xs: np.ndarray, ys, sw: SpectralWeight, tol: float) -> Quad
     absolute sums of its terms; the term tables e^{ix cosh(v-+L)} are built
     per block of _BLOCK_NODES nodes and _BLOCK_TERMS terms, so memory does
     not grow with the number of terms. All panel counts are refined
-    together until no H changes by more than tol (quadrature.refined).
+    together until no H changes by more than tol, for as many rounds as
+    every refined loop gets (quadrature.refined).
     err_estimate adds _ROUNDING sum f cosh(2t Im v) |e^{ix cosh(v-+L)}|
     |dv| on the last grid. evaluations counts k_1-table entries, r-nodes
     times t-nodes.
@@ -348,7 +349,7 @@ def _bessel_H_kernel(xs: np.ndarray, ys, sw: SpectralWeight, tol: float) -> Quad
                     size[cols] += np.exp(-z.imag) @ k_abs[block]
         return total, _ROUNDING * size, r.size * t.size
 
-    return refined(evaluate, tol, _ROUNDS)
+    return refined(evaluate, tol)
 
 
 def bessel_H_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> tuple[QuadratureResult, int]:

@@ -42,7 +42,6 @@ from .quadrature import (
 from .specfun import log_gamma
 
 _TAIL_EXP = 45.0  # exp(-45) ~ 3e-20, below every tolerance used here
-_MAX_ROUNDS = 11  # panel refinements kernel_b_block tries before giving up: (3/2)^11 > 64
 _SERIES_CUT = 2.0**-64  # the first omitted k-term, relative to the k = 0 term
 
 
@@ -144,9 +143,10 @@ def kernel_b_block(
     are built for the block's smallest and largest t and shared by every t,
     one (t, node) table per leg and level. All panel counts are refined
     until no value moves by more than tol (quadrature.refined); converged
-    is False when _MAX_ROUNDS refinements run out. The error estimate adds
-    _ROUNDING times the legs' absolute terms on the last grid and the cut
-    tails, (pi/2 - theta_a) e^{-2t theta_a} past theta_a and 2 e^{-_TAIL_EXP}.
+    is False when refined's rounds, the same for every loop, run out. The
+    error estimate adds _ROUNDING times the legs' absolute terms on the
+    last grid and the cut tails, (pi/2 - theta_a) e^{-2t theta_a} past
+    theta_a and 2 e^{-_TAIL_EXP}.
     """
     t = np.abs(np.asarray(t, dtype=float))
     if x <= 0:
@@ -195,6 +195,6 @@ def kernel_b_block(
             nodes += s.size
         return total, _ROUNDING * size, t.size * nodes
 
-    res = refined(evaluate, tol, _MAX_ROUNDS)
+    res = refined(evaluate, tol)
     tails = (math.pi / 2 - theta_a) * np.exp(-2.0 * t * theta_a) + 2.0 * math.exp(-_TAIL_EXP)
     return res.value.real, res.err_estimate + tails, res.converged

@@ -2,25 +2,24 @@
 
 Every panel grid comes from gauss_grid, and every refined integral from
 refined: it evaluates on grids of refined_panels panels, the first counts
-grown by 3/2 round by round, until no value moves by more than tol, and it
-rejects a tol that is not positive and finite. A 16-point Gauss panel's
-error falls like h^32 in its width h, so the grid 3/2 as fine carries
-~(2/3)^32 ~ 2e-6 of the last one's error, and the change still measures
-that error. Each evaluation returns its values, their rounding bars on its
-grid (0 for a plain integrand) and its count of evaluations; the error
-estimate is the last change plus the last grid's bar.
+grown by 3/2 round by round, until no value moves by more than tol, for at
+most _ROUNDS rounds, and it rejects a tol that is not positive and finite.
+A 16-point Gauss panel's error falls like h^32 in its width h, so the grid
+3/2 as fine carries ~(2/3)^32 ~ 2e-6 of the last one's error, and the
+change still measures that error. Each evaluation returns its values,
+their rounding bars on its grid (0 for a plain integrand) and its count of
+evaluations; the error estimate is the last change plus the last grid's bar.
 adaptive_quadrature runs it for one integrand on [a, b], sievebench's
 Eisenstein form on its cached weighted grids, besselintegral's two H
 routes on their t-grids and contour legs, and besselkernel.kernel_b_block
-on its five contour legs; refining_rounds gives the first two their round
-count from the budget _MAX_EVALS. Both contours take their first panel
-counts from _panel_count, one panel per _PANEL_PHASE radians of phase
-plus e-folds of decay, and their bars are _ROUNDING times the absolute
-sum of their terms. A grid fixes its summation order, so results are
-bit-reproducible for a given tolerance. grid_panels
-reads a grid's panel structure back from its nodes: both H routes build
-their phase tables exp(i w t) from it, panels + 16 exponentials per
-frequency w where a (node, w) table takes 16 per panel.
+on its five contour legs; none of them sets its own depth. Both contours
+take their first panel counts from _panel_count, one panel per
+_PANEL_PHASE radians of phase plus e-folds of decay, and their bars are
+_ROUNDING times the absolute sum of their terms. A grid fixes its
+summation order, so results are bit-reproducible for a given tolerance.
+grid_panels reads a grid's panel structure back from its nodes: both H
+routes build their phase tables exp(i w t) from it, panels + 16
+exponentials per frequency w where a (node, w) table takes 16 per panel.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 _PANEL_ORDER = 16  # Gauss-Legendre points per panel of a refined grid
 _PANEL_PHASE = 12.0  # radians of phase (or e-folds of decay) per panel on a first grid
 _ROUNDING = 8.0 * np.finfo(float).eps  # times a sum's absolute terms: its rounding bar
-_MAX_EVALS = 9_000_000  # evaluations refining_rounds allows one integral in all
+_ROUNDS = 11  # refinements every refined loop tries before flagging: (3/2)^11 > 64
 
 
 @dataclass
@@ -166,22 +165,23 @@ def refined_panels(panels: int, level: int) -> int:
     return -(-panels * 3**level // 2**level)
 
 
-def refined(evaluate, tol: float, rounds: int) -> QuadratureResult:
+def refined(evaluate, tol: float) -> QuadratureResult:
     """Values on grids refined until none moves by more than tol.
 
     evaluate(level) returns the values with every panel count refined level
     times (refined_panels), their rounding bars on that grid, and its count
-    of evaluations. converged is False when rounds refinements run out;
-    err_estimate is each value's last change plus the last grid's bar. tol
-    must be positive and finite: at tol <= 0 every round would run and none
-    could converge, and at tol = inf the first change would pass whatever
-    its size.
+    of evaluations. Every loop gets the same _ROUNDS refinements, so its
+    finest grid has more than 64 times its first grid's panels; converged
+    is False when they run out. err_estimate is each value's last change
+    plus the last grid's bar. tol must be positive and finite: at tol <= 0
+    every round would run and none could converge, and at tol = inf the
+    first change would pass whatever its size.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     value, bar, evaluations = evaluate(0)
     err, converged = np.abs(value), False
-    for level in range(1, rounds + 1):
+    for level in range(1, _ROUNDS + 1):
         new, bar, n_eval = evaluate(level)
         evaluations += n_eval
         err, value = np.abs(new - value), new
@@ -189,18 +189,6 @@ def refined(evaluate, tol: float, rounds: int) -> QuadratureResult:
             converged = True
             break
     return QuadratureResult(value, err + bar, evaluations, converged)
-
-
-def refining_rounds(initial_panels: int) -> int:
-    """The most refinements of a gauss_grid from initial_panels panels
-    whose levels 0..r, _PANEL_ORDER refined_panels(initial_panels, level)
-    evaluations each, stay within _MAX_EVALS in all (-1 when not even
-    level 0 does)."""
-    total, rounds = _PANEL_ORDER * initial_panels, -1
-    while total <= _MAX_EVALS:
-        rounds += 1
-        total += _PANEL_ORDER * refined_panels(initial_panels, rounds + 1)
-    return rounds
 
 
 def adaptive_quadrature(
@@ -214,8 +202,8 @@ def adaptive_quadrature(
 
     f must accept a 1-d numpy array of nodes and return values of the same
     shape. The grid starts at initial_panels uniform panels and is refined
-    (refined) for refining_rounds(initial_panels) rounds.
-    Failure to converge within them flags the result instead of raising.
+    like every other grid (refined). Failure to converge within its rounds
+    flags the result instead of raising.
     """
     if not (b > a):
         return QuadratureResult(0.0 + 0.0j, 0.0, 0)
@@ -224,4 +212,4 @@ def adaptive_quadrature(
         t, w = gauss_grid(a, b, refined_panels(initial_panels, level))
         return complex(np.asarray(f(t)) @ w), 0.0, t.size
 
-    return refined(evaluate, tol, refining_rounds(initial_panels))
+    return refined(evaluate, tol)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .arith import _grown, _moebius_totients, _runs, _unit_residues, divisor_sigma
 from .besselintegral import T_CUT_FACTOR, SpectralWeight, weight_h
-from .quadrature import QuadratureResult, gauss_grid, refined, refined_panels, refining_rounds
+from .quadrature import QuadratureResult, gauss_grid, refined, refined_panels
 from .specfun import _ZETA_IM_MAX, eisenstein_density
 from .spectraldata import GL3Form, MaassForm
 
@@ -323,10 +323,10 @@ def _eisenstein_form(
     integers ns, E_t(a) = sum_n a_n sigma_{2it}(n): the Eisenstein side, paired
     like _cusp_form, as twice the even integrand's half-line, to tol.
 
-    The grids are refined (quadrature.refined) for as many rounds as
-    adaptive_quadrature takes at _EIS_PANELS initial panels, and omega h
-    comes from _eisenstein_weights, so value, error, evaluations and
-    converged equal that integral's bit for bit. A window whose zeta
+    The grids are refined like every refined loop (quadrature.refined),
+    as adaptive_quadrature's are from _EIS_PANELS initial panels, and
+    omega h comes from _eisenstein_weights, so value, error, evaluations
+    and converged equal that integral's bit for bit. A window whose zeta
     points 1 + 2it, t < t_upper, pass specfun._ZETA_IM_MAX is rejected
     before any grid is built.
     """
@@ -343,7 +343,7 @@ def _eisenstein_form(
         eu, ev = u @ sigmas, v @ sigmas
         return complex((wh * (eu * ev.conj()).real) @ w), 0.0, t.size
 
-    res = refined(evaluate, tol * math.pi / 2.0, refining_rounds(_EIS_PANELS))
+    res = refined(evaluate, tol * math.pi / 2.0)
     return res.scaled(2.0 / math.pi)
 
 

@@ -43,14 +43,14 @@ def two_refinements_finer(monkeypatch, module) -> list:
     one (result, values on that grid) per call."""
     refined, checks = module.refined, []
 
-    def probed(evaluate, tol, rounds):
+    def probed(evaluate, tol):
         levels = []
 
         def counted(level):
             levels.append(level)
             return evaluate(level)
 
-        res = refined(counted, tol, rounds)
+        res = refined(counted, tol)
         checks.append((res, evaluate(levels[-1] + 2)[0]))
         return res
 

@@ -322,3 +322,23 @@ class TestMoebiusTotients:
         monkeypatch.setattr(arith, "_MOEBIUS_TOTIENTS", self.FRESH)
         once = arith._moebius_totients(511)
         assert all(np.array_equal(table, whole) for table, whole in zip(once, kept))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: arith.kloosterman(1, 2, np.array([[1, 2], [3, 4]])), "1-d integer array"),
+        (lambda: arith.kloosterman(1, 2, np.array([1.0, 2.0])), "1-d integer array"),
+        (lambda: arith.kloosterman(1, 2, 0), "modulus must be positive"),
+        (lambda: arith.kloosterman(1, 2, -3), "modulus must be positive"),
+        (lambda: arith.vq_sum(1, 1, 2, 0), "modulus must be positive"),
+        (lambda: arith.divisor_sigma(0.5j, 0), "argument must be positive"),
+        (lambda: arith.factorize(0), "argument must be positive"),
+        (lambda: arith.factorize(-4), "argument must be positive"),
+    ],
+    ids=["kloosterman-2d", "kloosterman-float", "kloosterman-0", "kloosterman-negative",
+         "vq_sum", "divisor_sigma", "factorize-0", "factorize-negative"],
+)
+def test_rejects_arguments_out_of_range(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

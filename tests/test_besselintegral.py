@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from specpoint import besselintegral
+from specpoint import besselintegral, quadrature
 from specpoint.besselintegral import (
     I_integral,
     SERIES_X_MAX,
@@ -26,6 +26,7 @@ from specpoint.quadrature import adaptive_quadrature, refined_panels
 from oracles import two_refinements_finer, weight_h_y
 
 SW = SpectralWeight(T=50.0, M=8.0)
+SW3 = SpectralWeight(T=3.0, M=1.0)
 
 
 class TestWeights:
@@ -171,7 +172,7 @@ class TestBesselHDirect:
         assert bessel_H_direct(10.0, 1.0, SW).converged
         assert bessel_H_many(xs, 1.0, sw)[0].converged
         assert bessel_H_many(small, 1.0, sw)[0].converged
-        monkeypatch.setattr(besselintegral, "_ROUNDS", 0)
+        monkeypatch.setattr(quadrature, "_ROUNDS", 0)
         assert not bessel_H_direct(10.0, 1.0, SW).converged
         assert not bessel_H_many(xs, 1.0, sw)[0].converged
         assert not bessel_H_many(small, 1.0, sw)[0].converged
@@ -313,7 +314,7 @@ class TestSwappedKernelRoute:
         sw, xs = SpectralWeight(50.0, 8.0), np.linspace(10.0, 19.0, 10)
         res, _ = bessel_H_many(xs, 1.0, sw, 1e-11)
         assert res.converged
-        monkeypatch.setattr(besselintegral, "_ROUNDS", 3)
+        monkeypatch.setattr(quadrature, "_ROUNDS", 3)
         # no change meets tol 1e-300, so every one of the 3 refinements runs
         finer, _ = bessel_H_many(xs, 1.0, sw, 1e-300)
 
@@ -539,3 +540,23 @@ class TestResidueExpansion:
 
                 want = float(4 / mp.pi * mp.quad(f, mp.linspace(0, T + 12 * M, 13)))
                 assert B[K - 1] == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: bessel_H_series_many([[0.5, 1.0]], 1.0, SW3), "non-empty 1-d"),
+        (lambda: bessel_H_series_many([], 1.0, SW3), "non-empty 1-d"),
+        (lambda: bessel_H_series_many([0.5], 0.0, SW3), "y must be positive"),
+        (lambda: bessel_H_series_many([0.5, 1.0], [1.0, -2.0], SW3), "y must be positive"),
+        (lambda: bessel_H_many([[1.0, 8.0]], 1.0, SW3), "1-d array of positive x"),
+        (lambda: bessel_H_many([8.0, 0.0], 1.0, SW3), "1-d array of positive x"),
+        (lambda: bessel_H_many([1.0, 8.0], 0.0, SW3), "y must be positive"),
+        (lambda: bessel_H_many([1.0, 8.0], [1.0, -2.0], SW3), "y must be positive"),
+    ],
+    ids=["series-2d", "series-empty", "series-y0", "series-y-negative",
+         "many-2d", "many-x0", "many-y0", "many-y-negative"],
+)
+def test_rejects_arguments_out_of_range(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

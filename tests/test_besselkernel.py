@@ -183,9 +183,9 @@ def test_refinement_consistency():
 def test_refines_through_the_quadrature_loop(monkeypatch):
     calls, refined = [], besselkernel.refined
 
-    def counted(evaluate, tol, rounds):
+    def counted(evaluate, tol):
         calls.append(tol)
-        return refined(evaluate, tol, rounds)
+        return refined(evaluate, tol)
 
     monkeypatch.setattr(besselkernel, "refined", counted)
     vals, err, converged = kernel_b_block(np.array([0.5, 14.0, 38.0]), 12.0, tol=1e-10)
@@ -203,3 +203,9 @@ def test_rejects_bad_input():
         kernel_b_block(np.array([5.0, 151.0]), 8.0)
     with pytest.raises(ValueError):
         kernel_b_series_many(np.array([0.0]), 1.0)
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, np.array([0.5, -1.0])], ids=["x0", "x-negative", "x-array"])
+def test_series_rejects_x_out_of_range(x):
+    with pytest.raises(ValueError, match="x must be positive"):
+        kernel_b_series_many(np.array([1.0]), x)

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module-level import binds in specpoint is
 used, every module-level def, class and assigned name is named outside its
-definition, and in src or bench unless a ROADMAP.md item is to run it, and
-the closure, decompose and sieve passes import no more of numpy."""
+definition, and in src or bench unless a ROADMAP.md item is to run it,
+every refined loop leaves its round cap to quadrature.refined, and the
+closure, decompose and sieve passes import no more of numpy."""
 
 import ast
 import json
@@ -143,6 +144,22 @@ def test_every_lru_cache_is_bounded():
             if not size or (isinstance(size[0], ast.Constant) and size[0].value is None):
                 unbounded.append(f"{path.name}:{node.lineno}")
     assert unbounded == []
+
+
+def test_every_refined_call_passes_only_evaluate_and_tol():
+    # quadrature.refined alone decides how many rounds a loop may take: a
+    # call that passes more than (evaluate, tol) brings back a per-loop cap
+    calls, other = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "refined":
+                continue
+            calls += 1
+            first = node.args[0] if node.args else None
+            if len(node.args) != 2 or node.keywords or not (isinstance(first, ast.Name) and first.id == "evaluate"):
+                other.append(f"{path.name}:{node.lineno}")
+    assert calls >= 5 and other == []
 
 
 LAZY = ("numpy.ma", "numpy.fft", "numpy.polynomial")

@@ -36,6 +36,7 @@ from specpoint.kuznetsov import (
 from specpoint.quadrature import _ROUNDING
 from specpoint.sievebench import Sequence
 from specpoint.specfun import bessel_j, log_gamma
+from specpoint.spectraldata import MaassForm
 
 from oracles import eisenstein_gauss_oracle, synthetic_spectrum, weight_h_y
 
@@ -89,6 +90,18 @@ class TestSpectralSide:
         # with no data the uncovered range starts at t_1 ~ 9.53, where the
         # weight around T = 3 is ~3e-19, not at t = 0
         assert spectral_tail_bar(SpectralWeight(3.0, 1.0), []) < 1e-18
+
+    @pytest.mark.parametrize(
+        "T,M,t,vanishes",
+        [(1.0, 1.0, None, True), (1.1, 1.0, None, False), (14.0, 4.0, 48.0, True), (14.0, 4.0, 47.9, False)],
+    )
+    def test_no_tail_past_the_window(self, T, M, t, vanishes):
+        # the bar integrates from max(t_1, the largest t) to t_upper + 2M,
+        # which is 9.5 < t_1 ~ 9.53 at T = M = 1, 9.6 at T = 1.1, and 48 at
+        # T = 14, M = 4
+        forms = [] if t is None else [MaassForm(t=t, omega=1.0, hecke=np.array([1.0]))]
+        bar = spectral_tail_bar(SpectralWeight(T, M), forms)
+        assert bar >= 0.0 and (bar == 0.0) == vanishes
 
     @pytest.mark.xfail(
         strict=True, raises=AssertionError, reason="with no forms the bar caps omega_1 ~ 2.935 at 1"
@@ -613,6 +626,16 @@ class TestDecomposition:
         assert bars[1] <= tol < bars[0]
         assert C == 912
 
+    def test_c_search_takes_a_second_doubling_pass(self):
+        # (3000, 3000) at T = 3 needs C past the first pass's doublings
+        # 1, ..., 2^15, so the search runs a second pass of _C_PASS doublings
+        mn, w, sw, tol = np.array([[3000, 3000]]), np.ones(1), SpectralWeight(3.0, 1.0), 1e-6
+        residues = residue_expansion(np.sqrt(mn[:, 0] / mn[:, 1]), sw)
+        C = kuznetsov._c_eval(mn, w, residues, tol)
+        bars = [np.sum(np.min(kuznetsov._tail_bars(mn, w, c, residues), axis=1)) for c in (C - 1, C)]
+        assert bars[1] <= tol < bars[0]
+        assert C == 476_520 > 1 << (kuznetsov._C_PASS - 1)
+
     def test_bars_cover_residual(self, seed1):
         # P converges to 0.39727341 (every c <= 250 exact leaves a residual of
         # 1.2e-8, the size of the first cusp form's term, h(t_1) ~ 5.8e-9,
@@ -795,3 +818,16 @@ def p_bound_lag_sum(a: np.ndarray, sw: SpectralWeight) -> float:
             kernel *= 2.0 * tau * np.sinc(2.0 * tau * lag / (c * q))
             total += float(a @ kernel @ a) / (c * q)
     return sw.M * sw.T * total
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: kloosterman_side(1, 2, SW3, -1), "C_max must be non-negative"),
+        (lambda: p_bound_rhs(Sequence.random(N=8, seed=1), SW), "real sequences"),
+    ],
+    ids=["kloosterman_side-C_max", "p_bound_rhs-complex"],
+)
+def test_rejects_arguments_out_of_range(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from specpoint import besselintegral, besselkernel, quadrature
-from specpoint.besselintegral import SpectralWeight, bessel_H_many
+from specpoint import besselintegral, quadrature
+from specpoint.besselintegral import SpectralWeight, bessel_H_many, bessel_H_series_many
 from specpoint.besselkernel import kernel_b_block
-from specpoint.kuznetsov import kloosterman_side
-from specpoint.quadrature import adaptive_quadrature, gauss_grid, grid_panels, refined_panels, refining_rounds
+from specpoint.kuznetsov import decomposition, diagonal_H0, eisenstein_side, kloosterman_side
+from specpoint.quadrature import adaptive_quadrature, gauss_grid, grid_panels, refined_panels
+from specpoint.sievebench import Sequence
 
 EPS = np.finfo(float).eps
+SW3 = SpectralWeight(3.0, 1.0)
 
 
 @pytest.mark.parametrize("order", [16, 24, 32])
@@ -41,13 +43,12 @@ def test_gauss_grid_sine():
     assert w @ np.sin(t) == pytest.approx(2.0, abs=1e-14)
 
 
-def test_tight_tol_converges(monkeypatch):
+def test_tight_tol_converges():
     # tol is 7e-16 of the value: shared out among panels it would fall
     # below their rounding, so the whole grid's change must meet it
     def f(t):
         return 10.0 * np.exp(-(((t - 50.0) / 8.0) ** 2))
 
-    monkeypatch.setattr(quadrature, "_MAX_EVALS", 200_000)
     res = adaptive_quadrature(f, 0.0, 100.0, 1e-13, initial_panels=24)
     assert res.converged
     assert res.err_estimate <= 1e-13
@@ -90,11 +91,12 @@ def test_err_estimate_bounds_refinement():
         assert abs(coarse.value - fine.value) <= max(coarse.err_estimate, 1e-12)
 
 
-def test_budget_exhaustion_is_flagged(monkeypatch):
+def test_budget_exhaustion_is_flagged():
+    # 1e7 radians on [0, 1]: no grid of the 11 rounds, at most 692 panels,
+    # resolves it
     def nasty(x):
         return np.cos(1e7 * x)
 
-    monkeypatch.setattr(quadrature, "_MAX_EVALS", 2000)
     res = adaptive_quadrature(nasty, 0.0, 1.0, 1e-14)
     assert not res.converged
 
@@ -118,16 +120,34 @@ def test_every_doubling_route_rejects_nonpositive_tol(route, tol):
 
 
 def test_refined_grids_reach_the_finest_doubled_grids():
-    # each round takes ceil(n (3/2)^level) panels, and no loop's finest grid
-    # is coarser than under doubling: 16 and 64 times the first for the H
-    # routes and kernel_b_block, and n 2^r within 4,000,000 evaluations for
-    # adaptive_quadrature
+    # each round takes ceil(n (3/2)^level) panels, and every loop's finest
+    # grid, after refined's one round cap, has at least 64 times its first
+    # grid's panels, as six doublings would
     assert [refined_panels(32, level) for level in range(5)] == [32, 48, 72, 108, 162]
     for n in range(1, 2049):
-        doublings = (4_000_000 // (16 * n) + 1).bit_length() - 2
-        assert refined_panels(n, refining_rounds(n)) >= n << doublings
-        assert refined_panels(n, besselintegral._ROUNDS) >= 16 * n
-        assert refined_panels(n, besselkernel._MAX_ROUNDS) >= 64 * n
+        assert refined_panels(n, quadrature._ROUNDS) >= 64 * n
+
+
+@pytest.mark.parametrize(
+    "converged",
+    [
+        lambda: bessel_H_series_many([0.5, 2.0], 1.0, SW3, 1e-8).converged,
+        lambda: besselintegral._bessel_H_kernel(np.array([9.0, 12.0]), 1.0, SW3, 1e-8).converged,
+        lambda: kernel_b_block(np.array([0.5, 14.0]), 12.0, 1e-10)[2],
+        lambda: eisenstein_side(2, 3, SW3, 1e-10).converged,
+        lambda: diagonal_H0(SW3, 1e-10).converged,
+        lambda: kloosterman_side(2, 3, SW3, 64, 1e-8).converged,
+        lambda: decomposition(Sequence.random(2, 1, real=True), SW3, [], 1e-6).converged,
+    ],
+    ids=["series", "kernel", "kernel_b_block", "eisenstein_side", "diagonal_H0",
+         "kloosterman_side", "decomposition"],
+)
+def test_every_loop_flags_the_one_round_cap(converged, monkeypatch):
+    # every loop reads its cap from quadrature._ROUNDS: with no round allowed
+    # none can confirm its first grid, and the reports carry the flag
+    assert converged()
+    monkeypatch.setattr(quadrature, "_ROUNDS", 0)
+    assert not converged()
 
 
 def test_empty_interval_needs_no_tol():

@@ -30,7 +30,7 @@ from specpoint.sievebench import (
     young_ls_ratio,
 )
 from specpoint.specfun import eisenstein_density
-from specpoint.spectraldata import sym_square_lift
+from specpoint.spectraldata import GL3Form, sym_square_lift
 
 from oracles import dual, eisenstein_gauss_oracle, exact_lag_sums, synthetic_spectrum, two_refinements_finer
 
@@ -642,3 +642,18 @@ class TestMomentDemo:
         gl3 = sym_square_lift(forms[0], 16)
         with pytest.raises(Exception):
             moment_demo(gl3, forms, SW, N=64, n1=1)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: Sequence(N=0, values=np.zeros(0)), "N must be at least 1"),
+        (lambda: young_ls_lhs(Sequence.random(8, seed=1), 0.0, 1.0, 1.0, 8), "gamma must be nonzero"),
+        (lambda: moment_demo(GL3Form({(1, 1): 1.0}, 1), [], SW, N=16, n1=0), "n1 and N must be positive"),
+        (lambda: moment_demo(GL3Form({(1, 1): 1.0}, 1), [], SW, N=0), "n1 and N must be positive"),
+    ],
+    ids=["Sequence-N", "young_ls_lhs-gamma", "moment_demo-n1", "moment_demo-N"],
+)
+def test_rejects_arguments_out_of_range(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -160,3 +160,18 @@ class TestRankinSelberg:
 def test_omega_decay_floor(spectrum):
     floor = min(f.omega * f.t**0.1 for f in spectrum)
     assert floor > 0.01
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda f: f.lam(0), CoefficientRangeError, "outside table"),
+        (lambda f: f.lam(f.nmax + 1), CoefficientRangeError, "outside table"),
+        (lambda f: GL3Form({(1, 1): 2.0}, 1), ValueError, "A\\(1,1\\) must equal 1"),
+        (lambda f: sym_square_lift(f, 0), ValueError, "x_max must be at least 1"),
+    ],
+    ids=["lam-0", "lam-past-nmax", "GL3Form-A11", "sym_square_lift-x_max"],
+)
+def test_rejects_arguments_out_of_range(spectrum, call, error, message):
+    with pytest.raises(error, match=message):
+        call(spectrum[0])
