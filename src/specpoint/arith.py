@@ -48,6 +48,7 @@ _unit_residues = lru_cache(maxsize=4096)(_build_unit_residues)
 # a smaller C is a prefix of it. It starts with c = 1, whose one unit is 0.
 _HALF_UNITS = (np.zeros(1, np.int32), np.zeros(1, np.int32), np.arange(2))
 _PASS_UNITS = 1 << 13  # table entries or candidates per step: 64 KB temporaries
+_MAX_HALF_UNITS = 1 << 27  # entries per array: 1 GiB for both, C up to ~29,700
 
 
 def _runs(first: int, last: int):
@@ -139,7 +140,8 @@ def _half_units(C: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     held twice. phi(c) from _moebius_totients sizes the table before any
     run, and each run writes its units and their inverses alpha^{phi(c) - 1}
     (_euler_inverses) straight into it: the peak memory is the old and the
-    new table plus one run's temporaries.
+    new table plus one run's temporaries. A C whose table would pass
+    _MAX_HALF_UNITS entries is rejected before anything is allocated.
     """
     global _HALF_UNITS
     alphas, invs, starts = _HALF_UNITS
@@ -148,6 +150,8 @@ def _half_units(C: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         phi = _moebius_totients(C)[1]
         # alpha < c/2 are the first phi(c)/2 units; c = 2 has one unit
         starts = np.concatenate([starts, starts[-1] + np.cumsum((phi[first:] + 1) // 2)])
+        if starts[-1] > _MAX_HALF_UNITS:
+            raise ValueError(f"C = {C} needs {starts[-1]:,} Kloosterman units, above {_MAX_HALF_UNITS:,}")
         alphas, invs = (_grown(old, starts[-1]) for old in (alphas, invs))
         for lo, hi in _runs(first, C):
             c, alpha, unit = _unit_run(lo, hi)

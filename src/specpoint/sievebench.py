@@ -5,14 +5,13 @@ trigonometric polynomials taken in closed form (no quadrature grid).
 Expanding int_{-tau}^{tau} |sum_n a_n e(alpha n/c) e(lam_n t)|^2 dt over
 the units alpha gives, for each pair m <= n of the block, the Ramanujan
 sum c_c(n - m) times int_{-tau}^{tau} e((lam_n - lam_m) t) dt, a sinc.
-The pair enters only through its lag n - m and its gap lam_n - lam_m, so
-the pairs with equal (lag, gap) are grouped once per sequence, each group
-weighted by its sum of Re(conj(a_m) a_n). At lam_n = n (gamma = 1) every
-gap is its lag, so _lag_groups reads the N weights off one
-autocorrelation, in O(N) memory; otherwise _pair_groups lays the N^2/2
-pairs out lag by lag, so that only gaps out of order within a lag are
-sorted. The Ramanujan rows c_c(k), k <= c/2, of every
-modulus up to the largest asked for so far sit in one flat read-only
+The pair enters only through its lag n - m and its gap lam_n - lam_m,
+weighted by Re(conj(a_m) a_n). At lam_n = n (gamma = 1) every gap is its
+lag, so _lag_groups sums the pairs of each lag off one autocorrelation:
+N weights in O(N) memory. Otherwise _pair_groups lists the N^2/2 pairs
+lag by lag; for n^gamma no two pairs of a lag share a gap, so grouping by
+(lag, gap) would merge nothing. The Ramanujan rows c_c(k), k <= c/2, of
+every modulus up to the largest asked for so far sit in one flat read-only
 table (_ramanujan_table), each entry built once per process by Hoelder's
 closed form (_hoelder) and extended over new moduli only, and a whole sum
 over moduli is one _hybrid_lhs_one_modulus call: blocked (moduli x groups)
@@ -102,56 +101,43 @@ def _t_grid(tau: float, order: int, panels: int):
 
 
 def _pair_groups(seq: Sequence, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lags, gaps, weights) of the pairs m <= n of the block grouped by
-    the exact key (n - m, lam_n - lam_m), lags ascending and gaps ascending
-    within a lag: each weight is the sum of Re(conj(a_m) a_n) over its
-    group, an off-diagonal pair counted twice for both orders. For a real
-    kernel K(m, n) = K(n, m) that depends on the pair only through its key,
-    sum_{m,n} conj(a_m) a_n K = weights @ K.
+    """(lags, gaps, weights) of the pairs m <= n of the block: first the
+    diagonal as one entry (0, 0, ||a||^2), then every pair m < n with its
+    lag n - m, its gap lam_n - lam_m and the weight 2 Re(conj(a_m) a_n),
+    for both orders, laid out lag by lag with m ascending within a lag.
+    For a real kernel K(m, n) = K(n, m) that depends on the pair only
+    through its (lag, gap), sum_{m,n} conj(a_m) a_n K = weights @ K.
 
-    The pairs are laid out lag by lag, m ascending within a lag, so the
-    keys arrive sorted by lag; a stable sort by gap within each lag runs
-    only where some gap falls within a lag (never at lam_n = n). Either
-    way each group adds its pairs in ascending m. The pair arrays take
-    O(N^2) memory (352 MB traced at N = 4096), so the library's lam_n = n
-    sums go through _lag_groups, which returns the same lags and gaps;
-    this is the path for any other lams, and the reference _lag_groups is
-    tested against.
+    Off the diagonal no two pairs share a key for lam_n = n^gamma (gamma
+    != 0, 1) or log n, whose gaps are strictly monotone in m within a lag,
+    so the entries are not grouped further. The pair arrays take O(N^2)
+    memory (352 MB traced at N = 4096), so lam_n = n goes through
+    _lag_groups, whose weights are the lag sums of these entries.
     """
     N = seq.N
-    pairs = N * (N + 1) // 2
+    pairs = N * (N - 1) // 2
     index = np.int32 if pairs <= np.iinfo(np.int32).max else np.int64
-    counts = np.arange(N, 0, -1, dtype=index)  # N - k pairs at lag k
-    lag = np.repeat(np.arange(N, dtype=index), counts)
+    counts = np.arange(N - 1, 0, -1, dtype=index)  # N - k pairs at lag k >= 1
+    lag = np.repeat(np.arange(1, N, dtype=index), counts)
     i = np.arange(pairs, dtype=index) - np.repeat(np.cumsum(counts, dtype=index) - counts, counts)
     j = i + lag
     # conj(a_m) a_n formed in place: one (N^2/2)-entry complex array at a time
     pair = seq.values.conj()[i]
     pair *= seq.values[j]
-    # twice Re(conj(a_m) a_n) off the diagonal, which is the first N pairs
-    pair_weights = 2.0 * pair.real
-    pair_weights[:N] = pair.real[:N]
+    weights = np.concatenate([[np.vdot(seq.values, seq.values).real], 2.0 * pair.real])
     del pair
-    gap = lams[j] - lams[i]
-    del i, j
-    new_lag = lag[1:] != lag[:-1]
-    if not np.all(new_lag | (gap[1:] >= gap[:-1])):
-        # lags stay in place: the sort only reorders gaps within a lag
-        order = np.lexsort((gap, lag))
-        gap, pair_weights = gap[order], pair_weights[order]
-    starts = np.ones(lag.size, dtype=bool)
-    starts[1:] = new_lag | (gap[1:] != gap[:-1])
-    group = np.cumsum(starts) - 1
-    return lag[starts].astype(np.int64), gap[starts], np.bincount(group, weights=pair_weights)
+    gap = lams[j]
+    gap -= lams[i]
+    return np.concatenate([[0], lag], dtype=np.int64), np.concatenate([[0.0], gap]), weights
 
 
 def _lag_groups(seq: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_pair_groups(seq, seq.ns) with no pair arrays: at lam_n = n every
-    gap is its lag, so the groups are the N lags k = 0..N-1, and the weight
-    of lag k is Re sum_m conj(a_m) a_{m+k}, doubled off k = 0, one entry of
-    the autocorrelation np.correlate(a, a, "full"). That is O(N) memory
-    where the pairs take O(N^2), with the O(N^2) dot products in C; each
-    weight is one dot product, not a sequential bincount sum.
+    """The lag sums of _pair_groups(seq, seq.ns), with no pair arrays: at
+    lam_n = n every gap is its lag, so the entries of lag k add up to one
+    group (k, k), k = 0..N-1, of weight Re sum_m conj(a_m) a_{m+k}, doubled
+    off k = 0, one entry of the autocorrelation np.correlate(a, a, "full").
+    That is O(N) memory where the pairs take O(N^2), with the O(N^2) dot
+    products in C; each weight is one dot product, not a sequential sum.
     """
     N = seq.N
     lags = np.arange(N, dtype=np.int64)
@@ -249,8 +235,11 @@ def _hybrid_lhs_one_modulus(groups: tuple, vs: np.ndarray, cs: np.ndarray, tau: 
 def young_ls_lhs(seq: Sequence, gamma: float, tau: float, v: float, C: int) -> float:
     """Hybrid twisted mean square over moduli c <= C and |t| <= tau: the sum
     over c of the closed-form per-modulus values, with no quadrature grid.
-    The pairs are grouped by _lag_groups at gamma = 1 (N groups, O(N)
-    memory) and by _pair_groups at lam_n = n^gamma otherwise."""
+    The pairs enter as the N lag groups of _lag_groups at gamma = 1 (O(N)
+    memory) and as the N(N - 1)/2 + 1 entries of _pair_groups at lam_n =
+    n^gamma otherwise. A gamma that takes (2N)^gamma or young_ls_ratio's
+    N^(1 - gamma) past the float range is rejected: its gaps would be
+    inf - inf."""
     if isinstance(C, bool) or not isinstance(C, numbers.Integral):
         raise ValueError(f"C must be an integer, got {C!r}")
     for name, value in (("gamma", gamma), ("tau", tau), ("v", v)):
@@ -258,6 +247,10 @@ def young_ls_lhs(seq: Sequence, gamma: float, tau: float, v: float, C: int) -> f
             raise ValueError(f"{name} must be finite, got {value}")
     if gamma == 0:
         raise ValueError("gamma must be nonzero")
+    try:
+        math.pow(2 * seq.N, gamma), math.pow(seq.N, 1.0 - gamma)
+    except OverflowError:
+        raise ValueError(f"gamma = {gamma} takes (2N)^gamma or N^(1 - gamma) past the float range") from None
     if tau <= 0 or v <= 0 or C < 1:
         raise ValueError("tau, v must be positive and C >= 1")
     groups = _lag_groups(seq) if gamma == 1 else _pair_groups(seq, seq.ns.astype(float) ** gamma)

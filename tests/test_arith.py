@@ -151,6 +151,29 @@ class TestHalfUnits:
             tracemalloc.stop()
         assert peak <= 31_800_000
 
+    def test_rejects_a_table_past_the_entry_bound(self, monkeypatch):
+        # C = 129,591 (closure --pairs 500,700 --T 3 --M 1) asked numpy for
+        # 2 x 2.55e9 int32 entries; it is rejected before they are allocated
+        monkeypatch.setattr(arith, "_HALF_UNITS", self.FRESH)
+        # the mu/phi table grows to C here: it is restored after the test
+        monkeypatch.setattr(arith, "_MOEBIUS_TOTIENTS", arith._MOEBIUS_TOTIENTS)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^C = 129591 needs 2,552,373,042 Kloosterman units"):
+                arith._half_units(129_591)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20  # the mu/phi sieve and the offsets
+        assert arith._HALF_UNITS is self.FRESH
+        # a table of exactly the bound is built, one modulus more is not
+        size = int(arith._half_units(600)[2][-1])
+        monkeypatch.setattr(arith, "_HALF_UNITS", self.FRESH)
+        monkeypatch.setattr(arith, "_MAX_HALF_UNITS", size)
+        assert arith._half_units(600)[2][-1] == size
+        with pytest.raises(ValueError, match=r"^C = 601 "):
+            arith._half_units(601)
+
 
 class TestVqSum:
     def test_degenerate_modulus(self):

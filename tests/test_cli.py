@@ -3,12 +3,22 @@
 import json
 import math
 import re
+import time
 import warnings
 
 import pytest
 
 from specpoint.cli import main
 from specpoint.sievebench import Sequence, young_ls_lhs
+
+
+def record(line: str) -> dict:
+    """One report line, parsed strictly: a NaN or Infinity token fails."""
+
+    def reject(token):
+        raise ValueError(f"{token} in a report line")
+
+    return json.loads(line, parse_constant=reject)
 
 
 def test_closure_line(capsys):
@@ -18,7 +28,7 @@ def test_closure_line(capsys):
         main(["closure", "--pairs", "1,1"])
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1
-    rec = json.loads(lines[0])
+    rec = record(lines[0])
     assert rec["S"] == 0.0
     assert rec["params"] == {
         "ns": [1, 1],
@@ -41,7 +51,7 @@ def test_closure_line(capsys):
 
 def test_decompose_line(capsys):
     main(["decompose", "--N", "2", "--seed", "3"])
-    rec = json.loads(capsys.readouterr().out)
+    rec = record(capsys.readouterr().out)
     params = rec["params"]
     assert params["ns"] == [3, 4]  # the block (N, 2N] at N = 2
     assert params["series_terms"] + params["kernel_terms"] == params["evaluated"]
@@ -51,7 +61,7 @@ def test_decompose_line(capsys):
 
 def test_sieve_line(capsys):
     main("sieve --N 12 --C 8 --gamma 0.5 --tau 0.7 --v 2 --seed 4".split())
-    rec = json.loads(capsys.readouterr().out)
+    rec = record(capsys.readouterr().out)
     assert rec["params"] == {"gamma": 0.5, "tau": 0.7, "v": 2.0, "C": 8, "N": 12}
     want = young_ls_lhs(Sequence.random(N=12, seed=4), 0.5, 0.7, 2.0, 8)
     assert rec["lhs"] == pytest.approx(want, rel=1e-15)
@@ -64,7 +74,7 @@ def test_sieve_line_at_N_4096(capsys):
     main("sieve --N 4096 --C 8".split())
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1
-    rec = json.loads(lines[0])
+    rec = record(lines[0])
     assert rec["params"]["N"] == 4096
     assert math.isfinite(rec["ratio"]) and rec["ratio"] > 0
 
@@ -92,6 +102,10 @@ def test_sieve_line_at_N_4096(capsys):
         "sieve --v nan",
         "sieve --tau inf",
         "sieve --gamma inf",
+        # (2N)^400 overflowed: inf - inf gaps printed NaN with exit 0
+        "sieve --gamma 400 --N 4 --C 2",
+        # N^201 overflowed into an OverflowError traceback, exit 1
+        "sieve --gamma -200 --N 64 --C 2",
     ],
 )
 def test_rejects_bad_input_with_usage_error(argv, capsys):
@@ -104,3 +118,15 @@ def test_rejects_bad_input_with_usage_error(argv, capsys):
     # the message names the input at fault
     flag = argv.split()[1].lstrip("-")
     assert re.search(rf"\b{flag}\b", captured.err.split("error:", 1)[1])
+
+
+def test_rejects_a_kloosterman_table_past_the_bound(capsys):
+    # C = 129,591 asked numpy for 9.51 GiB of Kloosterman unit tables
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exit_info:
+        main("closure --pairs 500,700 --T 3 --M 1".split())
+    assert time.perf_counter() - start < 10.0
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "C = 129591" in captured.err.split("error:", 1)[1]

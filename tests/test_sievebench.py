@@ -181,6 +181,14 @@ class TestYoungLS:
         with pytest.raises(ValueError, match=rf"^{name} must be finite"):
             young_ls_lhs(Sequence.random(N=4, seed=1), gamma, tau, v, 4)
 
+    @pytest.mark.parametrize("N, gamma", [(4, 400.0), (4, np.float64(400.0)), (64, -200.0)])
+    @pytest.mark.parametrize("sieve", [young_ls_lhs, young_ls_ratio])
+    def test_rejects_gamma_past_the_float_range(self, sieve, N, gamma):
+        # (2N)^400 overflowed into inf - inf gaps and a NaN ratio, and
+        # young_ls_ratio's N^201 raised OverflowError
+        with pytest.raises(ValueError, match=r"^gamma = "):
+            sieve(Sequence.random(N=N, seed=1), gamma, 1.0, 1.0, 2)
+
     def test_accepts_numpy_integer_C(self):
         seq = Sequence.random(N=8, seed=9)
         assert young_ls_lhs(seq, 1.0, 0.3, 1.5, np.int64(4)) == young_ls_lhs(seq, 1.0, 0.3, 1.5, 4)
@@ -212,6 +220,13 @@ def complex_key_groups(seq, lams):
     return keys.real.astype(np.int64), keys.imag, np.bincount(group, weights=pair_weights)
 
 
+def summed_by_key(lags, gaps, weights):
+    """Entries (lags, gaps, weights) summed by exact key as complex_key_groups
+    sums its pairs, with the number of entries of each key."""
+    keys, group, sizes = np.unique(lags + 1j * gaps, return_inverse=True, return_counts=True)
+    return keys.real.astype(np.int64), keys.imag, np.bincount(group, weights=weights), sizes
+
+
 class TestPairGroups:
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("v", [1.0, 2.5])
@@ -227,8 +242,8 @@ class TestPairGroups:
     @pytest.mark.parametrize("lam", ["n^0.5", "n^1", "n^2", "log n", "permuted n^0.5"])
     @pytest.mark.parametrize("N", [1, 2, 24, 97])
     def test_matches_complex_key_grouping(self, lam, N):
-        # within a lag the gaps fall (n^0.5, log n: sorted), stay (n^1) or
-        # rise (n^2: not sorted); the permuted n^0.5 gaps rise and fall
+        # within a lag the gaps fall (n^0.5, log n), stay (n^1) or rise
+        # (n^2); the permuted n^0.5 gaps rise and fall
         seq = Sequence.random(N=N, seed=37)
         ns = seq.ns.astype(float)
         if lam == "log n":
@@ -237,22 +252,40 @@ class TestPairGroups:
             lams = np.random.default_rng(41).permutation(ns**0.5)
         else:
             lams = ns ** float(lam[2:])
-        got, want = _pair_groups(seq, lams), complex_key_groups(seq, lams)
-        for g, w in zip(got, want):
+        entries = _pair_groups(seq, lams)
+        assert entries[2].size == N * (N - 1) // 2 + 1
+        *got, sizes = summed_by_key(*entries)
+        want = complex_key_groups(seq, lams)
+        for g, w in zip(got[:2], want[:2]):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
+        # each weight sums 2 sizes real products in two orders, each within
+        # gamma_{2 sizes} sum |a_m| |a_n| (doubled off the diagonal) of exact
+        u, n = 2.0**-53, 2.0 * sizes
+        scale = summed_by_key(*_pair_groups(Sequence(N=N, values=np.abs(seq.values)), lams))[2]
+        assert np.all(np.abs(got[2] - want[2]) <= 2.0 * n * u / (1.0 - n * u) * scale)
+        # only n^1 repeats a key, so the entries need no grouping elsewhere
+        assert np.all(sizes == 1) or lam == "n^1"
 
     def test_gamma_one_groups_by_lag(self):
+        # at lam_n = n every gap is its lag, and the entries of a lag add up
+        # to its lag sum within gamma_{2(N-k)} sum_m |a_m| |a_{m+k}|, doubled
         seq = Sequence.random(N=24, seed=31)
         lags, gaps, weights = _pair_groups(seq, seq.ns.astype(float))
-        assert lags.size == seq.N
-        np.testing.assert_array_equal(lags, np.arange(seq.N))
         np.testing.assert_array_equal(gaps, lags)
+        sums = np.bincount(lags, weights)
+        assert sums.size == seq.N
+        k = np.arange(seq.N)
+        u, n = 2.0**-53, 2.0 * (seq.N - k)
+        mag = np.abs(seq.values)
+        scale = np.correlate(mag, mag, "full")[seq.N - 1 :] * np.where(k == 0, 1.0, 2.0)
+        assert np.all(lag_errors(sums, exact_lag_sums(seq.values)) <= n * u / (1.0 - n * u) * scale)
         assert weights[0] == pytest.approx(seq.norm_sq, rel=1e-15)
 
     def test_peak_memory_at_N_256(self):
         # the lag-major layout holds one (N^2/2)-entry complex array at a
-        # time; triu_indices and a full lexsort peaked at 1,799.5 KB here
+        # time: 1,471 KB here, where triu_indices and a full lexsort peaked
+        # at 1,799.5 KB
         seq = Sequence.random(N=256, seed=1)
         lams = seq.ns.astype(float)
         tracemalloc.start()
@@ -293,11 +326,10 @@ class TestLagGroups:
     def test_matches_pair_groups_within_dot_product_rounding(self, N):
         seq = Sequence.random(N=N, seed=43)
         lags, gaps, weights = _lag_groups(seq)
-        want = _pair_groups(seq, seq.ns.astype(float))
-        for got, w in zip((lags, gaps), want[:2]):
-            assert got.dtype == w.dtype
-            np.testing.assert_array_equal(got, w)
-        assert weights.dtype == want[2].dtype and weights.shape == want[2].shape
+        assert lags.dtype == np.int64 and gaps.dtype == weights.dtype == np.float64
+        np.testing.assert_array_equal(lags, np.arange(N))
+        np.testing.assert_array_equal(gaps, np.arange(N))
+        assert weights.shape == (N,)
         # each weight is one complex dot product of N - k terms, whose real
         # part sums 2 (N - k) real products in some order: it is off by at
         # most gamma_{2(N-k)} sum_m |a_m| |a_{m+k}| (Higham, Accuracy and
@@ -311,11 +343,12 @@ class TestLagGroups:
 
     def test_closer_to_exact_sums_than_pair_groups(self):
         # at the sieve workload's size: the lag path errs by 6.9e-15 at most,
-        # the sequential bincount sums of _pair_groups by 5.6e-14
+        # the sequential bincount sums of the _pair_groups entries by 2.8e-14
         seq = Sequence.random(N=256, seed=1)
         exact = exact_lag_sums(seq.values)
         lag = lag_errors(_lag_groups(seq)[2], exact)
-        pair = lag_errors(_pair_groups(seq, seq.ns.astype(float))[2], exact)
+        lags, _, weights = _pair_groups(seq, seq.ns.astype(float))
+        pair = lag_errors(np.bincount(lags, weights), exact)
         assert np.max(lag) <= np.max(pair)
 
     def test_young_ls_lhs_at_gamma_one_matches_pair_groups(self):
