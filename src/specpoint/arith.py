@@ -187,11 +187,12 @@ def kloosterman(m: int, n: int, c):
         cuts = cuts[np.diff(cuts, prepend=-1) > 0]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             offsets = starts[lo : hi + 1] - starts[lo]
-            # m, n and 2 pi/c once per modulus, repeated over its units
+            # m, n and 2 pi/c once per modulus, repeated over its units; the
+            # angle arithmetic runs in int32, as alpha m + alpha^{-1} n < 2 c^2
+            # < 2^31 for every C that _half_units admits
             cs = np.arange(lo + 1, hi + 1)
-            mods, m_res, n_res, scale = (
-                np.repeat(v, np.diff(offsets)) for v in (cs, m % cs, n % cs, TWO_PI / cs)
-            )
+            mods, m_res, n_res = (np.repeat(v.astype(np.int32), np.diff(offsets)) for v in (cs, m % cs, n % cs))
+            scale = np.repeat(TWO_PI / cs, np.diff(offsets))
             units = slice(starts[lo], starts[hi])
             angles = (alphas[units] * m_res + invs[units] * n_res) % mods
             sums[lo:hi] = np.add.reduceat(np.cos(scale * angles), offsets[:-1])

@@ -44,7 +44,8 @@ def _pair(text: str) -> tuple[int, int]:
 
 
 def _emit(report, wall_s: float) -> None:
-    print(json.dumps({**dataclasses.asdict(report), "wall_s": wall_s}), flush=True)
+    # a NaN or an infinity would print a token JSON has not: a usage error
+    print(json.dumps({**dataclasses.asdict(report), "wall_s": wall_s}, allow_nan=False), flush=True)
 
 
 def _closure(args) -> None:

@@ -15,9 +15,12 @@ every modulus up to the largest asked for so far sit in one flat read-only
 table (_ramanujan_table), each entry built once per process by Hoelder's
 closed form (_hoelder) and extended over new moduli only, and a whole sum
 over moduli is one _hybrid_lhs_one_modulus call: blocked (moduli x groups)
-kernel tables of entries gathered from that table times sincs, each block
-one matrix product with the weights. At lam_n = n the N lag groups stand
-where the dense form has N^2 kernel entries.
+tables of entries gathered from that table, summed against the sines of
+beta gap, beta = 2 pi tau/(c v). The sines come from tables per block of
+moduli, not one trig call per entry: at lam_n = n by angle addition over
+the lags (O(sqrt N) trig calls per modulus), otherwise from one sine and
+cosine per point. At lam_n = n the N lag groups stand where the dense form
+has N^2 kernel entries.
 Right-hand sides are the literature majorants with every unspecified
 epsilon-factor set to 1. Only ratios are reported: the suites check
 boundedness, monotonicity, and scaling invariance, never a sharp constant.
@@ -27,12 +30,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .arith import _grown, _moebius_totients, _runs, _unit_residues, divisor_sigma
+from .arith import TWO_PI, _grown, _moebius_totients, _runs, _unit_residues, divisor_sigma
 from .besselintegral import T_CUT_FACTOR, SpectralWeight, weight_h
 from .quadrature import QuadratureResult, gauss_grid, refined, refined_panels
 from .specfun import _ZETA_IM_MAX, eisenstein_density
@@ -100,13 +105,29 @@ def _t_grid(tau: float, order: int, panels: int):
     return gauss_grid(-tau, tau, panels, order)
 
 
-def _pair_groups(seq: Sequence, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _Groups(NamedTuple):
+    """The pair groups of a block, as _hybrid_lhs_one_modulus reads them:
+    group g has lag lags[g], gap gaps[g] and weight weights[g]. The pair
+    lists also carry their points lam_n - min lam and each entry's two
+    points (ends: gap = lam[ends[1]] - lam[ends[0]]), so the kernel forms
+    every sin(beta gap) from one sine and cosine per point; the lag groups
+    leave both None, as every gap is its lag."""
+
+    lags: np.ndarray
+    gaps: np.ndarray
+    weights: np.ndarray
+    points: np.ndarray | None = None
+    ends: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _pair_groups(seq: Sequence, lams: np.ndarray) -> _Groups:
     """(lags, gaps, weights) of the pairs m <= n of the block: first the
     diagonal as one entry (0, 0, ||a||^2), then every pair m < n with its
     lag n - m, its gap lam_n - lam_m and the weight 2 Re(conj(a_m) a_n),
-    for both orders, laid out lag by lag with m ascending within a lag.
-    For a real kernel K(m, n) = K(n, m) that depends on the pair only
-    through its (lag, gap), sum_{m,n} conj(a_m) a_n K = weights @ K.
+    for both orders, laid out lag by lag with m ascending within a lag,
+    with the points and ends of _Groups. For a real kernel K(m, n) =
+    K(n, m) that depends on the pair only through its (lag, gap),
+    sum_{m,n} conj(a_m) a_n K = weights @ K.
 
     Off the diagonal no two pairs share a key for lam_n = n^gamma (gamma
     != 0, 1) or log n, whose gaps are strictly monotone in m within a lag,
@@ -115,23 +136,25 @@ def _pair_groups(seq: Sequence, lams: np.ndarray) -> tuple[np.ndarray, np.ndarra
     _lag_groups, whose weights are the lag sums of these entries.
     """
     N = seq.N
-    pairs = N * (N - 1) // 2
-    index = np.int32 if pairs <= np.iinfo(np.int32).max else np.int64
-    counts = np.arange(N - 1, 0, -1, dtype=index)  # N - k pairs at lag k >= 1
-    lag = np.repeat(np.arange(1, N, dtype=index), counts)
-    i = np.arange(pairs, dtype=index) - np.repeat(np.cumsum(counts, dtype=index) - counts, counts)
+    entries = N * (N - 1) // 2 + 1
+    index = np.int32 if entries <= np.iinfo(np.int32).max else np.int64
+    counts = np.arange(N, 0, -1, dtype=index)  # N - k pairs at lag k >= 1
+    counts[0] = 1  # the diagonal, as the pair (0, 0)
+    lag = np.repeat(np.arange(N, dtype=index), counts)
+    i = np.arange(entries, dtype=index) - np.repeat(np.cumsum(counts, dtype=index) - counts, counts)
     j = i + lag
     # conj(a_m) a_n formed in place: one (N^2/2)-entry complex array at a time
     pair = seq.values.conj()[i]
     pair *= seq.values[j]
-    weights = np.concatenate([[np.vdot(seq.values, seq.values).real], 2.0 * pair.real])
+    weights = 2.0 * pair.real
     del pair
+    weights[0] = np.vdot(seq.values, seq.values).real
     gap = lams[j]
     gap -= lams[i]
-    return np.concatenate([[0], lag], dtype=np.int64), np.concatenate([[0.0], gap]), weights
+    return _Groups(lag.astype(np.int64), gap, weights, lams - np.min(lams), (i, j))
 
 
-def _lag_groups(seq: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lag_groups(seq: Sequence) -> _Groups:
     """The lag sums of _pair_groups(seq, seq.ns), with no pair arrays: at
     lam_n = n every gap is its lag, so the entries of lag k add up to one
     group (k, k), k = 0..N-1, of weight Re sum_m conj(a_m) a_{m+k}, doubled
@@ -144,7 +167,7 @@ def _lag_groups(seq: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     auto = np.correlate(seq.values, seq.values, "full")[N - 1 :].real
     weights = 2.0 * auto
     weights[0] = auto[0]
-    return lags, lags.astype(float), weights
+    return _Groups(lags, lags.astype(float), weights)
 
 
 def _hoelder(c: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -197,39 +220,116 @@ def _ramanujan_table(C: int) -> tuple[np.ndarray, np.ndarray]:
 _KERNEL_BLOCK = 1 << 13  # most (modulus, group) entries of one kernel block
 
 
-def _hybrid_lhs_one_modulus(groups: tuple, vs: np.ndarray, cs: np.ndarray, tau: float) -> np.ndarray:
+def _lag_sums(x: np.ndarray, betas: np.ndarray, shared, width: int) -> np.ndarray:
+    """sum_k x[r, k] sin(beta k) over the lags k = a width + b of x for each
+    row r, beta = betas[shared][r], by sin(beta a width) cos(beta b) +
+    cos(beta a width) sin(beta b): e^{i beta b}, b < width, from width + 1
+    complex exponentials per beta, and i e^{-i beta a width} as running
+    products of e^{-i beta width}, whose few ulps per step cost less than a
+    direct sine's phase rounding once beta width passes a few units. Per
+    row: two (count x width) matrix-vector products and two dot products;
+    one matrix-matrix product is faster, but its first call maps ~0.4 MB
+    more of BLAS into the process."""
+    rows, count = x.shape[0], x.shape[1] // width
+    turns = np.exp(1j * (betas[:, None] * np.arange(width + 1)))
+    powers = np.empty((betas.size, count), dtype=complex)
+    powers[:, 0] = 1j
+    powers[:, 1:] = turns[:, width:].conj()
+    np.cumprod(powers, axis=1, out=powers)
+    turns, powers = turns[shared, :width, None], powers[shared, None, :]
+    x = x.reshape(rows, count, width)
+    return (powers.real @ (x @ turns.real) + powers.imag @ (x @ turns.imag))[:, 0, 0]
+
+
+def _pair_sines(betas: np.ndarray, points: np.ndarray, ends: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """sin(beta (p_j - p_i)) = s_j c_i - c_j s_i for each entry (i, j) of
+    ends, a row per beta, from one sine s and cosine c of beta p per point.
+    Points p that start at 0 keep the phases, and so their rounding, small."""
+    phases = betas[:, None] * points
+    s, c = np.sin(phases), np.cos(phases)
+    first, second = ends
+    sines = np.take(s, second, axis=1) * np.take(c, first, axis=1)
+    sines -= np.take(c, second, axis=1) * np.take(s, first, axis=1)
+    return sines
+
+
+def _ramanujan_rows(c: np.ndarray, ks: np.ndarray, table: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """c_c(k) at the lags ks for each modulus of the column c: read from the
+    kept table at the row's start plus min(k, c - k), k = lag mod c, or from
+    _hoelder at the same entries for a modulus past the table's bound."""
+    c = c.astype(ks.dtype)
+    folded = ks % c
+    np.minimum(folded, c - folded, out=folded)
+    if np.max(c) < starts.size:
+        return np.take(table, folded + starts[c - 1])
+    return _hoelder(c, folded).astype(float)
+
+
+def _hybrid_lhs_one_modulus(groups: _Groups, vs: np.ndarray, cs: np.ndarray, tau: float) -> np.ndarray:
     """(1/c) sum*_alpha int_{-tau}^{tau} |sum_n a_n e(alpha n/c) e(lam_n t/(c v))|^2 dt
     for the pair groups of a at lam_n (n^gamma in the hybrid sieve), at
     each modulus c of the 1-d array cs with its twist v from vs.
 
     The alpha-sum of e(alpha (n - m)/c) over the units is the Ramanujan sum
-    c_c(lag) and the t-integral of e(gap t/(c v)) is 2 tau sinc(2 tau gap/(c v)),
-    so the value is (1/c) sum_g W_g c_c(lag_g) 2 tau sinc(2 tau gap_g/(c v)).
-    The (moduli x groups) kernel is built in blocks of at most _KERNEL_BLOCK
-    entries (one modulus per block at least): the Ramanujan sums gathered
-    from the kept table of _ramanujan_table at each row's start plus the
-    folded lag min(k, c - k), k = lag mod c, times one sinc call, then one
-    matrix product with the weights. A block with a modulus past the
-    table's bound takes its sums from _hoelder at the same entries. There
-    is no N x N or phi(c) x N table.
+    c_c(lag) and (1/c) times the t-integral of e(gap t/(c v)) is
+    (v/pi) sin(beta gap)/gap, beta = 2 pi tau/(c v), or 2 tau/c at gap 0.
+    So the value is (v/pi) sum_g c_c(lag_g) sin(beta gap_g) W_g/gap_g over
+    the nonzero gaps plus (2 tau/c) sum_g c_c(lag_g) W_g over the zero ones.
+    The moduli go in blocks of at most _KERNEL_BLOCK (modulus, group)
+    entries, one modulus at least: a block reads its Ramanujan sums
+    (_ramanujan_rows) at the lags 0..max(lags), scales them by W/gap and
+    sums them against sines from tables, never one trig call per entry:
+    O(sqrt N) per modulus by angle addition over the lag groups
+    (_lag_sums), one sine and cosine per point for the pair lists
+    (_pair_sines). The rows go in order of c v, and rows of equal
+    c v share their tables. There is no N x N or phi(c) x N table.
     """
-    lags, gaps, weights = groups
+    lags, gaps, weights, points, ends = groups
     cs = np.asarray(cs, dtype=np.int64)
     vs = np.asarray(vs, dtype=float)
-    values = np.empty(cs.size)
-    table, starts = _ramanujan_table(int(np.max(cs, initial=1)))
+    products = cs * vs
+    top = int(np.max(cs, initial=1))
+    table, starts = _ramanujan_table(top)
+    zero = np.flatnonzero(gaps == 0)
+    zero_weights = weights[zero]
+    scaled = np.divide(weights, gaps, out=np.zeros_like(weights), where=gaps != 0)
+    if points is None:  # the lags 0..N-1, padded with zero weights to a multiple of width
+        width = math.isqrt(lags.size - 1) + 1
+        size = -(-lags.size // width) * width
+        scaled = np.concatenate([scaled, np.zeros(size - lags.size)])
+    else:
+        size = int(np.max(lags)) + 1
+    ks = np.arange(size, dtype=np.int32 if max(top, size) < 1 << 31 else np.int64)
+    # the rows in order of c v, so the rows of one product are adjacent
+    order = np.argsort(products, kind="stable")
+    cs, vs, products = cs[order], vs[order], products[order]
+    new = np.ones(cs.size, dtype=bool)
+    new[1:] = products[1:] != products[:-1]
+    table_of = np.cumsum(new) - 1  # each row's tables, among the distinct products
+    betas = (TWO_PI * tau) / products[new]
+    sums, at_zero = np.empty(cs.size), np.empty(cs.size)
     step = max(1, _KERNEL_BLOCK // lags.size)
     for i in range(0, cs.size, step):
-        c, v = cs[i : i + step, None], vs[i : i + step, None]
-        ks = lags % c
-        folded = np.minimum(ks, c - ks)
-        if np.max(c) < starts.size:
-            ramanujan = table[starts[c - 1] + folded]
+        block = slice(i, i + step)
+        first, last = table_of[i], table_of[block][-1]
+        shared = table_of[block] - first if last - first + 1 < cs[block].size else slice(None)
+        x = _ramanujan_rows(cs[block, None], ks, table, starts)
+        if points is not None:
+            x = np.take(x, lags, axis=1)
+        at_zero[block] = x[:, zero] @ zero_weights
+        x *= scaled
+        if points is None:
+            sums[block] = _lag_sums(x, betas[first : last + 1], shared, width)
         else:
-            ramanujan = _hoelder(c, folded).astype(float)
-        kernel = ramanujan * (2.0 * tau * np.sinc(2.0 * tau * (gaps / (c * v))))
-        values[i : i + step] = (kernel @ weights) / c[:, 0]
+            sums[block] = np.einsum("rg,rg->r", x, _pair_sines(betas[first : last + 1], points, ends)[shared])
+    values = np.empty(cs.size)
+    values[order] = sums * (vs / math.pi) + at_zero * (2.0 * tau / cs)
     return values
+
+
+def _young_ls_majorant(seq: Sequence, gamma: float, tau: float, v: float, C: int) -> float:
+    """young_ls_ratio's (tau C + v N^{1-gamma} log C) ||a||^2."""
+    return (tau * C + v * seq.N ** (1.0 - gamma) * max(1.0, math.log(C))) * seq.norm_sq
 
 
 def young_ls_lhs(seq: Sequence, gamma: float, tau: float, v: float, C: int) -> float:
@@ -239,7 +339,9 @@ def young_ls_lhs(seq: Sequence, gamma: float, tau: float, v: float, C: int) -> f
     memory) and as the N(N - 1)/2 + 1 entries of _pair_groups at lam_n =
     n^gamma otherwise. A gamma that takes (2N)^gamma or young_ls_ratio's
     N^(1 - gamma) past the float range is rejected: its gaps would be
-    inf - inf."""
+    inf - inf. So are inputs whose phases 2 pi tau gap/(c v) leave the
+    normal floats (an infinite phase has no sine, a subnormal one no
+    digits) or whose majorant in young_ls_ratio is not finite."""
     if isinstance(C, bool) or not isinstance(C, numbers.Integral):
         raise ValueError(f"C must be an integer, got {C!r}")
     for name, value in (("gamma", gamma), ("tau", tau), ("v", v)):
@@ -253,7 +355,18 @@ def young_ls_lhs(seq: Sequence, gamma: float, tau: float, v: float, C: int) -> f
         raise ValueError(f"gamma = {gamma} takes (2N)^gamma or N^(1 - gamma) past the float range") from None
     if tau <= 0 or v <= 0 or C < 1:
         raise ValueError("tau, v must be positive and C >= 1")
-    groups = _lag_groups(seq) if gamma == 1 else _pair_groups(seq, seq.ns.astype(float) ** gamma)
+    lams = seq.ns.astype(float) ** gamma
+    steps = np.abs(np.diff(lams))
+    smallest, largest = float(np.min(steps[steps > 0], initial=1.0)), float(np.max(lams) - np.min(lams))
+    unit = (TWO_PI * tau) / v  # the kernel's beta at c = 1
+    if not (math.isfinite(unit * max(largest, 1.0)) and unit / C * smallest >= sys.float_info.min):
+        raise ValueError(
+            f"tau = {tau:g}, v = {v:g} and gamma = {gamma:g} put the phases 2 pi tau gap/(c v) "
+            f"between {unit / C * smallest:g} and {unit * largest:g}, outside the normal floats"
+        )
+    if not math.isfinite(_young_ls_majorant(seq, gamma, tau, v, C)):
+        raise ValueError(f"tau = {tau:g}, v = {v:g} and gamma = {gamma:g} take the majorant past the float range")
+    groups = _lag_groups(seq) if gamma == 1 else _pair_groups(seq, lams)
     cs = np.arange(1, C + 1)
     return sum(_hybrid_lhs_one_modulus(groups, np.full(cs.size, v), cs, tau).tolist())
 
@@ -261,8 +374,7 @@ def young_ls_lhs(seq: Sequence, gamma: float, tau: float, v: float, C: int) -> f
 def young_ls_ratio(seq: Sequence, gamma: float, tau: float, v: float, C: int) -> SieveReport:
     """Ratio of the hybrid mean square to (tau C + v N^{1-gamma} log C) ||a||^2."""
     lhs = young_ls_lhs(seq, gamma, tau, v, C)
-    log_c = max(1.0, math.log(C))
-    rhs = (tau * C + v * seq.N ** (1.0 - gamma) * log_c) * seq.norm_sq
+    rhs = _young_ls_majorant(seq, gamma, tau, v, C)
     return SieveReport.make(lhs, rhs, gamma=gamma, tau=tau, v=v, C=C, N=seq.N)
 
 

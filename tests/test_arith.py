@@ -106,6 +106,31 @@ class TestKloostermanArray:
         want = [(-1) ** (m + n), 1.0, (-1) ** (m + n), arith.kloosterman(m, n, 3)]
         assert got == pytest.approx(want, abs=1e-14)
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (3, 7), (123_456_789, -987_654_321)])
+    def test_int32_angles_match_int64_angles(self, m, n):
+        # the angles alpha m + alpha^{-1} n mod c, here in int64, and each
+        # modulus's cosines summed by one reduceat: the same sums bit for bit
+        C = 4105
+        alphas, invs, starts = arith._half_units(C)
+        cs = np.arange(1, C + 1)
+        sizes = np.diff(starts)
+        m_res, n_res, c = (np.repeat(v, sizes) for v in (m % cs, n % cs, cs))
+        angles = (alphas.astype(np.int64) * m_res + invs.astype(np.int64) * n_res) % c
+        want = np.add.reduceat(np.cos(np.repeat(arith.TWO_PI / cs, sizes) * angles), starts[:-1])
+        want[2:] *= 2.0
+        np.testing.assert_array_equal(arith.kloosterman(m, n, cs), want)
+
+    def test_int32_angles_cannot_overflow(self, monkeypatch):
+        # alpha m + alpha^{-1} n < (c/2) c + c^2 < 2 C^2 with m, n reduced mod c;
+        # the largest C whose half-unit table fits _MAX_HALF_UNITS keeps that
+        # below 2^31
+        monkeypatch.setattr(arith, "_MOEBIUS_TOTIENTS", arith._MOEBIUS_TOTIENTS)
+        phi = arith._moebius_totients(1 << 15)[1]
+        entries = 1 + np.cumsum((phi[2:] + 1) // 2)  # the table's size at C = 2, 3, ...
+        C = 1 + int(np.searchsorted(entries, arith._MAX_HALF_UNITS, side="right"))
+        assert C < 1 << 15
+        assert 2 * C**2 < 2**31
+
     @pytest.mark.parametrize("moduli", [[0], [-2], [5, 0, 7]])
     def test_nonpositive_modulus_raises(self, moduli):
         with pytest.raises(ValueError):

@@ -106,6 +106,11 @@ def test_sieve_line_at_N_4096(capsys):
         "sieve --gamma 400 --N 4 --C 2",
         # N^201 overflowed into an OverflowError traceback, exit 1
         "sieve --gamma -200 --N 64 --C 2",
+        # the phases 2 pi tau gap/(c v) overflowed: "lhs": NaN (and for tau,
+        # "rhs_majorant": Infinity) with exit 0
+        "sieve --gamma 341 --N 4 --C 2",
+        "sieve --tau 1e308 --N 4 --C 2",
+        "sieve --v 1e-310 --N 4 --C 2",
     ],
 )
 def test_rejects_bad_input_with_usage_error(argv, capsys):

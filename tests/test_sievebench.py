@@ -7,6 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -76,6 +77,34 @@ def young_lhs_gauss(seq, gamma, tau, v, C, order=400, panels=1):
             inner = np.exp(2j * math.pi * phase) @ seq.values
             total += float(np.sum(ws * np.abs(inner) ** 2)) / c
     return total
+
+
+def young_lhs_mpmath(seq, gamma, tau, v, C):
+    """young_ls_lhs as a 30-digit mpmath sum over the pairs m <= n: exact
+    gaps n^gamma - m^gamma, exact Ramanujan sums sum_{d | (c, k)} mu(c/d) d,
+    the weights 2 Re(conj(a_m) a_n) of the double a_n, and 2 tau
+    sin(beta gap)/(beta gap) with beta = 2 pi tau/(c v)."""
+    with mpmath.workdps(30):
+        lams = [mpmath.mpf(int(n)) ** mpmath.mpf(gamma) for n in seq.ns]
+        a = [(mpmath.mpf(z.real), mpmath.mpf(z.imag)) for z in seq.values.tolist()]
+        pairs = [
+            [(2 * (a[m][0] * a[m + k][0] + a[m][1] * a[m + k][1]), lams[m + k] - lams[m]) for m in range(seq.N - k)]
+            for k in range(seq.N)
+        ]
+        tau, v, total = mpmath.mpf(tau), mpmath.mpf(v), mpmath.mpf(0)
+        for c in range(1, C + 1):
+            beta = 2 * mpmath.pi * tau / (c * v)
+            value = totient(c) * sum(w for w, _ in pairs[0]) / 2  # the diagonal, weighted ||a||^2
+            for k, entries in enumerate(pairs[1:], start=1):
+                r = sum(moebius(c // d) * d for d in divisors(math.gcd(c, k)))
+                if r:
+                    value += r * mpmath.fsum(w * mpmath.sin(beta * g) / (beta * g) for w, g in entries)
+            total += 2 * tau * value / c
+        return total
+
+
+def totient(c: int) -> int:
+    return sum(math.gcd(a, c) == 1 for a in range(1, c + 1))
 
 
 def dense_lhs_one_modulus(seq, gamma, v, c, tau):
@@ -189,18 +218,55 @@ class TestYoungLS:
         with pytest.raises(ValueError, match=r"^gamma = "):
             sieve(Sequence.random(N=N, seed=1), gamma, 1.0, 1.0, 2)
 
+    @pytest.mark.parametrize(
+        "N, gamma, tau, v, C, message",
+        [
+            # 2 pi tau gap/(c v) overflowed into NaN sines and a NaN ratio
+            (4, 341.0, 1.0, 1.0, 2, "phases"),
+            (4, 1.0, 1e308, 1.0, 2, "phases"),
+            (4, 1.0, 1.0, 1e-310, 2, "phases"),
+            # a subnormal phase has lost its digits: sin(beta gap)/gap would too
+            (4, 1.0, 1e-300, 1e10, 2, "phases"),
+            # tau C overflowed the majorant with finite phases
+            (1, 1.0, 1e307, 1.0, 100, "majorant"),
+        ],
+    )
+    def test_rejects_inputs_past_the_float_range(self, N, gamma, tau, v, C, message):
+        with pytest.raises(ValueError, match=message):
+            young_ls_lhs(Sequence.random(N=N, seed=1), gamma, tau, v, C)
+
     def test_accepts_numpy_integer_C(self):
         seq = Sequence.random(N=8, seed=9)
         assert young_ls_lhs(seq, 1.0, 0.3, 1.5, np.int64(4)) == young_ls_lhs(seq, 1.0, 0.3, 1.5, 4)
 
     def test_pinned_value_at_the_bench_size(self):
         # the sieve workload's young_ls_lhs at seed 1, bit for bit, and the
-        # dense form modulus by modulus
+        # dense form modulus by modulus; a 40-digit mpmath lag sum puts it
+        # 3.89 ulp above the exact value
         seq = Sequence.random(256, seed=1)
         got = young_ls_lhs(seq, 1.0, 1.0, 1.0, 256)
-        assert got.hex() == "0x1.3724abdb264fap+15"
+        assert got.hex() == "0x1.3724abdb264f9p+15"
         want = math.fsum(dense_lhs_one_modulus(seq, 1.0, 1.0, c, 1.0) for c in range(1, 257))
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.5, 2.0])
+    def test_matches_mpmath_off_gamma_one(self, gamma):
+        # the pair lists' sines s_j c_i - c_j s_i over exact gaps and sums
+        seq = Sequence.random(64, seed=int(10 * gamma))
+        want = young_lhs_mpmath(seq, gamma, 1.0, 1.0, 32)
+        got = young_ls_lhs(seq, gamma, 1.0, 1.0, 32)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_takes_no_sinc(self, monkeypatch):
+        # the kernel builds its sines from tables per block of moduli
+        def no_sinc(*args, **kwargs):
+            raise AssertionError("np.sinc was called")
+
+        monkeypatch.setattr(np, "sinc", no_sinc)
+        seq = Sequence.random(256, seed=1)
+        for gamma in (0.5, 1.0, 2.0):
+            assert math.isfinite(young_ls_ratio(seq, gamma, 1.0, 1.0, 256).ratio)
+        assert math.isfinite(p_bound_rhs(Sequence.random(64, seed=1, real=True), SpectralWeight(T=3.0, M=1.5)))
 
     def test_scaling_invariance(self):
         seq = Sequence.random(N=12, seed=13)
@@ -252,7 +318,7 @@ class TestPairGroups:
             lams = np.random.default_rng(41).permutation(ns**0.5)
         else:
             lams = ns ** float(lam[2:])
-        entries = _pair_groups(seq, lams)
+        entries = _pair_groups(seq, lams)[:3]
         assert entries[2].size == N * (N - 1) // 2 + 1
         *got, sizes = summed_by_key(*entries)
         want = complex_key_groups(seq, lams)
@@ -262,7 +328,7 @@ class TestPairGroups:
         # each weight sums 2 sizes real products in two orders, each within
         # gamma_{2 sizes} sum |a_m| |a_n| (doubled off the diagonal) of exact
         u, n = 2.0**-53, 2.0 * sizes
-        scale = summed_by_key(*_pair_groups(Sequence(N=N, values=np.abs(seq.values)), lams))[2]
+        scale = summed_by_key(*_pair_groups(Sequence(N=N, values=np.abs(seq.values)), lams)[:3])[2]
         assert np.all(np.abs(got[2] - want[2]) <= 2.0 * n * u / (1.0 - n * u) * scale)
         # only n^1 repeats a key, so the entries need no grouping elsewhere
         assert np.all(sizes == 1) or lam == "n^1"
@@ -271,7 +337,7 @@ class TestPairGroups:
         # at lam_n = n every gap is its lag, and the entries of a lag add up
         # to its lag sum within gamma_{2(N-k)} sum_m |a_m| |a_{m+k}|, doubled
         seq = Sequence.random(N=24, seed=31)
-        lags, gaps, weights = _pair_groups(seq, seq.ns.astype(float))
+        lags, gaps, weights = _pair_groups(seq, seq.ns.astype(float))[:3]
         np.testing.assert_array_equal(gaps, lags)
         sums = np.bincount(lags, weights)
         assert sums.size == seq.N
@@ -300,7 +366,7 @@ class TestPairGroups:
         # n^2 - m^2 = (n - m)(n + m) tells the pairs of one lag apart; the
         # diagonal is the one group (0, 0)
         seq = Sequence.random(N=24, seed=31)
-        lags, _, weights = _pair_groups(seq, seq.ns.astype(float) ** 2)
+        lags, _, weights = _pair_groups(seq, seq.ns.astype(float) ** 2)[:3]
         assert weights.size == seq.N * (seq.N - 1) // 2 + 1
         assert weights[lags == 0] == pytest.approx([seq.norm_sq], rel=1e-15)
 
@@ -325,7 +391,7 @@ class TestLagGroups:
     @pytest.mark.parametrize("N", [1, 2, 24, 97, 256])
     def test_matches_pair_groups_within_dot_product_rounding(self, N):
         seq = Sequence.random(N=N, seed=43)
-        lags, gaps, weights = _lag_groups(seq)
+        lags, gaps, weights = _lag_groups(seq)[:3]
         assert lags.dtype == np.int64 and gaps.dtype == weights.dtype == np.float64
         np.testing.assert_array_equal(lags, np.arange(N))
         np.testing.assert_array_equal(gaps, np.arange(N))
@@ -347,7 +413,7 @@ class TestLagGroups:
         seq = Sequence.random(N=256, seed=1)
         exact = exact_lag_sums(seq.values)
         lag = lag_errors(_lag_groups(seq)[2], exact)
-        lags, _, weights = _pair_groups(seq, seq.ns.astype(float))
+        lags, _, weights = _pair_groups(seq, seq.ns.astype(float))[:3]
         pair = lag_errors(np.bincount(lags, weights), exact)
         assert np.max(lag) <= np.max(pair)
 
