@@ -12,7 +12,8 @@ loop per modulus: a gcd mask picks the units, the totients of the sieve
 _moebius_totients size the table, and square-and-multiply with one
 exponent per entry gives the inverses alpha^{phi(c) - 1} (_euler_inverses,
 which _build_unit_residues runs for one c). The same sieve's table gives
-moebius.
+moebius, and the mu and phi behind the rows of Ramanujan sums c_c(k) that
+_ramanujan_sums builds from the divisor sum, for the large sieve.
 
 All angles are reduced modulo c in integer arithmetic before the cosine or
 exp(2*pi*i*x) is applied, so a single term carries only one rounding error
@@ -123,6 +124,49 @@ def _moebius_totients(C: int) -> tuple[np.ndarray, np.ndarray]:
     return mu[: C + 1], phi[: C + 1]
 
 
+def _ramanujan_sums(mods: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The rows c_c(0..L - 1) of the int64 moduli mods (any order, repeats
+    allowed), L >= 1 from lengths, one after another, as float64, from the
+    divisor sum c_c(k) = sum over d | (c, k) of d mu(c/d): c_c(0) = phi(c),
+    and each d < L with c/d squarefree adds d mu(c/d) at k = d, 2d, ...
+    below L. One np.bincount sums the additions, at most L sigma(c)/c a
+    row, with no gcd. The divisors d < L come from the candidates up to
+    min(sqrt(c), L - 1) and their cofactors, so a row of a large c costs
+    O(L). Every partial sum is an integer of size at most sigma(c), exact
+    in float64 in any order of the additions.
+    """
+    top = int(np.max(mods))
+    mu, phi = _moebius_totients(top)
+    candidates = np.arange(1, min(math.isqrt(top), int(np.max(lengths)) - 1) + 1)
+    # c/d in float64 is exact where d divides c (c < 2^53) and not an
+    # integer elsewhere, and it is faster than an int64 division
+    cofactors = mods[:, None] / candidates
+    which, col = np.nonzero((cofactors == np.trunc(cofactors)) & (candidates <= cofactors))
+    small, large = candidates[col], cofactors[which, col].astype(np.int64)
+    # each divisor pair (small, large) as d = small and, unless equal, as d = large
+    twice = small != large
+    which = np.concatenate([which, which[twice]])
+    d = np.concatenate([small, large[twice]])
+    signs = mu[np.concatenate([large, small[twice]])]
+    keep = (signs != 0) & (d < lengths[which])
+    which, d, signs = which[keep], d[keep], signs[keep]
+    # the positions of the additions, pair by pair, as a running sum of
+    # steps: d within a pair, and into a pair the jump from the last
+    # position of the pair before to its first, at k = d of its row
+    row_starts = np.cumsum(lengths) - lengths
+    counts = (lengths[which] - 1) // d
+    firsts = np.cumsum(counts) - counts
+    starts = row_starts[which] + d
+    at = np.repeat(d, counts)
+    at[firsts] = starts
+    at[firsts[1:]] -= starts[:-1] + d[:-1] * (counts[:-1] - 1)
+    np.cumsum(at, out=at)
+    weights = np.repeat((d * signs).astype(float), counts)
+    sums = np.bincount(at, weights, minlength=int(row_starts[-1] + lengths[-1])).astype(float, copy=False)
+    sums[row_starts] = phi[mods]
+    return sums
+
+
 def _grown(table: np.ndarray, size: int) -> np.ndarray:
     out = np.empty(size, table.dtype)
     out[: table.size] = table
@@ -168,14 +212,16 @@ def kloosterman(m: int, n: int, c):
     S is real because alpha and c - alpha give conjugate terms. An int c
     gives the float sum of cos(2 pi (alpha m + alpha^{-1} n)/c) over every
     unit alpha (_unit_residues; c = 1 has the one unit 0). A 1-d integer
-    array of moduli gives the real array of S(m,n;c), c by c: every modulus
-    up to max(c) adds up twice those cosines over its units alpha < c/2
-    (_half_units), _PASS_UNITS units at a time.
+    array of moduli gives the real array of S(m,n;c), c by c (empty for no
+    moduli): every modulus up to max(c) adds up twice those cosines over its
+    units alpha < c/2 (_half_units), _PASS_UNITS units at a time.
     """
     if np.ndim(c):
         moduli = np.asarray(c)
         if moduli.ndim != 1 or not np.issubdtype(moduli.dtype, np.integer):
             raise ValueError("moduli must be a 1-d integer array")
+        if moduli.size == 0:
+            return np.empty(0)
         if np.min(moduli) < 1:
             raise ValueError(f"moduli must be positive, got {np.min(moduli)}")
         top = int(np.max(moduli))

@@ -12,15 +12,16 @@ N weights in O(N) memory. Otherwise _pair_groups lists the N^2/2 pairs
 lag by lag; for n^gamma no two pairs of a lag share a gap, so grouping by
 (lag, gap) would merge nothing. The Ramanujan rows c_c(k), k <= c/2, of
 every modulus up to the largest asked for so far sit in one flat read-only
-table (_ramanujan_table), each entry built once per process by Hoelder's
-closed form (_hoelder) and extended over new moduli only, and a whole sum
-over moduli is one _hybrid_lhs_one_modulus call: blocked (moduli x groups)
-tables of entries gathered from that table, summed against the sines of
-beta gap, beta = 2 pi tau/(c v). The sines come from tables per block of
-moduli, not one trig call per entry: at lam_n = n by angle addition over
-the lags (O(sqrt N) trig calls per modulus), otherwise from one sine and
-cosine per point. At lam_n = n the N lag groups stand where the dense form
-has N^2 kernel entries.
+table (_ramanujan_table), each entry built once per process from the
+divisor sum c_c(k) = sum over d | (c, k) of d mu(c/d)
+(arith._ramanujan_sums, no gcd) and extended over new moduli only, and a
+whole sum over moduli is one _hybrid_lhs_one_modulus call: blocked
+(moduli x groups) tables of entries gathered from that table, summed
+against the sines of beta gap, beta = 2 pi tau/(c v). The sines come from
+tables per block of moduli, not one trig call per entry: at lam_n = n by
+angle addition over the lags (O(sqrt N) trig calls per modulus),
+otherwise from one sine and cosine per point. At lam_n = n the N lag
+groups stand where the dense form has N^2 kernel entries.
 Right-hand sides are the literature majorants with every unspecified
 epsilon-factor set to 1. Only ratios are reported: the suites check
 boundedness, monotonicity, and scaling invariance, never a sharp constant.
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import TWO_PI, _grown, _moebius_totients, _runs, _unit_residues, divisor_sigma
+from .arith import TWO_PI, _grown, _ramanujan_sums, _runs, _unit_residues, divisor_sigma
 from .besselintegral import T_CUT_FACTOR, SpectralWeight, weight_h
 from .quadrature import QuadratureResult, gauss_grid, refined, refined_panels
 from .specfun import _ZETA_IM_MAX, eisenstein_density
@@ -170,15 +171,6 @@ def _lag_groups(seq: Sequence) -> _Groups:
     return _Groups(lags, lags.astype(float), weights)
 
 
-def _hoelder(c: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The Ramanujan sum c_c(k) entry by entry (c and k broadcast): Hoelder's
-    closed form mu(c/g) phi(c)/phi(c/g), g = gcd(k, c), in exact integers
-    from the sieve table of arith._moebius_totients."""
-    mu, phi = _moebius_totients(int(np.max(c)))
-    q = c // np.gcd(k, c)
-    return mu[q] * (phi[c] // phi[q])
-
-
 # c_c(k) for k = 0..c/2 of every modulus c = 1, 2, ... in turn, read-only,
 # kept for the largest C so far: modulus c's row starts at entry starts[c - 1].
 # It starts with c = 1, whose one entry is c_1(0) = 1, and holds at most as
@@ -194,8 +186,8 @@ def _ramanujan_table(C: int) -> tuple[np.ndarray, np.ndarray]:
 
     c_c(k) is even and c-periodic in k, so a row's entries give every k.
     A larger C extends the table by the new moduli only, in runs of about
-    arith._PASS_UNITS entries (arith._runs) with int32 temporaries, one
-    _hoelder pass per run; a smaller C reads it as it is.
+    arith._PASS_UNITS entries (arith._runs), one arith._ramanujan_sums
+    pass per run over its rows k = 0..c/2; a smaller C reads it as it is.
     """
     global _RAMANUJAN
     table, starts = _RAMANUJAN
@@ -206,12 +198,8 @@ def _ramanujan_table(C: int) -> tuple[np.ndarray, np.ndarray]:
         starts = np.concatenate([starts, starts[-1] + np.cumsum(sizes)])
         table = _grown(table, starts[-1])
         for lo, hi in _runs(first, C):
-            mods = np.arange(lo, hi + 1, dtype=np.int32)
-            sizes = mods // 2 + 1
-            c = np.repeat(mods, sizes)
-            firsts = np.cumsum(sizes, dtype=np.int32) - sizes  # of each row within the run
-            k = np.arange(c.size, dtype=np.int32) - np.repeat(firsts, sizes)
-            table[starts[lo - 1] : starts[hi]] = _hoelder(c, k)
+            mods = np.arange(lo, hi + 1)
+            table[starts[lo - 1] : starts[hi]] = _ramanujan_sums(mods, mods // 2 + 1)
         table.flags.writeable = False
         _RAMANUJAN = table, starts
     return table, starts
@@ -254,15 +242,16 @@ def _pair_sines(betas: np.ndarray, points: np.ndarray, ends: tuple[np.ndarray, n
 
 
 def _ramanujan_rows(c: np.ndarray, ks: np.ndarray, table: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """c_c(k) at the lags ks for each modulus of the column c: read from the
-    kept table at the row's start plus min(k, c - k), k = lag mod c, or from
-    _hoelder at the same entries for a modulus past the table's bound."""
+    """c_c(k) at the lags ks = 0, 1, ... for each modulus of the column c:
+    read from the kept table at the row's start plus min(k, c - k), k = lag
+    mod c, or, for a block with a modulus past the table's bound, built
+    for the block by arith._ramanujan_sums."""
+    if np.max(c) >= starts.size:
+        return _ramanujan_sums(c[:, 0], np.full(c.shape[0], ks.size)).reshape(c.shape[0], ks.size)
     c = c.astype(ks.dtype)
     folded = ks % c
     np.minimum(folded, c - folded, out=folded)
-    if np.max(c) < starts.size:
-        return np.take(table, folded + starts[c - 1])
-    return _hoelder(c, folded).astype(float)
+    return np.take(table, folded + starts[c - 1])
 
 
 def _hybrid_lhs_one_modulus(groups: _Groups, vs: np.ndarray, cs: np.ndarray, tau: float) -> np.ndarray:

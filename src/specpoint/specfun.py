@@ -174,9 +174,10 @@ def zeta_many(s: np.ndarray) -> np.ndarray:
     correction takes the 12 Bernoulli terms B_2, ..., B_24 of _BERNOULLI.
     The sum over n < N runs over blocks of points, at most _ZETA_BLOCK
     table entries each, so memory does not grow with N times the points;
-    each point's sum is the same as from one table. An |Im s| above
-    _ZETA_IM_MAX is rejected: N grows with it (1.6M terms a point at 2e6),
-    and Euler-Maclaurin there wants Riemann-Siegel instead.
+    each point's sum is the same as from one table. Each term n^{-s} is
+    exp(-s log n) from one array of log n, not a complex power. An |Im s|
+    above _ZETA_IM_MAX is rejected: N grows with it (1.6M terms a point at
+    2e6), and Euler-Maclaurin there wants Riemann-Siegel instead.
     """
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     if np.any(s == 1.0):
@@ -185,11 +186,12 @@ def zeta_many(s: np.ndarray) -> np.ndarray:
     if tmax > _ZETA_IM_MAX:
         raise ValueError(f"zeta_many takes |Im s| <= {_ZETA_IM_MAX:g}, got {tmax:g}")
     N = max(24, int(math.ceil(0.8 * tmax)) + 8)
-    n = np.arange(1, N, dtype=float)
+    log_n = np.log(np.arange(1, N, dtype=float))
     out = np.empty(s.shape, dtype=complex)
-    step = max(1, _ZETA_BLOCK // n.size)
+    step = max(1, _ZETA_BLOCK // log_n.size)
     for i in range(0, s.size, step):
-        out[i : i + step] = np.sum(n[None, :] ** (-s[i : i + step, None]), axis=1)
+        terms = np.multiply.outer(-s[i : i + step], log_n)
+        out[i : i + step] = np.sum(np.exp(terms, out=terms), axis=1)
     out += N ** (1.0 - s) / (s - 1.0) + 0.5 * N ** (-s)
     # Bernoulli tail: T_1 = B_2/2! * s * N^(-s-1), then the two-step recurrence
     term = _BERNOULLI[0] / 2.0 * s * N ** (-s - 1.0)

@@ -3,8 +3,9 @@
 The references are independent of the production code paths they check:
 fixed, fine Gauss-Legendre rules written out here, the twisted weight
 h(t; y) of the H oracles, the dual of a GL(3) table and the Hecke
-consistency of a Maass form's eigenvalues, and the exact rational lag
-sums of a complex sequence. The fixtures are synthetic
+consistency of a Maass form's eigenvalues, the exact rational lag
+sums of a complex sequence, and the Ramanujan sums by Hoelder's closed
+form. The fixtures are synthetic
 spectra: Hecke-multiplicative tables from random prime values, which
 exercise sums and symmetries but are not automorphic. two_refinements_finer
 probes quadrature.refined from the module that calls it.
@@ -76,6 +77,23 @@ def exact_lag_sums(values) -> list[Fraction]:
         total = sum(re[m] * re[m + k] + im[m] * im[m + k] for m in range(N - k))
         sums.append(Fraction(total if k == 0 else 2 * total, 1 << (2 * shift)))
     return sums
+
+
+def hoelder(c, k) -> np.ndarray:
+    """The Ramanujan sum c_c(k) entry by entry (integer arrays c >= 1 and k
+    broadcast): Hoelder's closed form mu(c/g) phi(c)/phi(c/g), g = gcd(k, c),
+    in exact integers, with mu and phi of the values that occur from
+    trial-division factorizations."""
+    c, k = np.broadcast_arrays(np.asarray(c, dtype=np.int64), np.asarray(k, dtype=np.int64))
+    q = c // np.gcd(k, c)
+    values = np.array(sorted(set(c.ravel().tolist()) | set(q.ravel().tolist())))
+    mu, phi = np.zeros((2, values.size), dtype=np.int64)
+    for i, n in enumerate(values.tolist()):
+        factors = factorize(n)
+        mu[i] = 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
+        phi[i] = math.prod(p ** (e - 1) * (p - 1) for p, e in factors)
+    c, q = np.searchsorted(values, c), np.searchsorted(values, q)
+    return mu[q] * (phi[c] // phi[q])
 
 
 def weight_h_y(t, y: float, sw):

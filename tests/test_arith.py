@@ -136,6 +136,10 @@ class TestKloostermanArray:
         with pytest.raises(ValueError):
             arith.kloosterman(1, 1, np.array(moduli))
 
+    def test_no_moduli_give_an_empty_array(self):
+        sums = arith.kloosterman(1, 1, np.array([], dtype=int))
+        assert sums.shape == (0,) and sums.dtype == np.float64
+
 
 class TestHalfUnits:
     # the table of a fresh process: modulus 1 alone, whose one unit is 0

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from specpoint import sievebench, specfun
-from specpoint.arith import _unit_residues, divisor_sigma, divisors, moebius
+from specpoint.arith import _ramanujan_sums, _unit_residues, divisor_sigma, divisors, moebius
 from specpoint.besselintegral import SpectralWeight, weight_h
 from specpoint.kuznetsov import eisenstein_side, p_bound_rhs
 from specpoint.quadrature import adaptive_quadrature
@@ -33,7 +33,7 @@ from specpoint.sievebench import (
 from specpoint.specfun import eisenstein_density
 from specpoint.spectraldata import GL3Form, sym_square_lift
 
-from oracles import dual, eisenstein_gauss_oracle, exact_lag_sums, synthetic_spectrum, two_refinements_finer
+from oracles import dual, eisenstein_gauss_oracle, exact_lag_sums, hoelder, synthetic_spectrum, two_refinements_finer
 
 SW = SpectralWeight(T=14.0, M=4.0)
 
@@ -476,6 +476,13 @@ def ramanujan_row(c: int) -> np.ndarray:
     return table[starts[c - 1] : starts[c]]
 
 
+def table_entries(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, k) of every entry of a kept table with these row starts."""
+    sizes = np.diff(starts)
+    c = np.repeat(np.arange(1, sizes.size + 1), sizes)
+    return c, np.arange(c.size) - np.repeat(starts[:-1], sizes)
+
+
 @pytest.fixture
 def fresh_table(monkeypatch):
     """An empty kept Ramanujan table (the row of c = 1 alone) for one test;
@@ -502,6 +509,81 @@ class TestRamanujanSums:
             got = ramanujan_row(c)
             np.testing.assert_array_equal(got, np.rint(np.fft.rfft(units).real))
             assert got.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "mods,length",
+        [
+            ([1], 1),
+            ([5, 1, 12, 12], 1),
+            ([7, 12, 30, 30, 1], 2),
+            ([10_007, 9_999, 30_030, 9_999], 9),
+            (range(1, 61), 40),
+        ],
+    )
+    def test_divisor_sums_match_hoelder(self, mods, length):
+        # any moduli, repeats and rows of one entry included, at k = 0..L-1
+        mods = np.array(mods)
+        sums = _ramanujan_sums(mods, np.full(mods.size, length))
+        assert sums.dtype == np.float64
+        np.testing.assert_array_equal(sums.reshape(mods.size, length), hoelder(mods[:, None], np.arange(length)))
+
+    def test_table_matches_hoelder_in_one_build(self, fresh_table):
+        table, starts = _ramanujan_table(1000)
+        assert starts.size == 1001 and table.dtype == np.float64
+        np.testing.assert_array_equal(table, hoelder(*table_entries(starts)))
+
+    def test_table_grown_in_steps_matches_hoelder(self, fresh_table):
+        # each step builds its new moduli only, the last one over several runs
+        assert len(list(sievebench._runs(301, 1000))) > 1
+        for C in (7, 300, 1000):
+            table, starts = _ramanujan_table(C)
+            assert starts.size == C + 1
+            np.testing.assert_array_equal(table, hoelder(*table_entries(starts)))
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.5])
+    @pytest.mark.parametrize("cs", [range(1, 41), [3, 1, 5, 37, 17, 101, 64, 17, 2310, 12, 29]])
+    def test_rows_past_the_bound_match_hoelder(self, fresh_table, monkeypatch, gamma, cs):
+        # blocks of three moduli: inside the bound of 16, across it and past
+        # it, at gamma = 1 (the lags 0..24) and gamma = 0.5 (pair lists)
+        seq = Sequence.random(N=24, seed=29)
+        groups = _lag_groups(seq) if gamma == 1 else _pair_groups(seq, seq.ns.astype(float) ** gamma)
+        cs = np.array(cs)
+        vs = np.linspace(0.5, 3.0, cs.size)
+        monkeypatch.setattr(sievebench, "_KERNEL_BLOCK", 3 * groups.lags.size)
+        want = _hybrid_lhs_one_modulus(groups, vs, cs, 0.7)
+        table, starts = sievebench._RAMANUJAN
+        monkeypatch.setattr(sievebench, "_RAMANUJAN", (table[:1], starts[:2]))
+        monkeypatch.setattr(sievebench, "_RAMANUJAN_MODULI", 16)
+        rows, past = sievebench._ramanujan_rows, []
+
+        def checked(c, ks, table, starts):
+            x = rows(c, ks, table, starts)
+            np.testing.assert_array_equal(x, hoelder(c, ks))
+            past.append(int(np.max(c)) > 16)
+            return x
+
+        monkeypatch.setattr(sievebench, "_ramanujan_rows", checked)
+        got = _hybrid_lhs_one_modulus(groups, vs, cs, 0.7)
+        assert sievebench._RAMANUJAN[1].size == 17 and set(past) == {False, True}
+        np.testing.assert_array_equal(got, want)
+
+    def test_the_ramanujan_path_takes_no_gcd(self, fresh_table, monkeypatch):
+        # the table and the rows past its bound come from divisor sums
+        gcd = np.gcd
+
+        def no_gcd(*args, **kwargs):
+            raise AssertionError("np.gcd called")
+
+        monkeypatch.setattr(np, "gcd", no_gcd)
+        table, starts = _ramanujan_table(300)
+        seq = Sequence.random(N=12, seed=4)
+        want = young_ls_lhs(seq, 0.5, 0.7, 1.3, 40)
+        monkeypatch.setattr(sievebench, "_RAMANUJAN", (table[:1], starts[:2]))
+        monkeypatch.setattr(sievebench, "_RAMANUJAN_MODULI", 16)
+        assert young_ls_lhs(seq, 0.5, 0.7, 1.3, 40) == want
+        monkeypatch.setattr(np, "gcd", gcd)
+        assert starts.size == 301
+        np.testing.assert_array_equal(table, hoelder(*table_entries(starts)))
 
     def test_table_is_read_only(self, fresh_table):
         table, _ = _ramanujan_table(40)
