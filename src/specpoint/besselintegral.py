@@ -5,19 +5,20 @@ twisted form h(t; y) = h(t) cos(2t log y) define
 
     H(x, y) = (4/pi^2) int_0^inf t h(t; y) tanh(pi t) B(t, x) dt,
 
-evaluated exactly by bessel_H_many for terms (x, y) of any twists. Each
-route builds one untwisted table that every twist shares: for x <=
-SERIES_X_MAX the power series of the cosine kernel B, for larger x the
-kernel k_1 on one rotated contour per octave of x, as k_y(r) = (k_1(r+L) +
-k_1(r-L))/2 at L = log y. Neither takes a trig call per (node, t) pair:
-both factor their phases in t over the t-grid's Gauss panels
-(quadrature.grid_panels). Both refine their Gauss panels by 3/2 until no
-term moves by more than tol (quadrature.refined), and add _ROUNDING times
-the absolute sum of the terms on the last grid to each error estimate. The
-kernel route is exact at small x too, but took 4-25 times as long there as
-the series at T = 3-20. residue_expansion bounds E_K in H = sum_{k<K}
-r_k(y) J_{2k+1}(x) + E_K for an array of twists, from one table per window;
-it is asymptotic in small x and turns c-tails into Petersson sums.
+evaluated exactly by bessel_H_many for terms (x, y) of any twists over
+the window's support [t_lower, t_upper] = [max(0, T - 6.5M), T + 6.5M],
+past whose ends h < 4e-19, on the t-grids of _t_weights; H0 = k_1(0)/2 is
+half the sum of their weights. Each route builds one untwisted table that
+every twist shares: for x <= SERIES_X_MAX the power series of the cosine
+kernel B, for larger x the kernel k_1 on one rotated contour per octave of
+x, as k_y(r) = (k_1(r+L) + k_1(r-L))/2 at L = log y; both factor their
+phases in t over the t-grid's Gauss panels (quadrature.grid_panels), and
+both refine by 3/2 until no term moves by more than tol (quadrature.refined),
+adding _ROUNDING times the terms' absolute sum to each bar. The kernel route,
+also exact at small x, was 4-25 times slower there at T = 3-20.
+residue_expansion bounds E_K in H = sum_{k<K} r_k(y) J_{2k+1}(x) + E_K for
+an array of twists, from one table per window; asymptotic in small x, it
+turns c-tails into Petersson sums.
 
 The reduced oscillatory integral I(v, w) over |r| <= 6.1/M with the
 explicit weight g(r) is the paper's stationary-phase asymptotic for H at
@@ -75,6 +76,10 @@ class SpectralWeight:
             raise ValueError("M must lie in [1, T]")
 
     @property
+    def t_lower(self) -> float:
+        return max(0.0, self.T - T_CUT_FACTOR * self.M)
+
+    @property
     def t_upper(self) -> float:
         return self.T + T_CUT_FACTOR * self.M
 
@@ -106,22 +111,34 @@ def rho_pm(r):
 
 def _t_panels(sw: SpectralWeight, rate: float) -> int:
     """The first t-grid's panel count for rate radians of phase per unit t
-    on [0, t_upper]: _panel_count's, and at least one panel per M."""
-    return max(_panel_count(rate * sw.t_upper), math.ceil(sw.t_upper / sw.M))
+    on [t_lower, t_upper]: _panel_count's, and at least one panel per M."""
+    width = sw.t_upper - sw.t_lower
+    return max(_panel_count(rate * width), math.ceil(width / sw.M))
 
 
 @lru_cache(maxsize=16)
 def _t_weights(sw: SpectralWeight, panels: int, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """The t-nodes on [0, t_upper] and their weights f = w (4/pi^2) t h(t)
-    tanh(pi t) > 0, read-only: Gauss panels from the first count panels
-    (_t_panels), refined level times. No node lies at t = 0. Every call of
-    a window and panel count shares them. At T = 50, M = 8 an entry holds
-    2 x 1,376 float64 (22 KB) on a first grid, 2 x 119,024 (1.9 MB) at
-    level 11, refined's last."""
-    t, wt = gauss_grid(0.0, sw.t_upper, refined_panels(panels, level))
+    """The t-nodes on [t_lower, t_upper] (never t = 0) and their weights
+    f = w (4/pi^2) t h(t) tanh(pi t) > 0, read-only, shared by every call of
+    a window and panel count: Gauss panels from the first count panels
+    (_t_panels), refined level times; 2 x 119,024 float64 (1.9 MB) at T = 50, M = 8, level 11."""
+    t, wt = gauss_grid(sw.t_lower, sw.t_upper, refined_panels(panels, level))
     f = wt * _H_PREF * t * weight_h(t, sw) * np.tanh(math.pi * t)
     t.flags.writeable = f.flags.writeable = False
     return t, f
+
+
+def diagonal_H0(sw: SpectralWeight, tol: float = 1e-10) -> QuadratureResult:
+    """H0 = (2/pi^2) int_0^inf t h(t) tanh(pi t) dt = k_1(0)/2 = sum_t f/2 on
+    _t_weights' grids from one panel per M, refined (quadrature.refined); its
+    bar is _ROUNDING sum_t f/2, as every H-route sum's is."""
+
+    def evaluate(level: int) -> tuple[float, float, int]:
+        f = _t_weights(sw, _t_panels(sw, 0.0), level)[1]
+        half = 0.5 * float(np.sum(f))
+        return half, _ROUNDING * half, f.size
+
+    return refined(evaluate, tol)
 
 
 def bessel_H_series_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> QuadratureResult:
@@ -273,7 +290,7 @@ def _contour(xs: np.ndarray, log_y: np.ndarray, sw: SpectralWeight) -> tuple[tup
     theta) at e^60, as t_upper <= 7.5 T. R* = R + max|L|, with R 45 e-folds
     of decay beyond a. a and R are those of the smallest x, so they lie
     beyond the stationary points and the cut of every larger x. Gauss panels
-    on every leg and on [0, t_upper] follow the phase of the largest x; off
+    on every leg and on [t_lower, t_upper] follow the phase of the largest x; off
     the axis the nearer shift sets it, as the farther one decays faster than
     it turns there.
     """
@@ -359,11 +376,10 @@ def bessel_H_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> tuple[Quadra
     x <= SERIES_X_MAX go through one bessel_H_series_many call, which is
     exact for small x too, x < 1 included; larger x through one
     _bessel_H_kernel call per octave, with the t- and r-integrals swapped.
-    Both cut the t-range where the Gaussian is below 4e-19, and both refine
-    their grids until no term moves by more than tol. value and err_estimate
-    are real arrays in the order of xs (empty for an empty xs); converged
-    covers them all and evaluations adds up every call's kernel-table
-    entries.
+    Both refine their grids on the window's support until no term moves by
+    more than tol. value and err_estimate are real arrays in the order of
+    xs (empty for an empty xs); converged covers them all and evaluations
+    adds up every call's kernel-table entries.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or not np.all(xs > 0):

@@ -35,10 +35,11 @@ from .besselintegral import (
     R_CUT_FACTOR,
     SpectralWeight,
     bessel_H_many,
+    diagonal_H0,
     residue_expansion,
     weight_h,
 )
-from .quadrature import _ROUNDING, QuadratureResult, adaptive_quadrature, gauss_grid
+from .quadrature import _ROUNDING, QuadratureResult, gauss_grid
 from .sievebench import Sequence, _cusp_form, _eisenstein_form, _hybrid_lhs_one_modulus, _lag_groups
 from .specfun import bessel_j
 from .spectraldata import MaassForm
@@ -70,7 +71,7 @@ def spectral_tail_bar(sw: SpectralWeight, forms: list[MaassForm]) -> float:
     hi = sw.t_upper + 2.0 * sw.M
     if lo >= hi:
         return 0.0
-    t, w = gauss_grid(lo, hi, 4, order=32)
+    t, w = gauss_grid(lo, hi, 8)
     return float(abs(w @ ((t / 6.0) * weight_h(t, sw)))) * omega_cap
 
 
@@ -81,16 +82,6 @@ def eisenstein_side(m: int, n: int, sw: SpectralWeight, tol: float = 1e-10) -> Q
     eta_t(n) with eta_t(n) = sum_{d | n} cos(t log(n/d^2)).
     """
     return _eisenstein_form(np.array([m, n]), *np.eye(2), sw, tol)
-
-
-def diagonal_H0(sw: SpectralWeight, tol: float = 1e-10) -> QuadratureResult:
-    """H0 = (1/pi^2) int h(t) tanh(pi t) t dt (even integrand, so 2x half-line)."""
-
-    def f(t: np.ndarray) -> np.ndarray:
-        return weight_h(t, sw) * np.tanh(math.pi * t) * t
-
-    res = adaptive_quadrature(f, 0.0, sw.t_upper, tol * math.pi**2 / 2.0, initial_panels=16)
-    return res.scaled(2.0 / math.pi**2)
 
 
 def diagonal_closed_form(sw: SpectralWeight) -> float:

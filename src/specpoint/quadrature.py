@@ -11,7 +11,7 @@ their rounding bars on its grid (0 for a plain integrand) and its count of
 evaluations; the error estimate is the last change plus the last grid's bar.
 adaptive_quadrature runs it for one integrand on [a, b], sievebench's
 Eisenstein form on its cached weighted grids, besselintegral's two H
-routes on their t-grids and contour legs, and besselkernel.kernel_b_block
+routes and H0 on their t-grids and contour legs, and besselkernel.kernel_b_block
 on its five contour legs; none of them sets its own depth. Both contours
 take their first panel counts from _panel_count, one panel per
 _PANEL_PHASE radians of phase plus e-folds of decay, and their bars are
@@ -77,7 +77,7 @@ def _legendre_series(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return c0 + c1 * x
 
 
-@lru_cache(maxsize=4)  # src uses orders 16 and 32
+@lru_cache(maxsize=4)  # every src grid is 16-point; tests and _t_grid may ask for others
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the order-point Gauss-Legendre rule, order >= 2:
     numpy.polynomial.legendre.leggauss(order) bit for bit, step by step,

@@ -15,9 +15,9 @@ every modulus up to the largest asked for so far sit in one flat read-only
 table (_ramanujan_table), each entry built once per process from the
 divisor sum c_c(k) = sum over d | (c, k) of d mu(c/d)
 (arith._ramanujan_sums, no gcd) and extended over new moduli only, and a
-whole sum over moduli is one _hybrid_lhs_one_modulus call: blocked
-(moduli x groups) tables of entries gathered from that table, summed
-against the sines of beta gap, beta = 2 pi tau/(c v). The sines come from
+sum over moduli is one _hybrid_lhs_one_modulus call per _RAMANUJAN_MODULI
+moduli: blocked (moduli x groups) tables of entries gathered from that
+table, summed against the sines of beta gap, beta = 2 pi tau/(c v). The sines come from
 tables per block of moduli, not one trig call per entry: at lam_n = n by
 angle addition over the lags (O(sqrt N) trig calls per modulus),
 otherwise from one sine and cosine per point. At lam_n = n the N lag
@@ -356,8 +356,15 @@ def young_ls_lhs(seq: Sequence, gamma: float, tau: float, v: float, C: int) -> f
     if not math.isfinite(_young_ls_majorant(seq, gamma, tau, v, C)):
         raise ValueError(f"tau = {tau:g}, v = {v:g} and gamma = {gamma:g} take the majorant past the float range")
     groups = _lag_groups(seq) if gamma == 1 else _pair_groups(seq, lams)
-    cs = np.arange(1, C + 1)
-    return sum(_hybrid_lhs_one_modulus(groups, np.full(cs.size, v), cs, tau).tolist())
+
+    def values():
+        # at most _RAMANUJAN_MODULI moduli per call bounds its length-C arrays;
+        # no modulus's value depends on its call, and one sum runs over them in order
+        for lo in range(1, C + 1, _RAMANUJAN_MODULI):
+            cs = np.arange(lo, min(lo + _RAMANUJAN_MODULI, C + 1))
+            yield from _hybrid_lhs_one_modulus(groups, np.full(cs.size, v), cs, tau).tolist()
+
+    return sum(values())
 
 
 def young_ls_ratio(seq: Sequence, gamma: float, tau: float, v: float, C: int) -> SieveReport:
@@ -389,22 +396,20 @@ def _cusp_form(
 
 
 _EIS_PANELS = 32  # panels of _eisenstein_form's level-0 grid
-_EIS_CACHED_LEVEL = 6  # finer grids are built per call, so the cache stays small
 
 
 @lru_cache(maxsize=32)
 def _eisenstein_weights(sw: SpectralWeight, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t, w, omega(t) h(t)) on _eisenstein_form's grid at level: the nodes t
     and weights w of refined_panels(_EIS_PANELS, level) Gauss panels on
-    [1e-12, t_upper].
+    [t_lower, t_upper], never at t = 0, where zeta has its pole.
 
     None of it depends on the coefficient vectors, so every pair and block
-    at one window shares one zeta grid per level. Only levels up to
-    _EIS_CACHED_LEVEL pass through the cache: an entry holds 3 x 16
-    ceil(32 (3/2)^level) float64, at most 3 x 5,840 (140 KB), and the 32
-    entries at most 4.5 MB. Every caller gets the same read-only arrays.
+    at one window shares one zeta grid per level. An entry holds 3 x 16
+    ceil(32 (3/2)^level) float64, 1.1 MB at level 11, refined's last. Every
+    caller gets the same read-only arrays.
     """
-    t, w = gauss_grid(1e-12, sw.t_upper, refined_panels(_EIS_PANELS, level))
+    t, w = gauss_grid(sw.t_lower, sw.t_upper, refined_panels(_EIS_PANELS, level))
     wh = eisenstein_density(t) * weight_h(t, sw)
     t.flags.writeable = w.flags.writeable = wh.flags.writeable = False
     return t, w, wh
@@ -417,12 +422,12 @@ def _eisenstein_form(
     integers ns, E_t(a) = sum_n a_n sigma_{2it}(n): the Eisenstein side, paired
     like _cusp_form, as twice the even integrand's half-line, to tol.
 
-    The grids are refined like every refined loop (quadrature.refined),
-    as adaptive_quadrature's are from _EIS_PANELS initial panels, and
-    omega h comes from _eisenstein_weights, so value, error, evaluations
-    and converged equal that integral's bit for bit. A window whose zeta
-    points 1 + 2it, t < t_upper, pass specfun._ZETA_IM_MAX is rejected
-    before any grid is built.
+    The grids span [t_lower, t_upper], past which h < 4e-19, so zeta is
+    evaluated only near T. They are refined as adaptive_quadrature's are
+    from _EIS_PANELS panels, and omega h comes from _eisenstein_weights,
+    so value, error, evaluations and converged equal that integral's bit
+    for bit. A window whose zeta points 1 + 2it, t < t_upper, pass
+    specfun._ZETA_IM_MAX is rejected before any grid is built.
     """
     if 2.0 * sw.t_upper > _ZETA_IM_MAX:
         raise ValueError(
@@ -431,8 +436,7 @@ def _eisenstein_form(
         )
 
     def evaluate(level: int) -> tuple[complex, float, int]:
-        weights = _eisenstein_weights if level <= _EIS_CACHED_LEVEL else _eisenstein_weights.__wrapped__
-        t, w, wh = weights(sw, level)
+        t, w, wh = _eisenstein_weights(sw, level)
         sigmas = np.array([divisor_sigma(2j * t, int(n)) for n in ns])
         eu, ev = u @ sigmas, v @ sigmas
         return complex((wh * (eu * ev.conj()).real) @ w), 0.0, t.size

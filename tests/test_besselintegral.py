@@ -15,6 +15,7 @@ from specpoint.besselintegral import (
     bessel_H_direct,
     bessel_H_many,
     bessel_H_series_many,
+    diagonal_H0,
     g_weight,
     residue_expansion,
     rho_pm,
@@ -431,6 +432,18 @@ def test_bars_cover_two_refinements_finer(monkeypatch, series, T, M, tol):
     assert res.converged and len(checks) == (1 if series else 5)
     for call, finer in checks:
         assert np.all(np.abs(finer - call.value) <= call.err_estimate)
+
+
+@pytest.mark.parametrize("T,M,tol", WINDOWS)
+def test_H0_bar_covers_two_refinements_finer(monkeypatch, T, M, tol):
+    # H0 = sum_t f/2 carries the rounding bar of every H-route sum, so a
+    # change of exactly 0 does not read as a bar of 0
+    checks = two_refinements_finer(monkeypatch, besselintegral)
+    res = diagonal_H0(SpectralWeight(T, M), tol)
+    assert res.converged and len(checks) == 1
+    call, finer = checks[0]
+    assert call.err_estimate > 0
+    assert abs(finer - call.value) <= call.err_estimate
 
 
 def _reduced_H(x: float, y: float, sw: SpectralWeight, tol: float):

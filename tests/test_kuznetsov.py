@@ -169,6 +169,24 @@ class TestDiagonal:
         h0 = diagonal_H0(sw, tol=1e-10)
         assert h0.value.real == pytest.approx(diagonal_closed_form(sw), rel=1e-4)
 
+    @pytest.mark.parametrize("T,M", [(3.0, 1.0), (3.0, 1.5), (14.0, 4.0), (50.0, 8.0)])
+    def test_matches_mpmath(self, T, M):
+        # H0 = (2/pi^2) int_0^{t_upper} t h(t) tanh(pi t) dt at 30 digits,
+        # split at every M so that mpmath's rule resolves the Gaussian
+        sw = SpectralWeight(T=T, M=M)
+        with mpmath.workdps(30):
+            t_mp, m_mp = mpmath.mpf(T), mpmath.mpf(M)
+
+            def f(t):
+                h = mpmath.exp(-(((t - t_mp) / m_mp) ** 2)) + mpmath.exp(-(((t + t_mp) / m_mp) ** 2))
+                return t * h * mpmath.tanh(mpmath.pi * t)
+
+            points = mpmath.linspace(0, sw.t_upper, math.ceil(sw.t_upper / M) + 1)
+            want = float(2 / mpmath.pi**2 * mpmath.quad(f, points))
+        h0 = diagonal_H0(sw, tol=1e-10)
+        assert h0.converged
+        assert h0.value == pytest.approx(want, rel=1e-14)
+
 
 class TestKloostermanSide:
     def test_zero_c_max(self):

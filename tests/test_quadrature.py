@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from specpoint import besselintegral, quadrature
+from specpoint import besselintegral, besselkernel, kuznetsov, quadrature, sievebench
 from specpoint.besselintegral import SpectralWeight, bessel_H_many, bessel_H_series_many
 from specpoint.besselkernel import kernel_b_block
-from specpoint.kuznetsov import decomposition, diagonal_H0, eisenstein_side, kloosterman_side
+from specpoint.kuznetsov import decomposition, diagonal_H0, diagonal_term, eisenstein_side, kloosterman_side
 from specpoint.quadrature import adaptive_quadrature, gauss_grid, grid_panels, refined_panels
-from specpoint.sievebench import Sequence
+from specpoint.sievebench import Sequence, _eisenstein_form
 
 EPS = np.finfo(float).eps
 SW3 = SpectralWeight(3.0, 1.0)
@@ -180,3 +180,90 @@ def test_grid_panels_of_other_nodes_are_one_node_per_panel():
         lefts, half, u, offsets = grid_panels(other)
         assert half == 0.0 and u.size == 1
         assert np.array_equal(lefts, other) and not np.any(offsets)
+
+
+# ---------------------------------------------------------------------------
+# One support per window: every refined t-grid on [t_lower, t_upper]
+
+SW60 = SpectralWeight(60.0, 2.0)  # t_lower = 47, t_upper = 73
+WINDOW_CACHES = (
+    besselintegral._t_weights,
+    besselintegral._leg_bars,
+    besselintegral._residue_lines,
+    sievebench._eisenstein_weights,
+)
+
+
+@pytest.fixture
+def fresh_grids():
+    """The window caches emptied before and after: they are keyed by (T, M)
+    alone, so grids built under a patched t_lower must not outlive it."""
+    for cache in WINDOW_CACHES:
+        cache.cache_clear()
+    yield
+    for cache in WINDOW_CACHES:
+        cache.cache_clear()
+
+
+def test_window_grids_lie_on_the_support():
+    assert SW60.t_lower == 47.0 and SW60.t_upper == 73.0
+    assert SW3.t_lower == 0.0  # T <= 6.5 M: the support starts at 0
+    for level in range(3):
+        for t in (besselintegral._t_weights(SW60, 13, level)[0], sievebench._eisenstein_weights(SW60, level)[0]):
+            assert SW60.t_lower <= np.min(t) and np.max(t) <= SW60.t_upper
+
+
+def _window_calls(sw: SpectralWeight):
+    """The Eisenstein pair (1, 2), H0, and one H batch with series and contour terms."""
+    eis = _eisenstein_form(np.array([1, 2]), *np.eye(2), sw, 1e-8)
+    h0 = diagonal_H0(sw, 1e-10)
+    h, series = bessel_H_many(np.array([0.5, 3.0, 8.0, 20.0]), np.array([1.0, 2.0, 1.0, 0.5]), sw, 1e-8)
+    assert series == 2
+    return eis, h0, h
+
+
+def test_support_moves_nothing_beyond_the_bars(fresh_grids, monkeypatch):
+    # below t_lower = T - 6.5 M the weight h is under 4e-19, so the grids
+    # from t = 0 give the same values within both bars
+    cut = _window_calls(SW60)
+    for cache in WINDOW_CACHES:
+        cache.cache_clear()
+    monkeypatch.setattr(SpectralWeight, "t_lower", property(lambda self: 0.0))
+    full = _window_calls(SW60)
+    for a, b in zip(cut, full):
+        assert a.converged and b.converged
+        assert np.all(np.abs(a.value - b.value) <= a.err_estimate + b.err_estimate)
+
+
+def test_eisenstein_side_at_large_T():
+    # from t = 0 the grid took 131,888 evaluations for a bar of 3.1e-7
+    res = _eisenstein_form(np.array([1, 2]), *np.eye(2), SpectralWeight(2000.0, 1.0), 1e-6)
+    assert res.converged
+    assert res.evaluations <= 2000
+    assert res.err_estimate <= 1e-10
+
+
+def test_one_support_and_one_gauss_rule_per_pass(fresh_grids, monkeypatch):
+    # a closure pair, the bench's seed-1 decompose block and a T = 60 window:
+    # every grid that ends at a window's t_upper starts at its t_lower (the
+    # residue lines and the spectral tail end at t_upper + 2 M), and every
+    # grid is built from the one 16-point rule
+    grids = []
+    for module in (besselintegral, besselkernel, kuznetsov, sievebench):
+        def recorded(a, b, *args, _grid=module.gauss_grid, **kwargs):
+            grids.append((a, b))
+            return _grid(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(module, "gauss_grid", recorded)
+    quadrature._gl_nodes.cache_clear()
+    windows = [SW3, SpectralWeight(3.0, 1.5), SW60]
+    eisenstein_side(1, 2, SW3, 1e-8)
+    diagonal_term(1, 1, SW3, 1e-8)
+    kloosterman_side(1, 2, SW3, 512, 1e-8)
+    block = Sequence(N=4, values=np.random.default_rng(1).uniform(-1.0, 1.0, size=4))
+    decomposition(block, windows[1], [], 1e-6)
+    _window_calls(SW60)
+    for sw in windows:
+        starts = {a for a, b in grids if b == sw.t_upper}
+        assert starts == {sw.t_lower}
+    assert quadrature._gl_nodes.cache_info().currsize == 1

@@ -268,6 +268,32 @@ class TestYoungLS:
             assert math.isfinite(young_ls_ratio(seq, gamma, 1.0, 1.0, 256).ratio)
         assert math.isfinite(p_bound_rhs(Sequence.random(64, seed=1, real=True), SpectralWeight(T=3.0, M=1.5)))
 
+    @pytest.mark.parametrize("gamma", [1.0, 0.5])
+    def test_chunks_of_moduli_sum_bit_for_bit(self, gamma):
+        # three calls of at most _RAMANUJAN_MODULI moduli, the first on the
+        # kept table, give one unchunked call's sum over c <= C exactly
+        C = 2 * sievebench._RAMANUJAN_MODULI + 100
+        seq = Sequence.random(N=6, seed=5)
+        groups = _lag_groups(seq) if gamma == 1 else _pair_groups(seq, seq.ns.astype(float) ** gamma)
+        cs = np.arange(1, C + 1)
+        want = sum(_hybrid_lhs_one_modulus(groups, np.full(C, 0.7), cs, 0.4).tolist())
+        assert young_ls_lhs(seq, gamma, 0.4, 0.7, C) == want
+
+    def test_peak_memory_at_C_200000(self):
+        # one call over every modulus peaked 19.5 MB above the kept tables
+        # here; calls of at most _RAMANUJAN_MODULI moduli hold ~0.9 MB
+        seq = Sequence.random(N=8, seed=3)
+        young_ls_lhs(seq, 1.0, 0.5, 1.0, 200_000)  # the kept Ramanujan rows and mu table
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            young_ls_lhs(seq, 1.0, 0.5, 1.0, 200_000)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept < 4 << 20
+        assert kept - start < 1 << 20
+
     def test_scaling_invariance(self):
         seq = Sequence.random(N=12, seed=13)
         scaled = Sequence(N=12, values=3.7j * seq.values)
@@ -714,7 +740,7 @@ def _eisenstein_form_reference(ns, u, v, sw, tol):
         eu, ev = u @ sigmas, v @ sigmas
         return eisenstein_density(t) * weight_h(t, sw) * (eu * ev.conj()).real
 
-    res = adaptive_quadrature(integrand, 1e-12, sw.t_upper, tol * math.pi / 2.0, initial_panels=32)
+    res = adaptive_quadrature(integrand, sw.t_lower, sw.t_upper, tol * math.pi / 2.0, initial_panels=32)
     return res.scaled(2.0 / math.pi)
 
 
