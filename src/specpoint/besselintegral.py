@@ -8,14 +8,16 @@ twisted form h(t; y) = h(t) cos(2t log y) define
 evaluated exactly by bessel_H_many for terms (x, y) of any twists over
 the window's support [t_lower, t_upper] = [max(0, T - 6.5M), T + 6.5M],
 past whose ends h < 4e-19, on the t-grids of _t_weights; H0 = k_1(0)/2 is
-half the sum of their weights. Each route builds one untwisted table that
-every twist shares: for x <= SERIES_X_MAX the power series of the cosine
-kernel B, for larger x the kernel k_1 on one rotated contour per octave of
-x, as k_y(r) = (k_1(r+L) + k_1(r-L))/2 at L = log y; both factor their
-phases in t over the t-grid's Gauss panels (quadrature.grid_panels), and
-both refine by 3/2 until no term moves by more than tol (quadrature.refined),
-adding _ROUNDING times the terms' absolute sum to each bar. The kernel route,
-also exact at small x, was 4-25 times slower there at T = 3-20.
+half the sum of their weights. bessel_H_many, H's one entry, checks the
+terms for two private routes, each building one untwisted table that every
+twist shares: for x <= SERIES_X_MAX the power series of the cosine kernel
+B (_bessel_H_series), for larger x the kernel k_1 on one rotated contour
+per octave of x (_bessel_H_kernel), as k_y(r) = (k_1(r+L) + k_1(r-L))/2 at
+L = log y; both factor their phases in t over the t-grid's Gauss panels
+(quadrature.grid_panels), and both refine by 3/2 until no term moves by
+more than tol (quadrature.refined), adding _ROUNDING times the terms'
+absolute sum to each bar. The kernel route, also exact at small x, was
+4-25 times slower there at T = 3-20.
 residue_expansion bounds E_K in H = sum_{k<K} r_k(y) J_{2k+1}(x) + E_K for
 an array of twists, from one table per window; asymptotic in small x, it
 turns c-tails into Petersson sums.
@@ -141,9 +143,9 @@ def diagonal_H0(sw: SpectralWeight, tol: float = 1e-10) -> QuadratureResult:
     return refined(evaluate, tol)
 
 
-def bessel_H_series_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> QuadratureResult:
-    """H(x, y) for every term (x, y) of xs and ys (0 < x <= SERIES_X_MAX),
-    through the power-series kernel on one t-grid.
+def _bessel_H_series(xs: np.ndarray, ys: np.ndarray, sw: SpectralWeight, tol: float) -> QuadratureResult:
+    """H(x, y) for every term (x, y) of xs and ys through the power-series
+    kernel on one t-grid: bessel_H_many's route for its checked x <= SERIES_X_MAX.
 
     The terms share every t-node and one untwisted (t, k) x (k, x) series
     product per block of _BLOCK_NODES t-nodes (whole panels, whose phase
@@ -158,22 +160,13 @@ def bessel_H_series_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> Quadr
     sum_t f series_envelope(t), on the last grid; converged covers them
     all. evaluations counts kernel-table entries, t-nodes times terms.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or xs.size == 0:
-        raise ValueError("xs must be a non-empty 1-d array")
-    if not (np.all(xs > 0) and np.all(xs <= SERIES_X_MAX)):
-        raise ValueError(f"the series route needs 0 < x <= {SERIES_X_MAX}")
-    if not np.all(np.asarray(ys) > 0):
-        raise ValueError("y must be positive")
     # one weight column f cos(2t log y) per distinct twist; each term takes its own
     log_y, twist = np.unique(np.log(ys), return_inverse=True)
-    twist = np.broadcast_to(twist, xs.shape)
     # B(t, x) turns at rate 2 asinh(2t/x) in t, fastest at the smallest x
     rate = 2.0 * np.max(np.abs(log_y)) + 2.0 * math.asinh(2.0 * sw.t_upper / np.min(xs))
     t_panels = _t_panels(sw, rate)
-    # each block of terms takes the series' k-terms its largest x needs (series_cut)
     blocks = [slice(j, j + _BLOCK_TERMS) for j in range(0, xs.size, _BLOCK_TERMS)]
-    cuts = [series_cut(float(np.max(xs[cols]))) for cols in blocks]
+    tails = [series_cut(float(np.max(xs[cols])))[1] for cols in blocks]
 
     def evaluate(level: int) -> tuple[np.ndarray, np.ndarray, int]:
         t, f = _t_weights(sw, t_panels, level)
@@ -181,14 +174,14 @@ def bessel_H_series_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> Quadr
         for i in range(0, t.size, _BLOCK_NODES):
             block = slice(i, i + _BLOCK_NODES)
             weights = f[block, None] * np.cos(2.0 * np.multiply.outer(t[block], log_y))
-            for cols, (K, _) in zip(blocks, cuts):
-                b = kernel_b_series_many(t[block], xs[cols], K)
+            for cols in blocks:
+                b = kernel_b_series_many(t[block], xs[cols])
                 total[cols] += (weights.T @ b)[twist[cols], np.arange(b.shape[1])]
                 size[cols] += f[block] @ np.abs(b, out=b)
                 del b  # before the next block builds its own
         # what the k-terms left out can add: each block's tail times sum_t f envelope
         envelope = f @ series_envelope(t)
-        for cols, (_, tail) in zip(blocks, cuts):
+        for cols, tail in zip(blocks, tails):
             cut[cols] = tail * envelope
         return total, _ROUNDING * size + cut, t.size * xs.size
 
@@ -323,9 +316,9 @@ def _contour_nodes(legs, counts, level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bessel_H_kernel(xs: np.ndarray, ys, sw: SpectralWeight, tol: float) -> QuadratureResult:
-    """H(x, y) for every term (x, y) of xs and ys (x > 0) with the
-    integrals swapped, through one contour (_contour) and one untwisted
-    k_1 table.
+    """H(x, y) for every term (x, y) of xs and ys with the integrals
+    swapped, through one contour (_contour) and one untwisted k_1 table:
+    bessel_H_many's route for its checked terms of one octave of x.
 
     Per level, one _cos_sum call gives k_1 at every node of every leg, from
     panel-factored tables (no (r, t) table is formed), and _leg_bars the
@@ -370,23 +363,25 @@ def _bessel_H_kernel(xs: np.ndarray, ys, sw: SpectralWeight, tol: float) -> Quad
 
 
 def bessel_H_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> tuple[QuadratureResult, int]:
-    """H(x, y) for every term (x, y) of xs and ys (x > 0, y > 0; a scalar y
-    serves every x), and how many terms took the series route.
+    """H(x, y) for every term (x, y) of xs and ys (finite x > 0 and y > 0;
+    a scalar y serves every x), and how many terms took the series route.
 
-    x <= SERIES_X_MAX go through one bessel_H_series_many call, which is
-    exact for small x too, x < 1 included; larger x through one
-    _bessel_H_kernel call per octave, with the t- and r-integrals swapped.
-    Both refine their grids on the window's support until no term moves by
-    more than tol. value and err_estimate are real arrays in the order of
-    xs (empty for an empty xs); converged covers them all and evaluations
-    adds up every call's kernel-table entries.
+    H's one entry, which checks the terms for both routes: x <= SERIES_X_MAX
+    go through one _bessel_H_series call, exact for small x too, x < 1
+    included; larger x through one _bessel_H_kernel call per octave, with
+    the t- and r-integrals swapped. Both refine their grids on the window's
+    support until no term moves by more than tol. value and err_estimate
+    are real arrays in the order of xs (empty for an empty xs); converged
+    covers them all and evaluations adds up every call's kernel-table entries.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or not np.all(xs > 0):
         raise ValueError("xs must be a 1-d array of positive x")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("x must be finite")
     ys = np.broadcast_to(np.asarray(ys, dtype=float), xs.shape)
-    if not np.all(ys > 0):
-        raise ValueError("y must be positive")
+    if not np.all((ys > 0) & np.isfinite(ys)):
+        raise ValueError("y must be positive and finite")
     value = np.zeros(xs.size)
     err = np.zeros(xs.size)
     evaluations = 0
@@ -398,7 +393,7 @@ def bessel_H_many(xs, ys, sw: SpectralWeight, tol: float = 1e-8) -> tuple[Quadra
     # the distinct octaves ascending; np.unique would import numpy.ma
     octaves = np.sort(octave[~series])
     octaves = octaves[np.diff(octaves, prepend=-np.inf) > 0]
-    batches = [(bessel_H_series_many, series)] + [
+    batches = [(_bessel_H_series, series)] + [
         (_bessel_H_kernel, ~series & (octave == j)) for j in octaves
     ]
     for route, mask in batches:

@@ -73,7 +73,7 @@ def series_envelope(t: np.ndarray) -> np.ndarray:
     return 2.0 * math.pi * prefactor / -np.expm1(-2.0 * math.pi * t)
 
 
-def kernel_b_series_many(t: np.ndarray, x, nmax: int | None = None) -> np.ndarray:
+def kernel_b_series_many(t: np.ndarray, x) -> np.ndarray:
     """Power-series route, vectorized over t and x: -pi Im J_{2it}(x) / sinh(pi t).
 
     x is one positive number (the result has the shape of t) or a 1-d
@@ -85,8 +85,8 @@ def kernel_b_series_many(t: np.ndarray, x, nmax: int | None = None) -> np.ndarra
         (x/2)^nu exp(-log Gamma(1 + nu) - pi t) * c_k(t) * (-x^2/4)^k,
         c_0 = 1,  c_k = c_{k-1} / (k (nu + k)),
 
-    taken for k < nmax; by default nmax is series_cut's K at the largest x,
-    which leaves out at most series_cut's tail times series_envelope(t).
+    taken for k < K, series_cut's K at the largest x, which leaves out at
+    most series_cut's tail times series_envelope(t) at every x.
     log Gamma is taken once per t, whatever the number of x, and the k-sum
     is one (t, k) x (k, x) matrix product. (x/2)^nu is factored over t's
     Gauss panels when t is whole panels of a grid (quadrature.grid_panels),
@@ -98,18 +98,17 @@ def kernel_b_series_many(t: np.ndarray, x, nmax: int | None = None) -> np.ndarra
     t = np.abs(np.asarray(t, dtype=float))
     if np.any(t < 1e-9):
         raise ValueError("series route needs t >= 1e-9; use a Y_0 series at t = 0")
-    if nmax is None:
-        nmax = series_cut(float(np.max(xs)))[0]
+    K = series_cut(float(np.max(xs)))[0]
     shape = t.shape
     t = t.ravel()
     nu = 2j * t
-    coef = np.empty((t.size, nmax), dtype=complex)
+    coef = np.empty((t.size, K), dtype=complex)
     coef[:, 0] = np.exp(-log_gamma(nu + 1.0) - math.pi * t)
-    for k in range(1, nmax):
+    for k in range(1, K):
         coef[:, k] = coef[:, k - 1] / (k * (nu + k))
     half_x = xs.ravel() / 2.0
     # (x^2/4)^k with the sign (-1)^k apart: numpy's ** is ~25x slower on a negative base
-    powers = (half_x**2)[None, :] ** np.arange(nmax)[:, None]
+    powers = (half_x**2)[None, :] ** np.arange(K)[:, None]
     powers[1::2] *= -1.0
     # Im((x/2)^nu (re + i im)) = cos(theta) im + sin(theta) re at theta = 2t log(x/2).
     # With t = left + half u + offset on grid panels (quadrature.grid_panels),

@@ -78,8 +78,8 @@ def spectral_tail_bar(sw: SpectralWeight, forms: list[MaassForm]) -> float:
 def eisenstein_side(m: int, n: int, sw: SpectralWeight, tol: float = 1e-10) -> QuadratureResult:
     """(1/pi) int omega(t) h(t; y) (n/m)^{it} sigma_{2it}(m) sigma_{-2it}(n) dt
     at y = sqrt(m/n): _eisenstein_form at u = e_m, v = e_n. The integrand is
-    real and even: sigma_{2it}(m) sigma_{-2it}(n) = (m/n)^{it} eta_t(m)
-    eta_t(n) with eta_t(n) = sum_{d | n} cos(t log(n/d^2)).
+    real and even, so the value is a float: sigma_{2it}(m) sigma_{-2it}(n) =
+    (m/n)^{it} eta_t(m) eta_t(n) with eta_t(n) = sum_{d | n} cos(t log(n/d^2)).
     """
     return _eisenstein_form(np.array([m, n]), *np.eye(2), sw, tol)
 
@@ -91,7 +91,7 @@ def diagonal_closed_form(sw: SpectralWeight) -> float:
 
 def diagonal_term(m: int, n: int, sw: SpectralWeight, tol: float = 1e-10) -> QuadratureResult:
     if m != n:
-        return QuadratureResult(0.0 + 0.0j, 0.0, 0)
+        return QuadratureResult(0.0, 0.0, 0)
     return diagonal_H0(sw, tol)
 
 
@@ -188,9 +188,11 @@ def _petersson_c_sum(
     2k+1, as bessel_j's power series there keeps relative accuracy, and
     |r_k| where x >= 2k+1, as its trapezoid nodes there are of size 1 and
     leave an absolute rounding. All five orders come from one bessel_j
-    call. Each pair's K minimises its own bar: r_k grows like
-    e^{(k+1/2)^2/M^2}, so a larger K trades tail for rounding.
-    tail_estimate adds up the pairs' bars.
+    call; past that (order x pair x modulus) table, the rounding is added
+    up one order at a time in (pair x modulus) arrays, and G_K is built
+    for each pair after its K is chosen. Each pair's K minimises its own
+    bar: r_k grows like e^{(k+1/2)^2/M^2}, so a larger K trades tail for
+    rounding. tail_estimate adds up the pairs' bars.
     """
     m, n = mn[:, 0], mn[:, 1]
     ys = np.sqrt(m / n)
@@ -203,16 +205,22 @@ def _petersson_c_sum(
     r = residues[0].T  # (k, pair)
     orders = 2 * np.arange(_K_MAX) + 1
     jn = bessel_j(orders, xs)  # (k, pair, c)
-    size = np.abs(r)[:, :, None] * np.where(xs >= orders[:, None, None], 1.0, np.abs(jn))
-    g = np.cumsum(r[:, :, None] * jn, axis=0)  # G_K in row K - 1
+    # size adds |r_k| (1 or |J_{2k+1}|) order by order; rounding[k] sums it against |coeff| over c
+    size, rounding = np.zeros(xs.shape), np.empty((_K_MAX, m.size))
+    for k, order in enumerate(orders):
+        size += np.abs(r[k])[:, None] * np.where(xs >= order, 1.0, np.abs(jn[k]))
+        rounding[k] = np.sum(size * np.abs(coeff), axis=1)
     diag = np.where(m == n, weights, 0.0) / (2.0 * math.pi)
     closed = diag * np.cumsum((-1.0) ** np.arange(_K_MAX)[:, None] * r, axis=0)
-    rounding = np.sum(np.cumsum(size, axis=0) * np.abs(coeff), axis=2)
     rounding += np.abs(diag) * np.cumsum(np.abs(r), axis=0)
     bars = _tail_bars(mn, weights, cs.size, residues) + _ROUNDING * rounding.T  # (pair, K)
     K = np.argmin(bars, axis=1)
     pairs = np.arange(mn.shape[0])
-    value = np.sum(coeff * (h.value.reshape(xs.shape) - g[K, pairs])) + np.sum(closed[K, pairs])
+    # G_K of each pair at its own K, added up over the orders as np.cumsum adds
+    g = r[0][:, None] * jn[0]
+    for k in range(1, _K_MAX):
+        g[K >= k] += r[k, K >= k, None] * jn[k, K >= k]
+    value = np.sum(coeff * (h.value.reshape(xs.shape) - g)) + np.sum(closed[K, pairs])
     return KloostermanSideReport(
         value=float(value),
         tail_estimate=float(np.sum(bars[pairs, K])),
@@ -235,17 +243,13 @@ def kloosterman_side(
 
     All C_max sums come from one array-form kloosterman call, whose unit
     table is kept for the largest C_max so far: a later call at the same or
-    a smaller C_max builds no unit table.
-
-    C_max = 0 evaluates no modulus: the value is the empty sum 0, and no
-    finite bar covers its tail.
+    a smaller C_max builds no unit table. C_max must be at least 1: the
+    tail bar needs one modulus (_tail_bars), so every bar is finite.
     """
     if min(m, n) < 1:
         raise ValueError("m and n must be at least 1")
-    if C_max < 0:
-        raise ValueError("C_max must be non-negative")
-    if C_max == 0:
-        return KloostermanSideReport(0.0, math.inf, 0.0, 0, 0, True, 0, 0, 0)
+    if C_max < 1:
+        raise ValueError("C_max must be at least 1")
     s_vals = kloosterman(m, n, np.arange(1, C_max + 1))[None, :]
     residues = residue_expansion(np.sqrt([m / n]), sw)
     rep = _petersson_c_sum(np.array([[m, n]]), np.ones(1), s_vals, residues, sw, tol)
@@ -357,10 +361,10 @@ def _identity(
         raise ValueError("indices must be at least 1")
     s_val = _cusp_form(ns, u, v, sw, forms)
     eis = _eisenstein_form(ns, u, v, sw, tol)
-    t_val = eis.value.real
+    t_val = eis.value
     h0 = diagonal_H0(sw, tol=tol)
     mass = float(np.sum(np.outer(u, v)[ns[:, None] == ns]))
-    d_val = h0.value.real * mass
+    d_val = h0.value * mass
 
     iu, ju = np.triu_indices(ns.size)
     weights = u[iu] * v[ju] + np.where(iu == ju, 0.0, u[ju] * v[iu])
@@ -383,7 +387,7 @@ def _identity(
         rel_residual=residual / max(abs(s_val + t_val), abs(d_val + off.value), 1e-300),
         skip_bar=off.tail_estimate,
         spectral_tail=spectral_tail_bar(sw, forms) * float(lam_u) * float(lam_v),
-        quadrature_err=eis.err_estimate + h0.err_estimate * abs(mass) + off.quadrature_err,
+        quadrature_err=float(eis.err_estimate + h0.err_estimate * abs(mass) + off.quadrature_err),
         diagonal_closed_form=diagonal_closed_form(sw) * mass,
         converged=eis.converged and h0.converged and off.converged,
         params={
@@ -460,4 +464,4 @@ def p_bound_rhs(seq: Sequence, sw: SpectralWeight) -> float:
     # each q's sum over c, then its weight 1/q, in the order of the terms:
     # they run q-major, so q's terms are one slice, ending at ends[q - 1]
     total = sum(sum(values[end - count : end]) / q for q, count, end in zip(q_range, counts.tolist(), ends.tolist()))
-    return M * T * total
+    return float(M * T * total)

@@ -420,7 +420,8 @@ def _eisenstein_form(
 ) -> QuadratureResult:
     """(2/pi) int_0^{t_upper} omega(t) h(t) Re(E_t(u) conj E_t(v)) dt over the
     integers ns, E_t(a) = sum_n a_n sigma_{2it}(n): the Eisenstein side, paired
-    like _cusp_form, as twice the even integrand's half-line, to tol.
+    like _cusp_form, as twice the even integrand's half-line, to tol; its
+    value is a float.
 
     The grids span [t_lower, t_upper], past which h < 4e-19, so zeta is
     evaluated only near T. They are refined as adaptive_quadrature's are
@@ -435,11 +436,11 @@ def _eisenstein_form(
             f"|Im s| up to {2.0 * sw.t_upper:g}, above zeta_many's cap {_ZETA_IM_MAX:g}"
         )
 
-    def evaluate(level: int) -> tuple[complex, float, int]:
+    def evaluate(level: int) -> tuple[float, float, int]:
         t, w, wh = _eisenstein_weights(sw, level)
         sigmas = np.array([divisor_sigma(2j * t, int(n)) for n in ns])
         eu, ev = u @ sigmas, v @ sigmas
-        return complex((wh * (eu * ev.conj()).real) @ w), 0.0, t.size
+        return float((wh * (eu * ev.conj()).real) @ w), 0.0, t.size
 
     res = refined(evaluate, tol * math.pi / 2.0)
     return res.scaled(2.0 / math.pi)
@@ -483,7 +484,7 @@ def moment_demo(
     a = np.conj(coeffs * wvals / math.sqrt(N))
     s_val = _cusp_form(ns, a, a, sw, forms)
     eis = _eisenstein_form(ns, a, a, sw, 1e-6)
-    t_val = eis.value.real
+    t_val = eis.value
 
     coeff_sq = float(np.sum(np.abs(coeffs) ** 2))
     majorant = (1.0 + M * T / N) * coeff_sq + (n1 + T / M**2) * N * n1

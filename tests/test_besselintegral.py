@@ -14,7 +14,6 @@ from specpoint.besselintegral import (
     SpectralWeight,
     bessel_H_direct,
     bessel_H_many,
-    bessel_H_series_many,
     diagonal_H0,
     g_weight,
     residue_expansion,
@@ -193,8 +192,8 @@ class TestBesselHDirect:
         # the kernel route is exact for every x > 0, one contour per octave
         sw, tol = SpectralWeight(3.0, M), 1e-12
         xs = np.array([0.02, 0.05, 0.2, 0.5, 1.0, 2.0, 3.5, SERIES_X_MAX])
-        series = bessel_H_series_many(xs, y, sw, tol)
-        assert series.converged
+        series, count = bessel_H_many(xs, y, sw, tol)
+        assert count == xs.size and series.converged
         octave = np.floor(np.log2(xs))
         for j in np.unique(octave):
             mask = octave == j
@@ -239,10 +238,6 @@ class TestBesselHDirect:
         one, _ = bessel_H_many([0.5], 1.0, sw)
         three, _ = bessel_H_many([0.5, 0.5, 0.5], 1.0, sw)
         assert three.evaluations == 3 * one.evaluations
-
-    def test_series_route_rejects_large_x(self):
-        with pytest.raises(ValueError):
-            bessel_H_series_many(np.array([2.0, 6.0]), 1.0, SW)
 
 
 def contour_oracle_H(x: float, y: float, sw: SpectralWeight, tol: float) -> float:
@@ -558,17 +553,15 @@ class TestResidueExpansion:
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda: bessel_H_series_many([[0.5, 1.0]], 1.0, SW3), "non-empty 1-d"),
-        (lambda: bessel_H_series_many([], 1.0, SW3), "non-empty 1-d"),
-        (lambda: bessel_H_series_many([0.5], 0.0, SW3), "y must be positive"),
-        (lambda: bessel_H_series_many([0.5, 1.0], [1.0, -2.0], SW3), "y must be positive"),
         (lambda: bessel_H_many([[1.0, 8.0]], 1.0, SW3), "1-d array of positive x"),
         (lambda: bessel_H_many([8.0, 0.0], 1.0, SW3), "1-d array of positive x"),
         (lambda: bessel_H_many([1.0, 8.0], 0.0, SW3), "y must be positive"),
         (lambda: bessel_H_many([1.0, 8.0], [1.0, -2.0], SW3), "y must be positive"),
+        # an infinite x or y is rejected before it reaches a panel count
+        (lambda: bessel_H_many([1.0, math.inf], 1.0, SW3), "x must be finite"),
+        (lambda: bessel_H_many([1.0, 8.0], [1.0, math.inf], SW3), "y must be positive and finite"),
     ],
-    ids=["series-2d", "series-empty", "series-y0", "series-y-negative",
-         "many-2d", "many-x0", "many-y0", "many-y-negative"],
+    ids=["many-2d", "many-x0", "many-y0", "many-y-negative", "many-x-inf", "many-y-inf"],
 )
 def test_rejects_arguments_out_of_range(call, message):
     with pytest.raises(ValueError, match=message):

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module-level import binds in specpoint is
 used, every module-level def, class and assigned name is named outside its
 definition, and in src or bench unless a ROADMAP.md item is to run it,
-every refined loop leaves its round cap to quadrature.refined, and the
-closure, decompose and sieve passes import no more of numpy."""
+every refined loop leaves its round cap to quadrature.refined, only
+bessel_H_many reaches the H routes, and the closure, decompose and sieve
+passes import no more of numpy."""
 
 import ast
 import json
@@ -160,6 +161,21 @@ def test_every_refined_call_passes_only_evaluate_and_tol():
             if len(node.args) != 2 or node.keywords or not (isinstance(first, ast.Name) and first.id == "evaluate"):
                 other.append(f"{path.name}:{node.lineno}")
     assert calls >= 5 and other == []
+
+
+H_ROUTES = {"_bessel_H_series", "_bessel_H_kernel"}
+
+
+def test_bessel_H_many_is_the_one_caller_of_the_H_routes():
+    # bessel_H_many checks H's terms for both routes, which check nothing:
+    # any other module-level statement of src that names a route, a call or
+    # an import, would reach it unchecked
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if H_ROUTES & {name for name, _ in _names(node)}:
+                users.add(f"{path.name}:{getattr(node, 'name', node.lineno)}")
+    assert users == {"besselintegral.py:bessel_H_many"}
 
 
 LAZY = ("numpy.ma", "numpy.fft", "numpy.polynomial")

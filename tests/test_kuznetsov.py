@@ -33,7 +33,7 @@ from specpoint.kuznetsov import (
     spectral_tail_bar,
     trace_residual,
 )
-from specpoint.quadrature import _ROUNDING
+from specpoint.quadrature import _ROUNDING, QuadratureResult
 from specpoint.sievebench import Sequence
 from specpoint.specfun import bessel_j, log_gamma
 from specpoint.spectraldata import MaassForm
@@ -153,6 +153,16 @@ class TestEisenstein:
         assert abs(res.value.real - want) <= res.err_estimate + 1e-12 * abs(want)
 
 
+def test_real_sides_return_floats():
+    # the Eisenstein integrand and H0 are real, and so are the report's bars
+    assert type(eisenstein_side(2, 3, SW3).value) is float
+    form = kuznetsov._eisenstein_form(np.arange(1, 4), np.ones(3), np.ones(3), SW3, 1e-8)
+    assert type(form.value) is float
+    assert all(type(diagonal_term(m, 2, SW3).value) is float for m in (1, 2))
+    rep = decomposition(Sequence.random(2, 1, real=True), SW3, [], 1e-6)
+    assert type(rep.T_eis) is type(rep.D) is type(rep.quadrature_err) is float
+
+
 class TestDiagonal:
     def test_off_diagonal_is_zero(self):
         assert diagonal_term(2, 3, SW).value == 0
@@ -190,8 +200,9 @@ class TestDiagonal:
 
 class TestKloostermanSide:
     def test_zero_c_max(self):
-        rep = kloosterman_side(1, 1, SW, 0)
-        assert rep.value == 0.0
+        # an empty c-sum has no finite tail bar
+        with pytest.raises(ValueError, match="C_max must be at least 1"):
+            kloosterman_side(1, 1, SW, 0)
 
     @pytest.mark.parametrize("m,n", [(1, 0), (0, 1), (-2, 3)])
     def test_rejects_indices_below_one(self, m, n):
@@ -458,6 +469,57 @@ class TestPetersson:
         s_vals = np.stack([kloosterman(int(m), int(n), np.arange(1, 65)) for m, n in mn])
         petersson_c_sum(mn, np.ones(3), s_vals, SpectralWeight(3.0, 1.0), 1e-8)
         assert calls == [(_K_MAX,)]
+
+    def test_memory_is_bounded_and_bits_unchanged(self, monkeypatch):
+        # a decomposition's c-sum at N = 16 (136 pairs, C = 944) with H stubbed
+        # to 0: past bessel_j's one (order x pair x modulus) table, it adds up
+        # (pair x modulus) arrays, and its bits are the vectorised form's
+        sw, C = SpectralWeight(3.0, 1.5), 944
+        ns = np.arange(17, 33)
+        iu, ju = np.triu_indices(ns.size)
+        mn = np.stack([ns[iu], ns[ju]], axis=1)
+        rng = np.random.default_rng(7)
+        w = rng.uniform(-1.0, 1.0, mn.shape[0])
+        s_vals = rng.uniform(-20.0, 20.0, (mn.shape[0], C))
+        residues = residue_expansion(np.sqrt(mn[:, 0] / mn[:, 1]), sw)
+
+        def zeros(xs, ys, s, sw, tol):
+            return QuadratureResult(np.zeros(xs.size), np.zeros(xs.size), 0), 0, 0
+
+        monkeypatch.setattr(kuznetsov, "_h_value", zeros)
+        tracemalloc.start()
+        try:
+            rep = kuznetsov._petersson_c_sum(mn, w, s_vals, residues, sw, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24_000_000
+        value, tail, K = vectorised_c_sum(mn, w, s_vals, residues)
+        assert rep.value == value and rep.tail_estimate == tail and rep.petersson_K == K
+
+
+def vectorised_c_sum(mn, weights, s_vals, residues):
+    """(value, tail_estimate, petersson_K) of _petersson_c_sum at H = 0, with
+    (order x pair x modulus) tables of what G_K subtracts and of G_K itself,
+    cumulated over the orders; test-local reference."""
+    m, n = mn[:, 0], mn[:, 1]
+    cs = np.arange(1, s_vals.shape[1] + 1)
+    xs = 4.0 * math.pi * np.sqrt(m * n)[:, None] / cs
+    coeff = weights[:, None] * np.where(np.abs(s_vals) > kuznetsov._S_VANISH, s_vals, 0.0) / cs
+    r = residues[0].T
+    orders = 2 * np.arange(_K_MAX) + 1
+    jn = bessel_j(orders, xs)
+    size = np.abs(r)[:, :, None] * np.where(xs >= orders[:, None, None], 1.0, np.abs(jn))
+    g = np.cumsum(r[:, :, None] * jn, axis=0)
+    diag = np.where(m == n, weights, 0.0) / (2.0 * math.pi)
+    closed = diag * np.cumsum((-1.0) ** np.arange(_K_MAX)[:, None] * r, axis=0)
+    rounding = np.sum(np.cumsum(size, axis=0) * np.abs(coeff), axis=2)
+    rounding += np.abs(diag) * np.cumsum(np.abs(r), axis=0)
+    bars = kuznetsov._tail_bars(mn, weights, cs.size, residues) + _ROUNDING * rounding.T
+    K = np.argmin(bars, axis=1)
+    pairs = np.arange(mn.shape[0])
+    value = np.sum(coeff * (0.0 - g[K, pairs])) + np.sum(closed[K, pairs])
+    return float(value), float(np.sum(bars[pairs, K])), [int(k) + 1 for k in K]
 
 
 class TestTraceReport:
@@ -775,6 +837,11 @@ class TestPBound:
         monkeypatch.setattr(kuznetsov, "_P_CAP", 4.0)
         assert p_bound_rhs(seq, SW) == 0.0
 
+    def test_empty_range_is_a_float(self):
+        # int T and M with no (q, c) term: M T times the empty sum is still a float
+        got = p_bound_rhs(Sequence(1, np.array([1.0])), SpectralWeight(30, 1))
+        assert type(got) is float and got == 0.0
+
     def test_sign_flip_invariance(self):
         seq = Sequence.random(N=16, seed=2, real=True)
         flipped = Sequence(N=16, values=-seq.values)
@@ -842,7 +909,7 @@ def p_bound_lag_sum(a: np.ndarray, sw: SpectralWeight) -> float:
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda: kloosterman_side(1, 2, SW3, -1), "C_max must be non-negative"),
+        (lambda: kloosterman_side(1, 2, SW3, -1), "C_max must be at least 1"),
         (lambda: p_bound_rhs(Sequence.random(N=8, seed=1), SW), "real sequences"),
     ],
     ids=["kloosterman_side-C_max", "p_bound_rhs-complex"],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specpoint import besselintegral, besselkernel, kuznetsov, quadrature, sievebench
-from specpoint.besselintegral import SpectralWeight, bessel_H_many, bessel_H_series_many
+from specpoint.besselintegral import SpectralWeight, bessel_H_many
 from specpoint.besselkernel import kernel_b_block
 from specpoint.kuznetsov import decomposition, diagonal_H0, diagonal_term, eisenstein_side, kloosterman_side
 from specpoint.quadrature import adaptive_quadrature, gauss_grid, grid_panels, refined_panels
@@ -131,7 +131,7 @@ def test_refined_grids_reach_the_finest_doubled_grids():
 @pytest.mark.parametrize(
     "converged",
     [
-        lambda: bessel_H_series_many([0.5, 2.0], 1.0, SW3, 1e-8).converged,
+        lambda: bessel_H_many([0.5, 2.0], 1.0, SW3, 1e-8)[0].converged,
         lambda: besselintegral._bessel_H_kernel(np.array([9.0, 12.0]), 1.0, SW3, 1e-8).converged,
         lambda: kernel_b_block(np.array([0.5, 14.0]), 12.0, 1e-10)[2],
         lambda: eisenstein_side(2, 3, SW3, 1e-10).converged,
